@@ -1,5 +1,5 @@
 // Command itrserve is the online test-floor inference daemon: it loads
-// trained itr-model/v1 artifacts into a hot-swappable model registry and
+// trained itr-model/v2 artifacts into a hot-swappable model registry and
 // serves them over HTTP with micro-batching, expvar/pprof observability,
 // structured logging, load shedding, and graceful shutdown.
 //
@@ -15,9 +15,8 @@
 // Usage:
 //
 //	itrserve -demo                        # train small built-in models, serve on :8080
-//	itrserve -models DIR                  # load *.json / *.itm artifacts from DIR
+//	itrserve -models DIR                  # load *.itm artifacts from DIR
 //	itrserve -probe http://host:8080      # client mode: exercise a running server
-//	itrserve -migrate DIR                 # one-shot v1 JSON -> v2 binary conversion, then exit
 //	itrserve -demo -replicate-listen :9090        # also serve the artifact store to replicas
 //	itrserve -replicate-from host:9090 -models D  # pull missing artifacts before serving
 //	itrserve -replicate-from host:9090 -replicate-only  # sync and exit (cron/CI)
@@ -52,7 +51,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		modelDir    = flag.String("models", "", "directory of itr-model/v1 artifact files (*.json)")
+		modelDir    = flag.String("models", "", "directory of itr-model/v2 artifact files (*.itm)")
 		demo        = flag.Bool("demo", false, "train small built-in demo models at startup")
 		probe       = flag.String("probe", "", "client mode: exercise a running itrserve at this base URL and exit")
 		maxBatch    = flag.Int("batch", 32, "max requests coalesced per inference batch")
@@ -66,7 +65,6 @@ func main() {
 		seed        = flag.Int64("seed", 1, "demo model training seed")
 		quiet       = flag.Bool("quiet", false, "disable per-request logging")
 
-		migrate    = flag.String("migrate", "", "one-shot mode: convert v1 JSON artifacts in DIR to itr-model/v2 binary, then exit")
 		repListen  = flag.String("replicate-listen", "", "also serve the artifact store to replicas on this address")
 		repFrom    = flag.String("replicate-from", "", "pull missing artifacts from a peer's replication address before serving")
 		repOnly    = flag.Bool("replicate-only", false, "with -replicate-from: sync, print the report and exit")
@@ -81,13 +79,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Println("probe ok")
-		return
-	}
-	if *migrate != "" {
-		if err := runMigrate(*migrate); err != nil {
-			fmt.Fprintln(os.Stderr, "itrserve: migrate:", err)
-			os.Exit(1)
-		}
 		return
 	}
 
@@ -218,25 +209,6 @@ func main() {
 func fatal(logger *slog.Logger, err error) {
 	logger.Error("fatal", "err", err)
 	os.Exit(1)
-}
-
-// runMigrate converts every v1 JSON artifact in dir to the binary v2
-// format, printing sizes and content hashes. Originals stay as .v1.bak.
-func runMigrate(dir string) error {
-	sum, err := serve.MigrateDir(dir)
-	if err != nil {
-		return err
-	}
-	for _, m := range sum.Migrated {
-		fmt.Printf("%s -> %s: %d -> %d bytes, hash %s\n",
-			m.File, m.NewFile, m.OldBytes, m.NewBytes, m.Hash)
-	}
-	for _, s := range sum.Skipped {
-		fmt.Fprintf(os.Stderr, "skipped %s\n", s)
-	}
-	fmt.Printf("migrated %d artifacts (%d skipped); originals kept as *.v1.bak\n",
-		len(sum.Migrated), len(sum.Skipped))
-	return nil
 }
 
 // runProbe exercises a running server end to end: health, readiness, one

@@ -7,9 +7,8 @@
 //	itrwafer                      # train + evaluate all classifiers
 //	itrwafer -show Scratch        # print an example map of one class
 //	itrwafer -dim 8192 -train 80  # bigger hypervectors / training set
-//	itrwafer -export model.json   # train and save an itr-model/v1 JSON artifact
-//	itrwafer -export model.itm    # same model in the binary itr-model/v2 format
-//	itrwafer -import model.json   # evaluate a saved artifact (either format)
+//	itrwafer -export model.itm    # train and save an itr-model/v2 artifact
+//	itrwafer -import model.itm    # evaluate a saved artifact
 package main
 
 import (
@@ -17,7 +16,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -34,7 +32,7 @@ func main() {
 		testN   = flag.Int("test", 20, "test maps per class")
 		size    = flag.Int("size", 64, "wafer grid size")
 		seed    = flag.Int64("seed", 1, "random seed")
-		export  = flag.String("export", "", "train the HDC classifier and write it as an itr-model/v1 artifact")
+		export  = flag.String("export", "", "train the HDC classifier and write it as an itr-model/v2 artifact")
 		imprt   = flag.String("import", "", "load a saved artifact and evaluate it instead of training")
 		version = flag.Int("version", 1, "artifact version written by -export")
 	)
@@ -110,8 +108,9 @@ func main() {
 }
 
 // exportModel trains the HDC classifier on a generated dataset and writes
-// it as a versioned itr-model/v1 artifact — the input of itrserve's model
-// registry.
+// it as a versioned itr-model/v2 artifact — the input of itrserve's model
+// registry (which scans *.itm files). The format does not depend on the
+// file extension.
 func exportModel(path string, cfg wafer.Config, dim, trainN int, seed int64, version int) error {
 	fmt.Printf("training HDC-d%d on %d maps/class (%dx%d, seed %d)\n",
 		dim, trainN, cfg.Size, cfg.Size, seed)
@@ -120,21 +119,20 @@ func exportModel(path string, cfg wafer.Config, dim, trainN int, seed int64, ver
 	if err := cls.Fit(train); err != nil {
 		return err
 	}
-	a, err := serve.NewArtifact(serve.KindWaferHDC, "itrwafer-hdc", version, cls)
+	payload, err := cls.AppendBinary(nil)
+	if err != nil {
+		return err
+	}
+	a, err := serve.NewArtifact(serve.KindWaferHDC, "itrwafer-hdc", version, payload)
 	if err != nil {
 		return err
 	}
 	a.CreatedUnix = time.Now().Unix()
-	if strings.HasSuffix(path, ".itm") {
-		if a, err = a.ToV2(); err != nil {
-			return err
-		}
-	}
 	if err := a.WriteFile(path); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s artifact v%d (%s) to %s, hash %s\n",
-		a.Kind, a.Version, a.Schema, path, a.Hash)
+		a.Kind, a.Version, serve.SchemaV2, path, a.Hash)
 	return nil
 }
 

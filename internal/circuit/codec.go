@@ -139,6 +139,11 @@ func UnmarshalNetlist(data []byte) (*Netlist, error) {
 			return nil, err
 		}
 	}
+	// The PO and scan sections are checked for canonical form as well as
+	// range: MarkOutput and ConnectScanD would silently absorb a repeated
+	// PO, an out-of-order scan edge or an unmarked D-source, and the
+	// decoded circuit would then re-encode to different bytes.
+	isPO := make([]bool, nGates)
 	nPOs := int(d.u32())
 	for i := 0; i < nPOs; i++ {
 		po := int(d.u32())
@@ -148,12 +153,16 @@ func UnmarshalNetlist(data []byte) (*Netlist, error) {
 		if po < 0 || po >= nGates {
 			return nil, fmt.Errorf("circuit: PO id %d out of range", po)
 		}
+		if isPO[po] {
+			return nil, fmt.Errorf("circuit: PO id %d listed twice", po)
+		}
+		isPO[po] = true
 		if err := n.MarkOutput(n.Gates[po].Name); err != nil {
 			return nil, err
 		}
 	}
 	nScan := int(d.u32())
-	for i := 0; i < nScan; i++ {
+	for i, prev := 0, -1; i < nScan; i++ {
 		dff := int(d.u32())
 		src := int(d.u32())
 		if d.err != nil {
@@ -162,6 +171,13 @@ func UnmarshalNetlist(data []byte) (*Netlist, error) {
 		if dff < 0 || dff >= nGates || src < 0 || src >= nGates {
 			return nil, fmt.Errorf("circuit: scan edge %d-%d out of range", dff, src)
 		}
+		if dff <= prev {
+			return nil, fmt.Errorf("circuit: scan edge for DFF %d out of order", dff)
+		}
+		if !isPO[src] {
+			return nil, fmt.Errorf("circuit: scan D-source %d is not a primary output", src)
+		}
+		prev = dff
 		if err := n.ConnectScanD(n.Gates[dff].Name, n.Gates[src].Name); err != nil {
 			return nil, err
 		}

@@ -20,9 +20,9 @@ import (
 // written again; every slice may be read concurrently from any number of
 // goroutines without synchronization. Callers must treat all exported slices
 // as read-only. The only internal mutable state is the lazy fanout-cone
-// cache, which is concurrency-safe (per-gate atomic publication of
-// immutable slices; racing builders compute identical cones, so last-write
-// wins is benign).
+// cache, which is concurrency-safe (per-gate compare-and-swap publication
+// of immutable slices; the first build wins, so a cone has one backing
+// array for the life of the Compiled).
 type Compiled struct {
 	Net *Netlist
 
@@ -183,8 +183,9 @@ type coneBuf struct {
 // from id through fanout edges, including id itself — in topological order.
 // Cones are computed lazily and cached; the cache is concurrency-safe and
 // the returned slice is immutable (callers must not modify it). Racing
-// goroutines may build the same cone twice, but both builds are identical,
-// so publication order is irrelevant.
+// goroutines may both build the same cone on a miss, but only the first
+// build is published: the loser discards its copy and returns the winner's,
+// so every caller sees one backing array per cone.
 func (c *Compiled) Cone(id int) []int32 {
 	if p := c.cones[id].Load(); p != nil {
 		return *p
@@ -217,6 +218,8 @@ func (c *Compiled) Cone(id int) []int32 {
 	}
 	sc.stack, sc.pos = stack, pos // keep grown capacity for the next miss
 	coneScratch.Put(sc)
-	c.cones[id].Store(&cone)
+	if !c.cones[id].CompareAndSwap(nil, &cone) {
+		return *c.cones[id].Load()
+	}
 	return cone
 }

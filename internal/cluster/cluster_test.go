@@ -446,6 +446,34 @@ func TestClusterNoWorkersHonorsContext(t *testing.T) {
 	}
 }
 
+// TestClusterServeAfterClose pins that a listener handed to a closed
+// coordinator is closed, not leaked: Serve returns ErrClosed and a worker
+// dialing the loopback gets ErrLoopbackClosed instead of blocking forever.
+func TestClusterServeAfterClose(t *testing.T) {
+	c := New(Config{})
+	c.Close()
+	lb := NewLoopback()
+	if err := c.Serve(lb); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Serve after Close: err = %v, want ErrClosed", err)
+	}
+	dialed := make(chan error, 1)
+	go func() {
+		conn, err := lb.Dial()
+		if conn != nil {
+			conn.Close()
+		}
+		dialed <- err
+	}()
+	select {
+	case err := <-dialed:
+		if !errors.Is(err, ErrLoopbackClosed) {
+			t.Fatalf("Dial after Serve-on-closed: err = %v, want ErrLoopbackClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Dial blocked: the listener passed to a closed coordinator leaked")
+	}
+}
+
 // TestClusterEmptyJobShortCircuits pins the degenerate inputs: zero faults
 // (detect) and zero patterns (dictionary) complete instantly with no
 // workers at all.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/logic"
+	"repro/internal/wire"
 )
 
 // Config tunes a Coordinator. The zero value selects sane defaults.
@@ -31,7 +32,7 @@ type Config struct {
 	// (default 4×Deadline). Slow workers lose their connection but their
 	// shard has long since been re-dispatched; on reconnect they rejoin.
 	SessionTimeout time.Duration
-	// MaxFrame bounds accepted frame payloads (default DefaultMaxFrame).
+	// MaxFrame bounds accepted frame payloads (default wire.DefaultMaxFrame).
 	MaxFrame uint32
 	// MaxShardFailures is how many times one shard may come back as a
 	// worker error before the job is failed as a whole — the guard that
@@ -61,7 +62,7 @@ func (c *Config) withDefaults() Config {
 		out.SessionTimeout = 4 * out.Deadline
 	}
 	if out.MaxFrame == 0 {
-		out.MaxFrame = DefaultMaxFrame
+		out.MaxFrame = wire.DefaultMaxFrame
 	}
 	if out.MaxShardFailures <= 0 {
 		out.MaxShardFailures = 3
@@ -167,11 +168,14 @@ func New(cfg Config) *Coordinator {
 
 // Serve accepts worker connections from l until the listener or the
 // coordinator is closed. Call it in a goroutine; multiple listeners (e.g. a
-// TCP socket plus a Loopback) may be served concurrently.
+// TCP socket plus a Loopback) may be served concurrently. The coordinator
+// owns l: it is closed on Close, or right away if the coordinator is
+// already closed, so a worker dialing it never waits forever.
 func (c *Coordinator) Serve(l net.Listener) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
+		l.Close()
 		return ErrClosed
 	}
 	c.listeners = append(c.listeners, l)

@@ -88,7 +88,7 @@ func TestFlakyDroppedResultRecovers(t *testing.T) {
 }
 
 // TestFlakyCorruptedResultRecovers: a flipped payload bit must surface as
-// ErrPayloadHash at the coordinator (never a garbage merge), drop the
+// wire.ErrPayloadHash at the coordinator (never a garbage merge), drop the
 // session, and re-dispatch.
 func TestFlakyCorruptedResultRecovers(t *testing.T) {
 	_, faults, want, run := flakyJob(t)
@@ -102,7 +102,7 @@ func TestFlakyCorruptedResultRecovers(t *testing.T) {
 	startWorkerDial(t, d.Dial, "bitrot")
 	compareDetect(t, run(c), want)
 	if !rec.contains("payload hash") {
-		t.Errorf("log does not pin ErrPayloadHash; lines: %v", rec.lines)
+		t.Errorf("log does not pin wire.ErrPayloadHash; lines: %v", rec.lines)
 	}
 	if st := c.Stats(); st.WorkersLost < 1 {
 		t.Errorf("WorkersLost = %d, want >= 1", st.WorkersLost)
@@ -110,7 +110,7 @@ func TestFlakyCorruptedResultRecovers(t *testing.T) {
 }
 
 // TestFlakyTruncatedResultRecovers: a mid-frame connection loss must
-// surface as ErrTruncated and re-dispatch.
+// surface as wire.ErrTruncated and re-dispatch.
 func TestFlakyTruncatedResultRecovers(t *testing.T) {
 	_, faults, want, run := flakyJob(t)
 	rec := &logRecorder{}
@@ -123,7 +123,7 @@ func TestFlakyTruncatedResultRecovers(t *testing.T) {
 	startWorkerDial(t, d.Dial, "chopper")
 	compareDetect(t, run(c), want)
 	if !rec.contains("truncated") {
-		t.Errorf("log does not pin ErrTruncated; lines: %v", rec.lines)
+		t.Errorf("log does not pin wire.ErrTruncated; lines: %v", rec.lines)
 	}
 	if st := c.Stats(); st.WorkersLost < 1 {
 		t.Errorf("WorkersLost = %d, want >= 1", st.WorkersLost)

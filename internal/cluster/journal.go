@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/logic"
+	"repro/internal/wire"
 )
 
 // Journal frame types, outside the live-protocol range (1–6) so a journal
@@ -279,7 +280,7 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 // It never panics on arbitrary input (FuzzJournal pins this).
 func ReadJournal(r io.Reader) (*Replay, error) {
 	cr := &countingReader{r: r}
-	ft, payload, err := ReadFrame(cr, DefaultMaxFrame)
+	ft, payload, err := ReadFrame(cr, wire.DefaultMaxFrame)
 	if err != nil {
 		return nil, fmt.Errorf("%w: header: %v", ErrJournalCorrupt, err)
 	}
@@ -292,7 +293,7 @@ func ReadJournal(r io.Reader) (*Replay, error) {
 	}
 	rep := &Replay{Header: h, Valid: cr.n}
 	for {
-		ft, payload, err := ReadFrame(cr, DefaultMaxFrame)
+		ft, payload, err := ReadFrame(cr, wire.DefaultMaxFrame)
 		if err == io.EOF {
 			return rep, nil // clean end at a frame boundary
 		}

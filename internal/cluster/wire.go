@@ -27,19 +27,13 @@ import (
 )
 
 // The frame layout (magic, version, type, big-endian length, sha256 of the
-// payload) lives in internal/wire since the artifact-replication protocol
-// adopted it; this file keeps the cluster protocol's identity — its magic,
-// version, frame-type vocabulary — and re-exports the typed errors so
-// existing callers and tests are untouched.
+// payload), its size bound (wire.DefaultMaxFrame) and its typed frame
+// errors live in internal/wire, shared with artifact replication; this file
+// keeps the cluster protocol's identity — its magic, version and frame-type
+// vocabulary — plus the cluster's own message-level errors.
 const (
 	wireMagic   = "ITRC"
 	WireVersion = 1
-	headerSize  = wire.HeaderSize
-
-	// DefaultMaxFrame bounds a single frame's payload: large enough for a
-	// million-gate setup frame or a dense dictionary shard, small enough
-	// that a corrupt length field cannot trigger a runaway allocation.
-	DefaultMaxFrame = wire.DefaultMaxFrame
 )
 
 // proto is the cluster job-dispatch protocol instance.
@@ -77,16 +71,12 @@ func (t FrameType) String() string {
 	return fmt.Sprintf("frame(%d)", uint8(t))
 }
 
-// Typed wire errors. Everything a peer can get wrong on the wire maps to
-// exactly one of these (possibly wrapped with context), so failure-path
-// tests can pin the classification with errors.Is. The frame-level errors
-// are the shared internal/wire identities.
+// Typed protocol errors. Everything a peer can get wrong maps to exactly
+// one of these or one of the frame-level wire errors (wire.ErrBadMagic,
+// wire.ErrVersion, wire.ErrFrameTooBig, wire.ErrPayloadHash,
+// wire.ErrTruncated), possibly wrapped with context, so failure-path tests
+// can pin the classification with errors.Is.
 var (
-	ErrBadMagic     = wire.ErrBadMagic
-	ErrVersion      = wire.ErrVersion
-	ErrFrameTooBig  = wire.ErrFrameTooBig
-	ErrPayloadHash  = wire.ErrPayloadHash
-	ErrTruncated    = wire.ErrTruncated
 	ErrMalformed    = errors.New("cluster: malformed message payload")
 	ErrJobMismatch  = errors.New("cluster: message for a different job")
 	ErrProtocol     = errors.New("cluster: unexpected frame type")
@@ -101,11 +91,11 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 }
 
 // ReadFrame reads and verifies one framed message. maxFrame bounds the
-// payload length accepted (0 selects DefaultMaxFrame). Errors are typed:
-// ErrBadMagic, ErrVersion, ErrFrameTooBig, ErrPayloadHash, or ErrTruncated
-// for short reads; io.EOF is returned untouched only for a clean EOF at a
-// frame boundary, so callers can distinguish orderly close from mid-frame
-// loss.
+// payload length accepted (0 selects wire.DefaultMaxFrame). Errors are
+// typed: wire.ErrBadMagic, wire.ErrVersion, wire.ErrFrameTooBig,
+// wire.ErrPayloadHash, or wire.ErrTruncated for short reads; io.EOF is
+// returned untouched only for a clean EOF at a frame boundary, so callers
+// can distinguish orderly close from mid-frame loss.
 func ReadFrame(r io.Reader, maxFrame uint32) (FrameType, []byte, error) {
 	t, payload, err := proto.ReadFrame(r, maxFrame)
 	return FrameType(t), payload, err

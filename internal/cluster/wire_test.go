@@ -11,6 +11,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/logic"
+	"repro/internal/wire"
 )
 
 // TestFrameRoundTrip pins the framing: every frame type and a spread of
@@ -69,12 +70,12 @@ func TestFrameCorruptionTyped(t *testing.T) {
 		max  uint32
 		want error
 	}{
-		{"bad magic", mutate(func(b []byte) { b[0] ^= 0xff }), 0, ErrBadMagic},
-		{"bad version", mutate(func(b []byte) { b[4] ^= 0x01 }), 0, ErrVersion},
-		{"oversize length", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[6:10], 4096) }), 1024, ErrFrameTooBig},
-		{"payload bit flip", mutate(func(b []byte) { b[headerSize] ^= 0x01 }), 0, ErrPayloadHash},
-		{"hash bit flip", mutate(func(b []byte) { b[10] ^= 0x01 }), 0, ErrPayloadHash},
-		{"length shrunk", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[6:10], 8) }), 0, ErrPayloadHash},
+		{"bad magic", mutate(func(b []byte) { b[0] ^= 0xff }), 0, wire.ErrBadMagic},
+		{"bad version", mutate(func(b []byte) { b[4] ^= 0x01 }), 0, wire.ErrVersion},
+		{"oversize length", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[6:10], 4096) }), 1024, wire.ErrFrameTooBig},
+		{"payload bit flip", mutate(func(b []byte) { b[wire.HeaderSize] ^= 0x01 }), 0, wire.ErrPayloadHash},
+		{"hash bit flip", mutate(func(b []byte) { b[10] ^= 0x01 }), 0, wire.ErrPayloadHash},
+		{"length shrunk", mutate(func(b []byte) { binary.BigEndian.PutUint32(b[6:10], 8) }), 0, wire.ErrPayloadHash},
 	}
 	for _, tc := range cases {
 		if _, _, err := ReadFrame(bytes.NewReader(tc.data), tc.max); !errors.Is(err, tc.want) {
@@ -89,8 +90,8 @@ func TestFrameCorruptionTyped(t *testing.T) {
 			}
 			continue
 		}
-		if !errors.Is(err, ErrTruncated) {
-			t.Errorf("cut at %d: err = %v, want ErrTruncated", cut, err)
+		if !errors.Is(err, wire.ErrTruncated) {
+			t.Errorf("cut at %d: err = %v, want wire.ErrTruncated", cut, err)
 		}
 	}
 }

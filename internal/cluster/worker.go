@@ -26,7 +26,7 @@ type Worker struct {
 	ID string
 	// Dial opens a connection to the coordinator (TCP, Loopback.Dial, ...).
 	Dial func() (net.Conn, error)
-	// MaxFrame bounds accepted frame payloads (default DefaultMaxFrame).
+	// MaxFrame bounds accepted frame payloads (default wire.DefaultMaxFrame).
 	MaxFrame uint32
 	// MinBackoff/MaxBackoff bound the reconnect delay (defaults 50ms / 2s).
 	MinBackoff time.Duration

@@ -44,6 +44,10 @@ func (h *HDCWaferClassifier) AppendBinary(b []byte) ([]byte, error) {
 	return wire.AppendBytes(b, cls), nil
 }
 
+// GridSize returns the wafer grid edge the model was built for (incoming
+// maps must match it).
+func (h *HDCWaferClassifier) GridSize() int { return h.enc.Config().Size }
+
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (h *HDCWaferClassifier) MarshalBinary() ([]byte, error) { return h.AppendBinary(nil) }
 

@@ -2,10 +2,10 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"repro/internal/wafer"
+	"repro/internal/wire"
 )
 
 // trainSmallWafer fits a small HDC wafer classifier for codec tests.
@@ -52,32 +52,6 @@ func TestWaferClassifierBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWaferClassifierBinaryMatchesJSON: the v1 JSON form and the v2 binary
-// form describe the same trained state.
-func TestWaferClassifierBinaryMatchesJSON(t *testing.T) {
-	cls, test := trainSmallWafer(t)
-	jsonData, err := json.Marshal(cls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binData, err := cls.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, fromBin := &HDCWaferClassifier{}, &HDCWaferClassifier{}
-	if err := json.Unmarshal(jsonData, fromJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := fromBin.UnmarshalBinary(binData); err != nil {
-		t.Fatal(err)
-	}
-	for i, m := range test.Maps {
-		if a, b := fromJSON.Predict(m), fromBin.Predict(m); a != b {
-			t.Fatalf("map %d: json Predict %d vs binary %d", i, a, b)
-		}
-	}
-}
-
 func TestWaferClassifierBinaryValidation(t *testing.T) {
 	if _, err := (&HDCWaferClassifier{}).MarshalBinary(); err == nil {
 		t.Error("unbuilt classifier serialized")
@@ -94,5 +68,20 @@ func TestWaferClassifierBinaryValidation(t *testing.T) {
 	}
 	if err := new(HDCWaferClassifier).UnmarshalBinary(append(append([]byte(nil), data...), 0)); err == nil {
 		t.Error("trailing byte accepted")
+	}
+	// An encoder whose dim disagrees with the classifier's is refused.
+	enc, err := wafer.EncoderConfig{Dim: 2 * cls.Dim, Size: 16, Seed: 1}.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clsBytes, err := cls.cls.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := wire.AppendU32(enc, 5)
+	bad = wire.AppendI64s(bad, nil)
+	bad = wire.AppendBytes(bad, clsBytes)
+	if err := new(HDCWaferClassifier).UnmarshalBinary(bad); err == nil {
+		t.Error("encoder/classifier dim mismatch accepted")
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Canonical binary form of a trained Classifier, the itr-model/v2
-// counterpart of the JSON wire form in serialize.go. Field order is fixed
-// and every section is length-prefixed, so one trained classifier has
-// exactly one encoding and blake2b over the bytes is a usable identity:
+// Canonical binary form of a trained Classifier, the section embedded in
+// itr-model/v2 wafer-hdc artifacts. Field order is fixed and every section
+// is length-prefixed, so one trained classifier has exactly one encoding
+// and blake2b over the bytes is a usable identity:
 //
 //	u32 dim
 //	u32 n_classes
@@ -20,8 +20,7 @@ import (
 //
 // The integer accumulators are the complete training state — prototypes
 // and norms are derived on load — so a decoded classifier is bit-identical
-// to the original in both modes and can keep retraining, exactly like the
-// JSON path.
+// to the original in both modes and can keep retraining.
 
 // AppendBinary appends the canonical binary encoding to b.
 func (c *Classifier) AppendBinary(b []byte) ([]byte, error) {
@@ -44,8 +43,7 @@ func (c *Classifier) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil
 
 // UnmarshalBinary restores a classifier saved by AppendBinary, rebuilding
 // the derived prototypes and norms. It implements
-// encoding.BinaryUnmarshaler and enforces the same invariants as the JSON
-// loader.
+// encoding.BinaryUnmarshaler.
 func (c *Classifier) UnmarshalBinary(data []byte) error {
 	d := wire.NewDec(data)
 	dim := int(d.U32())

@@ -2,7 +2,6 @@ package hdc
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"testing"
 
@@ -43,32 +42,6 @@ func TestClassifierBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestClassifierBinaryMatchesJSON: the two codecs describe the same state —
-// a model loaded from JSON and one loaded from binary predict identically.
-func TestClassifierBinaryMatchesJSON(t *testing.T) {
-	cls, enc := trainToy(t, ModeInteger)
-	jsonData, err := json.Marshal(cls)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binData, err := cls.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromJSON, fromBin := &Classifier{}, &Classifier{}
-	if err := json.Unmarshal(jsonData, fromJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := fromBin.UnmarshalBinary(binData); err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range enc {
-		if a, b := fromJSON.Predict(h), fromBin.Predict(h); a != b {
-			t.Fatalf("Predict(%d): json %d vs binary %d", i, a, b)
-		}
-	}
-}
-
 func TestClassifierBinaryValidation(t *testing.T) {
 	cls, _ := trainToy(t, ModeInteger)
 	good, err := cls.MarshalBinary()
@@ -90,5 +63,26 @@ func TestClassifierBinaryValidation(t *testing.T) {
 	bad[8] = 9 // mode lives after the two u32 dims
 	if err := new(Classifier).UnmarshalBinary(bad); err == nil {
 		t.Error("mode 9 accepted")
+	}
+	// Well-framed encodings of invalid states are refused too.
+	encode := func(dim, nClasses uint32, adds []int64, counts [][]int32) []byte {
+		b := wire.AppendU32(nil, dim)
+		b = wire.AppendU32(b, nClasses)
+		b = wire.AppendU8(b, uint8(ModeInteger))
+		for i := range adds {
+			b = wire.AppendI64(b, adds[i])
+			b = wire.AppendI32s(b, counts[i])
+		}
+		return b
+	}
+	for name, data := range map[string][]byte{
+		"zero dim":     encode(0, 1, []int64{0}, [][]int32{{}}),
+		"zero classes": encode(2, 0, nil, nil),
+		"short counts": encode(3, 1, []int64{1}, [][]int32{{1, 2}}),
+		"negative n":   encode(2, 1, []int64{-1}, [][]int32{{1, 2}}),
+	} {
+		if err := new(Classifier).UnmarshalBinary(data); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

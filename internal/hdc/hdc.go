@@ -318,7 +318,7 @@ func (c *Classifier) rebuild() {
 //
 // Predict only reads the trained state, so any number of goroutines may
 // call it concurrently on one fitted classifier (the serving hot path) as
-// long as no Train/Retrain/UnmarshalJSON runs at the same time.
+// long as no Train/Retrain/UnmarshalBinary runs at the same time.
 func (c *Classifier) Predict(h HV) int {
 	if c.Mode == ModeBinary {
 		best, bestD := 0, 1<<62

@@ -2,6 +2,7 @@ package hdc
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -295,5 +296,76 @@ func BenchmarkBundleAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bd.Add(h)
+	}
+}
+
+// trainToy builds a small fitted classifier over random class clusters.
+func trainToy(t testing.TB, mode Mode) (*Classifier, []HV) {
+	t.Helper()
+	const (
+		dim      = 512
+		nClasses = 4
+		perClass = 12
+	)
+	rng := rand.New(rand.NewSource(5))
+	centers := make([]HV, nClasses)
+	for i := range centers {
+		centers[i] = RandHV(dim, rng)
+	}
+	var enc []HV
+	var labels []int
+	for c := 0; c < nClasses; c++ {
+		for k := 0; k < perClass; k++ {
+			h := centers[c].Clone()
+			// Flip a few bits to create intra-class variation.
+			for f := 0; f < dim/16; f++ {
+				i := rng.Intn(dim)
+				h.SetBit(i, !h.Bit(i))
+			}
+			enc = append(enc, h)
+			labels = append(labels, c)
+		}
+	}
+	cls := NewClassifier(dim, nClasses)
+	cls.Mode = mode
+	if err := cls.Train(enc, labels); err != nil {
+		t.Fatal(err)
+	}
+	cls.Retrain(enc, labels, 5)
+	return cls, enc
+}
+
+// TestPredictConcurrent hammers one fitted classifier from 8 goroutines
+// under the race detector: Predict is documented safe for concurrent
+// readers (the serving hot path shares one model across handlers).
+func TestPredictConcurrent(t *testing.T) {
+	for _, mode := range []Mode{ModeInteger, ModeBinary} {
+		cls, enc := trainToy(t, mode)
+		want := make([]int, len(enc))
+		for i, h := range enc {
+			want[i] = cls.Predict(h)
+		}
+		var wg sync.WaitGroup
+		mismatch := make(chan string, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, h := range enc {
+					if got := cls.Predict(h); got != want[i] {
+						select {
+						case mismatch <- "concurrent Predict diverged from serial":
+						default:
+						}
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(mismatch)
+		for m := range mismatch {
+			t.Error(m)
+		}
 	}
 }

@@ -6,12 +6,19 @@ import (
 	"repro/internal/wire"
 )
 
+// Scorer method names, as recorded in outlier-screen artifacts.
+const (
+	MethodZScorePAT   = "zscore-pat"
+	MethodMahalanobis = "mahalanobis"
+	MethodKNN         = "knn"
+)
+
 // Canonical binary forms of the fitted PAT scorers (itr-model/v2
-// sections). The envelope mirrors SaveScorer/LoadScorer: a method code
-// byte followed by the method's state, so one decoder dispatches to the
-// right implementation. Matrices are stored flat with their row length
-// implied by the preceding vector (mahalanobis) or explicit (knn) — one
-// fitted scorer has exactly one encoding.
+// sections). The envelope is a method code byte followed by the method's
+// state, so one decoder dispatches to the right implementation. Matrices
+// are stored flat with their row length implied by the preceding vector
+// (mahalanobis) or explicit (knn) — one fitted scorer has exactly one
+// encoding.
 
 // Binary method codes (the envelope's discriminant). Stable on the wire:
 // new methods append, existing codes never change meaning.
@@ -73,8 +80,8 @@ func (s *ZScorePAT) AppendBinary(b []byte) ([]byte, error) {
 	return b, nil
 }
 
-// UnmarshalBinary restores a fitted ZScorePAT, enforcing the JSON loader's
-// invariants.
+// UnmarshalBinary restores a fitted ZScorePAT; every MAD must be positive
+// (Score divides by it).
 func (s *ZScorePAT) UnmarshalBinary(data []byte) error {
 	d := wire.NewDec(data)
 	med := d.F64s()

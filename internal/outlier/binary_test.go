@@ -52,35 +52,6 @@ func TestScorerBinaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestScorerBinaryMatchesJSON: both codecs describe the same fitted state.
-func TestScorerBinaryMatchesJSON(t *testing.T) {
-	lot := Synthesize(DefaultLotConfig(), 9)
-	for _, s := range fittedScorers(t) {
-		jsonData, err := SaveScorer(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binData, err := AppendScorerBinary(nil, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromJSON, err := LoadScorer(jsonData)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fromBin, err := UnmarshalScorerBinary(binData)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, x := range lot.X {
-			a, b := fromJSON.Score(x), fromBin.Score(x)
-			if math.Float64bits(a) != math.Float64bits(b) {
-				t.Fatalf("%T: device %d json score %v vs binary %v", s, i, a, b)
-			}
-		}
-	}
-}
-
 func TestScorerBinaryValidation(t *testing.T) {
 	if _, err := UnmarshalScorerBinary(nil); err == nil {
 		t.Error("empty envelope accepted")
@@ -102,15 +73,25 @@ func TestScorerBinaryValidation(t *testing.T) {
 			t.Errorf("%T: trailing byte accepted", s)
 		}
 	}
-	// A refit-only scorer has no serialized form, mirroring SaveScorer.
+	// A refit-only scorer has no serialized form.
 	if _, err := AppendScorerBinary(nil, &PCAResidual{}); err == nil {
 		t.Error("PCAResidual serialized")
 	}
-	// A zero MAD must be refused on load (division guard), as in JSON.
+	// A zero MAD must be refused on load (division guard).
 	z := &ZScorePAT{med: []float64{0}, mad: []float64{0}}
 	data := wire.AppendF64s(nil, z.med)
 	data = wire.AppendF64s(data, z.mad)
 	if err := new(ZScorePAT).UnmarshalBinary(data); err == nil {
 		t.Error("zero MAD accepted")
+	}
+	// A knn state must keep 1 <= k <= reference devices.
+	for _, k := range []uint32{0, 2} {
+		data := wire.AppendU32(nil, k)
+		data = wire.AppendU32(data, 1) // rows
+		data = wire.AppendU32(data, 1) // cols
+		data = wire.AppendF64s(data, []float64{1})
+		if err := new(KNNOutlier).UnmarshalBinary(data); err == nil {
+			t.Errorf("knn k=%d over 1 reference device accepted", k)
+		}
 	}
 }

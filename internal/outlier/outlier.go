@@ -100,7 +100,7 @@ func Synthesize(cfg LotConfig, seed int64) *Lot {
 // Concurrency contract: Score on every implementation in this package is a
 // pure read of the fitted state, so one fitted scorer may serve any number
 // of concurrent Score calls (the itrserve hot path) as long as no
-// Fit/UnmarshalJSON runs at the same time.
+// Fit/UnmarshalBinary runs at the same time.
 type Scorer interface {
 	Fit(ref [][]float64) error
 	Score(x []float64) float64

@@ -321,49 +321,3 @@ func TestScoreConcurrent(t *testing.T) {
 		}
 	}
 }
-
-// TestScorerSerializeRoundTrip saves and reloads each serializable scorer
-// and asserts bit-identical scores — the registry's model-artifact
-// contract.
-func TestScorerSerializeRoundTrip(t *testing.T) {
-	lot := Synthesize(LotConfig{
-		Devices: 200, Tests: 6, Factors: 2,
-		DefectRate: 0.05, DefectMag: 2, DefectLoc: 2, NoiseSigma: 0.3,
-	}, 3)
-	for _, s := range []Scorer{&ZScorePAT{}, &Mahalanobis{}, &KNNOutlier{K: 7}} {
-		method := MethodOf(s)
-		if err := s.Fit(lot.X); err != nil {
-			t.Fatalf("%s fit: %v", method, err)
-		}
-		data, err := SaveScorer(s)
-		if err != nil {
-			t.Fatalf("%s save: %v", method, err)
-		}
-		loaded, err := LoadScorer(data)
-		if err != nil {
-			t.Fatalf("%s load: %v", method, err)
-		}
-		if got := MethodOf(loaded); got != method {
-			t.Errorf("round trip changed method %q -> %q", method, got)
-		}
-		for i, x := range lot.X {
-			if a, b := s.Score(x), loaded.Score(x); a != b {
-				t.Fatalf("%s: reloaded Score(%d) = %v, want %v (must be bit-identical)", method, i, b, a)
-			}
-		}
-	}
-	// PCAResidual has no serialized form.
-	if _, err := SaveScorer(&PCAResidual{}); err == nil {
-		t.Error("SaveScorer(PCAResidual) must fail")
-	}
-	// Corrupt envelopes are rejected.
-	if _, err := LoadScorer([]byte(`{"method":"nope","state":{}}`)); err == nil {
-		t.Error("unknown method must fail to load")
-	}
-	if _, err := LoadScorer([]byte(`{"method":"knn","state":{"k":0,"ref":[[1]]}}`)); err == nil {
-		t.Error("invalid knn state must fail to load")
-	}
-	if _, err := LoadScorer([]byte(`{"method":"zscore-pat","state":{"med":[0],"mad":[0]}}`)); err == nil {
-		t.Error("non-positive MAD must fail to load")
-	}
-}

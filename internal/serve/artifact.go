@@ -10,68 +10,117 @@
 package serve
 
 import (
-	"encoding/json"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-)
 
-// Schema is the artifact envelope version. Every model file produced by
-// this repository carries it; loaders reject anything else.
-const Schema = "itr-model/v1"
+	"repro/internal/outlier"
+	"repro/internal/wire"
+)
 
 // Artifact kinds: which serving slot a model file fills.
 const (
 	// KindWaferHDC is a trained HDC wafer-map classifier
-	// (payload: core.HDCWaferClassifier).
+	// (payload: core.HDCWaferClassifier.AppendBinary).
 	KindWaferHDC = "wafer-hdc"
 	// KindOutlierScreen is a fitted, threshold-calibrated outlier scorer
-	// (payload: OutlierPayload).
+	// (payload: appendScreenPayload).
 	KindOutlierScreen = "outlier-screen"
 )
 
-// Artifact is the model envelope: self-describing metadata around a
-// kind-specific payload. An itr-model/v1 artifact carries a JSON Payload;
-// an itr-model/v2 artifact carries the canonical Binary payload (see
-// artifactv2.go). Hash is the content identity — hex blake2b-256 over the
-// canonical body — identical for both schemas of the same model.
+// itr-model/v2 is the one artifact format. Identity is content: the
+// artifact's hash is blake2b-256 over its canonical body bytes (the
+// easyfl LibraryHash pattern), so two artifacts are the same artifact iff
+// their bytes are the same, replicas can diff and dedupe by hash alone,
+// and a flipped bit anywhere surfaces as a typed refusal instead of a
+// silently wrong model.
+//
+// File layout (everything after the 37-byte header is hashed):
+//
+//	offset  size  field
+//	0       4     magic "ITRM"
+//	4       1     format version (2)
+//	5       32    blake2b-256(body)
+//	37      n     body
+//
+// body (canonical: fixed field order, big-endian, length-prefixed):
+//
+//	str  kind
+//	str  name
+//	u32  version
+//	i64  created_unix
+//	bytes payload            (kind-specific canonical model encoding)
+//
+// Payloads:
+//
+//	wafer-hdc       core.HDCWaferClassifier.AppendBinary
+//	outlier-screen  str method, u32 tests, bytes scorer
+//	                (outlier.AppendScorerBinary), f64 reject, f64 retest
+//
+// CreatedUnix is inside the hashed body on purpose: an artifact is
+// immutable once published, and re-publishing "the same" model under the
+// same kind/name/version with any byte changed — even just the timestamp —
+// is a forked lineage the registry must refuse rather than paper over.
+const (
+	// SchemaV2 names the artifact format.
+	SchemaV2 = "itr-model/v2"
+
+	artifactMagic   = "ITRM"
+	artifactVersion = 2
+	// artifactHeaderSize is the unhashed prefix: magic, version, hash.
+	artifactHeaderSize = 4 + 1 + 32
+	// maxArtifactBytes bounds a decoded artifact file (a corrupt length
+	// field must not drive a runaway allocation).
+	maxArtifactBytes = 1 << 30
+)
+
+// Typed artifact errors, pinned by the failure-path tests.
+var (
+	// ErrBadArtifact marks a structurally malformed artifact (bad magic,
+	// unknown format version, truncated or trailing bytes).
+	ErrBadArtifact = errors.New("serve: malformed itr-model/v2 artifact")
+	// ErrHashMismatch marks an artifact whose bytes do not match its
+	// content hash — bit rot, torn write, or in-flight corruption. Loaders
+	// and replicas refuse such artifacts outright.
+	ErrHashMismatch = errors.New("serve: artifact content hash mismatch")
+	// ErrForkedLineage marks two different artifact contents claiming the
+	// same kind/name/version. The registry refuses the second: versions
+	// are immutable, and converging replicas must never disagree about
+	// what a version means.
+	ErrForkedLineage = errors.New("serve: forked artifact lineage")
+)
+
+// Artifact is the model envelope: self-describing metadata around the
+// kind-specific canonical payload.
 type Artifact struct {
-	Schema      string          `json:"schema"`
-	Kind        string          `json:"kind"`
-	Name        string          `json:"name"`
-	Version     int             `json:"version"`
-	CreatedUnix int64           `json:"created_unix,omitempty"`
-	Payload     json.RawMessage `json:"payload,omitempty"`
-	// Hash is the hex content hash, stamped by ContentHash / ReadArtifact /
-	// WriteFile. In a v1 JSON file it is advisory (verified when present);
-	// in the v2 binary format it is structural — decoding refuses any body
-	// that does not hash to it.
-	Hash string `json:"hash,omitempty"`
-	// Binary is the canonical v2 payload section; never serialized as JSON.
-	Binary []byte `json:"-"`
+	Kind        string
+	Name        string
+	Version     int
+	CreatedUnix int64
+	// Payload is the canonical model encoding (see the format above).
+	Payload []byte
+	// Hash is the hex content hash, stamped by NewArtifact, ContentHash,
+	// EncodeV2 and DecodeArtifactV2. It is never trusted as input:
+	// decoding refuses any body that does not hash to the header, and
+	// Registry.Install recomputes it.
+	Hash string
 }
 
-// NewArtifact wraps a payload value into a validated envelope.
-func NewArtifact(kind, name string, version int, payload any) (*Artifact, error) {
-	raw, err := json.Marshal(payload)
-	if err != nil {
-		return nil, fmt.Errorf("serve: encode %s payload: %w", kind, err)
-	}
-	a := &Artifact{Schema: Schema, Kind: kind, Name: name, Version: version, Payload: raw}
-	if err := a.Validate(); err != nil {
+// NewArtifact wraps a canonical payload into a validated envelope with its
+// content hash stamped.
+func NewArtifact(kind, name string, version int, payload []byte) (*Artifact, error) {
+	a := &Artifact{Kind: kind, Name: name, Version: version, Payload: payload}
+	if _, err := a.ContentHash(); err != nil {
 		return nil, err
 	}
 	return a, nil
 }
 
-// Validate checks the envelope invariants (schema, known kind, positive
-// version, non-empty payload in the schema's own representation).
+// Validate checks the envelope invariants (known kind, positive version,
+// non-empty payload).
 func (a *Artifact) Validate() error {
-	switch a.Schema {
-	case Schema, SchemaV2:
-	default:
-		return fmt.Errorf("serve: artifact schema %q, want %q or %q", a.Schema, Schema, SchemaV2)
-	}
 	switch a.Kind {
 	case KindWaferHDC, KindOutlierScreen:
 	default:
@@ -80,71 +129,30 @@ func (a *Artifact) Validate() error {
 	if a.Version < 1 {
 		return fmt.Errorf("serve: artifact version %d, want >= 1", a.Version)
 	}
-	if a.Schema == SchemaV2 {
-		if len(a.Binary) == 0 {
-			return fmt.Errorf("serve: artifact %s/%s has empty binary payload", a.Kind, a.Name)
-		}
-		return nil
-	}
 	if len(a.Payload) == 0 {
 		return fmt.Errorf("serve: artifact %s/%s has empty payload", a.Kind, a.Name)
 	}
 	return nil
 }
 
-// ReadArtifact loads, validates and content-hashes an artifact file,
-// sniffing the format: "ITRM" magic means the v2 binary encoding (hash
-// verified structurally), anything else is parsed as v1 JSON. A v1 file
-// that carries a stamped hash is checked against the recomputed one, so a
-// payload edited after signing is refused rather than trusted.
+// ReadArtifact loads and verifies an artifact file. Anything that is not
+// an itr-model/v2 file is refused with ErrBadArtifact.
 func ReadArtifact(path string) (*Artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) >= len(artifactMagic) && string(data[:len(artifactMagic)]) == artifactMagic {
-		a, err := DecodeArtifactV2(data)
-		if err != nil {
-			return nil, fmt.Errorf("%w (file %s)", err, path)
-		}
-		return a, nil
-	}
-	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("serve: decode artifact %s: %w", path, err)
-	}
-	if err := a.Validate(); err != nil {
+	a, err := DecodeArtifactV2(data)
+	if err != nil {
 		return nil, fmt.Errorf("%w (file %s)", err, path)
 	}
-	stamped := a.Hash
-	if _, err := a.ContentHash(); err != nil {
-		return nil, fmt.Errorf("serve: hash artifact %s: %w", path, err)
-	}
-	if stamped != "" && stamped != a.Hash {
-		return nil, fmt.Errorf("%w: file %s stamped %.8s…, content is %.8s…",
-			ErrHashMismatch, path, stamped, a.Hash)
-	}
-	return &a, nil
+	return a, nil
 }
 
 // WriteFile atomically writes the artifact (temp file + rename), so a
 // concurrently re-scanning server never observes a half-written model.
-// A v2 artifact is written in the binary format; a v1 artifact is written
-// as JSON with its content hash stamped into the envelope.
 func (a *Artifact) WriteFile(path string) error {
-	if err := a.Validate(); err != nil {
-		return err
-	}
-	var data []byte
-	var err error
-	if a.Schema == SchemaV2 {
-		data, err = a.EncodeV2()
-	} else {
-		if _, err = a.ContentHash(); err == nil {
-			data, err = json.MarshalIndent(a, "", " ")
-			data = append(data, '\n')
-		}
-	}
+	data, err := a.EncodeV2()
 	if err != nil {
 		return err
 	}
@@ -164,17 +172,118 @@ func (a *Artifact) WriteFile(path string) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// OutlierPayload is the payload of KindOutlierScreen artifacts: a fitted
-// scorer (outlier.SaveScorer envelope) plus its calibrated operating
-// thresholds from the F3 escape-vs-overkill machinery.
-type OutlierPayload struct {
-	Method string          `json:"method"` // display name, e.g. "mahalanobis"
-	Tests  int             `json:"tests"`  // measurement-vector length
-	Scorer json.RawMessage `json:"scorer"`
-	// RejectThreshold is the stop/bin-out score, calibrated so healthy
-	// overkill stays within the reject budget.
-	RejectThreshold float64 `json:"reject_threshold"`
-	// RetestThreshold < RejectThreshold marks the marginal band: devices
-	// scoring inside [retest, reject) are re-measured instead of binned.
-	RetestThreshold float64 `json:"retest_threshold"`
+// appendScreenPayload appends the canonical outlier-screen payload.
+func appendScreenPayload(b []byte, method string, tests int, s outlier.Scorer, reject, retest float64) ([]byte, error) {
+	b = wire.AppendString(b, method)
+	b = wire.AppendU32(b, uint32(tests))
+	sb, err := outlier.AppendScorerBinary(nil, s)
+	if err != nil {
+		return nil, err
+	}
+	b = wire.AppendBytes(b, sb)
+	b = wire.AppendF64(b, reject)
+	b = wire.AppendF64(b, retest)
+	return b, nil
+}
+
+// decodeScreenPayload parses a canonical outlier-screen payload into an
+// installable model (metadata filled in by the caller).
+func decodeScreenPayload(data []byte) (*OutlierModel, error) {
+	d := wire.NewDec(data)
+	method := d.String()
+	tests := int(d.U32())
+	scorerBytes := d.Bytes()
+	reject := d.F64()
+	retest := d.F64()
+	if err := d.Close(); err != nil {
+		return nil, fmt.Errorf("serve: decode %s payload: %w", KindOutlierScreen, err)
+	}
+	s, err := outlier.UnmarshalScorerBinary(scorerBytes)
+	if err != nil {
+		return nil, fmt.Errorf("serve: decode %s payload: %w", KindOutlierScreen, err)
+	}
+	return &OutlierModel{
+		Method: method, Tests: tests, Scorer: s,
+		RejectThreshold: reject, RetestThreshold: retest,
+	}, nil
+}
+
+// canonicalBody returns the hashed body bytes of the artifact.
+func (a *Artifact) canonicalBody() []byte {
+	b := wire.AppendString(nil, a.Kind)
+	b = wire.AppendString(b, a.Name)
+	b = wire.AppendU32(b, uint32(a.Version))
+	b = wire.AppendI64(b, a.CreatedUnix)
+	return wire.AppendBytes(b, a.Payload)
+}
+
+// ContentHash computes (and stamps) the artifact's identity: the hex
+// blake2b-256 of its canonical body.
+func (a *Artifact) ContentHash() (string, error) {
+	if err := a.Validate(); err != nil {
+		return "", err
+	}
+	sum := wire.Blake2b256(a.canonicalBody())
+	a.Hash = hex.EncodeToString(sum[:])
+	return a.Hash, nil
+}
+
+// EncodeV2 serializes the artifact into the binary file format, stamping
+// the content hash. Encoding is deterministic: encode → decode → re-encode
+// yields identical bytes and identical hash.
+func (a *Artifact) EncodeV2() ([]byte, error) {
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	body := a.canonicalBody()
+	sum := wire.Blake2b256(body)
+	a.Hash = hex.EncodeToString(sum[:])
+	out := make([]byte, 0, artifactHeaderSize+len(body))
+	out = append(out, artifactMagic...)
+	out = append(out, artifactVersion)
+	out = append(out, sum[:]...)
+	return append(out, body...), nil
+}
+
+// DecodeArtifactV2 parses and verifies a binary artifact. Every corruption
+// maps to a typed error: structural damage (magic, version, framing,
+// trailing bytes) is ErrBadArtifact; any flipped byte in the hashed body
+// is ErrHashMismatch; an unknown kind or invalid envelope fails Validate.
+// The payload itself stays opaque here — model decoding (and its own
+// validation) happens at install time.
+func DecodeArtifactV2(data []byte) (*Artifact, error) {
+	if len(data) < artifactHeaderSize {
+		return nil, fmt.Errorf("%w: %d bytes, want >= %d", ErrBadArtifact, len(data), artifactHeaderSize)
+	}
+	if len(data) > maxArtifactBytes {
+		return nil, fmt.Errorf("%w: %d bytes exceeds limit %d", ErrBadArtifact, len(data), maxArtifactBytes)
+	}
+	if string(data[:4]) != artifactMagic {
+		return nil, fmt.Errorf("%w: bad magic", ErrBadArtifact)
+	}
+	if data[4] != artifactVersion {
+		return nil, fmt.Errorf("%w: format version %d, want %d", ErrBadArtifact, data[4], artifactVersion)
+	}
+	var want [32]byte
+	copy(want[:], data[5:artifactHeaderSize])
+	body := data[artifactHeaderSize:]
+	if sum := wire.Blake2b256(body); sum != want {
+		return nil, fmt.Errorf("%w: body hashes to %x, header claims %x",
+			ErrHashMismatch, sum[:8], want[:8])
+	}
+	d := wire.NewDec(body)
+	a := &Artifact{}
+	a.Kind = d.String()
+	a.Name = d.String()
+	a.Version = int(d.U32())
+	a.CreatedUnix = d.I64()
+	a.Payload = append([]byte(nil), d.Bytes()...)
+	if err := d.Close(); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadArtifact, err)
+	}
+	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	a.Hash = hex.EncodeToString(want[:])
+	return a, nil
 }

@@ -54,7 +54,11 @@ func TrainWaferArtifact(cfg DemoConfig, version int) (*Artifact, error) {
 	if err := cls.Fit(train); err != nil {
 		return nil, fmt.Errorf("serve: train demo wafer model: %w", err)
 	}
-	return NewArtifact(KindWaferHDC, "demo-wafer-hdc", version, cls)
+	payload, err := cls.AppendBinary(nil)
+	if err != nil {
+		return nil, err
+	}
+	return NewArtifact(KindWaferHDC, "demo-wafer-hdc", version, payload)
 }
 
 // TrainOutlierArtifact fits a Mahalanobis screen on a synthesized healthy
@@ -91,17 +95,11 @@ func TrainOutlierArtifact(cfg DemoConfig, version int) (*Artifact, error) {
 	if retest > reject {
 		retest = reject
 	}
-	saved, err := outlier.SaveScorer(s)
+	payload, err := appendScreenPayload(nil, outlier.MethodMahalanobis, lcfg.Tests, s, reject, retest)
 	if err != nil {
 		return nil, err
 	}
-	return NewArtifact(KindOutlierScreen, "demo-mahalanobis", version, OutlierPayload{
-		Method:          outlier.MethodMahalanobis,
-		Tests:           lcfg.Tests,
-		Scorer:          saved,
-		RejectThreshold: reject,
-		RetestThreshold: retest,
-	})
+	return NewArtifact(KindOutlierScreen, "demo-mahalanobis", version, payload)
 }
 
 // InstallDemoModels trains and installs both demo models.

@@ -60,7 +60,7 @@ type Registry struct {
 
 	mu      sync.Mutex
 	lineage map[string]string    // lineageKey -> content hash
-	store   map[string]*Artifact // content hash -> canonical v2 artifact
+	store   map[string]*Artifact // content hash -> installed artifact
 }
 
 // NewRegistry returns an empty registry.
@@ -93,57 +93,54 @@ func (r *Registry) Models() []ModelMeta {
 	return out
 }
 
-// Install canonicalizes an artifact to its itr-model/v2 form, checks its
-// lineage, decodes the model from the canonical bytes and atomically swaps
-// it into its slot, returning the metadata of the model it replaced (zero
-// ModelMeta if the slot was empty). Both schemas install through the same
-// path — a v1 JSON artifact is converted first — so the served model is
-// always exactly the state the content hash covers. Downgrades are
-// rejected: an artifact with a version lower than the live one leaves the
-// registry untouched. An artifact whose kind/name/version was already
-// bound to different content is refused with ErrForkedLineage.
+// Install checks an artifact's lineage, decodes the model from its
+// canonical payload and atomically swaps it into its slot, returning the
+// metadata of the model it replaced (zero ModelMeta if the slot was
+// empty). The content hash is recomputed here, never taken from the
+// artifact's stamped Hash, so the served model is always exactly the state
+// the recorded identity covers. Downgrades are rejected: an artifact with
+// a version lower than the live one leaves the registry untouched. An
+// artifact whose kind/name/version was already bound to different content
+// is refused with ErrForkedLineage.
 func (r *Registry) Install(a *Artifact) (prev ModelMeta, err error) {
-	if err := a.Validate(); err != nil {
+	art := *a
+	if _, err := art.ContentHash(); err != nil {
 		return ModelMeta{}, err
 	}
-	v2, err := a.ToV2()
-	if err != nil {
-		return ModelMeta{}, fmt.Errorf("serve: install %s: %w", a.Kind, err)
-	}
-	key := lineageKey(v2.Kind, v2.Name, v2.Version)
+	key := lineageKey(art.Kind, art.Name, art.Version)
 	r.mu.Lock()
-	if bound, ok := r.lineage[key]; ok && bound != v2.Hash {
+	if bound, ok := r.lineage[key]; ok && bound != art.Hash {
 		r.mu.Unlock()
 		return ModelMeta{}, fmt.Errorf("%w: %s is %.8s…, refusing %.8s…",
-			ErrForkedLineage, key, bound, v2.Hash)
+			ErrForkedLineage, key, bound, art.Hash)
 	}
 	r.mu.Unlock()
-	meta := ModelMeta{Kind: v2.Kind, Name: v2.Name, Version: v2.Version, Hash: v2.Hash}
-	switch v2.Kind {
+	meta := ModelMeta{Kind: art.Kind, Name: art.Name, Version: art.Version, Hash: art.Hash}
+	switch art.Kind {
 	case KindWaferHDC:
 		cls := &core.HDCWaferClassifier{}
-		if err := cls.UnmarshalBinary(v2.Binary); err != nil {
-			return ModelMeta{}, fmt.Errorf("serve: install %s: %w", v2.Kind, err)
+		if err := cls.UnmarshalBinary(art.Payload); err != nil {
+			return ModelMeta{}, fmt.Errorf("serve: install %s: %w", art.Kind, err)
 		}
 		m := &WaferModel{Meta: meta, Cls: cls}
 		for {
 			old := r.wafer.Load()
 			if old != nil && old.Meta.Version > meta.Version {
 				return old.Meta, fmt.Errorf("serve: refusing downgrade of %s from v%d to v%d",
-					v2.Kind, old.Meta.Version, meta.Version)
+					art.Kind, old.Meta.Version, meta.Version)
 			}
 			if r.wafer.CompareAndSwap(old, m) {
 				if old != nil {
 					prev = old.Meta
 				}
-				r.record(key, v2)
+				r.record(key, &art)
 				return prev, nil
 			}
 		}
 	case KindOutlierScreen:
-		m, err := decodeOutlierPayload(v2.Binary)
+		m, err := decodeScreenPayload(art.Payload)
 		if err != nil {
-			return ModelMeta{}, fmt.Errorf("serve: install %s: %w", v2.Kind, err)
+			return ModelMeta{}, fmt.Errorf("serve: install %s: %w", art.Kind, err)
 		}
 		if m.Tests < 1 {
 			return ModelMeta{}, fmt.Errorf("serve: outlier artifact declares %d tests", m.Tests)
@@ -157,27 +154,27 @@ func (r *Registry) Install(a *Artifact) (prev ModelMeta, err error) {
 			old := r.outlier.Load()
 			if old != nil && old.Meta.Version > meta.Version {
 				return old.Meta, fmt.Errorf("serve: refusing downgrade of %s from v%d to v%d",
-					v2.Kind, old.Meta.Version, meta.Version)
+					art.Kind, old.Meta.Version, meta.Version)
 			}
 			if r.outlier.CompareAndSwap(old, m) {
 				if old != nil {
 					prev = old.Meta
 				}
-				r.record(key, v2)
+				r.record(key, &art)
 				return prev, nil
 			}
 		}
 	}
-	return ModelMeta{}, fmt.Errorf("serve: unknown artifact kind %q", v2.Kind)
+	return ModelMeta{}, fmt.Errorf("serve: unknown artifact kind %q", art.Kind)
 }
 
 // record binds a lineage key to its hash and retains the canonical
 // artifact in the content store. Called only after a successful install,
 // so the store never holds artifacts the registry refused.
-func (r *Registry) record(key string, v2 *Artifact) {
+func (r *Registry) record(key string, art *Artifact) {
 	r.mu.Lock()
-	r.lineage[key] = v2.Hash
-	r.store[v2.Hash] = v2
+	r.lineage[key] = art.Hash
+	r.store[art.Hash] = art
 	r.mu.Unlock()
 }
 
@@ -232,20 +229,14 @@ type LoadSummary struct {
 	Skipped []string
 }
 
-// artifactExt reports whether a directory entry looks like a model
-// artifact: ".json" (itr-model/v1) or ".itm" (itr-model/v2 binary).
-func artifactExt(name string) bool {
-	return strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".itm")
-}
-
 // LoadDir installs the newest version of every kind found among the
-// "*.json" (v1) and "*.itm" (v2) artifacts under dir. Files are deduped
-// by content hash first — byte-identical artifacts under different names
-// (or the same model in both schemas) count once. Older versions may stay
-// in the directory: only the per-kind maximum is installed, so a SIGHUP
-// rescan over an unchanged directory is an idempotent no-op rather than a
-// downgrade error. Corrupt or unparseable files are skipped (and listed
-// in the summary), not fatal; only an unreadable directory is an error.
+// "*.itm" artifacts under dir. Files are deduped by content hash first —
+// byte-identical artifacts under different names count once. Older
+// versions may stay in the directory: only the per-kind maximum is
+// installed, so a SIGHUP rescan over an unchanged directory is an
+// idempotent no-op rather than a downgrade error. Corrupt or unparseable
+// files are skipped (and listed in the summary), not fatal; only an
+// unreadable directory is an error.
 func (r *Registry) LoadDir(dir string) (LoadSummary, error) {
 	var sum LoadSummary
 	entries, err := os.ReadDir(dir)
@@ -255,7 +246,7 @@ func (r *Registry) LoadDir(dir string) (LoadSummary, error) {
 	newest := map[string]*Artifact{}
 	seen := map[string]bool{}
 	for _, e := range entries {
-		if e.IsDir() || !artifactExt(e.Name()) {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".itm") {
 			continue
 		}
 		a, err := ReadArtifact(filepath.Join(dir, e.Name()))

@@ -133,12 +133,9 @@ func TestReplicationLyingPeer(t *testing.T) {
 	if _, err := reg.Install(w1); err != nil {
 		t.Fatal(err)
 	}
-	o2, err := o1.ToV2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	o2 := *o1
 	reg.mu.Lock()
-	reg.store[w1.Hash] = o2
+	reg.store[w1.Hash] = &o2
 	reg.mu.Unlock()
 	srv, err := NewRepServer(reg, "127.0.0.1:0", nil)
 	if err != nil {

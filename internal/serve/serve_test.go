@@ -18,6 +18,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/outlier"
 	"repro/internal/wafer"
+	"repro/internal/wire"
 )
 
 // testCfg keeps fixture training fast: the serving contract under test does
@@ -356,7 +357,7 @@ func TestRegistryLoadDir(t *testing.T) {
 	w1, w2, o1 := testArtifacts(t)
 	dir := t.TempDir()
 	// Deliberately misleading file names: only versions inside count.
-	for name, a := range map[string]*Artifact{"z-old.json": w1, "a-new.json": w2, "screen.json": o1} {
+	for name, a := range map[string]*Artifact{"z-old.itm": w1, "a-new.itm": w2, "screen.itm": o1} {
 		if err := a.WriteFile(filepath.Join(dir, name)); err != nil {
 			t.Fatal(err)
 		}
@@ -391,24 +392,31 @@ func TestRegistryLoadDir(t *testing.T) {
 func TestRegistryLoadDirSkipsCorrupt(t *testing.T) {
 	w1, w2, o1 := testArtifacts(t)
 	dir := t.TempDir()
-	for name, a := range map[string]*Artifact{"w1.json": w1, "w2.json": w2, "o1.json": o1} {
+	for name, a := range map[string]*Artifact{"w1.itm": w1, "w2.itm": w2, "o1.itm": o1} {
 		if err := a.WriteFile(filepath.Join(dir, name)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	corrupt := map[string]string{
-		"torn.json":    `{"schema": "itr-model/v1", "kind": "wafer-`, // truncated mid-write
-		"garbage.json": "\x00\x01\x02 not json at all",
-		"badkind.json": `{"schema": "itr-model/v1", "kind": "mystery", "name": "x", "version": 9, "payload": {}}`,
+	w1Bytes, err := w1.EncodeV2()
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupt := map[string][]byte{
+		"torn.itm":    w1Bytes[:len(w1Bytes)/2], // truncated mid-write
+		"garbage.itm": []byte("\x00\x01\x02 not an artifact at all"),
+		"badkind.itm": encodeRawArtifact("mystery", "x", 9, []byte{1}),
+		"json.itm":    []byte(`{"kind": "wafer-hdc", "name": "x", "version": 9, "payload": {}}`),
 	}
 	for name, body := range corrupt {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), body, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Non-.json files are not artifacts and must be ignored outright.
-	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("not a model"), 0o644); err != nil {
-		t.Fatal(err)
+	// Non-.itm files are not artifacts and must be ignored outright.
+	for _, name := range []string{"README", "model.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("not a model"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	reg := NewRegistry()
@@ -440,7 +448,6 @@ func TestRegistryLoadDirSkipsCorrupt(t *testing.T) {
 func TestArtifactValidation(t *testing.T) {
 	w1, _, _ := testArtifacts(t)
 	for name, mutate := range map[string]func(a *Artifact){
-		"wrong schema":  func(a *Artifact) { a.Schema = "itr-model/v0" },
 		"unknown kind":  func(a *Artifact) { a.Kind = "mystery" },
 		"zero version":  func(a *Artifact) { a.Version = 0 },
 		"empty payload": func(a *Artifact) { a.Payload = nil },
@@ -453,9 +460,28 @@ func TestArtifactValidation(t *testing.T) {
 		if _, err := NewRegistry().Install(&bad); err == nil {
 			t.Errorf("%s: Install accepted a broken artifact", name)
 		}
+		if _, err := bad.EncodeV2(); err == nil {
+			t.Errorf("%s: EncodeV2 accepted a broken artifact", name)
+		}
+		// A correctly hashed file carrying the broken envelope is refused
+		// on decode too.
+		raw := encodeRawArtifact(bad.Kind, bad.Name, bad.Version, bad.Payload)
+		if _, err := DecodeArtifactV2(raw); err == nil {
+			t.Errorf("%s: DecodeArtifactV2 accepted a broken artifact", name)
+		}
+	}
+	// A payload that does not decode as its kind's model fails at install.
+	for _, kind := range []string{KindWaferHDC, KindOutlierScreen} {
+		a, err := NewArtifact(kind, "junk", 1, []byte{1, 2, 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewRegistry().Install(a); err == nil {
+			t.Errorf("%s: Install accepted an undecodable payload", kind)
+		}
 	}
 	// Round trip through the file format.
-	path := filepath.Join(t.TempDir(), "m.json")
+	path := filepath.Join(t.TempDir(), "m.itm")
 	if err := w1.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -463,14 +489,21 @@ func TestArtifactValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// WriteFile indents, so compare payloads modulo whitespace.
-	var a, b bytes.Buffer
-	if json.Compact(&a, back.Payload) != nil || json.Compact(&b, w1.Payload) != nil {
-		t.Fatal("payload is not valid JSON")
-	}
-	if back.Kind != w1.Kind || back.Version != w1.Version || !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if back.Kind != w1.Kind || back.Version != w1.Version || !bytes.Equal(back.Payload, w1.Payload) {
 		t.Error("artifact changed across WriteFile/ReadArtifact")
 	}
+}
+
+// encodeRawArtifact builds a correctly hashed itr-model/v2 file around an
+// arbitrary envelope, bypassing Validate, so decoder-side checks can be
+// exercised on inputs EncodeV2 refuses to produce.
+func encodeRawArtifact(kind, name string, version int, payload []byte) []byte {
+	a := &Artifact{Kind: kind, Name: name, Version: version, Payload: payload}
+	body := a.canonicalBody()
+	sum := wire.Blake2b256(body)
+	out := append([]byte(artifactMagic), artifactVersion)
+	out = append(out, sum[:]...)
+	return append(out, body...)
 }
 
 // TestServeShutdownDrain: requests racing Server.Close either complete

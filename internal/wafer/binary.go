@@ -6,15 +6,39 @@ import (
 	"repro/internal/wire"
 )
 
-// Canonical binary form of an EncoderConfig (itr-model/v2 section):
+// EncoderConfig is the serializable description of an Encoder. The encoder
+// is fully deterministic in (Dim, Size, Seed) — all position and marker
+// hypervectors are regenerated from the seed — so trained-model artifacts
+// store only this config instead of megabytes of basis vectors, and a
+// rebuilt encoder is bit-identical to the one used at training time.
+//
+// Canonical binary form (itr-model/v2 section):
 //
 //	u32 dim
 //	u32 size
 //	i64 seed
-//
-// Like the JSON form, this is the complete rebuild recipe — the encoder is
-// deterministic in (Dim, Size, Seed), so artifacts stay kilobytes instead
-// of carrying megabytes of basis vectors.
+type EncoderConfig struct {
+	Dim  int
+	Size int
+	Seed int64
+}
+
+// Config returns the encoder's rebuild recipe.
+func (e *Encoder) Config() EncoderConfig {
+	return EncoderConfig{Dim: e.Dim, Size: e.size, Seed: e.seed}
+}
+
+// NewEncoderFromConfig deterministically rebuilds an encoder from a saved
+// config, validating the parameters first.
+func NewEncoderFromConfig(c EncoderConfig) (*Encoder, error) {
+	if c.Dim < 64 {
+		return nil, fmt.Errorf("wafer: encoder dim %d too small (need >= 64)", c.Dim)
+	}
+	if c.Size < 2 {
+		return nil, fmt.Errorf("wafer: encoder grid size %d too small (need >= 2)", c.Size)
+	}
+	return NewEncoder(c.Dim, c.Size, c.Seed), nil
+}
 
 // AppendBinary appends the canonical binary encoding to b.
 func (c EncoderConfig) AppendBinary(b []byte) ([]byte, error) {
