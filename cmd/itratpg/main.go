@@ -7,8 +7,8 @@
 //	itratpg -bench c432.bench            # ATPG on a .bench file
 //	itratpg -gen mul8                    # ATPG on a built-in circuit
 //	itratpg -gen adder16 -patterns out.txt -naive
-//	itratpg -gen mul8 -workers 8 -words 8    # speculative parallel flow
-//	itratpg -benchjson BENCH_atpg.json       # batched-vs-serial trajectory
+//	itratpg -gen mul8 -workers 8 -words 8    # parallel coverage sweep, 8-word drop blocks
+//	itratpg -benchjson BENCH_atpg.json       # deterministic-phase trajectory
 package main
 
 import (
@@ -32,10 +32,9 @@ func main() {
 		naive     = flag.Bool("naive", false, "use the naive backtrace (ablation)")
 		seed      = flag.Int64("seed", 1, "random seed")
 		noCompact = flag.Bool("nocompact", false, "skip static compaction")
-		workers   = flag.Int("workers", 0, "speculative PODEM worker count (<= 0 selects GOMAXPROCS; results are identical for any count)")
+		workers   = flag.Int("workers", 0, "worker count for the final coverage sweep (<= 0 selects GOMAXPROCS; results are identical for any count)")
 		words     = flag.Int("words", 1, "fault-simulation lane width: pattern words packed per cone walk, one of 1/2/4/8 (results are identical for any width)")
-		serial    = flag.Bool("serial", false, "use the serial reference flow instead of the batched speculative one (ablation; identical results)")
-		benchjson = flag.String("benchjson", "", "run the ATPG benchmark sweep (batched vs serial deterministic phase) and write BENCH_atpg.json-style output to this path")
+		benchjson = flag.String("benchjson", "", "run the ATPG benchmark sweep (timed deterministic phase) and write BENCH_atpg.json-style output to this path")
 		benchdir  = flag.String("benchdir", "testdata/bench", "directory of named .bench anchor netlists for -benchjson")
 		quick     = flag.Bool("quick", false, "shrink the -benchjson sweep to small circuits")
 		doBIST    = flag.Bool("bist", false, "run a logic BIST session instead of ATPG")
@@ -90,7 +89,6 @@ func main() {
 	cfg.Compact = !*noCompact
 	cfg.Workers = *workers
 	cfg.Words = *words
-	cfg.Serial = *serial
 	if *naive {
 		cfg.Guide = atpg.GuideNaive
 	}

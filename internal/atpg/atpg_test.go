@@ -312,3 +312,72 @@ func TestTransitionATPGBeatsRandomPairs(t *testing.T) {
 			det.Coverage, random.Coverage)
 	}
 }
+
+// TestPODEMExhaustiveOracle checks PODEM's verdicts against exhaustive
+// simulation on random circuits small enough to enumerate (≤16 PIs), which
+// are rich in redundant faults. With a backtrack limit high enough that
+// nothing aborts, a fault must be proven Redundant exactly when no input
+// pattern detects it, and every Detected cube must detect its target under
+// any don't-care fill (sampled with 8 seeds).
+func TestPODEMExhaustiveOracle(t *testing.T) {
+	for _, c := range []*circuit.Netlist{
+		circuit.Random(16, 250, 77),
+		circuit.Random(14, 200, 5),
+	} {
+		nPI := len(c.PIs)
+		all := logic.NewPatternSet(nPI, 0)
+		bits := make([]bool, nPI)
+		for k := 0; k < 1<<nPI; k++ {
+			for i := range bits {
+				bits[i] = k>>i&1 == 1
+			}
+			all.Append(bits)
+		}
+		faults := fault.Universe(c)
+		fsim, err := fault.NewSimulator(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exhaustive := fsim.Run(all, faults)
+
+		eng, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.BacktrackLim = 1 << 20
+		redundant := 0
+		one := logic.NewPatternSet(nPI, 0)
+		for i, f := range faults {
+			cube, status := eng.Generate(f)
+			testable := exhaustive.DetectedBy[i] >= 0
+			switch status {
+			case Aborted:
+				t.Fatalf("%s: %s aborted at backtrack limit %d", c.Name, f.Name(c), eng.BacktrackLim)
+			case Redundant:
+				redundant++
+				if testable {
+					t.Errorf("%s: %s classified redundant, but pattern %d detects it",
+						c.Name, f.Name(c), exhaustive.DetectedBy[i])
+				}
+			case Detected:
+				if !testable {
+					t.Fatalf("%s: %s detected, but no pattern detects it", c.Name, f.Name(c))
+				}
+				for seed := int64(0); seed < 8; seed++ {
+					rng := rand.New(rand.NewSource(seed))
+					for j, v := range cube {
+						bits[j] = v == logic.V1 || (v != logic.V0 && rng.Intn(2) == 1)
+					}
+					one.Reset()
+					one.Append(bits)
+					if fsim.Run(one, []fault.Fault{f}).Detected != 1 {
+						t.Fatalf("%s: cube for %s with fill seed %d does not detect it", c.Name, f.Name(c), seed)
+					}
+				}
+			}
+		}
+		if redundant == 0 {
+			t.Fatalf("%s: no redundant faults; the oracle would not exercise the proof path", c.Name)
+		}
+	}
+}

@@ -2,8 +2,13 @@ package atpg
 
 import (
 	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -50,22 +55,79 @@ func requireIdentical(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestBatchedBitIdenticalGrid pins the determinism contract of the
-// speculative flow: for every workers × words combination in the supported
-// grid, and for adversarial speculation depths, atpg.Run produces exactly
-// the pattern set and statistics of the Serial reference flow. Both the
-// random+deterministic flow and the harder deterministic-only flow (every
-// fault goes through PODEM, so the commit replay sees skips, redundancies
-// and aborts) are pinned.
+// runSerial is the reference flow the production deterministic phase is
+// checked against: one PODEM call and one single-pattern live-list drop per
+// remaining fault, in fault order, then compaction one pattern at a time.
+// It shares setup, the random phase and the final accounting with Run, but
+// none of the block batching, staging or probing.
+func runSerial(n *circuit.Netlist, cfg Config) (*Result, error) {
+	f, err := newFlow(n, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if !cfg.SkipRandom {
+		f.randomPhase()
+	}
+	eng := NewShared(f.comp, f.scoap)
+	eng.Guide = f.cfg.Guide
+	eng.BacktrackLim = f.cfg.BacktrackLim
+	one := logic.NewPatternSet(len(f.net.PIs), 0)
+	for fi := range f.faults {
+		if f.detected[fi] {
+			continue
+		}
+		t0 := time.Now()
+		cube, status := eng.Generate(f.faults[fi])
+		switch status {
+		case Redundant:
+			f.res.GenTime += time.Since(t0)
+			f.res.Redundant++
+			f.detected[fi] = true // drop from live lists; excluded from coverage
+			continue
+		case Aborted:
+			f.res.GenTime += time.Since(t0)
+			f.res.Aborted++
+			continue
+		}
+		rng := rand.New(rand.NewSource(f.fillSeed(fi)))
+		bits := fillCube(cube, rng, f.cfg.FillRandom)
+		f.res.GenTime += time.Since(t0)
+		t1 := time.Now()
+		one.Reset()
+		one.Append(bits)
+		live, liveIdx := f.liveFaults()
+		newDet := f.fsim.RunInto(one, live, f.detBy, f.dropBuf)
+		for i, d := range f.detBy {
+			if d >= 0 {
+				f.detected[liveIdx[i]] = true
+			}
+		}
+		f.res.DropTime += time.Since(t1)
+		if newDet > 0 {
+			f.patterns.Append(bits)
+			f.res.DetPhase += newDet
+		}
+	}
+	f.res.Backtracks = eng.Backtracks
+	if cfg.Compact && f.patterns.N > 1 {
+		f.patterns = f.compact(1)
+	}
+	return f.finish()
+}
+
+// TestBatchedBitIdenticalGrid pins the determinism contract of the batched
+// flow: for every workers × words combination in the supported grid,
+// atpg.Run produces exactly the pattern set and statistics of the serial
+// reference flow. Both the random+deterministic flow and the harder
+// deterministic-only flow (every fault goes through PODEM, so probes,
+// flushes, redundancies and aborts all occur) are pinned.
 func TestBatchedBitIdenticalGrid(t *testing.T) {
 	for _, skipRandom := range []bool{false, true} {
 		n := circuit.Random(16, 250, 77)
 		base := DefaultConfig()
 		base.BacktrackLim = 50 // low limit so Aborted paths are exercised
 		base.SkipRandom = skipRandom
-		serial := base
-		serial.Serial = true
-		want, err := Run(n, serial)
+		want, err := runSerial(n, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,19 +146,63 @@ func TestBatchedBitIdenticalGrid(t *testing.T) {
 				requireIdentical(t, fmt.Sprintf("skipRandom=%v workers=%d words=%d", skipRandom, workers, words), got, want)
 			}
 		}
-		// Speculation depth must not be observable: degenerate (1), prime,
-		// block-sized, and beyond-universe depths all replay to the same
-		// committed sequence.
-		for _, depth := range []int{1, 3, 64, 257, 1 << 20} {
-			cfg := base
-			cfg.Workers = 4
-			cfg.Words = 4
-			cfg.SpecDepth = depth
-			got, err := Run(n, cfg)
+	}
+}
+
+// loadAnchors parses the named .bench anchor netlists under
+// testdata/bench at the repository root.
+func loadAnchors(t testing.TB) []*circuit.Netlist {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "bench", "*.bench"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 3 {
+		t.Fatalf("found %d .bench anchors, want at least 3", len(paths))
+	}
+	var nets []*circuit.Netlist
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := circuit.ParseBench(f, strings.TrimSuffix(filepath.Base(p), ".bench"))
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		nets = append(nets, n)
+	}
+	return nets
+}
+
+// TestSerialOracleBenchCircuits cross-checks Run against the serial
+// reference on the circuits of the ATPG benchmark and table T4's quick
+// tier: the .bench anchors, mul4 and a small gated-parity bank, with and
+// without the random phase, across workers × words.
+func TestSerialOracleBenchCircuits(t *testing.T) {
+	nets := append(loadAnchors(t), circuit.ArrayMultiplier(4), circuit.GatedParity(8, 12, 8))
+	for _, n := range nets {
+		for _, skipRandom := range []bool{false, true} {
+			base := DefaultConfig()
+			base.BacktrackLim = 2000
+			base.SkipRandom = skipRandom
+			want, err := runSerial(n, base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireIdentical(t, fmt.Sprintf("skipRandom=%v specDepth=%d", skipRandom, depth), got, want)
+			for _, workers := range []int{1, 2} {
+				for _, words := range []int{1, 8} {
+					cfg := base
+					cfg.Workers = workers
+					cfg.Words = words
+					got, err := Run(n, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireIdentical(t, fmt.Sprintf("%s skipRandom=%v workers=%d words=%d", n.Name, skipRandom, workers, words), got, want)
+				}
+			}
 		}
 	}
 }
@@ -139,60 +245,56 @@ func TestBatchedSharedIRRace(t *testing.T) {
 	}
 }
 
-// TestSerialFlagTimingSplit sanity-checks the instrumentation the benchmark
-// layer publishes: a deterministic-only run spends measurable time in both
-// generation and dropping, and the batched flow reports the same phase
-// totals structure as the serial one.
-func TestSerialFlagTimingSplit(t *testing.T) {
+// TestDeterministicTimingSplit sanity-checks the instrumentation the
+// benchmark layer publishes: a deterministic-only run spends measurable
+// time in both generation and dropping, in the batched flow and in the
+// serial reference alike.
+func TestDeterministicTimingSplit(t *testing.T) {
 	n := circuit.Random(14, 200, 5)
 	cfg := DefaultConfig()
 	cfg.SkipRandom = true
-	for _, serial := range []bool{false, true} {
-		cfg.Serial = serial
-		res, err := Run(n, cfg)
+	for name, run := range map[string]func(*circuit.Netlist, Config) (*Result, error){"batched": Run, "serial": runSerial} {
+		res, err := run(n, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.GenTime <= 0 {
-			t.Errorf("serial=%v: GenTime = %v, want > 0", serial, res.GenTime)
+			t.Errorf("%s: GenTime = %v, want > 0", name, res.GenTime)
 		}
 		if res.DropTime <= 0 {
-			t.Errorf("serial=%v: DropTime = %v, want > 0", serial, res.DropTime)
+			t.Errorf("%s: DropTime = %v, want > 0", name, res.DropTime)
 		}
 	}
 }
 
 // The flow benchmarks use a small gated-parity bank — the random-pattern-
-// resistant shape whose deterministic phase the batching rebuild targets —
-// sized so bench-smoke stays fast.
+// resistant shape whose deterministic phase block dropping targets — sized
+// so bench-smoke stays fast. BenchmarkATPGFlowSerial runs the same flow on
+// the serial reference: the batching ablation.
 func BenchmarkATPGFlow(b *testing.B) {
-	n := circuit.GatedParity(8, 12, 8)
-	cfg := DefaultConfig()
-	cfg.SkipRandom = true
-	cfg.Serial = true
-	if _, err := Run(n, cfg); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(n, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchmarkFlow(b, Run, 0, 0)
+}
+
+func BenchmarkATPGFlowSerial(b *testing.B) {
+	benchmarkFlow(b, runSerial, 0, 0)
 }
 
 func BenchmarkATPGFlowParallel(b *testing.B) {
+	benchmarkFlow(b, Run, 8, 8)
+}
+
+func benchmarkFlow(b *testing.B, run func(*circuit.Netlist, Config) (*Result, error), workers, words int) {
 	n := circuit.GatedParity(8, 12, 8)
 	cfg := DefaultConfig()
 	cfg.SkipRandom = true
-	cfg.Workers = 8
-	cfg.Words = 8
-	if _, err := Run(n, cfg); err != nil {
+	cfg.Workers = workers
+	cfg.Words = words
+	if _, err := run(n, cfg); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(n, cfg); err != nil {
+		if _, err := run(n, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

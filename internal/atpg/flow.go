@@ -20,18 +20,10 @@ type Config struct {
 	Compact      bool // reverse-order static compaction (default on via DefaultConfig)
 	FillRandom   bool // fill don't-cares randomly (true) or with zeros
 	SkipRandom   bool // deterministic-only flow (for ablation)
-	// Serial selects the one-PODEM-one-drop-per-fault reference flow: no
-	// pattern batching, no speculative generation. Results are bit-identical
-	// to the batched flow (pinned by tests); the knob exists for the
-	// performance ablation in BENCH_atpg.json and experiment T4.
-	Serial bool
-	// SpecDepth is the number of undetected faults speculatively generated
-	// per round of the batched deterministic phase (<= 0 selects one block's
-	// worth, 64 × Words). Results are independent of the value.
-	SpecDepth int
-	// Workers bounds the fan-out of speculative PODEM generation, the
-	// post-generation coverage sweep and the transition-fault dictionary
-	// (<= 0 selects GOMAXPROCS). Results are bit-identical for any count.
+	// Workers bounds the fan-out of the post-generation coverage sweep and
+	// the transition-fault dictionary (<= 0 selects GOMAXPROCS). PODEM
+	// generation itself runs on one engine in fault order. Results are
+	// bit-identical for any count.
 	Workers int
 	// Words selects the fault-simulation lane width (pattern words packed
 	// per cone walk, normalized to {1,2,4,8}). Results are bit-identical
@@ -67,7 +59,7 @@ type Result struct {
 	Backtracks  int64
 	Runtime     time.Duration
 	GenTime     time.Duration   // deterministic phase: PODEM generation + fill
-	DropTime    time.Duration   // deterministic phase: block fault dropping + commit replay
+	DropTime    time.Duration   // deterministic phase: block fault dropping and probes
 	CoverageAt  []CoveragePoint // coverage after each pattern (for figure F2)
 }
 
@@ -81,12 +73,12 @@ type CoveragePoint struct {
 // compiled IR and SCOAP table, the simulator, and the scratch buffers that
 // phase-1/2/3 hot loops reuse instead of allocating per block or pattern.
 type flow struct {
+	start    time.Time
 	cfg      Config
 	net      *circuit.Netlist
 	comp     *circuit.Compiled
 	scoap    *circuit.SCOAP
 	fsim     *fault.Simulator
-	resim    *fault.Simulator // single-word sidecar for intra-round resimOne
 	faults   []fault.Fault
 	detected []bool
 	res      *Result
@@ -121,11 +113,26 @@ func (f *flow) liveFaults() ([]fault.Fault, []int) {
 
 // Run executes the full ATPG flow on the netlist: a random-pattern phase
 // with fault dropping, a deterministic PODEM phase for the remaining
-// faults — batched into 64×Words pattern blocks and generated speculatively
-// across workers unless cfg.Serial — and optional reverse-order static
-// compaction. Results are bit-identical for any Workers, Words and
-// SpecDepth, and identical to the Serial reference flow.
+// faults with committed patterns dropped in 64×Words blocks, and optional
+// reverse-order static compaction. Results are bit-identical for any
+// Workers and Words.
 func Run(n *circuit.Netlist, cfg Config) (*Result, error) {
+	f, err := newFlow(n, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if !cfg.SkipRandom {
+		f.randomPhase()
+	}
+	f.deterministicBatched()
+	if cfg.Compact && f.patterns.N > 1 {
+		f.patterns = f.compact(logic.WordBits * fault.NormalizeWords(cfg.Words))
+	}
+	return f.finish()
+}
+
+// newFlow applies the Config defaults and allocates the run state.
+func newFlow(n *circuit.Netlist, cfg Config) (*flow, error) {
 	start := time.Now()
 	if cfg.RandomBlocks == 0 {
 		cfg.RandomBlocks = 16
@@ -145,7 +152,8 @@ func Run(n *circuit.Netlist, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	faults := fault.Universe(n)
-	f := &flow{
+	return &flow{
+		start:    start,
 		cfg:      cfg,
 		net:      n,
 		comp:     comp,
@@ -160,27 +168,14 @@ func Run(n *circuit.Netlist, cfg Config) (*Result, error) {
 		liveIdx:  make([]int, 0, len(faults)),
 		detBy:    make([]int, 0, len(faults)),
 		dropBuf:  make([]int, 0, len(faults)),
-	}
+	}, nil
+}
 
-	if !cfg.SkipRandom {
-		f.randomPhase()
-	}
-	if cfg.Serial {
-		f.deterministicSerial()
-	} else {
-		f.deterministicBatched()
-	}
-	if cfg.Compact && f.patterns.N > 1 {
-		blockCap := 1 // Serial ablation keeps the one-pattern-at-a-time shape
-		if !cfg.Serial {
-			blockCap = logic.WordBits * fault.NormalizeWords(cfg.Words)
-		}
-		f.patterns = f.compact(blockCap)
-	}
-
-	// Final accounting: one clean fault simulation of the final set, fanned
-	// out across workers (fault-shard results are bit-identical to serial).
-	final, err := fault.RunConcurrentWords(n, f.patterns, faults, cfg.Workers, cfg.Words)
+// finish does the final accounting: one clean fault simulation of the final
+// set, fanned out across workers (fault-shard results are bit-identical to
+// serial).
+func (f *flow) finish() (*Result, error) {
+	final, err := fault.RunConcurrentWords(f.net, f.patterns, f.faults, f.cfg.Workers, f.cfg.Words)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +187,7 @@ func Run(n *circuit.Netlist, cfg Config) (*Result, error) {
 		res.Efficiency = float64(res.Detected+res.Redundant) / float64(res.TotalFaults)
 	}
 	res.CoverageAt = coverageCurve(final, f.patterns.N, res.TotalFaults)
-	res.Runtime = time.Since(start)
+	res.Runtime = time.Since(f.start)
 	return res, nil
 }
 
@@ -228,59 +223,11 @@ func (f *flow) randomPhase() {
 
 // fillSeed derives the RNG seed for the don't-care fill of the fault at
 // global index fi. Splitting per fault — rather than drawing from one
-// shared stream — makes every candidate pattern a pure function of its
-// fault index, which is what lets speculative workers generate candidates
-// out of order and still commit bit-identical results.
+// shared stream — makes every pattern a pure function of its fault index.
+// The split is part of the output contract: changing it would change every
+// generated pattern set.
 func (f *flow) fillSeed(fi int) int64 {
 	return parallel.SplitSeed(f.cfg.Seed, int64(fi))
-}
-
-// deterministicSerial is phase 2 in the reference shape: one PODEM call and
-// one single-pattern block drop per remaining fault, in fault order. It
-// shares the per-fault fill-seed discipline with the batched flow, so the
-// two produce bit-identical pattern sets.
-func (f *flow) deterministicSerial() {
-	eng := NewShared(f.comp, f.scoap)
-	eng.Guide = f.cfg.Guide
-	eng.BacktrackLim = f.cfg.BacktrackLim
-	one := logic.NewPatternSet(len(f.net.PIs), 0)
-	for fi := range f.faults {
-		if f.detected[fi] {
-			continue
-		}
-		t0 := time.Now()
-		cube, status := eng.Generate(f.faults[fi])
-		switch status {
-		case Redundant:
-			f.res.GenTime += time.Since(t0)
-			f.res.Redundant++
-			f.detected[fi] = true // drop from live lists; excluded from coverage
-			continue
-		case Aborted:
-			f.res.GenTime += time.Since(t0)
-			f.res.Aborted++
-			continue
-		}
-		rng := rand.New(rand.NewSource(f.fillSeed(fi)))
-		bits := fillCube(cube, rng, f.cfg.FillRandom)
-		f.res.GenTime += time.Since(t0)
-		t1 := time.Now()
-		one.Reset()
-		one.Append(bits)
-		live, liveIdx := f.liveFaults()
-		newDet := f.fsim.RunInto(one, live, f.detBy, f.dropBuf)
-		for i, d := range f.detBy {
-			if d >= 0 {
-				f.detected[liveIdx[i]] = true
-			}
-		}
-		f.res.DropTime += time.Since(t1)
-		if newDet > 0 {
-			f.patterns.Append(bits)
-			f.res.DetPhase += newDet
-		}
-	}
-	f.res.Backtracks = eng.Backtracks
 }
 
 func fillCube(cube []logic.V, rng *rand.Rand, random bool) []bool {

@@ -47,10 +47,9 @@ const (
 )
 
 // Engine generates tests for stuck-at faults on one netlist using PODEM.
-// All graph structure — topological order, PI/PO index maps, CSR adjacency
-// and the per-PI fanout cones — comes from the shared immutable
-// circuit.Compiled IR; the engine owns only its five-valued value array and
-// search state.
+// All graph structure — topological order, PI/PO index maps and CSR
+// adjacency — comes from the shared immutable circuit.Compiled IR; the
+// engine owns only its five-valued value array and search state.
 type Engine struct {
 	Net           *circuit.Netlist
 	Scoap         *circuit.SCOAP
@@ -101,9 +100,9 @@ func New(n *circuit.Netlist) (*Engine, error) {
 
 // NewShared builds a PODEM engine over an already-compiled IR and an
 // already-computed SCOAP table, allocating only the engine's private search
-// state. The speculative flow hands one engine per worker the same IR and
-// the same SCOAP — both are immutable after construction — so spinning up a
-// worker pool costs O(gates) per worker, not a recompile or a SCOAP pass.
+// state. Both inputs are immutable after construction, so any number of
+// engines — across concurrent flows on one netlist — may share them, and
+// each costs O(gates), not a recompile or a SCOAP pass.
 func NewShared(c *circuit.Compiled, scoap *circuit.SCOAP) *Engine {
 	e := &Engine{
 		Net:          c.Net,

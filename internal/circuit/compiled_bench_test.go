@@ -24,24 +24,3 @@ func BenchmarkCompile(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkCone measures lazy cone materialization for every gate of a
-// cold compiled IR (the dominant setup cost of PPSFP fault simulation).
-func BenchmarkCone(b *testing.B) {
-	n := Random(64, 2000, 3)
-	if _, err := n.Compiled(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c, err := Compile(n) // fresh IR each iteration: cones start cold
-		if err != nil {
-			b.Fatal(err)
-		}
-		for id := range n.Gates {
-			if cone := c.Cone(id); len(cone) == 0 {
-				b.Fatal("empty cone")
-			}
-		}
-	}
-}

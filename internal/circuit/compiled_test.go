@@ -142,83 +142,3 @@ func TestCompileRejectsUnknownGateType(t *testing.T) {
 		t.Fatal("Compile accepted a netlist with an unknown gate type")
 	}
 }
-
-// TestConeTopoOrderAndMembership validates the lazy cone cache: every cone
-// starts at its root, is topologically ordered, and contains exactly the
-// gates reachable through fanout edges.
-func TestConeTopoOrderAndMembership(t *testing.T) {
-	n := Random(12, 200, 5)
-	c, err := n.Compiled()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := range n.Gates {
-		cone := c.Cone(id)
-		if len(cone) == 0 || int(cone[0]) != id {
-			t.Fatalf("cone of %d does not start with its root: %v", id, cone)
-		}
-		want := map[int32]bool{}
-		stack := []int32{int32(id)}
-		for len(stack) > 0 {
-			g := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if want[g] {
-				continue
-			}
-			want[g] = true
-			stack = append(stack, c.Fanout(int(g))...)
-		}
-		if len(cone) != len(want) {
-			t.Fatalf("cone of %d has %d members, want %d", id, len(cone), len(want))
-		}
-		for i, g := range cone {
-			if !want[g] {
-				t.Fatalf("cone of %d contains unreachable gate %d", id, g)
-			}
-			if i > 0 && c.Tpos[cone[i-1]] >= c.Tpos[g] {
-				t.Fatalf("cone of %d not topologically ordered at %d", id, i)
-			}
-		}
-		if again := c.Cone(id); &again[0] != &cone[0] {
-			t.Fatalf("cone of %d rebuilt instead of cached", id)
-		}
-	}
-}
-
-// TestConeConcurrent hammers the lazy cone cache from many goroutines; the
-// race detector (CI runs -race) pins the publication safety, and the cones
-// must agree across goroutines.
-func TestConeConcurrent(t *testing.T) {
-	n := Random(16, 400, 9)
-	c, err := n.Compiled()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range n.Gates {
-				cone := c.Cone(id)
-				if len(cone) == 0 || int(cone[0]) != id {
-					select {
-					case errc <- errCone(id):
-					default:
-					}
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	if err := <-errc; err != nil {
-		t.Fatal(err)
-	}
-}
-
-type errCone int
-
-func (e errCone) Error() string { return "bad cone for gate" }

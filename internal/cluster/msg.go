@@ -148,13 +148,15 @@ func (d *decoder) fail(format string, args ...any) {
 	}
 }
 
+// take consumes n bytes. After a failure it returns zeros, at most 8 of
+// them — enough for the fixed-width readers — so a hostile length prefix
+// never sizes an allocation.
 func (d *decoder) take(n int) []byte {
-	if d.err != nil {
-		return make([]byte, n)
-	}
-	if n < 0 || d.off+n > len(d.data) {
+	if d.err == nil && (n < 0 || d.off+n > len(d.data)) {
 		d.fail("need %d bytes at offset %d of %d", n, d.off, len(d.data))
-		return make([]byte, max(n, 0))
+	}
+	if d.err != nil {
+		return make([]byte, min(max(n, 0), 8))
 	}
 	b := d.data[d.off : d.off+n]
 	d.off += n
@@ -238,8 +240,10 @@ func decodeSetup(payload []byte) (*setupMsg, error) {
 	if m.Kind != KindDetect && m.Kind != KindDictionary {
 		return nil, fmt.Errorf("%w: unknown job kind %d", ErrMalformed, m.Kind)
 	}
+	// Inputs is bounded on its own too: with NPat = 0 the product is 0
+	// whatever Inputs claims, and PatBits still allocates one row per input.
 	words := (m.NPat + logic.WordBits - 1) / logic.WordBits
-	if m.Inputs < 0 || m.NPat < 0 || m.Inputs*words*8 > len(payload) {
+	if m.Inputs < 0 || m.NPat < 0 || m.Inputs > len(payload) || m.Inputs*words*8 > len(payload) {
 		return nil, fmt.Errorf("%w: implausible pattern dimensions %d×%d", ErrMalformed, m.Inputs, m.NPat)
 	}
 	m.PatBits = make([][]logic.Word, m.Inputs)
@@ -339,7 +343,10 @@ func decodeResult(payload []byte) (*resultMsg, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		if n < 0 || span == 0 || n*(8+span*8) > len(payload) {
+		// Bound span and n separately before multiplying: a hostile
+		// header (span near 2^30, n near 2^31) would otherwise wrap the
+		// byte count to a small value and pass the check.
+		if n < 0 || span == 0 || span > len(payload)/8 || n > len(payload)/(8+span*8) {
 			return nil, fmt.Errorf("%w: dictionary result rows %d for range [%d,%d)", ErrMalformed, n, m.Lo, m.Hi)
 		}
 		m.Rows = make([]sigEntry, n)

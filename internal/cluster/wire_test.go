@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/circuit"
@@ -186,6 +187,117 @@ func TestMessageTrailingBytes(t *testing.T) {
 	if _, err := decodeResult(det.encode()[:10]); !errors.Is(err, ErrMalformed) {
 		t.Errorf("truncated result: err = %v, want ErrMalformed", err)
 	}
+}
+
+// overflowResult is a 25-byte dictionary result whose header claims
+// Lo=0, Hi=2^30-1 and 2^31 rows: rows × (8 + span×8) bytes wraps to 0 in
+// 64-bit int arithmetic, so a product-based size check would pass and the
+// decoder would try to allocate 2^31 rows.
+var overflowResult = []byte{
+	0, 0, 0, 0, 0, 0, 0, 1, // JobID
+	0, 0, 0, 0, // Shard
+	byte(KindDictionary),
+	0, 0, 0, 0, // Lo
+	0x3f, 0xff, 0xff, 0xff, // Hi = 2^30-1
+	0x80, 0, 0, 0, // rows = 2^31
+}
+
+// TestDecodeResultSizeOverflow pins the allocation guard of the dictionary
+// result decoder: a header whose claimed size overflows must be rejected
+// as ErrMalformed before anything is allocated.
+func TestDecodeResultSizeOverflow(t *testing.T) {
+	if len(overflowResult) != 25 {
+		t.Fatalf("payload is %d bytes, want 25", len(overflowResult))
+	}
+	if _, err := decodeResult(overflowResult); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("err = %v, want ErrMalformed", err)
+	}
+}
+
+// TestDecodeAllocationBounded pins that a length or count field cannot
+// size an allocation the payload does not back: each short payload below
+// claims tens of megabytes and must be refused after allocating far less.
+func TestDecodeAllocationBounded(t *testing.T) {
+	var hello encoder
+	hello.u16(WireVersion)
+	hello.u32(1 << 26) // ID length
+	hello.buf.WriteString("x")
+	var setup encoder
+	setup.u64(1)
+	setup.u8(uint8(KindDetect))
+	setup.u8(1)
+	setup.bytes(nil)
+	setup.buf.Write(make([]byte, 32)) // NetHash
+	setup.u32(1 << 24)                // Inputs, with no patterns to back them
+	setup.u32(0)                      // NPat
+	setup.u32(0)                      // fault count
+	for name, decode := range map[string]func() error{
+		"hello ID length": func() error { _, err := decodeHello(hello.buf.Bytes()); return err },
+		"setup inputs":    func() error { _, err := decodeSetup(setup.buf.Bytes()); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+			t.Errorf("%s: decoding allocated %d bytes", name, d)
+		}
+	}
+}
+
+// FuzzClusterMessages feeds arbitrary payloads to every cluster message
+// decoder. No input may panic or exhaust memory, and every payload a
+// decoder accepts must re-encode to the same bytes.
+func FuzzClusterMessages(f *testing.F) {
+	n := circuit.RippleAdder(2)
+	p := logic.NewPatternSet(len(n.PIs), 70)
+	p.RandFill(rand.New(rand.NewSource(2)).Uint64)
+	setup, _, err := encodeSetup(11, KindDetect, 2, n, p, fault.Universe(n))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{
+		(&helloMsg{Proto: WireVersion, ID: "worker-7"}).encode(),
+		setup,
+		(&shardMsg{JobID: 9, Shard: 3, Lo: 64, Hi: 128}).encode(),
+		(&resultMsg{JobID: 1, Kind: KindDetect, Lo: 10, Hi: 13, DetBy: []int32{-1, 7, 0}}).encode(),
+		(&resultMsg{JobID: 2, Shard: 1, Kind: KindDictionary, Lo: 8, Hi: 10, Rows: []sigEntry{
+			{Fi: 4, Po: 0, Words: []logic.Word{0xdead, 0xbeef}},
+		}}).encode(),
+		(&errorMsg{JobID: 9, Shard: errorShardSetup, Msg: "refused"}).encode(),
+		(&doneMsg{JobID: 5}).encode(),
+		overflowResult,
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		roundTrip := func(name string, encode func() []byte) {
+			if again := encode(); !bytes.Equal(again, data) {
+				t.Fatalf("%s: accepted %x but re-encodes to %x", name, data, again)
+			}
+		}
+		if m, err := decodeHello(data); err == nil {
+			roundTrip("hello", m.encode)
+		}
+		if m, err := decodeSetup(data); err == nil {
+			roundTrip("setup", m.encode)
+		}
+		if m, err := decodeShard(data); err == nil {
+			roundTrip("shard", m.encode)
+		}
+		if m, err := decodeResult(data); err == nil {
+			roundTrip("result", m.encode)
+		}
+		if m, err := decodeError(data); err == nil {
+			roundTrip("error", m.encode)
+		}
+		if m, err := decodeDone(data); err == nil {
+			roundTrip("done", m.encode)
+		}
+	})
 }
 
 // TestLoopbackTransport pins the in-process listener: dialed pairs carry

@@ -16,28 +16,24 @@ import (
 )
 
 // ATPGBenchRow is one circuit of the ATPG benchmark trajectory, serialized
-// into BENCH_atpg.json. Each row times the deterministic phase of the
-// batched speculative flow against the Serial reference flow on the same
-// circuit, and records that the two produced bit-identical pattern sets.
+// into BENCH_atpg.json: the outcome and the timed deterministic phase of a
+// deterministic-only run.
 type ATPGBenchRow struct {
-	Circuit             string  `json:"circuit"`
-	Source              string  `json:"source"` // "bench" (named netlist file) or "generated"
-	Gates               int     `json:"gates"`
-	Faults              int     `json:"faults"`
-	Patterns            int     `json:"patterns"`   // final compacted pattern count
-	Coverage            float64 `json:"coverage"`   // identical across flows by construction
-	Efficiency          float64 `json:"efficiency"` // (detected + redundant) / total
-	GenNs               float64 `json:"gen_ns"`     // batched flow: speculative PODEM generation
-	DropNs              float64 `json:"drop_ns"`    // batched flow: block dropping + commit replay
-	DetMs               float64 `json:"det_ms"`     // batched deterministic phase, gen + drop
-	SerialDetMs         float64 `json:"serial_det_ms"`
-	Speedup             float64 `json:"speedup"` // serial_det_ms / det_ms
-	DeterminismVerified bool    `json:"determinism_verified"`
+	Circuit    string  `json:"circuit"`
+	Source     string  `json:"source"` // "bench" (named netlist file) or "generated"
+	Gates      int     `json:"gates"`
+	Faults     int     `json:"faults"`
+	Patterns   int     `json:"patterns"`   // final compacted pattern count
+	Coverage   float64 `json:"coverage"`   // detected / total
+	Efficiency float64 `json:"efficiency"` // (detected + redundant) / total
+	GenNs      float64 `json:"gen_ns"`     // PODEM generation + fill
+	DropNs     float64 `json:"drop_ns"`    // block dropping and probes
+	DetMs      float64 `json:"det_ms"`     // deterministic phase, gen + drop
 }
 
 // ATPGBench is the top-level document of BENCH_atpg.json.
 type ATPGBench struct {
-	Schema    string         `json:"schema"` // "itr-atpg-bench/v1"
+	Schema    string         `json:"schema"` // "itr-atpg-bench/v2"
 	Generated string         `json:"generated"`
 	GoVersion string         `json:"go_version"`
 	Workers   int            `json:"workers"`
@@ -83,8 +79,7 @@ func loadBenchAnchors(dir string) ([]atpgBenchCase, error) {
 }
 
 // atpgBenchCases assembles the sweep: the named anchors first, then the
-// generated tiers. The 2000-gate tier is the acceptance row for the batched
-// deterministic phase; quick mode keeps only small circuits for tests.
+// generated tiers. Quick mode keeps only small circuits for tests.
 func atpgBenchCases(cfg Config, benchDir string) ([]atpgBenchCase, error) {
 	cases, err := loadBenchAnchors(benchDir)
 	if err != nil {
@@ -100,28 +95,25 @@ func atpgBenchCases(cfg Config, benchDir string) ([]atpgBenchCase, error) {
 	cases = append(cases,
 		atpgBenchCase{net: circuit.ArrayMultiplier(16), source: "generated"},
 		atpgBenchCase{net: circuit.Random(32, 500, 1), source: "generated"},
-		// The 2000-gate acceptance tier: random-pattern-resistant gated
-		// parity banks keep almost every fault live across almost every
-		// pattern, which is the workload the block-dropping rebuild targets.
-		// The arithmetic and random tiers above stay generation-bound and
-		// honestly report speedups near 1x.
+		// The 2000-gate tier: random-pattern-resistant gated parity banks
+		// keep almost every fault live across almost every pattern, which is
+		// the workload block dropping targets. The arithmetic and random
+		// tiers above stay generation-bound.
 		atpgBenchCase{net: circuit.GatedParity(32, 60, 12), source: "generated"},
 	)
 	return cases, nil
 }
 
-// RunATPGBench measures the deterministic ATPG phase — batched speculative
-// flow vs the Serial reference — on the anchor netlists under benchDir and
-// the generated tiers, and returns the machine-readable document. The
-// serial run doubles as the correctness oracle: pattern sets and statistics
-// must be bit-identical or the sweep aborts.
+// RunATPGBench measures the deterministic ATPG phase on the anchor
+// netlists under benchDir and the generated tiers, and returns the
+// machine-readable document.
 func RunATPGBench(cfg Config, benchDir string) (*ATPGBench, error) {
 	cases, err := atpgBenchCases(cfg, benchDir)
 	if err != nil {
 		return nil, err
 	}
 	doc := &ATPGBench{
-		Schema:    "itr-atpg-bench/v1",
+		Schema:    "itr-atpg-bench/v2",
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		Workers:   parallel.Workers(cfg.Workers),
@@ -129,7 +121,7 @@ func RunATPGBench(cfg Config, benchDir string) (*ATPGBench, error) {
 		Quick:     cfg.Quick,
 	}
 	tw := cfg.table()
-	fmt.Fprintf(tw, "circuit\tsource\tgates\tfaults\tpatterns\tcoverage\tgen\tdrop\tdet\tdet(serial)\tspeedup\n")
+	fmt.Fprintf(tw, "circuit\tsource\tgates\tfaults\tpatterns\tcoverage\tgen\tdrop\tdet\n")
 	for _, bc := range cases {
 		acfg := atpg.DefaultConfig()
 		acfg.Seed = cfg.Seed
@@ -137,72 +129,32 @@ func RunATPGBench(cfg Config, benchDir string) (*ATPGBench, error) {
 		acfg.Workers = cfg.Workers
 		acfg.Words = cfg.Words
 		// Deterministic-only: this benchmark times the deterministic phase
-		// (the part the batching/speculation rebuild targets), so every
-		// fault is routed through PODEM instead of letting the random phase
-		// absorb 90% of the universe on easy circuits.
+		// (the part block dropping targets), so every fault is routed
+		// through PODEM instead of letting the random phase absorb 90% of
+		// the universe on easy circuits.
 		acfg.SkipRandom = true
-		batched, err := atpg.Run(bc.net, acfg)
+		res, err := atpg.Run(bc.net, acfg)
 		if err != nil {
 			return nil, err
 		}
-		scfg := acfg
-		scfg.Serial = true
-		serial, err := atpg.Run(bc.net, scfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := verifyIdenticalATPG(bc.net.Name, batched, serial); err != nil {
-			return nil, err
-		}
-		det := batched.GenTime + batched.DropTime
-		serialDet := serial.GenTime + serial.DropTime
 		row := ATPGBenchRow{
-			Circuit:             bc.net.Name,
-			Source:              bc.source,
-			Gates:               bc.net.NumLogicGates(),
-			Faults:              batched.TotalFaults,
-			Patterns:            batched.Patterns.N,
-			Coverage:            batched.Coverage,
-			Efficiency:          batched.Efficiency,
-			GenNs:               float64(batched.GenTime.Nanoseconds()),
-			DropNs:              float64(batched.DropTime.Nanoseconds()),
-			DetMs:               float64(det) / float64(time.Millisecond),
-			SerialDetMs:         float64(serialDet) / float64(time.Millisecond),
-			DeterminismVerified: true,
-		}
-		if det > 0 {
-			row.Speedup = float64(serialDet) / float64(det)
+			Circuit:    bc.net.Name,
+			Source:     bc.source,
+			Gates:      bc.net.NumLogicGates(),
+			Faults:     res.TotalFaults,
+			Patterns:   res.Patterns.N,
+			Coverage:   res.Coverage,
+			Efficiency: res.Efficiency,
+			GenNs:      float64(res.GenTime.Nanoseconds()),
+			DropNs:     float64(res.DropTime.Nanoseconds()),
+			DetMs:      float64(res.GenTime+res.DropTime) / float64(time.Millisecond),
 		}
 		doc.Rows = append(doc.Rows, row)
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%.2f%%\t%.2fms\t%.2fms\t%.2fms\t%.2fms\t%.1fx\n",
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%.2f%%\t%.2fms\t%.2fms\t%.2fms\n",
 			row.Circuit, row.Source, row.Gates, row.Faults, row.Patterns, row.Coverage*100,
-			row.GenNs/1e6, row.DropNs/1e6, row.DetMs, row.SerialDetMs, row.Speedup)
+			row.GenNs/1e6, row.DropNs/1e6, row.DetMs)
 	}
 	return doc, tw.Flush()
-}
-
-// verifyIdenticalATPG enforces the determinism contract between the batched
-// and serial flows: identical pattern bits and identical statistics. A
-// mismatch is a bug in the commit replay, never benchmark noise, so it
-// aborts the sweep.
-func verifyIdenticalATPG(name string, a, b *atpg.Result) error {
-	if a.Patterns.N != b.Patterns.N {
-		return fmt.Errorf("atpgbench: %s: batched %d patterns != serial %d", name, a.Patterns.N, b.Patterns.N)
-	}
-	for i := range a.Patterns.Bits {
-		for w := range a.Patterns.Bits[i] {
-			if a.Patterns.Bits[i][w]&a.Patterns.TailMask(w) != b.Patterns.Bits[i][w]&b.Patterns.TailMask(w) {
-				return fmt.Errorf("atpgbench: %s: pattern bits differ at input %d word %d", name, i, w)
-			}
-		}
-	}
-	if a.Detected != b.Detected || a.Redundant != b.Redundant || a.Aborted != b.Aborted ||
-		a.Backtracks != b.Backtracks || a.DetPhase != b.DetPhase || a.RandomPhase != b.RandomPhase {
-		return fmt.Errorf("atpgbench: %s: statistics differ: batched det=%d red=%d ab=%d bt=%d vs serial det=%d red=%d ab=%d bt=%d",
-			name, a.Detected, a.Redundant, a.Aborted, a.Backtracks,
-			b.Detected, b.Redundant, b.Aborted, b.Backtracks)
-	}
-	return nil
 }
 
 // WriteJSON writes the benchmark document to path, indented for diffable

@@ -36,7 +36,7 @@ func BenchmarkFaultSim(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				fsim.Run(p, faults) // warm the cone cache before timing
+				fsim.Run(p, faults) // warm the simulator scratch before timing
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					fsim.Run(p, faults)

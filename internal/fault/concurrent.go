@@ -19,10 +19,10 @@ func RunConcurrent(n *circuit.Netlist, p *logic.PatternSet, faults []Fault, work
 // goroutines, splitting the fault list into contiguous shards; each worker
 // packs words pattern words per pass (normalized to {1,2,4,8}). The netlist
 // is compiled exactly once; every worker gets a cheap Simulator over the
-// shared immutable IR (and therefore shares the fanout-cone cache). Results
-// are identical to Simulator.Run for any worker count and any lane width
-// (fault dropping happens within each shard, and detection indices do not
-// depend on other faults). workers <= 0 selects GOMAXPROCS.
+// shared immutable IR. Results are identical to Simulator.Run for any worker
+// count and any lane width (fault dropping happens within each shard, and
+// detection indices do not depend on other faults). workers <= 0 selects
+// GOMAXPROCS.
 func RunConcurrentWords(n *circuit.Netlist, p *logic.PatternSet, faults []Fault, workers, words int) (*Result, error) {
 	c, err := n.Compiled()
 	if err != nil {

@@ -12,9 +12,8 @@ import (
 
 // TestSharedCompiledRace drives eight fault simulators and eight good-value
 // simulators off ONE cold Compiled IR concurrently. Under -race (CI runs the
-// race job over this package) it pins the immutability contract, including
-// the lazily-built cone cache, and every worker must produce the serial
-// reference result bit-for-bit.
+// race job over this package) it pins the immutability contract, and every
+// worker must produce the serial reference result bit-for-bit.
 func TestSharedCompiledRace(t *testing.T) {
 	n := circuit.Random(32, 400, 21)
 	faults := Collapse(n, Universe(n))
@@ -22,14 +21,14 @@ func TestSharedCompiledRace(t *testing.T) {
 	p := logic.NewPatternSet(len(n.PIs), 192)
 	p.RandFill(rng.Uint64)
 
-	c, err := circuit.Compile(n) // fresh, unwarmed: no cones built yet
+	c, err := circuit.Compile(n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref := NewSimulatorCompiled(c).RunSerial(p, faults)
 	refGood := sim.NewCompiled(c).Run(p)
 
-	// Second cold IR so the goroutines themselves race to build every cone.
+	// Second IR, used only by the racing goroutines.
 	c2, err := circuit.Compile(n)
 	if err != nil {
 		t.Fatal(err)
@@ -100,12 +99,10 @@ func TestConcurrentCompilesOnce(t *testing.T) {
 
 // TestMultiWordSharedCompiledRace drives eight multi-word fault simulators
 // of mixed lane widths (1/2/4/8) off ONE cold Compiled IR concurrently.
-// Under -race it pins three contracts at once: the netlist is compiled
-// exactly once no matter how many widths race on it; the lazily-built
-// fanout-cone cache (exercised concurrently by the ATPG-style Cone reader)
-// is built once and returns the identical backing slice to every width; and
-// every simulator — whatever its width — produces the serial reference
-// result bit for bit, since all mutable lane scratch is per-instance.
+// Under -race it pins two contracts at once: the netlist is compiled
+// exactly once no matter how many widths race on it, and every simulator —
+// whatever its width — produces the serial reference result bit for bit,
+// since all mutable lane scratch is per-instance.
 func TestMultiWordSharedCompiledRace(t *testing.T) {
 	n := circuit.Random(32, 400, 43)
 	faults := Collapse(n, Universe(n))
@@ -128,10 +125,7 @@ func TestMultiWordSharedCompiledRace(t *testing.T) {
 		t.Fatalf("setup compiled %d times, want 1", d)
 	}
 
-	// Reference cone slice, resolved after the race: every concurrent
-	// Cone call must have returned this exact backing array.
 	widths := []int{1, 2, 4, 8, 8, 4, 2, 1}
-	cones := make([][]int32, len(widths))
 	var wg sync.WaitGroup
 	for w := range widths {
 		wg.Add(1)
@@ -142,9 +136,6 @@ func TestMultiWordSharedCompiledRace(t *testing.T) {
 				t.Errorf("worker %d: width %d, want %d", w, got, widths[w])
 				return
 			}
-			// Race the cone cache the way concurrent ATPG does while
-			// simulators of other widths are mid-run on the same IR.
-			cones[w] = c2.Cone(n.PIs[0])
 			res := fsim.Run(p, faults)
 			if res.Detected != ref.Detected {
 				t.Errorf("worker %d (W=%d): detected %d, want %d", w, widths[w], res.Detected, ref.Detected)
@@ -179,13 +170,5 @@ func TestMultiWordSharedCompiledRace(t *testing.T) {
 	wg.Wait()
 	if d := circuit.CompileCount() - before; d != 1 {
 		t.Fatalf("racing widths compiled %d times total, want 1 (shared IR)", d)
-	}
-	for w := 1; w < len(cones); w++ {
-		if len(cones[w]) == 0 || len(cones[0]) == 0 {
-			t.Fatalf("worker %d: empty cone", w)
-		}
-		if &cones[w][0] != &cones[0][0] {
-			t.Fatalf("worker %d: cone cache not reused across lane widths", w)
-		}
 	}
 }

@@ -104,8 +104,7 @@ func NewSimulatorCompiled(c *circuit.Compiled) *Simulator {
 
 // NewSimulatorCompiledWords builds a W-word fault simulator over an
 // already-compiled IR. words is normalized to {1,2,4,8}; all widths share
-// the IR and its cone cache, so simulators of different widths over one
-// graph are cheap.
+// the IR, so simulators of different widths over one graph are cheap.
 func NewSimulatorCompiledWords(c *circuit.Compiled, words int) *Simulator {
 	w := NormalizeWords(words)
 	return &Simulator{

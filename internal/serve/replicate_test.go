@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"net"
 	"reflect"
@@ -185,4 +186,25 @@ func TestReplicationUnknownHash(t *testing.T) {
 	if ft, _, err = repProto.ReadFrame(conn, 1<<20); err != nil || ft != repErrReply {
 		t.Fatalf("unknown frame type: got frame %d, err %v; want error reply", ft, err)
 	}
+}
+
+// FuzzManifest feeds arbitrary payloads to the replication manifest
+// decoder. No input may panic or exhaust memory, and every accepted
+// payload must re-encode to the same bytes.
+func FuzzManifest(f *testing.F) {
+	f.Add(encodeManifest(nil))
+	f.Add(encodeManifest([]ModelMeta{
+		{Kind: "wafer", Name: "demo", Version: 2, Hash: "blake2b:00ff"},
+		{Kind: "outlier", Name: "screen", Version: 1},
+	}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := decodeManifest(data)
+		if err != nil {
+			return
+		}
+		if again := encodeManifest(entries); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x but re-encodes to %x", data, again)
+		}
+	})
 }
