@@ -27,7 +27,7 @@ func main() {
 	}
 	fmt.Printf("test set: %d patterns, %.1f%% coverage\n", gen.Patterns.N, gen.Coverage*100)
 
-	d, err := diagnosis.New(n, gen.Patterns)
+	d, err := diagnosis.NewWorkersWords(n, gen.Patterns, 0, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

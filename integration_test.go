@@ -89,7 +89,7 @@ func TestATPGPatternsDriveDiagnosis(t *testing.T) {
 	if gen.Coverage < 0.99 {
 		t.Fatalf("coverage %.3f too low for diagnosis study", gen.Coverage)
 	}
-	d, err := diagnosis.New(n, gen.Patterns)
+	d, err := diagnosis.NewWorkersWords(n, gen.Patterns, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -185,7 +185,7 @@ func TestCoverageCurveMonotone(t *testing.T) {
 
 func TestRandomOnlyBaseline(t *testing.T) {
 	c := circuit.ArrayMultiplier(4)
-	res, err := RandomOnly(c, 256, 7)
+	res, err := RandomOnlyWords(c, 256, 7, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestTransitionATPG(t *testing.T) {
 				c.Name, reached, res.Coverage, res.Untestable, res.Aborted)
 		}
 		// Re-simulating the final set must reproduce the claimed coverage.
-		final, err := fault.SimulateTransitions(c, res.Patterns, fault.TransitionUniverse(c))
+		final, err := fault.SimulateTransitionsWords(c, res.Patterns, fault.TransitionUniverse(c), 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestTransitionATPGBeatsRandomPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := logic.NewPatternSet(len(c.PIs), 64)
 	p.RandFill(rng.Uint64)
-	random, err := fault.SimulateTransitions(c, p, fault.TransitionUniverse(c))
+	random, err := fault.SimulateTransitionsWords(c, p, fault.TransitionUniverse(c), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -321,15 +321,10 @@ func coverageCurve(r *fault.Result, nPatterns, total int) []CoveragePoint {
 	return curve
 }
 
-// RandomOnly generates nPatterns random patterns and returns the coverage
-// curve — the baseline against which the ATPG curve is compared (figure F2).
-func RandomOnly(n *circuit.Netlist, nPatterns int, seed int64) (*Result, error) {
-	return RandomOnlyWords(n, nPatterns, seed, 0, 0)
-}
-
-// RandomOnlyWords is RandomOnly with the fault-simulation fan-out knobs
-// exposed: workers shards the fault list (<= 0 selects GOMAXPROCS) and
-// words selects the lane width. Results are bit-identical for any values.
+// RandomOnlyWords generates nPatterns random patterns and returns the
+// coverage curve — the baseline against which the ATPG curve is compared
+// (figure F2). workers shards the fault list (<= 0 selects GOMAXPROCS) and
+// words selects the lane width; results are bit-identical for any values.
 func RandomOnlyWords(n *circuit.Netlist, nPatterns int, seed int64, workers, words int) (*Result, error) {
 	faults := fault.Universe(n)
 	rng := rand.New(rand.NewSource(seed))

@@ -180,8 +180,25 @@ func Run(n *circuit.Netlist, lfsrLen, misrLen int, seed uint64, nPatterns int) (
 	if err != nil {
 		return nil, err
 	}
-	gsim := sim.NewCompiled(comp)
-	goodResp := gsim.Run(patterns)
+	// Good PO responses, bit-sliced like the dictionary: goodPO[o][w].
+	gsim := sim.NewWideCompiled(comp, 1)
+	goodPO := make([][]logic.Word, len(n.POs))
+	for o := range goodPO {
+		goodPO[o] = make([]logic.Word, patterns.Words())
+	}
+	pi := make([]logic.Word, len(n.PIs))
+	for w := range patterns.Words() {
+		for i := range pi {
+			pi[i] = patterns.Bits[i][w]
+		}
+		vals := gsim.BlockRange(pi, 0, 1)
+		for o, po := range n.POs {
+			goodPO[o][w] = vals[po]
+		}
+	}
+	goodAt := func(k, o int) bool {
+		return goodPO[o][k/logic.WordBits]>>uint(k%logic.WordBits)&1 == 1
+	}
 	good, err := NewMISR(misrLen, seed)
 	if err != nil {
 		return nil, err
@@ -189,12 +206,12 @@ func Run(n *circuit.Netlist, lfsrLen, misrLen int, seed uint64, nPatterns int) (
 	row := make([]bool, len(n.POs))
 	for k := 0; k < patterns.N; k++ {
 		for o := range row {
-			row[o] = goodResp.Get(k, o)
+			row[o] = goodAt(k, o)
 		}
 		good.Absorb(row)
 	}
 
-	fsim := fault.NewSimulatorCompiled(comp)
+	fsim := fault.NewSimulatorCompiledWords(comp, 1)
 	faults := fault.Universe(n)
 	res := &Result{
 		Patterns:      patterns.N,
@@ -217,7 +234,7 @@ func Run(n *circuit.Netlist, lfsrLen, misrLen int, seed uint64, nPatterns int) (
 			w, b := k/logic.WordBits, uint(k%logic.WordBits)
 			for o := range row {
 				diff := dict[fi].Bits[o][w]>>b&1 == 1
-				row[o] = goodResp.Get(k, o) != diff // faulty = good XOR diff
+				row[o] = goodAt(k, o) != diff // faulty = good XOR diff
 			}
 			m.Absorb(row)
 		}

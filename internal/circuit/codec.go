@@ -1,11 +1,11 @@
 package circuit
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/wire"
 )
 
 // The canonical binary netlist codec. Unlike the .bench text round trip —
@@ -37,43 +37,49 @@ const (
 
 // MarshalBinary encodes the netlist in the canonical binary form.
 func (n *Netlist) MarshalBinary() ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(netlistMagic)
-	buf.WriteByte(netlistVersion)
-	if err := writeName(&buf, n.Name); err != nil {
+	// Size the buffer exactly: a large netlist encodes to hundreds of
+	// kilobytes, and growing the buffer by appends would allocate several
+	// times that.
+	size := len(netlistMagic) + 1 + 2 + len(n.Name) + 4 + 4 + 4*len(n.POs) + 4 + 8*len(n.ScanD)
+	for _, g := range n.Gates {
+		size += 2 + len(g.Name) + 1 + 2 + 4*len(g.Fanin)
+	}
+	b := append(make([]byte, 0, size), netlistMagic...)
+	b, err := writeName(append(b, netlistVersion), n.Name)
+	if err != nil {
 		return nil, err
 	}
 	if len(n.Gates) > math.MaxUint32 {
 		return nil, fmt.Errorf("circuit: %d gates exceed codec limit", len(n.Gates))
 	}
-	writeU32(&buf, uint32(len(n.Gates)))
+	b = wire.AppendU32(b, uint32(len(n.Gates)))
 	for _, g := range n.Gates {
-		if err := writeName(&buf, g.Name); err != nil {
+		if b, err = writeName(b, g.Name); err != nil {
 			return nil, err
 		}
-		buf.WriteByte(byte(g.Type))
+		b = wire.AppendU8(b, byte(g.Type))
 		if len(g.Fanin) > math.MaxUint16 {
 			return nil, fmt.Errorf("circuit: gate %q fanin %d exceeds codec limit", g.Name, len(g.Fanin))
 		}
-		writeU16(&buf, uint16(len(g.Fanin)))
+		b = wire.AppendU16(b, uint16(len(g.Fanin)))
 		for _, f := range g.Fanin {
-			writeU32(&buf, uint32(f))
+			b = wire.AppendU32(b, uint32(f))
 		}
 	}
-	writeU32(&buf, uint32(len(n.POs)))
+	b = wire.AppendU32(b, uint32(len(n.POs)))
 	for _, po := range n.POs {
-		writeU32(&buf, uint32(po))
+		b = wire.AppendU32(b, uint32(po))
 	}
-	writeU32(&buf, uint32(len(n.ScanD)))
+	b = wire.AppendU32(b, uint32(len(n.ScanD)))
 	// Map iteration order is random; emit scan edges in DFF-ID order so the
 	// encoding (and therefore ContentHash) is deterministic.
 	for _, g := range n.Gates {
 		if d, ok := n.ScanD[g.ID]; ok {
-			writeU32(&buf, uint32(g.ID))
-			writeU32(&buf, uint32(d))
+			b = wire.AppendU32(b, uint32(g.ID))
+			b = wire.AppendU32(b, uint32(d))
 		}
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // ContentHash returns the sha256 of the canonical binary encoding — the
@@ -92,17 +98,17 @@ func (n *Netlist) ContentHash() ([32]byte, error) {
 // The result is structurally identical to the encoded netlist: same gate
 // IDs, names, types, fanin order, PI/PO order and scan edges.
 func UnmarshalNetlist(data []byte) (*Netlist, error) {
-	d := &netDecoder{data: data}
-	if string(d.take(4)) != netlistMagic {
+	d := wire.NewDec(data)
+	if string(d.Raw(4)) != netlistMagic {
 		return nil, fmt.Errorf("circuit: bad netlist magic")
 	}
-	if v := d.u8(); d.err == nil && v != netlistVersion {
+	if v := d.U8(); d.Err() == nil && v != netlistVersion {
 		return nil, fmt.Errorf("circuit: netlist codec version %d, want %d", v, netlistVersion)
 	}
-	name := d.str()
-	nGates := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
+	name := readName(d)
+	nGates := int(d.U32())
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
 	// Each gate costs at least 4 bytes (name len + type + fanin count); a
 	// length-sane bound before allocating.
@@ -112,28 +118,28 @@ func UnmarshalNetlist(data []byte) (*Netlist, error) {
 	n := New(name)
 	faninNames := make([]string, 0, 8)
 	for id := 0; id < nGates; id++ {
-		gname := d.str()
-		typ := GateType(d.u8())
+		gname := readName(d)
+		typ := GateType(d.U8())
 		if typ >= numGateTypes {
-			if d.err == nil {
-				return nil, fmt.Errorf("circuit: gate %d has unknown type %d", id, typ)
+			if err := d.Err(); err != nil {
+				return nil, err
 			}
-			return nil, d.err
+			return nil, fmt.Errorf("circuit: gate %d has unknown type %d", id, typ)
 		}
-		nf := int(d.u16())
+		nf := int(d.U16())
 		faninNames = faninNames[:0]
 		for i := 0; i < nf; i++ {
-			f := int(d.u32())
-			if d.err != nil {
-				return nil, d.err
+			f := int(d.U32())
+			if err := d.Err(); err != nil {
+				return nil, err
 			}
 			if f < 0 || f >= id {
 				return nil, fmt.Errorf("circuit: gate %d fanin %d not yet defined", id, f)
 			}
 			faninNames = append(faninNames, n.Gates[f].Name)
 		}
-		if d.err != nil {
-			return nil, d.err
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
 		if _, err := n.AddGate(gname, typ, faninNames...); err != nil {
 			return nil, err
@@ -144,11 +150,11 @@ func UnmarshalNetlist(data []byte) (*Netlist, error) {
 	// PO, an out-of-order scan edge or an unmarked D-source, and the
 	// decoded circuit would then re-encode to different bytes.
 	isPO := make([]bool, nGates)
-	nPOs := int(d.u32())
+	nPOs := int(d.U32())
 	for i := 0; i < nPOs; i++ {
-		po := int(d.u32())
-		if d.err != nil {
-			return nil, d.err
+		po := int(d.U32())
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
 		if po < 0 || po >= nGates {
 			return nil, fmt.Errorf("circuit: PO id %d out of range", po)
@@ -161,12 +167,12 @@ func UnmarshalNetlist(data []byte) (*Netlist, error) {
 			return nil, err
 		}
 	}
-	nScan := int(d.u32())
+	nScan := int(d.U32())
 	for i, prev := 0, -1; i < nScan; i++ {
-		dff := int(d.u32())
-		src := int(d.u32())
-		if d.err != nil {
-			return nil, d.err
+		dff := int(d.U32())
+		src := int(d.U32())
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
 		if dff < 0 || dff >= nGates || src < 0 || src >= nGates {
 			return nil, fmt.Errorf("circuit: scan edge %d-%d out of range", dff, src)
@@ -182,58 +188,20 @@ func UnmarshalNetlist(data []byte) (*Netlist, error) {
 			return nil, err
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.data) != d.off {
-		return nil, fmt.Errorf("circuit: %d trailing bytes after netlist", len(d.data)-d.off)
+	if err := d.Close(); err != nil {
+		return nil, err
 	}
 	return n, n.Validate()
 }
 
-func writeU16(buf *bytes.Buffer, v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeU32(buf *bytes.Buffer, v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	buf.Write(b[:])
-}
-
-func writeName(buf *bytes.Buffer, s string) error {
+// writeName appends a name as a u16 length prefix followed by its bytes.
+func writeName(b []byte, s string) ([]byte, error) {
 	if len(s) > math.MaxUint16 {
-		return fmt.Errorf("circuit: name %q exceeds codec limit", s[:32]+"…")
+		return nil, fmt.Errorf("circuit: name %q exceeds codec limit", s[:32]+"…")
 	}
-	writeU16(buf, uint16(len(s)))
-	buf.WriteString(s)
-	return nil
+	b = wire.AppendU16(b, uint16(len(s)))
+	return append(b, s...), nil
 }
 
-// netDecoder is a sticky-error cursor over the encoded bytes: out-of-bounds
-// reads record the error once and make every later read a no-op, so decode
-// paths stay linear instead of error-checking every field.
-type netDecoder struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (d *netDecoder) take(n int) []byte {
-	if d.err != nil || d.off+n > len(d.data) {
-		if d.err == nil {
-			d.err = fmt.Errorf("circuit: truncated netlist encoding at byte %d", d.off)
-		}
-		return make([]byte, n)
-	}
-	b := d.data[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *netDecoder) u8() uint8   { return d.take(1)[0] }
-func (d *netDecoder) u16() uint16 { return binary.BigEndian.Uint16(d.take(2)) }
-func (d *netDecoder) u32() uint32 { return binary.BigEndian.Uint32(d.take(4)) }
-func (d *netDecoder) str() string { return string(d.take(int(d.u16()))) }
+// readName reads a name written by writeName.
+func readName(d *wire.Dec) string { return string(d.Raw(int(d.U16()))) }

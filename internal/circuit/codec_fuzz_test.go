@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/wire"
 )
 
 // FuzzUnmarshalNetlist hammers the canonical netlist decoder, which reads
@@ -59,6 +61,9 @@ func FuzzUnmarshalNetlist(f *testing.F) {
 		}
 	})
 }
+
+// writeU32 appends a big-endian u32 to a hand-built encoding.
+func writeU32(buf *bytes.Buffer, v uint32) { buf.Write(wire.AppendU32(nil, v)) }
 
 // TestNetlistCodecRejectsNonCanonical pins the decoder's canonical-form
 // checks on the PO and scan sections: inputs the construction API would

@@ -46,6 +46,9 @@ type Compiled struct {
 
 	// Depth is the number of logic levels (PIs at level 0 count as one).
 	Depth int
+	// MaxFanin is the largest fanin count of any gate: the size of the
+	// per-gate gather scratch an evaluator needs.
+	MaxFanin int
 }
 
 // compileCount tracks the total number of Compile calls in this process; a
@@ -101,6 +104,7 @@ func Compile(n *Netlist) (*Compiled, error) {
 			c.FaninDat = append(c.FaninDat, int32(f))
 		}
 		c.FaninOff[g.ID+1] = int32(len(c.FaninDat))
+		c.MaxFanin = max(c.MaxFanin, len(g.Fanin))
 		for _, fo := range g.Fanout {
 			c.FanoutDat = append(c.FanoutDat, int32(fo))
 		}

@@ -52,48 +52,46 @@ type SyncWriter interface {
 // every field matches the job being resumed — shard indices in the
 // records are only meaningful under the exact same partitioning.
 type JournalHeader struct {
-	Kind      JobKind
-	Words     uint8
-	NFaults   uint32
-	NPOs      uint32
-	Inputs    uint32
-	NPat      uint32
-	ShardUnit uint32 // faults per shard (detect) or pattern words per shard (dictionary)
-	NShards   uint32
+	Kind        JobKind
+	Words       uint8
+	NFaults     uint32
+	NPOs        uint32
+	Inputs      uint32
+	NPat        uint32
+	ShardUnit   uint32 // faults per shard (detect) or pattern words per shard (dictionary)
+	NShards     uint32
 	CircuitHash [32]byte // sha256 of the canonical netlist encoding (== setup NetHash)
 	InputsHash  [32]byte // sha256 over the pattern bits and fault list
 }
 
 func (h *JournalHeader) encode() []byte {
-	var e encoder
-	e.u8(uint8(h.Kind))
-	e.u8(h.Words)
-	e.u32(h.NFaults)
-	e.u32(h.NPOs)
-	e.u32(h.Inputs)
-	e.u32(h.NPat)
-	e.u32(h.ShardUnit)
-	e.u32(h.NShards)
-	e.buf.Write(h.CircuitHash[:])
-	e.buf.Write(h.InputsHash[:])
-	return e.buf.Bytes()
+	b := wire.AppendU8(nil, uint8(h.Kind))
+	b = wire.AppendU8(b, h.Words)
+	b = wire.AppendU32(b, h.NFaults)
+	b = wire.AppendU32(b, h.NPOs)
+	b = wire.AppendU32(b, h.Inputs)
+	b = wire.AppendU32(b, h.NPat)
+	b = wire.AppendU32(b, h.ShardUnit)
+	b = wire.AppendU32(b, h.NShards)
+	b = append(b, h.CircuitHash[:]...)
+	return append(b, h.InputsHash[:]...)
 }
 
 func decodeJournalHeader(payload []byte) (*JournalHeader, error) {
-	d := &decoder{data: payload}
+	d := wire.NewDec(payload)
 	h := &JournalHeader{
-		Kind:      JobKind(d.u8()),
-		Words:     d.u8(),
-		NFaults:   d.u32(),
-		NPOs:      d.u32(),
-		Inputs:    d.u32(),
-		NPat:      d.u32(),
-		ShardUnit: d.u32(),
-		NShards:   d.u32(),
+		Kind:      JobKind(d.U8()),
+		Words:     d.U8(),
+		NFaults:   d.U32(),
+		NPOs:      d.U32(),
+		Inputs:    d.U32(),
+		NPat:      d.U32(),
+		ShardUnit: d.U32(),
+		NShards:   d.U32(),
 	}
-	copy(h.CircuitHash[:], d.take(32))
-	copy(h.InputsHash[:], d.take(32))
-	if err := d.finish(); err != nil {
+	copy(h.CircuitHash[:], d.Raw(32))
+	copy(h.InputsHash[:], d.Raw(32))
+	if err := malformed(d.Close()); err != nil {
 		return nil, err
 	}
 	if h.Kind != KindDetect && h.Kind != KindDictionary {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/logic"
+	"repro/internal/wire"
 )
 
 // JobKind selects which engine a job runs on its shards.
@@ -100,142 +100,71 @@ type doneMsg struct {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding. Explicit field-by-field big-endian serialization over a byte
-// buffer; the decoder is a sticky-error cursor, so decode paths read
-// linearly and classify every malformation as ErrMalformed.
+// Message encode/decode: explicit field-by-field big-endian serialization
+// on the canonical wire codec. Decoding runs a sticky-error wire.Dec
+// cursor, so decode paths read linearly; every malformation — a codec
+// failure or an implausible field — is classified as ErrMalformed.
 
-type encoder struct {
-	buf bytes.Buffer
-}
-
-func (e *encoder) u8(v uint8) { e.buf.WriteByte(v) }
-func (e *encoder) u16(v uint16) {
-	var b [2]byte
-	binary.BigEndian.PutUint16(b[:], v)
-	e.buf.Write(b[:])
-}
-func (e *encoder) u32(v uint32) {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], v)
-	e.buf.Write(b[:])
-}
-func (e *encoder) u64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	e.buf.Write(b[:])
-}
-func (e *encoder) i32(v int32) { e.u32(uint32(v)) }
-
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf.WriteString(s)
-}
-
-func (e *encoder) bytes(b []byte) {
-	e.u32(uint32(len(b)))
-	e.buf.Write(b)
-}
-
-type decoder struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s", ErrMalformed, fmt.Sprintf(format, args...))
-	}
-}
-
-// take consumes n bytes. After a failure it returns zeros, at most 8 of
-// them — enough for the fixed-width readers — so a hostile length prefix
-// never sizes an allocation.
-func (d *decoder) take(n int) []byte {
-	if d.err == nil && (n < 0 || d.off+n > len(d.data)) {
-		d.fail("need %d bytes at offset %d of %d", n, d.off, len(d.data))
-	}
-	if d.err != nil {
-		return make([]byte, min(max(n, 0), 8))
-	}
-	b := d.data[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) u8() uint8   { return d.take(1)[0] }
-func (d *decoder) u16() uint16 { return binary.BigEndian.Uint16(d.take(2)) }
-func (d *decoder) u32() uint32 { return binary.BigEndian.Uint32(d.take(4)) }
-func (d *decoder) u64() uint64 { return binary.BigEndian.Uint64(d.take(8)) }
-func (d *decoder) i32() int32  { return int32(d.u32()) }
-
-func (d *decoder) str() string   { return string(d.take(int(d.u32()))) }
-func (d *decoder) bytes() []byte { return d.take(int(d.u32())) }
-
-// finish returns the sticky error, or ErrMalformed if trailing bytes remain
-// — a frame must decode exactly.
-func (d *decoder) finish() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(d.data) {
-		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(d.data)-d.off)
+// malformed classifies a codec failure (nil stays nil) as ErrMalformed.
+func malformed(err error) error {
+	if err != nil {
+		return fmt.Errorf("%w: %w", ErrMalformed, err)
 	}
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Message encode/decode.
-
 func (m *helloMsg) encode() []byte {
-	var e encoder
-	e.u16(m.Proto)
-	e.str(m.ID)
-	return e.buf.Bytes()
+	b := wire.AppendU16(nil, m.Proto)
+	return wire.AppendString(b, m.ID)
 }
 
 func decodeHello(payload []byte) (*helloMsg, error) {
-	d := &decoder{data: payload}
-	m := &helloMsg{Proto: d.u16(), ID: d.str()}
-	return m, d.finish()
+	d := wire.NewDec(payload)
+	m := &helloMsg{Proto: d.U16(), ID: d.String()}
+	return m, malformed(d.Close())
 }
 
 func (m *setupMsg) encode() []byte {
-	var e encoder
-	e.u64(m.JobID)
-	e.u8(uint8(m.Kind))
-	e.u8(m.Words)
-	e.bytes(m.NetBytes)
-	e.buf.Write(m.NetHash[:])
-	e.u32(uint32(m.Inputs))
-	e.u32(uint32(m.NPat))
+	// Sized exactly: the embedded netlist makes a setup large, and growing
+	// it by appends would allocate several times its size.
+	size := 8 + 1 + 1 + 4 + len(m.NetBytes) + len(m.NetHash) + 4 + 4 + 4 + 9*len(m.Faults)
+	for _, row := range m.PatBits {
+		size += 8 * len(row)
+	}
+	b := wire.AppendU64(make([]byte, 0, size), m.JobID)
+	b = wire.AppendU8(b, uint8(m.Kind))
+	b = wire.AppendU8(b, m.Words)
+	b = wire.AppendBytes(b, m.NetBytes)
+	b = append(b, m.NetHash[:]...)
+	b = wire.AppendU32(b, uint32(m.Inputs))
+	b = wire.AppendU32(b, uint32(m.NPat))
 	for _, row := range m.PatBits {
 		for _, w := range row {
-			e.u64(w)
+			b = wire.AppendU64(b, w)
 		}
 	}
-	e.u32(uint32(len(m.Faults)))
+	b = wire.AppendU32(b, uint32(len(m.Faults)))
 	for _, f := range m.Faults {
-		e.u32(uint32(f.Gate))
-		e.i32(int32(f.Pin))
-		e.u8(f.SA)
+		b = wire.AppendU32(b, uint32(f.Gate))
+		b = wire.AppendU32(b, uint32(int32(f.Pin)))
+		b = wire.AppendU8(b, f.SA)
 	}
-	return e.buf.Bytes()
+	return b
 }
 
 func decodeSetup(payload []byte) (*setupMsg, error) {
-	d := &decoder{data: payload}
+	d := wire.NewDec(payload)
 	m := &setupMsg{
-		JobID: d.u64(),
-		Kind:  JobKind(d.u8()),
-		Words: d.u8(),
+		JobID: d.U64(),
+		Kind:  JobKind(d.U8()),
+		Words: d.U8(),
 	}
-	m.NetBytes = d.bytes()
-	copy(m.NetHash[:], d.take(sha256.Size))
-	m.Inputs = int(d.u32())
-	m.NPat = int(d.u32())
-	if d.err != nil {
-		return nil, d.err
+	m.NetBytes = d.Bytes()
+	copy(m.NetHash[:], d.Raw(sha256.Size))
+	m.Inputs = int(d.U32())
+	m.NPat = int(d.U32())
+	if err := d.Err(); err != nil {
+		return nil, malformed(err)
 	}
 	if m.Kind != KindDetect && m.Kind != KindDictionary {
 		return nil, fmt.Errorf("%w: unknown job kind %d", ErrMalformed, m.Kind)
@@ -251,75 +180,69 @@ func decodeSetup(payload []byte) (*setupMsg, error) {
 	for i := range m.PatBits {
 		m.PatBits[i], backing = backing[:words:words], backing[words:]
 		for w := 0; w < words; w++ {
-			m.PatBits[i][w] = d.u64()
+			m.PatBits[i][w] = d.U64()
 		}
 	}
-	nf := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
+	nf := int(d.U32())
+	if err := d.Err(); err != nil {
+		return nil, malformed(err)
 	}
 	if nf < 0 || nf*9 > len(payload) {
 		return nil, fmt.Errorf("%w: implausible fault count %d", ErrMalformed, nf)
 	}
 	m.Faults = make([]fault.Fault, nf)
 	for i := range m.Faults {
-		m.Faults[i] = fault.Fault{Gate: int(d.u32()), Pin: int(d.i32()), SA: d.u8()}
+		m.Faults[i] = fault.Fault{Gate: int(d.U32()), Pin: int(int32(d.U32())), SA: d.U8()}
 	}
-	return m, d.finish()
+	return m, malformed(d.Close())
 }
 
 func (m *shardMsg) encode() []byte {
-	var e encoder
-	e.u64(m.JobID)
-	e.u32(m.Shard)
-	e.u32(m.Lo)
-	e.u32(m.Hi)
-	return e.buf.Bytes()
+	b := wire.AppendU64(nil, m.JobID)
+	b = wire.AppendU32(b, m.Shard)
+	b = wire.AppendU32(b, m.Lo)
+	return wire.AppendU32(b, m.Hi)
 }
 
 func decodeShard(payload []byte) (*shardMsg, error) {
-	d := &decoder{data: payload}
-	m := &shardMsg{JobID: d.u64(), Shard: d.u32(), Lo: d.u32(), Hi: d.u32()}
-	return m, d.finish()
+	d := wire.NewDec(payload)
+	m := &shardMsg{JobID: d.U64(), Shard: d.U32(), Lo: d.U32(), Hi: d.U32()}
+	return m, malformed(d.Close())
 }
 
 func (m *resultMsg) encode() []byte {
-	var e encoder
-	e.u64(m.JobID)
-	e.u32(m.Shard)
-	e.u8(uint8(m.Kind))
-	e.u32(m.Lo)
-	e.u32(m.Hi)
+	b := wire.AppendU64(nil, m.JobID)
+	b = wire.AppendU32(b, m.Shard)
+	b = wire.AppendU8(b, uint8(m.Kind))
+	b = wire.AppendU32(b, m.Lo)
+	b = wire.AppendU32(b, m.Hi)
 	switch m.Kind {
 	case KindDetect:
-		e.u32(uint32(len(m.DetBy)))
-		for _, v := range m.DetBy {
-			e.i32(v)
-		}
+		b = wire.AppendI32s(b, m.DetBy)
 	case KindDictionary:
-		e.u32(uint32(len(m.Rows)))
+		b = wire.AppendU32(b, uint32(len(m.Rows)))
 		for _, r := range m.Rows {
-			e.u32(r.Fi)
-			e.u32(r.Po)
+			b = wire.AppendU32(b, r.Fi)
+			b = wire.AppendU32(b, r.Po)
 			for _, w := range r.Words {
-				e.u64(w)
+				b = wire.AppendU64(b, w)
 			}
 		}
 	}
-	return e.buf.Bytes()
+	return b
 }
 
 func decodeResult(payload []byte) (*resultMsg, error) {
-	d := &decoder{data: payload}
+	d := wire.NewDec(payload)
 	m := &resultMsg{
-		JobID: d.u64(),
-		Shard: d.u32(),
-		Kind:  JobKind(d.u8()),
-		Lo:    d.u32(),
-		Hi:    d.u32(),
+		JobID: d.U64(),
+		Shard: d.U32(),
+		Kind:  JobKind(d.U8()),
+		Lo:    d.U32(),
+		Hi:    d.U32(),
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Err(); err != nil {
+		return nil, malformed(err)
 	}
 	span := int(m.Hi) - int(m.Lo)
 	if span < 0 {
@@ -327,21 +250,21 @@ func decodeResult(payload []byte) (*resultMsg, error) {
 	}
 	switch m.Kind {
 	case KindDetect:
-		n := int(d.u32())
-		if d.err != nil {
-			return nil, d.err
+		n := int(d.U32())
+		if err := d.Err(); err != nil {
+			return nil, malformed(err)
 		}
 		if n != span || n*4 > len(payload) {
 			return nil, fmt.Errorf("%w: detect result count %d for range [%d,%d)", ErrMalformed, n, m.Lo, m.Hi)
 		}
 		m.DetBy = make([]int32, n)
 		for i := range m.DetBy {
-			m.DetBy[i] = d.i32()
+			m.DetBy[i] = int32(d.U32())
 		}
 	case KindDictionary:
-		n := int(d.u32())
-		if d.err != nil {
-			return nil, d.err
+		n := int(d.U32())
+		if err := d.Err(); err != nil {
+			return nil, malformed(err)
 		}
 		// Bound span and n separately before multiplying: a hostile
 		// header (span near 2^30, n near 2^31) would otherwise wrap the
@@ -352,43 +275,39 @@ func decodeResult(payload []byte) (*resultMsg, error) {
 		m.Rows = make([]sigEntry, n)
 		backing := make([]logic.Word, n*span)
 		for i := range m.Rows {
-			m.Rows[i].Fi = d.u32()
-			m.Rows[i].Po = d.u32()
+			m.Rows[i].Fi = d.U32()
+			m.Rows[i].Po = d.U32()
 			m.Rows[i].Words, backing = backing[:span:span], backing[span:]
 			for w := 0; w < span; w++ {
-				m.Rows[i].Words[w] = d.u64()
+				m.Rows[i].Words[w] = d.U64()
 			}
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown result kind %d", ErrMalformed, m.Kind)
 	}
-	return m, d.finish()
+	return m, malformed(d.Close())
 }
 
 func (m *errorMsg) encode() []byte {
-	var e encoder
-	e.u64(m.JobID)
-	e.u32(m.Shard)
-	e.str(m.Msg)
-	return e.buf.Bytes()
+	b := wire.AppendU64(nil, m.JobID)
+	b = wire.AppendU32(b, m.Shard)
+	return wire.AppendString(b, m.Msg)
 }
 
 func decodeError(payload []byte) (*errorMsg, error) {
-	d := &decoder{data: payload}
-	m := &errorMsg{JobID: d.u64(), Shard: d.u32(), Msg: d.str()}
-	return m, d.finish()
+	d := wire.NewDec(payload)
+	m := &errorMsg{JobID: d.U64(), Shard: d.U32(), Msg: d.String()}
+	return m, malformed(d.Close())
 }
 
 func (m *doneMsg) encode() []byte {
-	var e encoder
-	e.u64(m.JobID)
-	return e.buf.Bytes()
+	return wire.AppendU64(nil, m.JobID)
 }
 
 func decodeDone(payload []byte) (*doneMsg, error) {
-	d := &decoder{data: payload}
-	m := &doneMsg{JobID: d.u64()}
-	return m, d.finish()
+	d := wire.NewDec(payload)
+	m := &doneMsg{JobID: d.U64()}
+	return m, malformed(d.Close())
 }
 
 // encodeSetup builds the setup payload for a job over the given netlist,

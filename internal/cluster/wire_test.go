@@ -214,6 +214,18 @@ func TestDecodeResultSizeOverflow(t *testing.T) {
 	}
 }
 
+// encoder assembles hand-made payloads for the decoder hardening tests,
+// writing through the same wire appenders the message encoders use.
+type encoder struct {
+	buf bytes.Buffer
+}
+
+func (e *encoder) u8(v uint8)     { e.buf.WriteByte(v) }
+func (e *encoder) u16(v uint16)   { e.buf.Write(wire.AppendU16(nil, v)) }
+func (e *encoder) u32(v uint32)   { e.buf.Write(wire.AppendU32(nil, v)) }
+func (e *encoder) u64(v uint64)   { e.buf.Write(wire.AppendU64(nil, v)) }
+func (e *encoder) bytes(b []byte) { e.buf.Write(wire.AppendBytes(nil, b)) }
+
 // TestDecodeAllocationBounded pins that a length or count field cannot
 // size an allocation the payload does not back: each short payload below
 // claims tens of megabytes and must be refused after allocating far less.

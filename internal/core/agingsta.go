@@ -57,10 +57,11 @@ type AgingSTAReport struct {
 // time the output is high) and toggle activity from a random workload
 // sample.
 func WorkloadProfile(n *circuit.Netlist, patterns, seed int64) (probHigh, activity []float64, err error) {
-	ps, err := sim.New(n)
+	c, err := n.Compiled()
 	if err != nil {
 		return nil, nil, err
 	}
+	ps := sim.NewWideCompiled(c, 1)
 	rng := rand.New(rand.NewSource(seed))
 	p := logic.NewPatternSet(len(n.PIs), int(patterns))
 	p.RandFill(rng.Uint64)
@@ -70,7 +71,7 @@ func WorkloadProfile(n *circuit.Netlist, patterns, seed int64) (probHigh, activi
 		for i := range pi {
 			pi[i] = p.Bits[i][w]
 		}
-		vals := ps.Block(pi)
+		vals := ps.BlockRange(pi, 0, 1)
 		mask := p.TailMask(w)
 		for g, v := range vals {
 			ones[g] += logic.PopCount(v & mask)

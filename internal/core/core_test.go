@@ -258,7 +258,7 @@ func TestDiagnosisMLScorerImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := diagnosis.New(n, res.Patterns)
+	d, err := diagnosis.NewWorkersWords(n, res.Patterns, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

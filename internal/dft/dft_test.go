@@ -45,14 +45,7 @@ func TestApplyPreservesFunction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", orig.Name, err)
 		}
-		sOrig, err := sim.New(orig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sTP, err := sim.New(tp)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sOrig, sTP := newWide(t, orig), newWide(t, tp)
 		neutral := NonControllingInputs(tp, plan)
 		idxTP := tp.InputIndex()
 		rng := rand.New(rand.NewSource(4))
@@ -70,17 +63,43 @@ func TestApplyPreservesFunction(t *testing.T) {
 				}
 				tpIn[idxTP[g.ID]] = in[i]
 			}
-			want := sOrig.RunPattern(in)
-			got := sTP.RunPattern(tpIn)
+			want := evalPattern(sOrig, in)
+			got := evalPattern(sTP, tpIn)
 			// The transformed netlist's first len(orig.POs) outputs are the
 			// original ones (marked first by Apply).
-			for o := range want {
-				if got[o] != want[o] {
+			for o, po := range orig.POs {
+				if got[tp.POs[o]] != want[po] {
 					t.Fatalf("%s trial %d: output %d changed under neutral control", orig.Name, trial, o)
 				}
 			}
 		}
 	}
+}
+
+// newWide compiles n and returns a one-lane good-value simulator over it.
+func newWide(t *testing.T, n *circuit.Netlist) *sim.Wide {
+	t.Helper()
+	c, err := n.Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sim.NewWideCompiled(c, 1)
+}
+
+// evalPattern simulates one pattern and returns every gate's value.
+func evalPattern(s *sim.Wide, bits []bool) []bool {
+	pi := make([]logic.Word, len(bits))
+	for i, v := range bits {
+		if v {
+			pi[i] = 1
+		}
+	}
+	vals := s.BlockRange(pi, 0, 1)
+	out := make([]bool, len(vals))
+	for g, v := range vals {
+		out[g] = v&1 == 1
+	}
+	return out
 }
 
 func TestControlForcing(t *testing.T) {
@@ -90,10 +109,7 @@ func TestControlForcing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := sim.New(tp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newWide(t, tp)
 	idx := tp.InputIndex()
 	rng := rand.New(rand.NewSource(9))
 	for i, cp := range plan.Control {
@@ -106,8 +122,7 @@ func TestControlForcing(t *testing.T) {
 				in[j] = rng.Intn(2) == 1
 			}
 			in[idx[cpGate.ID]] = forced // assert the controlling value
-			s.RunPattern(in)
-			if got := s.Value(tpGate.ID)&1 == 1; got != forced {
+			if got := evalPattern(s, in)[tpGate.ID]; got != forced {
 				t.Fatalf("control point %d did not force net to %v", i, forced)
 			}
 		}

@@ -41,22 +41,11 @@ type Diagnoser struct {
 	scoap  *circuit.SCOAP
 }
 
-// New builds a diagnoser with the default worker count: it fault-simulates
-// the pattern set to create the full-response dictionary.
-func New(n *circuit.Netlist, patterns *logic.PatternSet) (*Diagnoser, error) {
-	return NewWorkers(n, patterns, 0)
-}
-
-// NewWorkers is New with an explicit worker bound for the dictionary build
-// (<= 0 selects GOMAXPROCS). The dictionary is word-sharded across workers
-// and bit-identical for any count.
-func NewWorkers(n *circuit.Netlist, patterns *logic.PatternSet, workers int) (*Diagnoser, error) {
-	return NewWorkersWords(n, patterns, workers, 1)
-}
-
-// NewWorkersWords is NewWorkers with an explicit fault-simulation lane
-// width (pattern words per cone walk, normalized to {1,2,4,8}). The
-// dictionary is bit-identical for any worker count and width.
+// NewWorkersWords builds a diagnoser: it fault-simulates the pattern set to
+// create the full-response dictionary, word-sharded across workers (<= 0
+// selects GOMAXPROCS) with words pattern words per cone walk (normalized to
+// {1,2,4,8}). The dictionary is bit-identical for any worker count and
+// width.
 func NewWorkersWords(n *circuit.Netlist, patterns *logic.PatternSet, workers, words int) (*Diagnoser, error) {
 	faults := fault.Universe(n)
 	dict, err := fault.DictionaryConcurrentWords(n, patterns, faults, workers, words)

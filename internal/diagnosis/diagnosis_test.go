@@ -21,7 +21,7 @@ func testPatterns(t testing.TB, n *circuit.Netlist) *logic.PatternSet {
 func TestNoiselessDiagnosisTop1(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
-	d, err := New(n, p)
+	d, err := NewWorkersWords(n, p, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestNoiselessDiagnosisTop1(t *testing.T) {
 func TestDiagnosisWithNoise(t *testing.T) {
 	n := circuit.RippleAdder(6)
 	p := testPatterns(t, n)
-	d, err := New(n, p)
+	d, err := NewWorkersWords(n, p, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestDiagnosisWithNoise(t *testing.T) {
 func TestCandidatesSortedAndPruned(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
-	d, _ := New(n, p)
+	d, _ := NewWorkersWords(n, p, 0, 1)
 	rng := rand.New(rand.NewSource(3))
 	obs, _ := Observe(n, p, d.Faults[0], 0, rng.Float64)
 	cands := d.Diagnose(obs, nil)
@@ -97,7 +97,7 @@ func TestCandidatesSortedAndPruned(t *testing.T) {
 func TestFeatureVectorShape(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
-	d, _ := New(n, p)
+	d, _ := NewWorkersWords(n, p, 0, 1)
 	rng := rand.New(rand.NewSource(4))
 	obs, _ := Observe(n, p, d.Faults[2], 0, rng.Float64)
 	cands := d.Diagnose(obs, nil)
@@ -114,7 +114,7 @@ func TestFeatureVectorShape(t *testing.T) {
 func TestSelfSignatureJaccardIsOne(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
-	d, _ := New(n, p)
+	d, _ := NewWorkersWords(n, p, 0, 1)
 	rng := rand.New(rand.NewSource(5))
 	for fi := 0; fi < len(d.Faults); fi += 3 {
 		if d.Dict[fi].FailBits() == 0 {
@@ -134,7 +134,7 @@ func TestSelfSignatureJaccardIsOne(t *testing.T) {
 func TestTrainingSetLabels(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
-	d, _ := New(n, p)
+	d, _ := NewWorkersWords(n, p, 0, 1)
 	rng := rand.New(rand.NewSource(6))
 	sample := []int{0, 1, 2, 3}
 	ts, err := d.TrainingSet(p, sample, 0, rng.Float64)
@@ -161,7 +161,7 @@ func TestTrainingSetLabels(t *testing.T) {
 func TestObserveNoiseReducesFails(t *testing.T) {
 	n := circuit.RippleAdder(4)
 	p := testPatterns(t, n)
-	d, _ := New(n, p)
+	d, _ := NewWorkersWords(n, p, 0, 1)
 	var fi int
 	for i := range d.Faults {
 		if d.Dict[i].FailBits() > 10 {
@@ -191,7 +191,7 @@ func TestEquivalentFaultCountsAsHit(t *testing.T) {
 	// them, so rank must treat either as a hit.
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
-	d, _ := New(n, p)
+	d, _ := NewWorkersWords(n, p, 0, 1)
 	// find two distinct faults with identical signatures, if any
 	for i := range d.Faults {
 		for j := i + 1; j < len(d.Faults); j++ {
@@ -215,7 +215,7 @@ func BenchmarkDiagnose(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := New(n, res.Patterns)
+	d, err := NewWorkersWords(n, res.Patterns, 0, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

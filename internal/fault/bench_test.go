@@ -52,7 +52,7 @@ func BenchmarkFaultSimConcurrent(b *testing.B) {
 	c, faults, p := benchSetup(b, 2000, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunConcurrent(c, p, faults, 0); err != nil {
+		if _, err := RunConcurrentWords(c, p, faults, 0, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

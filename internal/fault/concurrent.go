@@ -9,12 +9,6 @@ import (
 	"repro/internal/parallel"
 )
 
-// RunConcurrent fault-simulates the pattern set across multiple goroutines
-// with single-word (W=1) simulators. See RunConcurrentWords.
-func RunConcurrent(n *circuit.Netlist, p *logic.PatternSet, faults []Fault, workers int) (*Result, error) {
-	return RunConcurrentWords(n, p, faults, workers, 1)
-}
-
 // RunConcurrentWords fault-simulates the pattern set across multiple
 // goroutines, splitting the fault list into contiguous shards; each worker
 // packs words pattern words per pass (normalized to {1,2,4,8}). The netlist
@@ -73,12 +67,6 @@ func RunConcurrentWords(n *circuit.Netlist, p *logic.PatternSet, faults []Fault,
 		res.Coverage = float64(res.Detected) / float64(res.Total)
 	}
 	return res, nil
-}
-
-// DictionaryConcurrent builds full-response signatures with single-word
-// (W=1) simulators. See DictionaryConcurrentWords.
-func DictionaryConcurrent(n *circuit.Netlist, p *logic.PatternSet, faults []Fault, workers int) ([]*Signature, error) {
-	return DictionaryConcurrentWords(n, p, faults, workers, 1)
 }
 
 // DictionaryConcurrentWords builds the same full-response signatures as

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
-	"repro/internal/sim"
 )
 
 func TestAllFaultsC17(t *testing.T) {
@@ -79,15 +78,17 @@ func TestDetectionAgainstExplicit(t *testing.T) {
 			p.RandFill(rng.Uint64)
 		}
 		res := fsim.Run(p, faults)
-		gsim, _ := sim.New(c)
-		goodResp := gsim.Run(p)
+		good := make([][]bool, p.N)
+		for k := range good {
+			good[k] = simulateGood(c, p.Pattern(k))
+		}
 		for fi, f := range faults {
 			// Explicit faulty simulation for every pattern.
 			firstDet := -1
 			for k := 0; k < p.N && firstDet < 0; k++ {
 				out := simulateFaulty(c, f, p.Pattern(k))
-				for o := range c.POs {
-					if out[o] != goodResp.Get(k, o) {
+				for o, po := range c.POs {
+					if out[o] != good[k][po] {
 						firstDet = k
 						break
 					}
@@ -324,7 +325,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	}
 	want := fsim.Run(p, faults)
 	for _, workers := range []int{0, 1, 2, 4, 7} {
-		got, err := RunConcurrent(c, p, faults, workers)
+		got, err := RunConcurrentWords(c, p, faults, workers, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -343,7 +344,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 func TestConcurrentMoreWorkersThanFaults(t *testing.T) {
 	c := circuit.MustC17()
 	faults := Universe(c)[:3]
-	got, err := RunConcurrent(c, logic.Exhaustive(5), faults, 64)
+	got, err := RunConcurrentWords(c, logic.Exhaustive(5), faults, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,17 +95,12 @@ func TestEventDrivenMatchesFullResim(t *testing.T) {
 		faults := Universe(c)
 		p := logic.NewPatternSet(len(c.PIs), 64)
 		p.RandFill(rng.Uint64)
-		gsim, err := sim.New(c)
-		if err != nil {
-			return false
-		}
 		pi := make([]logic.Word, len(c.PIs))
 		for i := range pi {
 			pi[i] = p.Bits[i][0]
 		}
-		gsim.Block(pi)
-		good := append([]logic.Word(nil), gsim.Values()...)
-		fsim.good.Block(pi, 1)
+		good := goodValues(fsim.Compiled(), p)[0]
+		fsim.good.BlockRange(pi, 0, 1)
 		for _, fl := range faults {
 			want := fullResimDiff(c, fl, pi, good)
 			got := fsim.detectWord(fl, p.TailMask(0), nil)
@@ -123,11 +118,26 @@ func TestEventDrivenMatchesFullResim(t *testing.T) {
 // fullResimDiff re-evaluates every gate of the circuit with fault f
 // injected and returns the OR over POs of faulty XOR good words.
 func fullResimDiff(c *circuit.Netlist, f Fault, pi []logic.Word, good []logic.Word) logic.Word {
+	vals := fullResim(c, &f, pi)
+	var diff logic.Word
+	for _, po := range c.POs {
+		diff |= vals[po] ^ good[po]
+	}
+	return diff
+}
+
+// fullResim evaluates every gate of the circuit in topological order, with
+// fault f injected when non-nil, and returns one word per gate.
+func fullResim(c *circuit.Netlist, f *Fault, pi []logic.Word) []logic.Word {
 	idx := c.InputIndex()
 	vals := make([]logic.Word, len(c.Gates))
+	site, pin := -1, -1
 	var force logic.Word
-	if f.SA == 1 {
-		force = ^logic.Word(0)
+	if f != nil {
+		site, pin = f.Gate, f.Pin
+		if f.SA == 1 {
+			force = ^logic.Word(0)
+		}
 	}
 	for _, id := range c.TopoOrder() {
 		g := c.Gates[id]
@@ -136,24 +146,35 @@ func fullResimDiff(c *circuit.Netlist, f Fault, pi []logic.Word, good []logic.Wo
 			v = pi[idx[id]]
 		} else {
 			in := make([]logic.Word, len(g.Fanin))
-			for pin, fi := range g.Fanin {
-				in[pin] = vals[fi]
-				if id == f.Gate && pin == f.Pin {
-					in[pin] = force
+			for p, fi := range g.Fanin {
+				in[p] = vals[fi]
+				if id == site && p == pin {
+					in[p] = force
 				}
 			}
 			v = sim.Eval(g.Type, in)
 		}
-		if id == f.Gate && f.Pin < 0 {
+		if id == site && pin < 0 {
 			v = force
 		}
 		vals[id] = v
 	}
-	var diff logic.Word
-	for _, po := range c.POs {
-		diff |= vals[po] ^ good[po]
+	return vals
+}
+
+// goodValues simulates every pattern word of p through a one-lane sim.Wide
+// and returns each word's gate values: vals[word][gate].
+func goodValues(c *circuit.Compiled, p *logic.PatternSet) [][]logic.Word {
+	gsim := sim.NewWideCompiled(c, 1)
+	pi := make([]logic.Word, c.NumPIs())
+	vals := make([][]logic.Word, p.Words())
+	for w := range vals {
+		for i := range pi {
+			pi[i] = p.Bits[i][w]
+		}
+		vals[w] = append([]logic.Word(nil), gsim.BlockRange(pi, 0, 1)...)
 	}
-	return diff
+	return vals
 }
 
 // Property: the word-sharded concurrent dictionary is bit-identical to the
@@ -171,7 +192,7 @@ func TestDictionaryConcurrentBitIdentical(t *testing.T) {
 		p.RandFill(rng.Uint64)
 		want := fsim.Dictionary(p, faults)
 		for _, workers := range []int{1, 2, 3, 8} {
-			got, err := DictionaryConcurrent(c, p, faults, workers)
+			got, err := DictionaryConcurrentWords(c, p, faults, workers, 1)
 			if err != nil {
 				return false
 			}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
-	"repro/internal/sim"
 )
 
 // TestSharedCompiledRace drives eight fault simulators and eight good-value
@@ -25,8 +24,8 @@ func TestSharedCompiledRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewSimulatorCompiled(c).RunSerial(p, faults)
-	refGood := sim.NewCompiled(c).Run(p)
+	ref := NewSimulatorCompiledWords(c, 1).RunSerial(p, faults)
+	refGood := goodValues(c, p)
 
 	// Second IR, used only by the racing goroutines.
 	c2, err := circuit.Compile(n)
@@ -38,7 +37,7 @@ func TestSharedCompiledRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			fsim := NewSimulatorCompiled(c2)
+			fsim := NewSimulatorCompiledWords(c2, 1)
 			if got := fsim.Compiled(); got != c2 {
 				t.Errorf("worker %d: simulator not bound to the shared IR", w)
 				return
@@ -55,11 +54,11 @@ func TestSharedCompiledRace(t *testing.T) {
 					return
 				}
 			}
-			good := sim.NewCompiled(c2).Run(p)
-			for o := 0; o < len(n.POs); o++ {
-				for k := 0; k < p.N; k++ {
-					if good.Get(k, o) != refGood.Get(k, o) {
-						t.Errorf("worker %d: good value mismatch at pattern %d output %d", w, k, o)
+			good := goodValues(c2, p)
+			for wd := range good {
+				for g := range good[wd] {
+					if good[wd][g] != refGood[wd][g] {
+						t.Errorf("worker %d: good value mismatch at word %d gate %d", w, wd, g)
 						return
 					}
 				}
@@ -80,16 +79,16 @@ func TestConcurrentCompilesOnce(t *testing.T) {
 	p.RandFill(rng.Uint64)
 
 	before := circuit.CompileCount()
-	if _, err := RunConcurrent(n, p, faults, 8); err != nil {
+	if _, err := RunConcurrentWords(n, p, faults, 8, 1); err != nil {
 		t.Fatal(err)
 	}
 	if d := circuit.CompileCount() - before; d != 1 {
-		t.Fatalf("RunConcurrent with 8 workers compiled %d times, want 1", d)
+		t.Fatalf("RunConcurrentWords with 8 workers compiled %d times, want 1", d)
 	}
-	if _, err := DictionaryConcurrent(n, p, faults, 8); err != nil {
+	if _, err := DictionaryConcurrentWords(n, p, faults, 8, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SimulateTransitionsWorkers(n, p, TransitionUniverse(n), 8); err != nil {
+	if _, err := SimulateTransitionsWords(n, p, TransitionUniverse(n), 8, 1); err != nil {
 		t.Fatal(err)
 	}
 	if d := circuit.CompileCount() - before; d != 1 {
@@ -114,7 +113,7 @@ func TestMultiWordSharedCompiledRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewSimulatorCompiled(c).RunSerial(p, faults)
+	ref := NewSimulatorCompiledWords(c, 1).RunSerial(p, faults)
 
 	before := circuit.CompileCount()
 	c2, err := circuit.Compile(n) // cold IR the workers share

@@ -66,6 +66,9 @@ type Simulator struct {
 	undoVal []logic.Word
 	dirty   []int32 // scratch: PO indices touched by the last detectLanes
 	piBuf   []logic.Word
+	// faninBuf is the gather scratch of the hot loop: one window of the
+	// widest gate's fanin lanes, c.MaxFanin*w words.
+	faninBuf []logic.Word
 
 	// Staged-probe state (Stage/Probe): the lane count and tail masks of the
 	// pattern set whose good values currently occupy the value lanes, plus
@@ -94,25 +97,18 @@ func NewSimulatorWords(n *circuit.Netlist, words int) (*Simulator, error) {
 	return NewSimulatorCompiledWords(c, words), nil
 }
 
-// NewSimulatorCompiled builds a single-word (W=1) fault simulator over an
-// already-compiled IR, allocating only the per-instance mutable scratch.
-// The concurrent drivers (RunConcurrent, DictionaryConcurrent) use this to
-// hand every worker goroutine the same graph.
-func NewSimulatorCompiled(c *circuit.Compiled) *Simulator {
-	return NewSimulatorCompiledWords(c, 1)
-}
-
 // NewSimulatorCompiledWords builds a W-word fault simulator over an
 // already-compiled IR. words is normalized to {1,2,4,8}; all widths share
 // the IR, so simulators of different widths over one graph are cheap.
 func NewSimulatorCompiledWords(c *circuit.Compiled, words int) *Simulator {
 	w := NormalizeWords(words)
 	return &Simulator{
-		Net:   c.Net,
-		c:     c,
-		w:     w,
-		good:  sim.NewWideCompiled(c, w),
-		front: make([]uint64, (c.NumGates()+63)/64),
+		Net:      c.Net,
+		c:        c,
+		w:        w,
+		good:     sim.NewWideCompiled(c, w),
+		front:    make([]uint64, (c.NumGates()+63)/64),
+		faninBuf: make([]logic.Word, c.MaxFanin*w),
 	}
 }
 
@@ -136,9 +132,9 @@ func (s *Simulator) detectWord(f Fault, mask logic.Word, perPO []logic.Word) log
 }
 
 // detectLanes simulates fault f against the lane window [lo, lo+act) of the
-// good values currently held in s.good (from the last Block call). masks and
-// diff are window-relative (length act): for every window lane l it
-// OR-accumulates the masked PO difference word into diff[l]. When perPO is
+// good values currently held in s.good (from the last BlockRange call).
+// masks and diff are window-relative (length act): for every window lane l
+// it OR-accumulates the masked PO difference word into diff[l]. When perPO is
 // non-nil, per-PO difference lanes are accumulated at perPO[po*W+lo+l] and
 // the indices of the touched POs are returned (the caller owns clearing
 // them — detectLanes never zeroes perPO).
@@ -190,8 +186,7 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 			v = vals[sbase] // pseudo-PIs have no evaluable fanin
 		} else {
 			fanin := c.Fanin(site)
-			var faninBuf [maxFanin]logic.Word
-			in := faninBuf[:len(fanin)]
+			in := s.faninBuf[:len(fanin)]
 			for pin, fi := range fanin {
 				if pin == f.Pin {
 					in[pin] = force // input-branch fault
@@ -299,7 +294,7 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 
 	// Multi-lane path: lanes of a gate are contiguous in the strided
 	// buffer, so gathers and undo snapshots are plain copies.
-	var faninBuf [maxFanin * MaxWords]logic.Word
+	faninBuf := s.faninBuf
 	var vbuf, dbuf [MaxWords]logic.Word
 	sbase := site*W + lo
 	v := vbuf[:act]
@@ -398,10 +393,6 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 	return dirty
 }
 
-// maxFanin bounds the per-gate fanin scratch of the hot loop; it matches
-// the single-word engine's historical faninBuf bound.
-const maxFanin = 8
-
 // Result summarizes a fault simulation run.
 type Result struct {
 	Total      int
@@ -470,7 +461,7 @@ func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, li
 				pi[pb+l] = p.Bits[i][base+l]
 			}
 		}
-		s.good.Block(pi, act)
+		s.good.BlockRange(pi, 0, act)
 		for l := 0; l < act; l++ {
 			masks[l] = p.TailMask(base + l)
 		}
@@ -607,7 +598,7 @@ func (s *Simulator) RunSerial(p *logic.PatternSet, faults []Fault) *Result {
 				pi[i*W] = 1
 			}
 		}
-		s.good.Block(pi, 1)
+		s.good.BlockRange(pi, 0, 1)
 		kept := live[:0]
 		for _, fi := range live {
 			if s.detectWord(faults[fi], 1, nil) != 0 {
@@ -670,7 +661,7 @@ func newSignatures(nFaults, nPOs, words int) []*Signature {
 // words and injects every fault once, writing all act columns from a single
 // cone walk. Signatures must have been allocated (zeroed) for the full word
 // range; distinct blocks touch disjoint storage, which is what makes
-// DictionaryConcurrent's block-sharded merge bit-identical to the serial
+// DictionaryConcurrentWords' block-sharded merge bit-identical to the serial
 // run. pi and perPO are caller scratch of len(PIs)*W and len(POs)*W; perPO
 // must be zero on entry and is left zero on return (only the touched PO
 // lanes are written and cleared, so sparse signatures never pay a full
@@ -689,7 +680,7 @@ func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, base in
 			pi[pb+l] = p.Bits[i][base+l]
 		}
 	}
-	s.good.Block(pi, act)
+	s.good.BlockRange(pi, 0, act)
 	var masks, diff [MaxWords]logic.Word
 	for l := 0; l < act; l++ {
 		masks[l] = p.TailMask(base + l)

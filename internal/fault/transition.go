@@ -64,18 +64,6 @@ type TransitionResult struct {
 	Coverage   float64
 }
 
-// SimulateTransitions runs two-pattern transition-fault simulation over all
-// consecutive pattern pairs of the set with the default worker count.
-func SimulateTransitions(n *circuit.Netlist, p *logic.PatternSet, faults []TransitionFault) (*TransitionResult, error) {
-	return SimulateTransitionsWords(n, p, faults, 0, 1)
-}
-
-// SimulateTransitionsWorkers is SimulateTransitionsWords with single-word
-// (W=1) dictionary simulators.
-func SimulateTransitionsWorkers(n *circuit.Netlist, p *logic.PatternSet, faults []TransitionFault, workers int) (*TransitionResult, error) {
-	return SimulateTransitionsWords(n, p, faults, workers, 1)
-}
-
 // SimulateTransitionsWords runs two-pattern transition-fault simulation
 // over all consecutive pattern pairs of the set. It composes the existing
 // engines: good-value simulation supplies the initialization condition, and
@@ -93,7 +81,7 @@ func SimulateTransitionsWords(n *circuit.Netlist, p *logic.PatternSet, faults []
 	if err != nil {
 		return nil, err
 	}
-	gsim := sim.NewCompiled(c)
+	gsim := sim.NewWideCompiled(c, 1)
 	// Good value of every gate for every pattern, bit-sliced.
 	nWords := p.Words()
 	vals := make([][]logic.Word, len(n.Gates))
@@ -105,7 +93,7 @@ func SimulateTransitionsWords(n *circuit.Netlist, p *logic.PatternSet, faults []
 		for i := range pi {
 			pi[i] = p.Bits[i][w]
 		}
-		block := gsim.Block(pi)
+		block := gsim.BlockRange(pi, 0, 1)
 		mask := p.TailMask(w)
 		for g := range vals {
 			vals[g][w] = block[g] & mask

@@ -77,7 +77,7 @@ func TestTransitionSimAgainstExplicit(t *testing.T) {
 		p := logic.NewPatternSet(len(c.PIs), 40)
 		p.RandFill(rng.Uint64)
 		faults := TransitionUniverse(c)
-		res, err := SimulateTransitions(c, p, faults)
+		res, err := SimulateTransitionsWords(c, p, faults, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestTransitionSimAgainstExplicit(t *testing.T) {
 func TestTransitionNeedsTwoPatterns(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.NewPatternSet(len(n.PIs), 1)
-	res, err := SimulateTransitions(n, p, TransitionUniverse(n))
+	res, err := SimulateTransitionsWords(n, p, TransitionUniverse(n), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestTransitionCoverageBelowStuckAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := logic.NewPatternSet(len(c.PIs), 128)
 	p.RandFill(rng.Uint64)
-	tres, err := SimulateTransitions(c, p, TransitionUniverse(c))
+	tres, err := SimulateTransitionsWords(c, p, TransitionUniverse(c), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
-	"repro/internal/sim"
 )
 
 // laneWidths is the full grid of supported pattern-word packings; the
@@ -130,10 +129,6 @@ func TestMultiWordMatchesFullResimOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := circuit.Random(5+rng.Intn(6), 30+rng.Intn(80), seed)
 		faults := Universe(c)
-		gsim, err := sim.New(c)
-		if err != nil {
-			return false
-		}
 		for _, words := range []int{2, 4, 8} {
 			fsim, err := NewSimulatorWords(c, words)
 			if err != nil {
@@ -143,15 +138,13 @@ func TestMultiWordMatchesFullResimOracle(t *testing.T) {
 			p := logic.NewPatternSet(len(c.PIs), W*logic.WordBits)
 			p.RandFill(rng.Uint64)
 			// Per-word good values and flat PI words for the oracle.
-			goodByWord := make([][]logic.Word, W)
+			goodByWord := goodValues(fsim.Compiled(), p)
 			piByWord := make([][]logic.Word, W)
 			for w := 0; w < W; w++ {
 				pi := make([]logic.Word, len(c.PIs))
 				for i := range pi {
 					pi[i] = p.Bits[i][w]
 				}
-				gsim.Block(pi)
-				goodByWord[w] = append([]logic.Word(nil), gsim.Values()...)
 				piByWord[w] = pi
 			}
 			// One wide block holding all W lanes.
@@ -161,7 +154,7 @@ func TestMultiWordMatchesFullResimOracle(t *testing.T) {
 					piWide[i*W+l] = p.Bits[i][l]
 				}
 			}
-			fsim.good.Block(piWide, W)
+			fsim.good.BlockRange(piWide, 0, W)
 			masks := make([]logic.Word, W)
 			diff := make([]logic.Word, W)
 			for l := 0; l < W; l++ {
@@ -208,7 +201,7 @@ func TestLaneWindowComposition(t *testing.T) {
 				pi[i*W+l] = p.Bits[i][l]
 			}
 		}
-		fsim.good.Block(pi, W)
+		fsim.good.BlockRange(pi, 0, W)
 		masks := make([]logic.Word, W)
 		for l := 0; l < W; l++ {
 			masks[l] = p.TailMask(l)
@@ -287,7 +280,7 @@ func TestWalkRestoresGoodValues(t *testing.T) {
 			pi[i*W+l] = p.Bits[i][l]
 		}
 	}
-	fsim.good.Block(pi, W)
+	fsim.good.BlockRange(pi, 0, W)
 	snapshot := append([]logic.Word(nil), fsim.good.Values()...)
 	masks := []logic.Word{p.TailMask(0), p.TailMask(1)}
 	diff := make([]logic.Word, W)

@@ -33,19 +33,19 @@ type batchItem[Req, Resp any] struct {
 // The submission queue is bounded; Do never blocks on a full queue but
 // fails fast with ErrQueueFull so callers can shed load explicitly.
 type Batcher[Req, Resp any] struct {
-	fn       func([]Req) []Resp
+	fn func([]Req) []Resp
 	// PanicHandler, when set, converts a panic escaping fn into one response
 	// that answers every item of the failed batch — the worker goroutine
 	// survives and keeps batching. When nil, the panic propagates and kills
 	// the process (a batch worker panic is otherwise unrecoverable). Set it
 	// before the first Do.
 	PanicHandler func(rec any) Resp
-	maxBatch int
-	window   time.Duration
-	queue    chan batchItem[Req, Resp]
-	stop     chan struct{}
-	done     chan struct{}
-	closed   atomic.Bool
+	maxBatch     int
+	window       time.Duration
+	queue        chan batchItem[Req, Resp]
+	stop         chan struct{}
+	done         chan struct{}
+	closed       atomic.Bool
 
 	// Counters exported through the metrics snapshot.
 	batches  atomic.Int64

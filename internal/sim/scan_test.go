@@ -32,10 +32,7 @@ func TestDFFIsPseudoPI(t *testing.T) {
 	if len(n.PIs) != 3 {
 		t.Fatalf("PIs = %d, want 3 (a, b and scan cell q)", len(n.PIs))
 	}
-	s, err := New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newWide(t, n)
 	idx := n.InputIndex()
 	pin := func(name string) int {
 		g, ok := n.GateByName(name)
@@ -52,13 +49,13 @@ func TestDFFIsPseudoPI(t *testing.T) {
 	bits := make([]bool, 3)
 	bits[pin("q")] = true
 	bits[pin("b")] = true
-	out := s.RunPattern(bits)
+	out := runPattern(s, bits)
 	if !out[poIdx["y"]] || !out[poIdx["d"]] {
 		t.Errorf("scan state not honored: y=%v d=%v", out[poIdx["y"]], out[poIdx["d"]])
 	}
 	// q=0: y must fall regardless of b, d follows a.
 	bits[pin("q")] = false
-	out = s.RunPattern(bits)
+	out = runPattern(s, bits)
 	if out[poIdx["y"]] || out[poIdx["d"]] {
 		t.Errorf("cleared scan cell leaked: y=%v d=%v", out[poIdx["y"]], out[poIdx["d"]])
 	}
@@ -73,10 +70,7 @@ func TestEventSimScanConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ps := newWide(t, n)
 	idx := n.InputIndex()
 	pin := func(name string) int {
 		g, _ := n.GateByName(name)
@@ -90,7 +84,7 @@ func TestEventSimScanConsistency(t *testing.T) {
 	for _, a := range []bool{true, false, true} {
 		bits[pin("a")] = a
 		es.SetInputs(bits)
-		want := ps.RunPattern(bits)
+		want := runPattern(ps, bits)
 		got := es.Outputs()
 		for o := range want {
 			if got[o] != want[o] {

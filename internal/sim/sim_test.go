@@ -33,14 +33,62 @@ func TestEvalWords(t *testing.T) {
 	}
 }
 
+// newWide compiles n and returns a one-lane Wide over it.
+func newWide(t testing.TB, n *circuit.Netlist) *Wide {
+	t.Helper()
+	c, err := n.Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return NewWideCompiled(c, 1)
+}
+
+// response simulates every pattern of p word by word and returns the PO
+// values bit-sliced like logic.PatternSet: r[po][word].
+func response(s *Wide, p *logic.PatternSet) [][]logic.Word {
+	r := make([][]logic.Word, len(s.Net.POs))
+	for o := range r {
+		r[o] = make([]logic.Word, p.Words())
+	}
+	pi := make([]logic.Word, len(s.Net.PIs))
+	for w := range p.Words() {
+		for i := range pi {
+			pi[i] = p.Bits[i][w]
+		}
+		vals := s.BlockRange(pi, 0, 1)
+		for o, po := range s.Net.POs {
+			r[o][w] = vals[po]
+		}
+	}
+	return r
+}
+
+// bit reads output o of pattern k from a response.
+func bit(r [][]logic.Word, k, o int) bool {
+	return r[o][k/logic.WordBits]>>uint(k%logic.WordBits)&1 == 1
+}
+
+// runPattern simulates one pattern given as bools and returns the PO values.
+func runPattern(s *Wide, bits []bool) []bool {
+	pi := make([]logic.Word, len(s.Net.PIs))
+	for i, v := range bits {
+		if v {
+			pi[i] = 1
+		}
+	}
+	vals := s.BlockRange(pi, 0, 1)
+	out := make([]bool, len(s.Net.POs))
+	for i, po := range s.Net.POs {
+		out[i] = vals[po]&1 == 1
+	}
+	return out
+}
+
 // TestC17Truth verifies the simulator against c17's known function:
 // G22 = NAND(G10,G16), etc., computed independently.
 func TestC17Truth(t *testing.T) {
 	n := circuit.MustC17()
-	s, err := New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newWide(t, n)
 	ref := func(in []bool) (bool, bool) {
 		g1, g2, g3, g6, g7 := in[0], in[1], in[2], in[3], in[4]
 		nand := func(a, b bool) bool { return !(a && b) }
@@ -51,12 +99,12 @@ func TestC17Truth(t *testing.T) {
 		return nand(g10, g16), nand(g16, g19)
 	}
 	p := logic.Exhaustive(5)
-	r := s.Run(p)
+	r := response(s, p)
 	for pat := 0; pat < p.N; pat++ {
 		w22, w23 := ref(p.Pattern(pat))
-		if r.Get(pat, 0) != w22 || r.Get(pat, 1) != w23 {
+		if bit(r, pat, 0) != w22 || bit(r, pat, 1) != w23 {
 			t.Fatalf("pattern %05b: got (%v,%v), want (%v,%v)",
-				pat, r.Get(pat, 0), r.Get(pat, 1), w22, w23)
+				pat, bit(r, pat, 0), bit(r, pat, 1), w22, w23)
 		}
 	}
 }
@@ -66,10 +114,7 @@ func TestC17Truth(t *testing.T) {
 func TestAdderArithmetic(t *testing.T) {
 	const w = 8
 	n := circuit.RippleAdder(w)
-	s, err := New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newWide(t, n)
 	rng := rand.New(rand.NewSource(3))
 	p := logic.NewPatternSet(len(n.PIs), 200)
 	type opnd struct{ a, b, cin int }
@@ -91,7 +136,7 @@ func TestAdderArithmetic(t *testing.T) {
 		}
 		p.Set(k, pin("cin"), ops[k].cin == 1)
 	}
-	r := s.Run(p)
+	r := response(s, p)
 	poIdx := map[string]int{}
 	for i, po := range n.POs {
 		poIdx[n.Gates[po].Name] = i
@@ -100,11 +145,11 @@ func TestAdderArithmetic(t *testing.T) {
 		want := op.a + op.b + op.cin
 		got := 0
 		for i := 0; i < w; i++ {
-			if r.Get(k, poIdx["s"+itoa(i)]) {
+			if bit(r, k, poIdx["s"+itoa(i)]) {
 				got |= 1 << uint(i)
 			}
 		}
-		if r.Get(k, poIdx["cout"]) {
+		if bit(r, k, poIdx["cout"]) {
 			got |= 1 << w
 		}
 		if got != want {
@@ -124,10 +169,7 @@ func itoa(i int) string {
 func TestMultiplierArithmetic(t *testing.T) {
 	const w = 4
 	n := circuit.ArrayMultiplier(w)
-	s, err := New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newWide(t, n)
 	idx := n.InputIndex()
 	pin := func(name string) int {
 		g, _ := n.GateByName(name)
@@ -144,7 +186,7 @@ func TestMultiplierArithmetic(t *testing.T) {
 				bits[pin("a"+itoa(i))] = a>>uint(i)&1 == 1
 				bits[pin("b"+itoa(i))] = b>>uint(i)&1 == 1
 			}
-			out := s.RunPattern(bits)
+			out := runPattern(s, bits)
 			got := 0
 			for i := 0; i < 2*w; i++ {
 				if out[poIdx["m"+itoa(i)]] {
@@ -167,10 +209,7 @@ func TestEventMatchesParallel(t *testing.T) {
 		circuit.Random(12, 150, 5),
 		circuit.Random(8, 60, 9),
 	} {
-		ps, err := New(c)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ps := newWide(t, c)
 		es, err := NewEvent(c)
 		if err != nil {
 			t.Fatal(err)
@@ -178,14 +217,14 @@ func TestEventMatchesParallel(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		p := logic.NewPatternSet(len(c.PIs), 256)
 		p.RandFill(rng.Uint64)
-		r := ps.Run(p)
+		r := response(ps, p)
 		for k := 0; k < p.N; k++ {
 			es.SetInputs(p.Pattern(k))
 			got := es.Outputs()
 			for o := range c.POs {
-				if got[o] != r.Get(k, o) {
+				if got[o] != bit(r, k, o) {
 					t.Fatalf("%s pattern %d output %d: event %v, parallel %v",
-						c.Name, k, o, got[o], r.Get(k, o))
+						c.Name, k, o, got[o], bit(r, k, o))
 				}
 			}
 		}
@@ -198,13 +237,13 @@ func TestFlipInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, _ := New(c)
+	ps := newWide(t, c)
 	bits := make([]bool, 5)
 	es.SetInputs(bits)
 	for i := 0; i < 5; i++ {
 		es.FlipInput(i)
 		bits[i] = !bits[i]
-		want := ps.RunPattern(bits)
+		want := runPattern(ps, bits)
 		got := es.Outputs()
 		for o := range want {
 			if got[o] != want[o] {
@@ -251,7 +290,7 @@ func TestEventStateless(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, _ := New(c)
+	ps := newWide(t, c)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		// Apply a random walk of patterns, then a final probe pattern.
@@ -267,7 +306,7 @@ func TestEventStateless(t *testing.T) {
 			probe[j] = rng.Intn(2) == 1
 		}
 		es.SetInputs(probe)
-		want := ps.RunPattern(probe)
+		want := runPattern(ps, probe)
 		got := es.Outputs()
 		for o := range want {
 			if got[o] != want[o] {
@@ -282,28 +321,24 @@ func TestEventStateless(t *testing.T) {
 }
 
 func TestRunPanicsOnWidthMismatch(t *testing.T) {
-	c := circuit.MustC17()
-	s, _ := New(c)
+	s := newWide(t, circuit.MustC17())
 	defer func() {
 		if recover() == nil {
 			t.Error("width mismatch must panic")
 		}
 	}()
-	s.Run(logic.NewPatternSet(3, 10))
+	s.BlockRange(make([]logic.Word, 3), 0, 1)
 }
 
 func BenchmarkParallelSim(b *testing.B) {
 	c := circuit.Random(32, 1200, 2)
-	s, err := New(c)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := newWide(b, c)
 	rng := rand.New(rand.NewSource(1))
 	p := logic.NewPatternSet(len(c.PIs), 1024)
 	p.RandFill(rng.Uint64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Run(p)
+		response(s, p)
 	}
 	b.ReportMetric(float64(1024), "patterns/op")
 }

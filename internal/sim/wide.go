@@ -12,10 +12,6 @@ import (
 // full-width pass carries MaxLanes*logic.WordBits = 512 patterns.
 const MaxLanes = 8
 
-// maxFanin bounds the stack scratch of the lane evaluators; it matches the
-// fanin bound of the single-word simulator's faninBuf.
-const maxFanin = 8
-
 // EvalLanes computes one gate's output lanes from its fanin lanes. in holds
 // n fanin operands of act lanes each, flattened as in[pin*act+lane]; out
 // receives act lanes. Like Eval, gate types are validated at circuit.Compile
@@ -82,13 +78,14 @@ func EvalLanes(t circuit.GateType, in []logic.Word, n, act int, out []logic.Word
 	}
 }
 
-// Wide is the multi-word counterpart of Simulator: it evaluates W pattern
-// words (up to MaxLanes, i.e. W*64 patterns) per gate in a single levelized
-// pass, so the per-gate dispatch and fanin gathering amortize over all
-// lanes. Values are stored strided — all lanes of a gate are contiguous at
-// values[g*W : g*W+W] — which is the layout the multi-word fault engine
-// reads in its hot loop. Like Simulator, a Wide owns only its value buffer;
-// the compiled IR is shared and read-only.
+// Wide is the levelized parallel-pattern good-value simulator: it evaluates
+// W pattern words (up to MaxLanes, i.e. W*64 patterns) per gate in a single
+// levelized pass, so the per-gate dispatch and fanin gathering amortize over
+// all lanes. Values are stored strided — all lanes of a gate are contiguous
+// at values[g*W : g*W+W] — which is the layout the multi-word fault engine
+// reads in its hot loop; with W=1 the buffer is simply one word per gate. A
+// Wide owns only its value buffer and its fanin gather scratch (sized from
+// the widest gate of the circuit); the compiled IR is shared and read-only.
 type Wide struct {
 	Net *circuit.Netlist
 	// C is the shared compiled IR; read-only.
@@ -96,6 +93,7 @@ type Wide struct {
 	// W is the lane stride; fixed at construction.
 	W      int
 	values []logic.Word // strided lanes: values[g*W+l]
+	in     []logic.Word // fanin gather scratch: C.MaxFanin*W words
 }
 
 // NewWideCompiled builds a W-lane simulator over an already-compiled IR.
@@ -109,56 +107,18 @@ func NewWideCompiled(c *circuit.Compiled, w int) *Wide {
 		C:      c,
 		W:      w,
 		values: make([]logic.Word, c.NumGates()*w),
+		in:     make([]logic.Word, c.MaxFanin*w),
 	}
 }
 
-// Block simulates act pattern words (act <= W) in one pass. piWords is
-// strided like the value buffer: lane l of Net.PIs[i] at piWords[i*W+l].
-// Lanes at index >= act are neither read nor written — their stored values
-// are stale and callers must not read them. The returned slice aliases
-// internal storage valid until the next call.
-func (s *Wide) Block(piWords []logic.Word, act int) []logic.Word {
-	c := s.C
-	W := s.W
-	if len(piWords) != c.NumPIs()*W {
-		panic(fmt.Sprintf("sim: got %d PI lane words, want %d", len(piWords), c.NumPIs()*W))
-	}
-	if act < 1 || act > W {
-		panic(fmt.Sprintf("sim: active lanes %d out of range [1,%d]", act, W))
-	}
-	var faninBuf [maxFanin * MaxLanes]logic.Word
-	vals := s.values
-	for _, id32 := range c.Order {
-		id := int(id32)
-		t := c.Types[id]
-		base := id * W
-		if t == circuit.Input || t == circuit.DFF {
-			// Full-scan: DFF outputs are pseudo-PIs.
-			pb := int(c.PIPos[id]) * W
-			for l := 0; l < act; l++ {
-				vals[base+l] = piWords[pb+l]
-			}
-			continue
-		}
-		fanin := c.Fanin(id)
-		in := faninBuf[:len(fanin)*act]
-		for pin, f := range fanin {
-			fb := int(f) * W
-			ib := pin * act
-			for l := 0; l < act; l++ {
-				in[ib+l] = vals[fb+l]
-			}
-		}
-		EvalLanes(t, in, len(fanin), act, vals[base:base+act])
-	}
-	return vals
-}
-
-// BlockRange simulates only lanes [lo, hi) of the pattern block, leaving
-// every other lane's stored values untouched. It exists for append-only
-// staging: when a caller has already simulated the first lo lanes and new
-// patterns only extended the block, re-simulating the tail lanes refreshes
-// the buffer at a fraction of a full Block pass.
+// BlockRange simulates lanes [lo, hi) of the pattern block in one pass,
+// leaving every other lane's stored values untouched. piWords is strided
+// like the value buffer: lane l of Net.PIs[i] at piWords[i*W+l]. A whole
+// block of act pattern words is BlockRange(piWords, 0, act); lanes at index
+// >= act are then stale and callers must not read them. A caller that has
+// already simulated the first lo lanes, and whose new patterns only
+// extended the block, re-simulates just the tail lanes. The returned slice
+// aliases internal storage valid until the next call.
 func (s *Wide) BlockRange(piWords []logic.Word, lo, hi int) []logic.Word {
 	c := s.C
 	W := s.W
@@ -169,13 +129,13 @@ func (s *Wide) BlockRange(piWords []logic.Word, lo, hi int) []logic.Word {
 		panic(fmt.Sprintf("sim: lane range [%d,%d) out of range [0,%d)", lo, hi, W))
 	}
 	n := hi - lo
-	var faninBuf [maxFanin * MaxLanes]logic.Word
 	vals := s.values
 	for _, id32 := range c.Order {
 		id := int(id32)
 		t := c.Types[id]
 		base := id*W + lo
 		if t == circuit.Input || t == circuit.DFF {
+			// Full-scan: DFF outputs are pseudo-PIs.
 			pb := int(c.PIPos[id])*W + lo
 			for l := 0; l < n; l++ {
 				vals[base+l] = piWords[pb+l]
@@ -183,7 +143,7 @@ func (s *Wide) BlockRange(piWords []logic.Word, lo, hi int) []logic.Word {
 			continue
 		}
 		fanin := c.Fanin(id)
-		in := faninBuf[:len(fanin)*n]
+		in := s.in[:len(fanin)*n]
 		for pin, f := range fanin {
 			fb := int(f)*W + lo
 			ib := pin * n
@@ -196,7 +156,7 @@ func (s *Wide) BlockRange(piWords []logic.Word, lo, hi int) []logic.Word {
 	return vals
 }
 
-// Values returns the strided lane buffer from the most recent Block call.
-// The slice aliases internal storage; callers must not mutate it, and lanes
-// beyond the last Block's active count are stale.
+// Values returns the strided lane buffer from the most recent BlockRange
+// call. The slice aliases internal storage; callers must not mutate it, and
+// lanes the last call did not cover are stale.
 func (s *Wide) Values() []logic.Word { return s.values }

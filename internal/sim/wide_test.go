@@ -9,11 +9,11 @@ import (
 	"repro/internal/logic"
 )
 
-// Property: every lane of a Wide block equals a single-word Simulator run of
-// that lane's pattern word, for every width and active-lane count — the
-// strided layout cannot swap, shift or corrupt lanes. Also pins the
-// staleness contract: lanes at index >= act keep their previous contents
-// untouched.
+// Property: every lane of a Wide block equals, bit for bit, the event-driven
+// simulator (its own evaluator, evalBool) run on each of that lane's 64
+// patterns, for every width and active-lane count — the strided layout
+// cannot swap, shift or corrupt lanes. Also pins the staleness contract:
+// lanes at index >= act keep their previous contents untouched.
 func TestWideMatchesSingleWord(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -22,12 +22,30 @@ func TestWideMatchesSingleWord(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		ref := NewCompiled(c)
+		es := NewEventCompiled(c)
+		bits := make([]bool, len(n.PIs))
 		for _, w := range []int{1, 2, 4, MaxLanes} {
 			ws := NewWideCompiled(c, w)
 			pi := make([]logic.Word, len(n.PIs)*w)
 			for i := range pi {
 				pi[i] = logic.Word(rng.Uint64())
+			}
+			// want[l][g] is gate g's word in lane l, one event-driven
+			// evaluation per pattern bit.
+			want := make([][]logic.Word, w)
+			for l := range want {
+				want[l] = make([]logic.Word, c.NumGates())
+				for b := 0; b < logic.WordBits; b++ {
+					for i := range bits {
+						bits[i] = pi[i*w+l]>>uint(b)&1 == 1
+					}
+					es.SetInputs(bits)
+					for g := range want[l] {
+						if es.Value(g) {
+							want[l][g] |= 1 << uint(b)
+						}
+					}
+				}
 			}
 			for act := 1; act <= w; act++ {
 				// Poison the stale lanes so the contract is observable.
@@ -37,15 +55,10 @@ func TestWideMatchesSingleWord(t *testing.T) {
 						vals[g*w+l] = 0xdeadbeefdeadbeef
 					}
 				}
-				got := ws.Block(pi, act)
-				single := make([]logic.Word, len(n.PIs))
+				got := ws.BlockRange(pi, 0, act)
 				for l := 0; l < act; l++ {
-					for i := range n.PIs {
-						single[i] = pi[i*w+l]
-					}
-					want := ref.Block(single)
 					for g := 0; g < c.NumGates(); g++ {
-						if got[g*w+l] != want[g] {
+						if got[g*w+l] != want[l][g] {
 							return false
 						}
 					}

@@ -31,6 +31,11 @@ var ErrCodec = errors.New("wire: malformed canonical encoding")
 // AppendU8 appends one byte.
 func AppendU8(b []byte, v uint8) []byte { return append(b, v) }
 
+// AppendU16 appends a big-endian uint16.
+func AppendU16(b []byte, v uint16) []byte {
+	return binary.BigEndian.AppendUint16(b, v)
+}
+
 // AppendU32 appends a big-endian uint32.
 func AppendU32(b []byte, v uint32) []byte {
 	return binary.BigEndian.AppendUint32(b, v)
@@ -134,6 +139,15 @@ func (d *Dec) U8() uint8 {
 	return v[0]
 }
 
+// U16 reads a big-endian uint16.
+func (d *Dec) U16() uint16 {
+	v := d.take(2)
+	if v == nil {
+		return 0
+	}
+	return binary.BigEndian.Uint16(v)
+}
+
 // U32 reads a big-endian uint32.
 func (d *Dec) U32() uint32 {
 	v := d.take(4)
@@ -157,6 +171,12 @@ func (d *Dec) I64() int64 { return int64(d.U64()) }
 
 // F64 reads a float64 bit pattern.
 func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
+
+// Raw reads n bytes with no length prefix: a fixed-width field such as a
+// 32-byte hash, or a section whose length was read separately. The
+// returned slice aliases the input buffer (nil after a failure); callers
+// that retain it must copy.
+func (d *Dec) Raw(n int) []byte { return d.take(n) }
 
 // Bytes reads a length-prefixed byte section. The returned slice aliases
 // the input buffer; callers that retain it must copy.

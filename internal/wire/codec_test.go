@@ -9,6 +9,7 @@ import (
 func TestCodecRoundTrip(t *testing.T) {
 	var b []byte
 	b = AppendU8(b, 7)
+	b = AppendU16(b, 0xBEEF)
 	b = AppendU32(b, 0xDEADBEEF)
 	b = AppendU64(b, 1<<63|42)
 	b = AppendI64(b, -12345)
@@ -19,10 +20,14 @@ func TestCodecRoundTrip(t *testing.T) {
 	b = AppendI32s(b, []int32{-1, 0, math.MaxInt32, math.MinInt32})
 	b = AppendI64s(b, []int64{-9, 9})
 	b = AppendF64s(b, []float64{1.5, math.Inf(-1)})
+	b = append(b, "0123456789abcdef0123456789abcdef"...)
 
 	d := NewDec(b)
 	if v := d.U8(); v != 7 {
 		t.Errorf("U8 = %d", v)
+	}
+	if v := d.U16(); v != 0xBEEF {
+		t.Errorf("U16 = %x", v)
 	}
 	if v := d.U32(); v != 0xDEADBEEF {
 		t.Errorf("U32 = %x", v)
@@ -54,6 +59,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	if v := d.F64s(); len(v) != 2 || !math.IsInf(v[1], -1) {
 		t.Errorf("F64s = %v", v)
 	}
+	if v := d.Raw(32); string(v) != "0123456789abcdef0123456789abcdef" {
+		t.Errorf("Raw = %q", v)
+	}
 	if err := d.Close(); err != nil {
 		t.Errorf("Close: %v", err)
 	}
@@ -66,11 +74,15 @@ func TestCodecTruncation(t *testing.T) {
 	b = AppendString(b, "hello")
 	b = AppendF64s(b, []float64{1, 2, 3})
 	b = AppendI64(b, -1)
+	b = AppendU16(b, 9)
+	b = append(b, 1, 2, 3)
 	for cut := 0; cut < len(b); cut++ {
 		d := NewDec(b[:cut])
 		_ = d.String()
 		d.F64s()
 		d.I64()
+		d.U16()
+		d.Raw(3)
 		if err := d.Close(); !errors.Is(err, ErrCodec) {
 			t.Errorf("cut at %d: err = %v, want ErrCodec", cut, err)
 		}
