@@ -27,9 +27,9 @@ import (
 //	PO count u32 | PO gate IDs u32...
 //	scan count u32 | (DFF ID u32, D-source ID u32)... in DFF-ID order
 //
-// PIs are not encoded: AddGate rebuilds the PI list from the gate sequence
-// (Input and DFF gates become PIs in ID order), which is exactly how the
-// original netlist grew its own.
+// PIs are not encoded: the decoder rebuilds the PI list from the gate
+// sequence (Input and DFF gates become PIs in ID order), which is exactly
+// how AddGate grew the original netlist's own.
 const (
 	netlistMagic   = "ITRN"
 	netlistVersion = 1
@@ -93,10 +93,14 @@ func (n *Netlist) ContentHash() ([32]byte, error) {
 	return sha256.Sum256(data), nil
 }
 
-// UnmarshalNetlist decodes a canonical binary netlist, rebuilding it through
-// the ordinary construction API so every structural invariant is re-checked.
-// The result is structurally identical to the encoded netlist: same gate
-// IDs, names, types, fanin order, PI/PO order and scan edges.
+// UnmarshalNetlist decodes a canonical binary netlist in one pass, building
+// the Netlist directly: gates come from one slab, fanin IDs are taken
+// straight from the bytes and fanouts from one exactly sized slab. Every
+// check the construction API would make is made here too (duplicate name,
+// arity, a logic gate without fanin, a scan cell that is not a DFF), as are
+// the canonical-form checks and the final Validate. The result is
+// structurally identical to the encoded netlist: same gate IDs, names,
+// types, fanin order, fanout order, PI/PO order and scan edges.
 func UnmarshalNetlist(data []byte) (*Netlist, error) {
 	d := wire.NewDec(data)
 	if string(d.Raw(4)) != netlistMagic {
@@ -110,25 +114,43 @@ func UnmarshalNetlist(data []byte) (*Netlist, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	// Each gate costs at least 4 bytes (name len + type + fanin count); a
-	// length-sane bound before allocating.
-	if nGates < 0 || nGates > len(data) {
+	// Each gate costs at least 5 bytes (name len + type + fanin count), so
+	// this bound keeps the pre-sized slab and map proportional to the input.
+	if nGates < 0 || nGates > d.Remaining()/5 {
 		return nil, fmt.Errorf("circuit: implausible gate count %d", nGates)
 	}
-	n := New(name)
-	faninNames := make([]string, 0, 8)
-	for id := 0; id < nGates; id++ {
-		gname := readName(d)
-		typ := GateType(d.U8())
-		if typ >= numGateTypes {
-			if err := d.Err(); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("circuit: gate %d has unknown type %d", id, typ)
-		}
+	n := &Netlist{Name: name, Gates: make([]*Gate, nGates), byName: make(map[string]int, nGates)}
+	slab := make([]Gate, nGates)
+	nFanout := make([]int, nGates)
+	var fanin []int // carved into per-gate fanin slices
+	edges := 0
+	for id := range slab {
+		g := &slab[id]
+		g.ID, g.Name = id, readName(d)
+		g.Type = GateType(d.U8())
 		nf := int(d.U16())
-		faninNames = faninNames[:0]
-		for i := 0; i < nf; i++ {
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		if g.Type >= numGateTypes {
+			return nil, fmt.Errorf("circuit: gate %d has unknown type %d", id, g.Type)
+		}
+		// One map operation both indexes the name and detects a duplicate:
+		// the map grows by one per gate unless the name was already there.
+		if n.byName[g.Name] = id; len(n.byName) != id+1 {
+			return nil, fmt.Errorf("circuit: duplicate gate name %q", g.Name)
+		}
+		if mf := g.Type.MaxFanin(); mf >= 0 && nf != mf {
+			return nil, fmt.Errorf("circuit: gate %q type %v requires %d fanin, got %d", g.Name, g.Type, mf, nf)
+		}
+		if nf == 0 && g.Type != Input && g.Type != DFF {
+			return nil, fmt.Errorf("circuit: gate %q type %v requires fanin", g.Name, g.Type)
+		}
+		if len(fanin) < nf {
+			fanin = make([]int, max(nf, 1024))
+		}
+		g.Fanin, fanin = fanin[:nf:nf], fanin[nf:]
+		for i := range g.Fanin {
 			f := int(d.U32())
 			if err := d.Err(); err != nil {
 				return nil, err
@@ -136,21 +158,32 @@ func UnmarshalNetlist(data []byte) (*Netlist, error) {
 			if f < 0 || f >= id {
 				return nil, fmt.Errorf("circuit: gate %d fanin %d not yet defined", id, f)
 			}
-			faninNames = append(faninNames, n.Gates[f].Name)
+			g.Fanin[i] = f
+			nFanout[f]++
 		}
-		if err := d.Err(); err != nil {
-			return nil, err
+		edges += nf
+		n.Gates[id] = g
+		if g.Type == Input || g.Type == DFF {
+			n.PIs = append(n.PIs, id)
 		}
-		if _, err := n.AddGate(gname, typ, faninNames...); err != nil {
-			return nil, err
+	}
+	// Fanouts in consumer-ID order, as AddGate appends them.
+	fanout := make([]int, edges)
+	for id, c := range nFanout {
+		slab[id].Fanout, fanout = fanout[:0:c], fanout[c:]
+	}
+	for _, g := range n.Gates {
+		for _, f := range g.Fanin {
+			slab[f].Fanout = append(slab[f].Fanout, g.ID)
 		}
 	}
 	// The PO and scan sections are checked for canonical form as well as
-	// range: MarkOutput and ConnectScanD would silently absorb a repeated
-	// PO, an out-of-order scan edge or an unmarked D-source, and the
-	// decoded circuit would then re-encode to different bytes.
+	// range: a repeated PO, an out-of-order scan edge or an unmarked
+	// D-source would otherwise decode to a circuit that re-encodes to
+	// different bytes.
 	isPO := make([]bool, nGates)
 	nPOs := int(d.U32())
+	n.POs = make([]int, 0, min(nPOs, nGates))
 	for i := 0; i < nPOs; i++ {
 		po := int(d.U32())
 		if err := d.Err(); err != nil {
@@ -163,9 +196,7 @@ func UnmarshalNetlist(data []byte) (*Netlist, error) {
 			return nil, fmt.Errorf("circuit: PO id %d listed twice", po)
 		}
 		isPO[po] = true
-		if err := n.MarkOutput(n.Gates[po].Name); err != nil {
-			return nil, err
-		}
+		n.POs = append(n.POs, po)
 	}
 	nScan := int(d.U32())
 	for i, prev := 0, -1; i < nScan; i++ {
@@ -180,13 +211,17 @@ func UnmarshalNetlist(data []byte) (*Netlist, error) {
 		if dff <= prev {
 			return nil, fmt.Errorf("circuit: scan edge for DFF %d out of order", dff)
 		}
+		if slab[dff].Type != DFF {
+			return nil, fmt.Errorf("circuit: %q is not a DFF", slab[dff].Name)
+		}
 		if !isPO[src] {
 			return nil, fmt.Errorf("circuit: scan D-source %d is not a primary output", src)
 		}
 		prev = dff
-		if err := n.ConnectScanD(n.Gates[dff].Name, n.Gates[src].Name); err != nil {
-			return nil, err
+		if n.ScanD == nil {
+			n.ScanD = make(map[int]int)
 		}
+		n.ScanD[dff] = src
 	}
 	if err := d.Close(); err != nil {
 		return nil, err

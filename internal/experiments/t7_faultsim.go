@@ -31,6 +31,9 @@ type T7Result struct {
 	Rows    []T7Row
 }
 
+// t7Reps is how many times RunT7 times each engine; it keeps the fastest.
+const t7Reps = 3
+
 // RunT7 reproduces table T7: event-driven 64-way parallel-pattern fault
 // simulation against the one-pattern-at-a-time baseline (same event-driven
 // injection, no word parallelism), plus the multi-goroutine fault-shard
@@ -66,18 +69,33 @@ func RunT7(cfg Config) (*T7Result, error) {
 		p := logic.NewPatternSet(len(c.PIs), patterns)
 		p.RandFill(rng.Uint64)
 
-		t0 := time.Now()
-		rs := fsim.RunSerial(p, faults)
-		serial := time.Since(t0)
-		t1 := time.Now()
-		rp := fsim.Run(p, faults)
-		par := time.Since(t1)
-		t2 := time.Now()
-		rc, err := fault.RunConcurrentWords(c, p, faults, cfg.Workers, cfg.Words)
-		if err != nil {
-			return nil, err
+		// Best of t7Reps per engine, like minDuration: one timing of
+		// microsecond-scale work is at the mercy of the scheduler. The
+		// engines take turns within a round, so every parallel Run follows
+		// a RunSerial and pays its good-circuit simulation in full.
+		var rs, rp, rc *fault.Result
+		var serial, par, conc time.Duration
+		for r := 0; r < t7Reps; r++ {
+			t0 := time.Now()
+			rs = fsim.RunSerial(p, faults)
+			t1 := time.Now()
+			rp = fsim.Run(p, faults)
+			t2 := time.Now()
+			rc, err = fault.RunConcurrentWords(c, p, faults, cfg.Workers, cfg.Words)
+			if err != nil {
+				return nil, err
+			}
+			t3 := time.Now()
+			if r == 0 || t1.Sub(t0) < serial {
+				serial = t1.Sub(t0)
+			}
+			if r == 0 || t2.Sub(t1) < par {
+				par = t2.Sub(t1)
+			}
+			if r == 0 || t3.Sub(t2) < conc {
+				conc = t3.Sub(t2)
+			}
 		}
-		conc := time.Since(t2)
 		if rs.Detected != rp.Detected || rp.Detected != rc.Detected {
 			return nil, fmt.Errorf("T7: engines disagree on %s: serial %d, parallel %d, concurrent %d",
 				c.Name, rs.Detected, rp.Detected, rc.Detected)

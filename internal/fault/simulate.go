@@ -65,7 +65,18 @@ type Simulator struct {
 	undoIdx []int32
 	undoVal []logic.Word
 	dirty   []int32 // scratch: PO indices touched by the last detectLanes
-	piBuf   []logic.Word
+	// piBuf holds the strided PI lane words of the last good simulation
+	// (lane l of PI i at piBuf[i*W+l]).
+	piBuf []logic.Word
+	// goodAct is the good-value memo of RunInto: when > 0, the value lanes
+	// [0, goodAct) hold the good response to the PI words in piBuf, so a
+	// RunInto over a one-group set with equal PI words skips the good
+	// simulation. Every other path that rewrites the value lanes or piBuf
+	// clears it.
+	goodAct int
+	// goodSims counts good-circuit simulations (BlockRange passes); tests
+	// pin it.
+	goodSims int
 	// faninBuf is the gather scratch of the hot loop: one window of the
 	// widest gate's fanin lanes, c.MaxFanin*w words.
 	faninBuf []logic.Word
@@ -427,6 +438,16 @@ func (s *Simulator) Run(p *logic.PatternSet, faults []Fault) *Result {
 // an optional worklist scratch buffer reused across calls (grown as needed).
 // Returns the number of detected faults. Results are identical to Run for
 // any lane width.
+//
+// A set that fits one lane group (p.Words() <= Words()) reuses the good
+// values of the previous RunInto when its PI words are equal, so RunInto
+// over consecutive fault shards of one set (the cluster worker's detect
+// loop) simulates the good circuit once, not once per shard. The memo is
+// keyed on the PI words, not on the set pointer: a set refilled in place
+// pays only the PIs x lanes word compare, and the tail masks are rebuilt
+// from p.N on every call. Stage, RunSerial and the dictionary paths clear
+// the memo, and a RunInto that panics leaves it cleared. RunInto itself
+// invalidates any Stage staging.
 func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, liveBuf []int) int {
 	if p.Inputs != len(s.Net.PIs) {
 		panic(fmt.Sprintf("fault: pattern width %d != PIs %d", p.Inputs, len(s.Net.PIs)))
@@ -435,6 +456,8 @@ func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, li
 		panic(fmt.Sprintf("fault: detBy length %d != faults %d", len(detBy), len(faults)))
 	}
 	s.stagedAct = 0 // the group loop below clobbers the staged good values
+	memo := s.goodAct
+	s.goodAct = 0 // re-armed only when this call returns normally
 	detected := 0
 	for i := range detBy {
 		detBy[i] = -1
@@ -455,13 +478,16 @@ func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, li
 		if rem := words - base; rem < act {
 			act = rem
 		}
-		for i := range s.Net.PIs {
-			pb := i * W
-			for l := 0; l < act; l++ {
-				pi[pb+l] = p.Bits[i][base+l]
+		if words > W || act != memo || !s.samePIs(p, act) {
+			for i := range s.Net.PIs {
+				pb := i * W
+				for l := 0; l < act; l++ {
+					pi[pb+l] = p.Bits[i][base+l]
+				}
 			}
+			s.simulateGood(pi, 0, act)
+			memo = act
 		}
-		s.good.BlockRange(pi, 0, act)
 		for l := 0; l < act; l++ {
 			masks[l] = p.TailMask(base + l)
 		}
@@ -504,7 +530,32 @@ func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, li
 			live = kept
 		}
 	}
+	if words <= W {
+		s.goodAct = memo
+	}
 	return detected
+}
+
+// samePIs reports whether the first act PI words of p equal the lane words
+// the value lanes were last simulated from.
+func (s *Simulator) samePIs(p *logic.PatternSet, act int) bool {
+	W := s.w
+	for i, row := range p.Bits {
+		key := s.piBuf[i*W : i*W+act]
+		for l, w := range row[:act] {
+			if w != key[l] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// simulateGood runs the good circuit over lanes [lo, hi) of the strided PI
+// words pi, leaving the response in the value lanes.
+func (s *Simulator) simulateGood(pi []logic.Word, lo, hi int) {
+	s.good.BlockRange(pi, lo, hi)
+	s.goodSims++
 }
 
 // Stage loads the good-circuit response of every pattern in p into the
@@ -520,6 +571,7 @@ func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, li
 // gained patterns are re-simulated, so staging after each append costs one
 // single-lane pass instead of a full-width one. Any Run/RunInto/Dictionary
 // call invalidates the staging; the next Stage pays the full pass again.
+// Stage clears the good-value memo of RunInto.
 func (s *Simulator) Stage(p *logic.PatternSet) {
 	if p.Inputs != len(s.Net.PIs) {
 		panic(fmt.Sprintf("fault: pattern width %d != PIs %d", p.Inputs, len(s.Net.PIs)))
@@ -528,6 +580,7 @@ func (s *Simulator) Stage(p *logic.PatternSet) {
 	if words == 0 || words > s.w {
 		panic(fmt.Sprintf("fault: Stage needs 1..%d pattern words, got %d", s.w, words))
 	}
+	s.goodAct = 0
 	lo := 0
 	if s.stagedAct > 0 && s.stagedSet == p && p.N >= s.stagedN {
 		if p.N == s.stagedN {
@@ -546,7 +599,7 @@ func (s *Simulator) Stage(p *logic.PatternSet) {
 			pi[pb+l] = p.Bits[i][l]
 		}
 	}
-	s.good.BlockRange(pi, lo, words)
+	s.simulateGood(pi, lo, words)
 	s.stagedAct = words
 	s.stagedSet = p
 	s.stagedN = p.N
@@ -578,7 +631,7 @@ func (s *Simulator) Probe(f Fault) bool {
 // forgoing both the 64-way and the multi-word parallelism. Fault dropping
 // is still applied.
 func (s *Simulator) RunSerial(p *logic.PatternSet, faults []Fault) *Result {
-	s.stagedAct = 0
+	s.stagedAct, s.goodAct = 0, 0
 	res := &Result{Total: len(faults), DetectedBy: make([]int, len(faults))}
 	for i := range res.DetectedBy {
 		res.DetectedBy[i] = -1
@@ -598,7 +651,7 @@ func (s *Simulator) RunSerial(p *logic.PatternSet, faults []Fault) *Result {
 				pi[i*W] = 1
 			}
 		}
-		s.good.BlockRange(pi, 0, 1)
+		s.simulateGood(pi, 0, 1)
 		kept := live[:0]
 		for _, fi := range live {
 			if s.detectWord(faults[fi], 1, nil) != 0 {
@@ -667,7 +720,7 @@ func newSignatures(nFaults, nPOs, words int) []*Signature {
 // lanes are written and cleared, so sparse signatures never pay a full
 // clear).
 func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, base int, sigs []*Signature, pi, perPO []logic.Word) {
-	s.stagedAct = 0
+	s.stagedAct, s.goodAct = 0, 0
 	W := s.w
 	words := p.Words()
 	act := W
@@ -680,7 +733,7 @@ func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, base in
 			pi[pb+l] = p.Bits[i][base+l]
 		}
 	}
-	s.good.BlockRange(pi, 0, act)
+	s.simulateGood(pi, 0, act)
 	var masks, diff [MaxWords]logic.Word
 	for l := 0; l < act; l++ {
 		masks[l] = p.TailMask(base + l)
