@@ -86,7 +86,7 @@ func (f *flow) deterministicBatched() {
 			f.res.Aborted++
 		case Detected:
 			rng := rand.New(rand.NewSource(f.fillSeed(fi)))
-			bits := fillCube(cube, rng, f.cfg.FillRandom)
+			bits := fillCube(cube, rng)
 			lap(&f.res.GenTime)
 			pending.Append(bits)
 			f.patterns.Append(bits)

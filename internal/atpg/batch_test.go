@@ -90,7 +90,7 @@ func runSerial(n *circuit.Netlist, cfg Config) (*Result, error) {
 			continue
 		}
 		rng := rand.New(rand.NewSource(f.fillSeed(fi)))
-		bits := fillCube(cube, rng, f.cfg.FillRandom)
+		bits := fillCube(cube, rng)
 		f.res.GenTime += time.Since(t0)
 		t1 := time.Now()
 		one.Reset()

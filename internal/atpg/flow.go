@@ -18,7 +18,6 @@ type Config struct {
 	BacktrackLim int // PODEM backtrack limit (default 10000)
 	Guide        Guide
 	Compact      bool // reverse-order static compaction (default on via DefaultConfig)
-	FillRandom   bool // fill don't-cares randomly (true) or with zeros
 	SkipRandom   bool // deterministic-only flow (for ablation)
 	// Workers bounds the fan-out of the post-generation coverage sweep and
 	// the transition-fault dictionary (<= 0 selects GOMAXPROCS). PODEM
@@ -40,7 +39,6 @@ func DefaultConfig() Config {
 		BacktrackLim: 10000,
 		Guide:        GuideSCOAP,
 		Compact:      true,
-		FillRandom:   true,
 	}
 }
 
@@ -230,18 +228,16 @@ func (f *flow) fillSeed(fi int) int64 {
 	return parallel.SplitSeed(f.cfg.Seed, int64(fi))
 }
 
-func fillCube(cube []logic.V, rng *rand.Rand, random bool) []bool {
+// fillCube turns a test cube into a pattern, filling its X bits from rng.
+func fillCube(cube []logic.V, rng *rand.Rand) []bool {
 	bits := make([]bool, len(cube))
 	for i, v := range cube {
 		switch v {
 		case logic.V1:
 			bits[i] = true
-		case logic.V0:
-			bits[i] = false
+		case logic.V0: // bits[i] is already false
 		default:
-			if random {
-				bits[i] = rng.Intn(2) == 1
-			}
+			bits[i] = rng.Intn(2) == 1
 		}
 	}
 	return bits

@@ -90,8 +90,8 @@ func RunTransition(n *circuit.Netlist, cfg Config) (*TransitionResult, error) {
 			res.Aborted++
 			continue
 		}
-		v1 := fillCube(initCube, rng, cfg.FillRandom)
-		v2 := fillCube(capCube, rng, cfg.FillRandom)
+		v1 := fillCube(initCube, rng)
+		v2 := fillCube(capCube, rng)
 		patterns.Append(v1)
 		patterns.Append(v2)
 		// Drop every still-live fault the grown set now detects (the new

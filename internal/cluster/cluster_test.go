@@ -265,6 +265,15 @@ func TestClusterWorkerKilledMidJob(t *testing.T) {
 	}
 	cancelVictim := startWorkerDial(t, victimDial, "victim")
 	startWorker(t, lb, "survivor")
+	// Both workers must be connected before the job starts; otherwise, on
+	// a loaded machine, the victim can finish every shard before the
+	// survivor dials in.
+	for deadline := time.Now().Add(5 * time.Second); c.Stats().WorkersJoined < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers not joined: %+v", c.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	go func() {
 		<-gotShard
 		cancelVictim()

@@ -54,9 +54,14 @@ type AgingSTAReport struct {
 }
 
 // WorkloadProfile estimates each gate's signal probability (fraction of
-// time the output is high) and toggle activity from a random workload
-// sample.
+// patterns on which its output is high) and toggle activity (fraction of
+// patterns on which it differs from the previous pattern) from a random
+// workload sample. The state before the first pattern is the all-zero
+// input's.
 func WorkloadProfile(n *circuit.Netlist, patterns, seed int64) (probHigh, activity []float64, err error) {
+	if patterns < 1 {
+		return nil, nil, fmt.Errorf("core: workload profile needs at least one pattern, got %d", patterns)
+	}
 	c, err := n.Compiled()
 	if err != nil {
 		return nil, nil, err
@@ -66,7 +71,14 @@ func WorkloadProfile(n *circuit.Netlist, patterns, seed int64) (probHigh, activi
 	p := logic.NewPatternSet(len(n.PIs), int(patterns))
 	p.RandFill(rng.Uint64)
 	ones := make([]int, len(n.Gates))
+	toggles := make([]int, len(n.Gates))
 	pi := make([]logic.Word, len(n.PIs))
+	// carry[g] is gate g's value on the pattern before the current word's
+	// first one, starting from the all-zero input.
+	carry := make([]logic.Word, len(n.Gates))
+	for g, v := range ps.BlockRange(pi, 0, 1) {
+		carry[g] = v & 1
+	}
 	for w := 0; w < p.Words(); w++ {
 		for i := range pi {
 			pi[i] = p.Bits[i][w]
@@ -75,26 +87,15 @@ func WorkloadProfile(n *circuit.Netlist, patterns, seed int64) (probHigh, activi
 		mask := p.TailMask(w)
 		for g, v := range vals {
 			ones[g] += logic.PopCount(v & mask)
+			toggles[g] += logic.PopCount((v ^ (v<<1 | carry[g])) & mask)
+			carry[g] = v >> (logic.WordBits - 1)
 		}
 	}
 	probHigh = make([]float64, len(n.Gates))
+	activity = make([]float64, len(n.Gates))
 	for g := range probHigh {
 		probHigh[g] = float64(ones[g]) / float64(p.N)
-	}
-	es, err := sim.NewEvent(n)
-	if err != nil {
-		return nil, nil, err
-	}
-	seq := make([][]bool, p.N)
-	for k := 0; k < p.N; k++ {
-		seq[k] = p.Pattern(k)
-	}
-	activity = es.ActivityProfile(seq)
-	for g, a := range activity {
-		if a > 1 {
-			activity[g] = 1
-		}
-		_ = a
+		activity[g] = float64(toggles[g]) / float64(p.N)
 	}
 	return probHigh, activity, nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/logic"
 )
 
 // scanCircuit builds a tiny sequential netlist: q = DFF(d), y = AND(q, b),
@@ -61,38 +62,34 @@ func TestDFFIsPseudoPI(t *testing.T) {
 	}
 }
 
-// TestEventSimScanConsistency guards the full-scan invariant in the
-// event-driven simulator: propagating a change into a DFF's D input must
-// NOT overwrite the scan cell's output value mid-cycle.
-func TestEventSimScanConsistency(t *testing.T) {
+// TestScanCellHeldAgainstFanin guards the full-scan invariant: changing the
+// logic that feeds a DFF's D input must not overwrite the scan cell's output
+// within the cycle. Every gate value must match the reference evaluator.
+func TestScanCellHeldAgainstFanin(t *testing.T) {
 	n := scanCircuit(t)
-	es, err := NewEvent(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := newWide(t, n)
+	s := newWide(t, n)
 	idx := n.InputIndex()
-	pin := func(name string) int {
-		g, _ := n.GateByName(name)
-		return idx[g.ID]
-	}
-	// Set q=1 then toggle a (which drives d = OR(a,q), the DFF's fanin).
-	// The event simulator must keep q at its scanned value.
+	q, _ := n.GateByName("q")
+	a, _ := n.GateByName("a")
+	// Scan in q=1, then toggle a, which drives d = OR(a, q), the DFF's fanin.
 	bits := make([]bool, 3)
-	bits[pin("q")] = true
-	es.SetInputs(bits)
-	for _, a := range []bool{true, false, true} {
-		bits[pin("a")] = a
-		es.SetInputs(bits)
-		want := runPattern(ps, bits)
-		got := es.Outputs()
-		for o := range want {
-			if got[o] != want[o] {
-				t.Fatalf("event/parallel disagree on scan circuit (a=%v, output %d)", a, o)
+	bits[idx[q.ID]] = true
+	pi := make([]logic.Word, 3)
+	for _, av := range []bool{true, false, true} {
+		bits[idx[a.ID]] = av
+		for i, v := range bits {
+			pi[i] = 0
+			if v {
+				pi[i] = 1
 			}
 		}
-		q, _ := n.GateByName("q")
-		if !es.Value(q.ID) {
+		vals := s.BlockRange(pi, 0, 1)
+		for g, want := range refValues(n, bits) {
+			if got := vals[g]&1 == 1; got != want {
+				t.Fatalf("a=%v gate %s: got %v, want %v", av, n.Gates[g].Name, got, want)
+			}
+		}
+		if vals[q.ID]&1 != 1 {
 			t.Fatal("DFF output overwritten by fanin propagation")
 		}
 	}

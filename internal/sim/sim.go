@@ -1,12 +1,12 @@
-// Package sim provides gate-level logic simulation over circuit netlists:
-// a compiled, levelized parallel-pattern simulator (Wide, the good-value
-// engine of fault simulation, BIST, transition-fault and workload
-// profiling) and a single-pattern event-driven simulator used for
-// baselines and incremental evaluation. Wide packs one to MaxLanes 64-bit
-// pattern words per gate; its W=1 form is the single-word simulator. Both
-// consume the shared immutable circuit.Compiled IR, so many simulator
-// instances (one per worker goroutine, one per request) share a single
-// compiled graph.
+// Package sim provides gate-level good-value logic simulation over circuit
+// netlists. It has one simulator, Wide: a compiled, levelized
+// parallel-pattern engine that packs one to MaxLanes 64-bit pattern words
+// per gate (its W=1 form is the single-word simulator). It is the good-value
+// engine of fault simulation, BIST, transition-fault analysis and workload
+// profiling. Eval and EvalLanes are its gate evaluators over one word and
+// over a group of lanes. Every Wide consumes the shared immutable
+// circuit.Compiled IR, so many instances (one per worker goroutine, one per
+// request) share a single compiled graph.
 package sim
 
 import (

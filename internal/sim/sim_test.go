@@ -43,6 +43,57 @@ func newWide(t testing.TB, n *circuit.Netlist) *Wide {
 	return NewWideCompiled(c, 1)
 }
 
+// refGate evaluates one gate over plain booleans: the reference the
+// simulator's word evaluators are checked against.
+func refGate(t circuit.GateType, in []bool) bool {
+	switch t {
+	case circuit.Buf:
+		return in[0]
+	case circuit.Not:
+		return !in[0]
+	case circuit.And, circuit.Nand:
+		v := true
+		for _, b := range in {
+			v = v && b
+		}
+		return v != (t == circuit.Nand)
+	case circuit.Or, circuit.Nor:
+		v := false
+		for _, b := range in {
+			v = v || b
+		}
+		return v != (t == circuit.Nor)
+	case circuit.Xor, circuit.Xnor:
+		v := false
+		for _, b := range in {
+			v = v != b
+		}
+		return v != (t == circuit.Xnor)
+	}
+	panic("unexpected gate type " + t.String())
+}
+
+// refValues returns every gate's value under one input pattern, evaluated
+// gate by gate in topological order. Under full scan a DFF output is a
+// pseudo-PI, read from bits like a primary input.
+func refValues(n *circuit.Netlist, bits []bool) []bool {
+	idx := n.InputIndex()
+	vals := make([]bool, len(n.Gates))
+	for _, id := range n.TopoOrder() {
+		g := n.Gates[id]
+		if g.Type == circuit.Input || g.Type == circuit.DFF {
+			vals[id] = bits[idx[id]]
+			continue
+		}
+		in := make([]bool, len(g.Fanin))
+		for pin, f := range g.Fanin {
+			in[pin] = vals[f]
+		}
+		vals[id] = refGate(g.Type, in)
+	}
+	return vals
+}
+
 // response simulates every pattern of p word by word and returns the PO
 // values bit-sliced like logic.PatternSet: r[po][word].
 func response(s *Wide, p *logic.PatternSet) [][]logic.Word {
@@ -200,116 +251,55 @@ func TestMultiplierArithmetic(t *testing.T) {
 	}
 }
 
-// TestEventMatchesParallel cross-checks the event-driven simulator against
-// the parallel simulator on random circuits and random stimulus.
-func TestEventMatchesParallel(t *testing.T) {
+// TestWideMatchesReferenceOnPOs checks every primary output of 256 random
+// patterns, simulated word by word, against the per-pattern reference on
+// fixed benchmark and random circuits.
+func TestWideMatchesReferenceOnPOs(t *testing.T) {
 	for _, c := range []*circuit.Netlist{
 		circuit.MustC17(),
 		circuit.ALUSlice(4),
 		circuit.Random(12, 150, 5),
 		circuit.Random(8, 60, 9),
 	} {
-		ps := newWide(t, c)
-		es, err := NewEvent(c)
-		if err != nil {
-			t.Fatal(err)
-		}
 		rng := rand.New(rand.NewSource(11))
 		p := logic.NewPatternSet(len(c.PIs), 256)
 		p.RandFill(rng.Uint64)
-		r := response(ps, p)
+		r := response(newWide(t, c), p)
 		for k := 0; k < p.N; k++ {
-			es.SetInputs(p.Pattern(k))
-			got := es.Outputs()
-			for o := range c.POs {
-				if got[o] != bit(r, k, o) {
-					t.Fatalf("%s pattern %d output %d: event %v, parallel %v",
-						c.Name, k, o, got[o], bit(r, k, o))
+			vals := refValues(c, p.Pattern(k))
+			for o, po := range c.POs {
+				if bit(r, k, o) != vals[po] {
+					t.Fatalf("%s pattern %d output %d: wide %v, reference %v",
+						c.Name, k, o, bit(r, k, o), vals[po])
 				}
 			}
 		}
 	}
 }
 
-func TestFlipInput(t *testing.T) {
-	c := circuit.MustC17()
-	es, err := NewEvent(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := newWide(t, c)
-	bits := make([]bool, 5)
-	es.SetInputs(bits)
-	for i := 0; i < 5; i++ {
-		es.FlipInput(i)
-		bits[i] = !bits[i]
-		want := runPattern(ps, bits)
-		got := es.Outputs()
-		for o := range want {
-			if got[o] != want[o] {
-				t.Fatalf("after flip %d output %d mismatch", i, o)
-			}
-		}
-	}
-}
-
-func TestActivityProfile(t *testing.T) {
-	c := circuit.MustC17()
-	es, err := NewEvent(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Alternate all-zeros / all-ones: every PI toggles each pattern after
-	// the first (activity near 1).
-	var pats [][]bool
-	for i := 0; i < 20; i++ {
-		row := make([]bool, 5)
-		for j := range row {
-			row[j] = i%2 == 1
-		}
-		pats = append(pats, row)
-	}
-	prof := es.ActivityProfile(pats)
-	pi0 := c.PIs[0]
-	if prof[pi0] < 0.9 {
-		t.Errorf("PI toggle rate = %f, want ~1", prof[pi0])
-	}
-	for _, v := range prof {
-		if v < 0 || v > 1.01 {
-			t.Errorf("activity out of range: %f", v)
-		}
-	}
-}
-
-// Property: simulating the same pattern twice yields identical outputs, and
-// the event simulator is insensitive to the order patterns were applied
-// previously (state is fully determined by the last pattern).
-func TestEventStateless(t *testing.T) {
+// Property: a Wide simulator keeps no state between calls. After any
+// random walk of earlier patterns, a probe pattern gives the same outputs
+// as on a fresh simulator and as the reference.
+func TestWideStateless(t *testing.T) {
 	c := circuit.Random(10, 100, 13)
-	es, err := NewEvent(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := newWide(t, c)
+	s := newWide(t, c)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		// Apply a random walk of patterns, then a final probe pattern.
+		row := make([]bool, len(c.PIs))
 		for i := 0; i < 10; i++ {
-			row := make([]bool, len(c.PIs))
 			for j := range row {
 				row[j] = rng.Intn(2) == 1
 			}
-			es.SetInputs(row)
+			runPattern(s, row)
 		}
-		probe := make([]bool, len(c.PIs))
-		for j := range probe {
-			probe[j] = rng.Intn(2) == 1
+		for j := range row {
+			row[j] = rng.Intn(2) == 1
 		}
-		es.SetInputs(probe)
-		want := runPattern(ps, probe)
-		got := es.Outputs()
-		for o := range want {
-			if got[o] != want[o] {
+		got := runPattern(s, row)
+		fresh := runPattern(newWide(t, c), row)
+		ref := refValues(c, row)
+		for o, po := range c.POs {
+			if got[o] != fresh[o] || got[o] != ref[po] {
 				return false
 			}
 		}
@@ -341,24 +331,4 @@ func BenchmarkParallelSim(b *testing.B) {
 		response(s, p)
 	}
 	b.ReportMetric(float64(1024), "patterns/op")
-}
-
-func BenchmarkEventSim(b *testing.B) {
-	c := circuit.Random(32, 1200, 2)
-	es, err := NewEvent(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	pats := make([][]bool, 64)
-	for i := range pats {
-		pats[i] = make([]bool, len(c.PIs))
-		for j := range pats[i] {
-			pats[i][j] = rng.Intn(2) == 1
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		es.SetInputs(pats[i%len(pats)])
-	}
 }

@@ -9,10 +9,10 @@ import (
 	"repro/internal/logic"
 )
 
-// Property: every lane of a Wide block equals, bit for bit, the event-driven
-// simulator (its own evaluator, evalBool) run on each of that lane's 64
-// patterns, for every width and active-lane count — the strided layout
-// cannot swap, shift or corrupt lanes. Also pins the staleness contract:
+// Property: every lane of a Wide block equals, bit for bit, the per-pattern
+// reference evaluator (refValues) run on each of that lane's 64 patterns,
+// for every width and active-lane count — the strided layout cannot swap,
+// shift or corrupt lanes. Also pins the staleness contract:
 // lanes at index >= act keep their previous contents untouched.
 func TestWideMatchesSingleWord(t *testing.T) {
 	f := func(seed int64) bool {
@@ -22,7 +22,6 @@ func TestWideMatchesSingleWord(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		es := NewEventCompiled(c)
 		bits := make([]bool, len(n.PIs))
 		for _, w := range []int{1, 2, 4, MaxLanes} {
 			ws := NewWideCompiled(c, w)
@@ -30,7 +29,7 @@ func TestWideMatchesSingleWord(t *testing.T) {
 			for i := range pi {
 				pi[i] = logic.Word(rng.Uint64())
 			}
-			// want[l][g] is gate g's word in lane l, one event-driven
+			// want[l][g] is gate g's word in lane l, one reference
 			// evaluation per pattern bit.
 			want := make([][]logic.Word, w)
 			for l := range want {
@@ -39,9 +38,8 @@ func TestWideMatchesSingleWord(t *testing.T) {
 					for i := range bits {
 						bits[i] = pi[i*w+l]>>uint(b)&1 == 1
 					}
-					es.SetInputs(bits)
-					for g := range want[l] {
-						if es.Value(g) {
+					for g, v := range refValues(n, bits) {
+						if v {
 							want[l][g] |= 1 << uint(b)
 						}
 					}
