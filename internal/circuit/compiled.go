@@ -9,7 +9,8 @@ import (
 // flattened into CSR (compressed sparse row) adjacency — one backing []int32
 // per direction instead of a []int slice per gate — plus the dense side
 // tables every engine in this repository needs (topological order and its
-// inverse, levels, PI/PO index maps, gate types). It is built once per
+// inverse, levels, PI/PO index maps, gate types), and the same graph
+// re-indexed by topological position (Pos*) for the fault walk. It is built once per
 // netlist via Netlist.Compiled and shared by the logic simulators, the fault
 // simulator, STA, ATPG, DFT, BIST, SCOAP and diagnosis, so the compile cost
 // is paid once — not once per worker goroutine or per request.
@@ -44,11 +45,32 @@ type Compiled struct {
 	PIPos []int32
 	POIdx []int32
 
+	// Pos, PosFanin, PosFanout and PosKind are the graph re-indexed by
+	// topological position (position p holds gate Order[p]), for walks that
+	// run in position space and keep their values there: the fault
+	// simulator's event-driven cone walk reads only these tables. Pos[p]
+	// packs p's CSR offsets and PO index; p's fanin positions, in pin order,
+	// are PosFanin[Pos[p].In:Pos[p+1].In] and its fanout positions are
+	// PosFanout[Pos[p].Out:Pos[p+1].Out], so Pos has NumGates()+1 records.
+	// PosKind[p] is the type of the gate at position p.
+	Pos       []PosNode
+	PosFanin  []int32
+	PosFanout []int32
+	PosKind   []GateType
+
 	// Depth is the number of logic levels (PIs at level 0 count as one).
 	Depth int
 	// MaxFanin is the largest fanin count of any gate: the size of the
 	// per-gate gather scratch an evaluator needs.
 	MaxFanin int
+}
+
+// PosNode is one topological position's packed record in Compiled.Pos: the
+// start offsets of its fanin and fanout runs, and its index in Net.POs (-1
+// when the gate is not a primary output). The walk that reads the offsets
+// of an event finds the PO index in the same record.
+type PosNode struct {
+	In, Out, PO int32
 }
 
 // compileCount tracks the total number of Compile calls in this process; a
@@ -120,6 +142,24 @@ func Compile(n *Netlist) (*Compiled, error) {
 	for i, po := range n.POs {
 		c.POIdx[po] = int32(i)
 	}
+	c.Pos = make([]PosNode, ng+1)
+	c.PosFanin = make([]int32, nIn)
+	c.PosFanout = make([]int32, nOut)
+	c.PosKind = make([]GateType, ng)
+	in, out := int32(0), int32(0)
+	for p, id := range c.Order {
+		c.Pos[p] = PosNode{In: in, Out: out, PO: c.POIdx[id]}
+		c.PosKind[p] = c.Types[id]
+		for _, f := range c.FaninDat[c.FaninOff[id]:c.FaninOff[id+1]] {
+			c.PosFanin[in] = c.Tpos[f]
+			in++
+		}
+		for _, fo := range c.FanoutDat[c.FanoutOff[id]:c.FanoutOff[id+1]] {
+			c.PosFanout[out] = c.Tpos[fo]
+			out++
+		}
+	}
+	c.Pos[ng] = PosNode{In: in, Out: out, PO: -1}
 	return c, nil
 }
 

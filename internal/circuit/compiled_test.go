@@ -76,6 +76,34 @@ func TestCompiledMatchesNetlist(t *testing.T) {
 	if c.Depth != n.Depth() {
 		t.Errorf("Depth %d != %d", c.Depth, n.Depth())
 	}
+	// The position-indexed view is the gate-ID graph renumbered by Tpos.
+	if len(c.Pos) != len(n.Gates)+1 || len(c.PosKind) != len(n.Gates) {
+		t.Fatalf("position tables: %d records, %d kinds for %d gates", len(c.Pos), len(c.PosKind), len(n.Gates))
+	}
+	for p, id := range c.Order {
+		g := n.Gates[id]
+		if c.PosKind[p] != g.Type || c.Pos[p].PO != c.POIdx[id] {
+			t.Errorf("position %d (gate %d): kind %v PO %d, want %v %d", p, id, c.PosKind[p], c.Pos[p].PO, g.Type, c.POIdx[id])
+		}
+		fanin := c.PosFanin[c.Pos[p].In:c.Pos[p+1].In]
+		if len(fanin) != len(g.Fanin) {
+			t.Fatalf("position %d fanin len %d != %d", p, len(fanin), len(g.Fanin))
+		}
+		for pin, f := range g.Fanin {
+			if fanin[pin] != c.Tpos[f] {
+				t.Errorf("position %d fanin[%d] = %d want %d", p, pin, fanin[pin], c.Tpos[f])
+			}
+		}
+		fanout := c.PosFanout[c.Pos[p].Out:c.Pos[p+1].Out]
+		if len(fanout) != len(g.Fanout) {
+			t.Fatalf("position %d fanout len %d != %d", p, len(fanout), len(g.Fanout))
+		}
+		for k, fo := range g.Fanout {
+			if fanout[k] != c.Tpos[fo] || int(fanout[k]) <= p {
+				t.Errorf("position %d fanout[%d] = %d want %d (> %d)", p, k, fanout[k], c.Tpos[fo], p)
+			}
+		}
+	}
 }
 
 // TestCompiledCached pins the compile-once contract: repeated and

@@ -92,7 +92,6 @@ func DictionaryConcurrentWords(n *circuit.Netlist, p *logic.PatternSet, faults [
 	sigs := newSignatures(len(faults), len(n.POs), nWords)
 	type scratch struct {
 		fsim  *Simulator
-		pi    []logic.Word
 		perPO []logic.Word
 	}
 	scratches := make([]scratch, workers)
@@ -100,10 +99,9 @@ func DictionaryConcurrentWords(n *circuit.Netlist, p *logic.PatternSet, faults [
 		sc := &scratches[worker]
 		if sc.fsim == nil {
 			sc.fsim = NewSimulatorCompiledWords(c, W)
-			sc.pi = make([]logic.Word, len(n.PIs)*W)
 			sc.perPO = make([]logic.Word, len(n.POs)*W)
 		}
-		sc.fsim.dictionaryBlock(p, faults, b*W, sigs, sc.pi, sc.perPO)
+		sc.fsim.dictionaryBlock(p, faults, b*W, sigs, sc.perPO)
 		return nil
 	})
 	if err != nil {

@@ -100,7 +100,7 @@ func TestEventDrivenMatchesFullResim(t *testing.T) {
 			pi[i] = p.Bits[i][0]
 		}
 		good := goodValues(fsim.Compiled(), p)[0]
-		fsim.good.BlockRange(pi, 0, 1)
+		fsim.simulateGood(p, 0, 0, 1, 1)
 		for _, fl := range faults {
 			want := fullResimDiff(c, fl, pi, good)
 			got := fsim.detectWord(fl, p.TailMask(0), nil)

@@ -41,20 +41,34 @@ func NormalizeWords(w int) int {
 // in any pattern bit.
 //
 // The engine packs W = Words() 64-bit pattern words per gate (lanes), so a
-// single epoch-stamped cone walk amortizes over up to W*64 patterns. Lanes
-// are stored strided — all W words of gate g sit at [g*W : g*W+W] — and the
-// live-effect early exit triggers only when every lane has died.
+// single cone walk amortizes over up to W*64 patterns, and the live-effect
+// early exit triggers only when every lane has died. The good circuit is
+// simulated by a sim.Wide (values indexed by gate ID) only as wide as the
+// widest lane group seen so far. After each good simulation the simulated
+// lanes are copied into the walk's own buffer, indexed by topological
+// position and strided by the lanes the pattern set needs, min(W, words):
+// a 2-word set on a W=8 simulator walks a buffer a quarter the size. The
+// lanes of one position stay contiguous, so the multi-lane walk gathers
+// each fanin with one copy.
 //
-// All graph structure (CSR adjacency, topological tables, PO index map)
-// lives in the shared immutable circuit.Compiled IR; a Simulator owns only
-// its mutable scratch (the good/faulty value lanes, the frontier bitmap and
-// the undo log), so per-worker instances over one compiled graph are
-// cheap — O(gates) each, independent of circuit depth or cone sizes.
+// All graph structure (CSR adjacency, the position-indexed tables the walk
+// reads, PO index maps) lives in the shared immutable circuit.Compiled IR;
+// a Simulator owns only its mutable scratch (the value lanes, the frontier
+// bitmap and the undo log), so per-worker instances over one compiled graph
+// are cheap — O(gates) each, independent of circuit depth or cone sizes.
 type Simulator struct {
-	Net  *circuit.Netlist
-	c    *circuit.Compiled
-	w    int       // lanes (pattern words) per pass
-	good *sim.Wide // good-value lanes; patched in place during a walk, restored after
+	Net *circuit.Netlist
+	c   *circuit.Compiled
+	w   int // lanes (pattern words) per pass
+	// good is the good-value simulator, scratch for simulateGood: built on
+	// first use and widened only when a wider lane group needs it.
+	good *sim.Wide
+	// vals holds the good values the walk reads, indexed by topological
+	// position: lane l of position p at vals[p*stride+l]. simulateGood
+	// fills it; a walk patches it in place and restores it before
+	// returning.
+	vals   []logic.Word
+	stride int
 	// front is the frontier bitmap over topological positions; it is
 	// self-clearing, so walks never pay a bulk reset.
 	front []uint64
@@ -65,8 +79,8 @@ type Simulator struct {
 	undoIdx []int32
 	undoVal []logic.Word
 	dirty   []int32 // scratch: PO indices touched by the last detectLanes
-	// piBuf holds the strided PI lane words of the last good simulation
-	// (lane l of PI i at piBuf[i*W+l]).
+	// piBuf holds the PI lane words of the last good simulation, at the
+	// good simulator's stride (lane l of PI i at piBuf[i*good.W+l]).
 	piBuf []logic.Word
 	// goodAct is the good-value memo of RunInto: when > 0, the value lanes
 	// [0, goodAct) hold the good response to the PI words in piBuf, so a
@@ -77,6 +91,10 @@ type Simulator struct {
 	// goodSims counts good-circuit simulations (BlockRange passes); tests
 	// pin it.
 	goodSims int
+	// gateEvals counts the gates detectLanes evaluated (fault sites and
+	// frontier gates); tests pin it, so a change of data layout is shown
+	// not to change the walk's work.
+	gateEvals int
 	// faninBuf is the gather scratch of the hot loop: one window of the
 	// widest gate's fanin lanes, c.MaxFanin*w words.
 	faninBuf []logic.Word
@@ -117,7 +135,6 @@ func NewSimulatorCompiledWords(c *circuit.Compiled, words int) *Simulator {
 		Net:      c.Net,
 		c:        c,
 		w:        w,
-		good:     sim.NewWideCompiled(c, w),
 		front:    make([]uint64, (c.NumGates()+63)/64),
 		faninBuf: make([]logic.Word, c.MaxFanin*w),
 	}
@@ -130,7 +147,7 @@ func (s *Simulator) Compiled() *circuit.Compiled { return s.c }
 func (s *Simulator) Words() int { return s.w }
 
 // detectWord simulates fault f against lane 0 of the good values currently
-// held in s.good and returns the word of pattern bits where any faulty
+// held in s.vals and returns the word of pattern bits where any faulty
 // primary output differs. When perPO is non-nil the difference word of each
 // PO index is OR-accumulated into it at stride Words(). It is the
 // single-word view of detectLanes, kept for the serial baseline and the
@@ -143,23 +160,28 @@ func (s *Simulator) detectWord(f Fault, mask logic.Word, perPO []logic.Word) log
 }
 
 // detectLanes simulates fault f against the lane window [lo, lo+act) of the
-// good values currently held in s.good (from the last BlockRange call).
+// good values currently held in s.vals (from the last simulateGood call).
 // masks and diff are window-relative (length act): for every window lane l
 // it OR-accumulates the masked PO difference word into diff[l]. When perPO is
 // non-nil, per-PO difference lanes are accumulated at perPO[po*W+lo+l] and
 // the indices of the touched POs are returned (the caller owns clearing
 // them — detectLanes never zeroes perPO).
 //
-// The walk is event-driven over a frontier bitmap indexed by topological
-// position: evaluating a gate whose lanes differ from the good lanes sets
-// the bits of its fanouts, and the walk consumes set bits in increasing
-// position (fanouts always sit at strictly higher positions, so each gate is
-// evaluated at most once, after all of its faulty fanins). Only gates
-// actually fed by a live fault effect are ever visited, and the walk
-// terminates exactly when the effect has died in every lane — an empty
-// frontier is the all-lanes-dead early exit. The bitmap is self-clearing
-// (each consumed bit is cleared before its gate is processed), so the
-// scratch never needs a bulk reset between faults.
+// The walk runs in topological-position space: it reads only the
+// position-indexed tables of the compiled IR (Pos, PosFanin, PosFanout,
+// PosKind) and the position-indexed good values, so an event costs no
+// gate-ID to position translation and touches a value buffer only as wide
+// as the lanes simulated. The fault's gate ID is translated once, at the
+// site. The work-list is a frontier bitmap over positions: evaluating a
+// gate whose lanes differ from the good lanes sets the bits of its
+// fanouts, and the walk consumes set bits in increasing position (fanouts
+// always sit at strictly higher positions, so each gate is evaluated at
+// most once, after all of its faulty fanins). Only gates actually fed by a
+// live fault effect are ever visited, and the walk terminates exactly when
+// the effect has died in every lane — an empty frontier is the all-lanes-
+// dead early exit. The bitmap is self-clearing (each consumed bit is
+// cleared before its gate is processed), so the scratch never needs a bulk
+// reset between faults.
 //
 // Faulty lanes are patched directly into the good-value buffer and logged
 // in the undo list; the walk epilogue replays the log to restore the good
@@ -173,7 +195,9 @@ func (s *Simulator) detectWord(f Fault, mask logic.Word, perPO []logic.Word) log
 func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, perPO []logic.Word) []int32 {
 	c := s.c
 	W := s.w
-	vals := s.good.Values()
+	S := s.stride
+	vals := s.vals
+	pos, kind := c.Pos, c.PosKind
 	bm := s.front
 	dirty := s.dirty[:0]
 	undoIdx := s.undoIdx[:0]
@@ -182,43 +206,41 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 	if f.SA == 1 {
 		force = ^logic.Word(0)
 	}
-	site := f.Gate
+	site := int(c.Tpos[f.Gate])
 	maxW := -1
+	evals := 1 // the fault site
 
 	if act == 1 {
 		// Scalar fast path: one lane, evaluation fused into the loads.
 		mask := masks[0]
 		var d0 logic.Word
-		sbase := site*W + lo
+		sbase := site*S + lo
 		var v logic.Word
-		if t := c.Types[site]; f.Pin < 0 {
+		if t := kind[site]; f.Pin < 0 {
 			v = force // stem fault on the site output
 		} else if t == circuit.Input || t == circuit.DFF {
 			v = vals[sbase] // pseudo-PIs have no evaluable fanin
 		} else {
-			fanin := c.Fanin(site)
+			fanin := c.PosFanin[pos[site].In:pos[site+1].In]
 			in := s.faninBuf[:len(fanin)]
-			for pin, fi := range fanin {
+			for pin, fp := range fanin {
 				if pin == f.Pin {
 					in[pin] = force // input-branch fault
 				} else {
-					in[pin] = vals[int(fi)*W+lo]
+					in[pin] = vals[int(fp)*S+lo]
 				}
 			}
-			v = sim.Eval(c.Types[site], in)
+			v = sim.Eval(t, in)
 		}
 		if d := v ^ vals[sbase]; d != 0 {
 			undoIdx = append(undoIdx, int32(sbase))
 			undoVal = append(undoVal, vals[sbase])
 			vals[sbase] = v
-			for _, fo := range c.Fanout(site) {
-				tp := int(c.Tpos[fo])
-				bm[tp>>6] |= 1 << uint(tp&63)
-				if tw := tp >> 6; tw > maxW {
-					maxW = tw
-				}
+			for _, fp := range c.PosFanout[pos[site].Out:pos[site+1].Out] {
+				bm[fp>>6] |= 1 << uint(fp&63)
+				maxW = max(maxW, int(fp>>6))
 			}
-			if po := c.POIdx[site]; po >= 0 {
+			if po := pos[site].PO; po >= 0 {
 				if dm := d & mask; dm != 0 {
 					d0 |= dm
 					if perPO != nil {
@@ -228,47 +250,48 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 				}
 			}
 		}
-		for w := int(c.Tpos[site]) >> 6; w <= maxW; w++ {
+		for w := site >> 6; w <= maxW; w++ {
 			for bm[w] != 0 {
 				b := bits.TrailingZeros64(bm[w])
 				bm[w] &^= 1 << uint(b)
-				id := int(c.Order[w<<6|b])
-				t := c.Types[id]
-				fanin := c.Fanin(id)
+				p := w<<6 | b
+				rec := pos[p]
+				fanin := c.PosFanin[rec.In:pos[p+1].In]
 				var v logic.Word
-				switch t {
+				switch t := kind[p]; t {
 				case circuit.And, circuit.Nand:
-					v = vals[int(fanin[0])*W+lo]
-					for _, fi := range fanin[1:] {
-						v &= vals[int(fi)*W+lo]
+					v = vals[int(fanin[0])*S+lo]
+					for _, fp := range fanin[1:] {
+						v &= vals[int(fp)*S+lo]
 					}
 					if t == circuit.Nand {
 						v = ^v
 					}
 				case circuit.Or, circuit.Nor:
-					v = vals[int(fanin[0])*W+lo]
-					for _, fi := range fanin[1:] {
-						v |= vals[int(fi)*W+lo]
+					v = vals[int(fanin[0])*S+lo]
+					for _, fp := range fanin[1:] {
+						v |= vals[int(fp)*S+lo]
 					}
 					if t == circuit.Nor {
 						v = ^v
 					}
 				case circuit.Xor, circuit.Xnor:
-					v = vals[int(fanin[0])*W+lo]
-					for _, fi := range fanin[1:] {
-						v ^= vals[int(fi)*W+lo]
+					v = vals[int(fanin[0])*S+lo]
+					for _, fp := range fanin[1:] {
+						v ^= vals[int(fp)*S+lo]
 					}
 					if t == circuit.Xnor {
 						v = ^v
 					}
 				case circuit.Not:
-					v = ^vals[int(fanin[0])*W+lo]
+					v = ^vals[int(fanin[0])*S+lo]
 				case circuit.Buf:
-					v = vals[int(fanin[0])*W+lo]
+					v = vals[int(fanin[0])*S+lo]
 				default:
 					continue // pseudo-PI (Input/DFF): immune to fanin changes
 				}
-				base := id*W + lo
+				evals++
+				base := p*S + lo
 				d := v ^ vals[base]
 				if d == 0 {
 					continue // effect masked here; consumers read the good lane
@@ -276,19 +299,16 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 				undoIdx = append(undoIdx, int32(base))
 				undoVal = append(undoVal, vals[base])
 				vals[base] = v
-				for _, fo := range c.Fanout(id) {
-					tp := int(c.Tpos[fo])
-					bm[tp>>6] |= 1 << uint(tp&63)
-					if tw := tp >> 6; tw > maxW {
-						maxW = tw
-					}
+				for _, fp := range c.PosFanout[rec.Out:pos[p+1].Out] {
+					bm[fp>>6] |= 1 << uint(fp&63)
+					maxW = max(maxW, int(fp>>6))
 				}
-				if po := c.POIdx[id]; po >= 0 {
+				if rec.PO >= 0 {
 					if dm := d & mask; dm != 0 {
 						d0 |= dm
 						if perPO != nil {
-							perPO[int(po)*W+lo] |= dm
-							dirty = append(dirty, po)
+							perPO[int(rec.PO)*W+lo] |= dm
+							dirty = append(dirty, rec.PO)
 						}
 					}
 				}
@@ -298,40 +318,41 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 		for k, bi := range undoIdx {
 			vals[bi] = undoVal[k]
 		}
+		s.gateEvals += evals
 		s.undoIdx, s.undoVal = undoIdx, undoVal
 		s.dirty = dirty
 		return dirty
 	}
 
-	// Multi-lane path: lanes of a gate are contiguous in the strided
+	// Multi-lane path: lanes of a position are contiguous in the strided
 	// buffer, so gathers and undo snapshots are plain copies.
 	faninBuf := s.faninBuf
 	var vbuf, dbuf [MaxWords]logic.Word
-	sbase := site*W + lo
+	sbase := site*S + lo
 	v := vbuf[:act]
-	if t := c.Types[site]; f.Pin < 0 {
+	if t := kind[site]; f.Pin < 0 {
 		for l := 0; l < act; l++ {
 			v[l] = force
 		}
 	} else if t == circuit.Input || t == circuit.DFF {
 		copy(v, vals[sbase:sbase+act])
 	} else {
-		fanin := c.Fanin(site)
+		fanin := c.PosFanin[pos[site].In:pos[site+1].In]
 		in := faninBuf[:len(fanin)*act]
-		for pin, fi := range fanin {
+		for pin, fp := range fanin {
 			ib := pin * act
 			if pin == f.Pin {
 				for l := 0; l < act; l++ {
 					in[ib+l] = force
 				}
 			} else {
-				fb := int(fi)*W + lo
+				fb := int(fp)*S + lo
 				copy(in[ib:ib+act], vals[fb:fb+act])
 			}
 		}
-		sim.EvalLanes(c.Types[site], in, len(fanin), act, v)
+		sim.EvalLanes(t, in, len(fanin), act, v)
 	}
-	commit := func(id, base int, v []logic.Word) {
+	commit := func(p, base int, v []logic.Word) {
 		var any logic.Word
 		d := dbuf[:act]
 		gw := vals[base : base+act]
@@ -346,14 +367,11 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 		undoIdx = append(undoIdx, int32(base))
 		undoVal = append(undoVal, gw...)
 		copy(gw, v)
-		for _, fo := range c.Fanout(id) {
-			tp := int(c.Tpos[fo])
-			bm[tp>>6] |= 1 << uint(tp&63)
-			if tw := tp >> 6; tw > maxW {
-				maxW = tw
-			}
+		for _, fp := range c.PosFanout[pos[p].Out:pos[p+1].Out] {
+			bm[fp>>6] |= 1 << uint(fp&63)
+			maxW = max(maxW, int(fp>>6))
 		}
-		if po := c.POIdx[id]; po >= 0 {
+		if po := pos[p].PO; po >= 0 {
 			var anyMasked logic.Word
 			for l := 0; l < act; l++ {
 				dm := d[l] & masks[l]
@@ -376,29 +394,31 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 		}
 	}
 	commit(site, sbase, v)
-	for w := int(c.Tpos[site]) >> 6; w <= maxW; w++ {
+	for w := site >> 6; w <= maxW; w++ {
 		for bm[w] != 0 {
 			b := bits.TrailingZeros64(bm[w])
 			bm[w] &^= 1 << uint(b)
-			id := int(c.Order[w<<6|b])
-			t := c.Types[id]
+			p := w<<6 | b
+			t := kind[p]
 			if t == circuit.Input || t == circuit.DFF {
 				continue
 			}
-			fanin := c.Fanin(id)
+			fanin := c.PosFanin[pos[p].In:pos[p+1].In]
 			in := faninBuf[:len(fanin)*act]
-			for pin, fi := range fanin {
-				fb := int(fi)*W + lo
+			for pin, fp := range fanin {
+				fb := int(fp)*S + lo
 				copy(in[pin*act:pin*act+act], vals[fb:fb+act])
 			}
 			v := vbuf[:act]
 			sim.EvalLanes(t, in, len(fanin), act, v)
-			commit(id, id*W+lo, v)
+			evals++
+			commit(p, p*S+lo, v)
 		}
 	}
 	for k, bi := range undoIdx {
 		copy(vals[bi:int(bi)+act], undoVal[k*act:(k+1)*act])
 	}
+	s.gateEvals += evals
 	s.undoIdx, s.undoVal = undoIdx, undoVal
 	s.dirty = dirty
 	return dirty
@@ -467,10 +487,6 @@ func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, li
 		live = append(live, i)
 	}
 	W := s.w
-	if need := len(s.Net.PIs) * W; cap(s.piBuf) < need {
-		s.piBuf = make([]logic.Word, need)
-	}
-	pi := s.piBuf[:len(s.Net.PIs)*W]
 	var masks, diff [MaxWords]logic.Word
 	words := p.Words()
 	for base := 0; base < words && len(live) > 0; base += W {
@@ -479,13 +495,7 @@ func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, li
 			act = rem
 		}
 		if words > W || act != memo || !s.samePIs(p, act) {
-			for i := range s.Net.PIs {
-				pb := i * W
-				for l := 0; l < act; l++ {
-					pi[pb+l] = p.Bits[i][base+l]
-				}
-			}
-			s.simulateGood(pi, 0, act)
+			s.simulateGood(p, base, 0, act, min(W, words))
 			memo = act
 		}
 		for l := 0; l < act; l++ {
@@ -539,9 +549,9 @@ func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, li
 // samePIs reports whether the first act PI words of p equal the lane words
 // the value lanes were last simulated from.
 func (s *Simulator) samePIs(p *logic.PatternSet, act int) bool {
-	W := s.w
+	gw := s.good.W
 	for i, row := range p.Bits {
-		key := s.piBuf[i*W : i*W+act]
+		key := s.piBuf[i*gw : i*gw+act]
 		for l, w := range row[:act] {
 			if w != key[l] {
 				return false
@@ -551,11 +561,39 @@ func (s *Simulator) samePIs(p *logic.PatternSet, act int) bool {
 	return true
 }
 
-// simulateGood runs the good circuit over lanes [lo, hi) of the strided PI
-// words pi, leaving the response in the value lanes.
-func (s *Simulator) simulateGood(pi []logic.Word, lo, hi int) {
-	s.good.BlockRange(pi, lo, hi)
+// simulateGood runs the good circuit over lanes [lo, hi), lane l carrying
+// pattern word base+l of p, and copies those lanes into the walk's
+// position-indexed buffer at the given stride (hi <= stride <= Words()).
+// Lanes outside [lo, hi) keep their values only while the stride is
+// unchanged, which is what incremental staging relies on.
+func (s *Simulator) simulateGood(p *logic.PatternSet, base, lo, hi, stride int) {
+	c := s.c
+	if s.good == nil || s.good.W < stride {
+		s.good = sim.NewWideCompiled(c, stride)
+		s.piBuf = make([]logic.Word, c.NumPIs()*stride)
+	}
+	W := s.good.W
+	for i, row := range p.Bits {
+		copy(s.piBuf[i*W+lo:i*W+hi], row[base+lo:base+hi])
+	}
+	good := s.good.BlockRange(s.piBuf, lo, hi)
 	s.goodSims++
+	if n := c.NumGates() * stride; cap(s.vals) < n {
+		s.vals = make([]logic.Word, n)
+	} else {
+		s.vals = s.vals[:n]
+	}
+	s.stride = stride
+	vals := s.vals
+	if hi-lo == 1 { // one lane (every W=1 pass): a word store, not a copy call
+		for pos, id := range c.Order {
+			vals[pos*stride+lo] = good[int(id)*W+lo]
+		}
+		return
+	}
+	for pos, id := range c.Order {
+		copy(vals[pos*stride+lo:pos*stride+hi], good[int(id)*W+lo:int(id)*W+hi])
+	}
 }
 
 // Stage loads the good-circuit response of every pattern in p into the
@@ -588,18 +626,7 @@ func (s *Simulator) Stage(p *logic.PatternSet) {
 		}
 		lo = s.stagedN / logic.WordBits // first lane word with new bits
 	}
-	W := s.w
-	if need := len(s.Net.PIs) * W; cap(s.piBuf) < need {
-		s.piBuf = make([]logic.Word, need)
-	}
-	pi := s.piBuf[:len(s.Net.PIs)*W]
-	for i := range s.Net.PIs {
-		pb := i * W
-		for l := lo; l < words; l++ {
-			pi[pb+l] = p.Bits[i][l]
-		}
-	}
-	s.simulateGood(pi, lo, words)
+	s.simulateGood(p, 0, lo, words, s.w) // the staged set grows: keep room for every lane
 	s.stagedAct = words
 	s.stagedSet = p
 	s.stagedN = p.N
@@ -640,18 +667,15 @@ func (s *Simulator) RunSerial(p *logic.PatternSet, faults []Fault) *Result {
 	for i := range live {
 		live[i] = i
 	}
-	W := s.w
-	pi := make([]logic.Word, len(s.Net.PIs)*W)
+	one := logic.NewPatternSet(len(s.Net.PIs), 1) // pattern k in bit 0
 	for k := 0; k < p.N && len(live) > 0; k++ {
-		for i := range pi {
-			pi[i] = 0
-		}
-		for i := range s.Net.PIs {
+		for i, row := range one.Bits {
+			row[0] = 0
 			if p.Get(k, i) {
-				pi[i*W] = 1
+				row[0] = 1
 			}
 		}
-		s.simulateGood(pi, 0, 1)
+		s.simulateGood(one, 0, 0, 1, 1)
 		kept := live[:0]
 		for _, fi := range live {
 			if s.detectWord(faults[fi], 1, nil) != 0 {
@@ -715,11 +739,10 @@ func newSignatures(nFaults, nPOs, words int) []*Signature {
 // cone walk. Signatures must have been allocated (zeroed) for the full word
 // range; distinct blocks touch disjoint storage, which is what makes
 // DictionaryConcurrentWords' block-sharded merge bit-identical to the serial
-// run. pi and perPO are caller scratch of len(PIs)*W and len(POs)*W; perPO
-// must be zero on entry and is left zero on return (only the touched PO
+// run. perPO is caller scratch of len(POs)*W; it must be zero on entry and is left zero on return (only the touched PO
 // lanes are written and cleared, so sparse signatures never pay a full
 // clear).
-func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, base int, sigs []*Signature, pi, perPO []logic.Word) {
+func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, base int, sigs []*Signature, perPO []logic.Word) {
 	s.stagedAct, s.goodAct = 0, 0
 	W := s.w
 	words := p.Words()
@@ -727,13 +750,7 @@ func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, base in
 	if rem := words - base; rem < act {
 		act = rem
 	}
-	for i := range s.Net.PIs {
-		pb := i * W
-		for l := 0; l < act; l++ {
-			pi[pb+l] = p.Bits[i][base+l]
-		}
-	}
-	s.simulateGood(pi, 0, act)
+	s.simulateGood(p, base, 0, act, min(W, words))
 	var masks, diff [MaxWords]logic.Word
 	for l := 0; l < act; l++ {
 		masks[l] = p.TailMask(base + l)
@@ -778,9 +795,8 @@ func (s *Simulator) DictionaryRange(p *logic.PatternSet, faults []Fault, lo, hi 
 	if lo < 0 || hi < lo || hi > words || lo%W != 0 || (hi != words && (hi-lo)%W != 0) {
 		panic(fmt.Sprintf("fault: DictionaryRange [%d,%d) not W=%d block-aligned within %d words", lo, hi, W, words))
 	}
-	pi := make([]logic.Word, len(s.Net.PIs)*W)
 	perPO := make([]logic.Word, len(s.Net.POs)*W)
 	for base := lo; base < hi; base += W {
-		s.dictionaryBlock(p, faults, base, sigs, pi, perPO)
+		s.dictionaryBlock(p, faults, base, sigs, perPO)
 	}
 }

@@ -148,13 +148,7 @@ func TestMultiWordMatchesFullResimOracle(t *testing.T) {
 				piByWord[w] = pi
 			}
 			// One wide block holding all W lanes.
-			piWide := make([]logic.Word, len(c.PIs)*W)
-			for i := range c.PIs {
-				for l := 0; l < W; l++ {
-					piWide[i*W+l] = p.Bits[i][l]
-				}
-			}
-			fsim.good.BlockRange(piWide, 0, W)
+			fsim.simulateGood(p, 0, 0, W, W)
 			masks := make([]logic.Word, W)
 			diff := make([]logic.Word, W)
 			for l := 0; l < W; l++ {
@@ -195,13 +189,7 @@ func TestLaneWindowComposition(t *testing.T) {
 		W := fsim.Words()
 		p := logic.NewPatternSet(len(c.PIs), W*logic.WordBits-17) // ragged tail
 		p.RandFill(rng.Uint64)
-		pi := make([]logic.Word, len(c.PIs)*W)
-		for i := range c.PIs {
-			for l := 0; l < W; l++ {
-				pi[i*W+l] = p.Bits[i][l]
-			}
-		}
-		fsim.good.BlockRange(pi, 0, W)
+		fsim.simulateGood(p, 0, 0, W, W)
 		masks := make([]logic.Word, W)
 		for l := 0; l < W; l++ {
 			masks[l] = p.TailMask(l)
@@ -259,10 +247,10 @@ func TestTransitionWordsBitIdentical(t *testing.T) {
 	}
 }
 
-// The good-value buffer is patched in place during a walk and must be
-// restored exactly afterwards; otherwise results would depend on fault
-// order. Pin the restore by interleaving faults and re-checking a clean
-// walk against itself.
+// The walk's position-indexed good-value buffer is patched in place during
+// a walk and must be restored exactly afterwards; otherwise results would
+// depend on fault order. Pin the restore by snapshotting that buffer and
+// comparing it after every fault's walk.
 func TestWalkRestoresGoodValues(t *testing.T) {
 	c := circuit.Random(8, 200, 11)
 	faults := Universe(c)
@@ -274,20 +262,14 @@ func TestWalkRestoresGoodValues(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := logic.NewPatternSet(len(c.PIs), 2*logic.WordBits)
 	p.RandFill(rng.Uint64)
-	pi := make([]logic.Word, len(c.PIs)*W)
-	for i := range c.PIs {
-		for l := 0; l < W; l++ {
-			pi[i*W+l] = p.Bits[i][l]
-		}
-	}
-	fsim.good.BlockRange(pi, 0, W)
-	snapshot := append([]logic.Word(nil), fsim.good.Values()...)
+	fsim.simulateGood(p, 0, 0, W, W)
+	snapshot := append([]logic.Word(nil), fsim.vals...)
 	masks := []logic.Word{p.TailMask(0), p.TailMask(1)}
 	diff := make([]logic.Word, W)
 	for _, fl := range faults {
 		diff[0], diff[1] = 0, 0
 		fsim.detectLanes(fl, 0, W, masks, diff, nil)
-		for i, v := range fsim.good.Values() {
+		for i, v := range fsim.vals {
 			if v != snapshot[i] {
 				t.Fatalf("fault %v: good value %d not restored: %x != %x", fl, i, v, snapshot[i])
 			}
