@@ -193,7 +193,7 @@ func Run(n *circuit.Netlist, lfsrLen, misrLen int, seed uint64, nPatterns int) (
 		}
 		vals := gsim.BlockRange(pi, 0, 1)
 		for o, po := range n.POs {
-			goodPO[o][w] = vals[po]
+			goodPO[o][w] = vals[comp.Tpos[po]]
 		}
 	}
 	goodAt := func(k, o int) bool {

@@ -221,23 +221,33 @@ func TestGateTypeString(t *testing.T) {
 	}
 }
 
+// scoapOf returns gate id's (CC0, CC1, CO) from position-indexed measures.
+func scoapOf(n *Netlist, s *SCOAP, id int) (int, int, int) {
+	c, err := n.Compiled()
+	if err != nil {
+		panic(err)
+	}
+	p := c.Tpos[id]
+	return s.CC0[p], s.CC1[p], s.CO[p]
+}
+
 func TestSCOAPC17(t *testing.T) {
 	n := MustC17()
 	s := ComputeSCOAP(n)
 	for _, pi := range n.PIs {
-		if s.CC0[pi] != 1 || s.CC1[pi] != 1 {
-			t.Errorf("PI %s controllability = (%d,%d)", n.Gates[pi].Name, s.CC0[pi], s.CC1[pi])
+		if cc0, cc1, _ := scoapOf(n, s, pi); cc0 != 1 || cc1 != 1 {
+			t.Errorf("PI %s controllability = (%d,%d)", n.Gates[pi].Name, cc0, cc1)
 		}
 	}
 	for _, po := range n.POs {
-		if s.CO[po] != 0 {
-			t.Errorf("PO %s observability = %d", n.Gates[po].Name, s.CO[po])
+		if _, _, co := scoapOf(n, s, po); co != 0 {
+			t.Errorf("PO %s observability = %d", n.Gates[po].Name, co)
 		}
 	}
 	// NAND(a,b) with PI inputs: CC0 = CC1a+CC1b+1 = 3, CC1 = min(CC0)+1 = 2.
 	g10, _ := n.GateByName("G10")
-	if s.CC0[g10.ID] != 3 || s.CC1[g10.ID] != 2 {
-		t.Errorf("G10 controllability = (%d,%d), want (3,2)", s.CC0[g10.ID], s.CC1[g10.ID])
+	if cc0, cc1, _ := scoapOf(n, s, g10.ID); cc0 != 3 || cc1 != 2 {
+		t.Errorf("G10 controllability = (%d,%d), want (3,2)", cc0, cc1)
 	}
 }
 
@@ -246,10 +256,11 @@ func TestSCOAPMonotone(t *testing.T) {
 	for _, c := range []*Netlist{RippleAdder(8), ALUSlice(4), Random(12, 200, 7)} {
 		s := ComputeSCOAP(c)
 		for _, g := range c.Gates {
-			if s.CC0[g.ID] < 1 || s.CC1[g.ID] < 1 {
+			cc0, cc1, co := scoapOf(c, s, g.ID)
+			if cc0 < 1 || cc1 < 1 {
 				t.Errorf("%s/%s: controllability below 1", c.Name, g.Name)
 			}
-			if s.CO[g.ID] < 0 {
+			if co < 0 {
 				t.Errorf("%s/%s: negative observability", c.Name, g.Name)
 			}
 		}
@@ -270,8 +281,8 @@ y = XOR(a, b)
 	s := ComputeSCOAP(n)
 	y, _ := n.GateByName("y")
 	// XOR of two PIs: CC0 = min(1+1, 1+1)+1 = 3, CC1 = 3.
-	if s.CC0[y.ID] != 3 || s.CC1[y.ID] != 3 {
-		t.Errorf("XOR controllability = (%d,%d), want (3,3)", s.CC0[y.ID], s.CC1[y.ID])
+	if cc0, cc1, _ := scoapOf(n, s, y.ID); cc0 != 3 || cc1 != 3 {
+		t.Errorf("XOR controllability = (%d,%d), want (3,3)", cc0, cc1)
 	}
 }
 

@@ -6,14 +6,19 @@ import (
 )
 
 // Compiled is the immutable compile-once IR of a netlist: the gate graph
-// flattened into CSR (compressed sparse row) adjacency — one backing []int32
-// per direction instead of a []int slice per gate — plus the dense side
-// tables every engine in this repository needs (topological order and its
-// inverse, levels, PI/PO index maps, gate types), and the same graph
-// re-indexed by topological position (Pos*) for the fault walk. It is built once per
-// netlist via Netlist.Compiled and shared by the logic simulators, the fault
-// simulator, STA, ATPG, DFT, BIST, SCOAP and diagnosis, so the compile cost
-// is paid once — not once per worker goroutine or per request.
+// indexed by topological position, flattened into CSR (compressed sparse
+// row) adjacency — one backing []int32 per direction instead of a []int
+// slice per gate — plus the order that maps positions to gate IDs and back.
+// Position is the only graph index of the engines: the logic simulator, the
+// fault simulator, PODEM and SCOAP read only the Pos* tables and keep their
+// per-gate state by position. Gate IDs survive at the API edge (fault
+// sites, names, PI/PO order, the netlist codec), translated through Order
+// and Tpos. Compiled is built once per netlist via Netlist.Compiled and
+// shared by every engine, so the compile cost is paid once — not once per
+// worker goroutine or per request.
+//
+// Positions [0, NumPIs()) hold Net.PIs in PI order: position i is PI i, so
+// a PI index and its position are the same number.
 //
 // Immutability contract: after Compile returns, no field of Compiled is ever
 // written again; every slice may be read concurrently from any number of
@@ -22,44 +27,22 @@ import (
 type Compiled struct {
 	Net *Netlist
 
-	// FaninOff/FaninDat are the CSR fanin adjacency: the fanin gate IDs of
-	// gate g are FaninDat[FaninOff[g]:FaninOff[g+1]], in pin order.
-	FaninOff []int32
-	FaninDat []int32
-	// FanoutOff/FanoutDat are the CSR fanout adjacency, in insertion order
-	// (identical to the per-gate Fanout slices of the netlist).
-	FanoutOff []int32
-	FanoutDat []int32
-
-	// Types[g] is gate g's function, copied dense for cache locality.
-	Types []GateType
-	// Level[g] is gate g's logic level (PIs at 0).
-	Level []int32
-	// Order holds gate IDs in topological order (inputs first); Tpos is its
-	// inverse: Tpos[Order[i]] == i.
+	// Order holds gate IDs in topological order (inputs first): position p
+	// holds gate Order[p]. Tpos is its inverse: Tpos[Order[p]] == p.
 	Order []int32
 	Tpos  []int32
 
-	// PIPos[g] is g's index in Net.PIs, -1 for non-PI gates. POIdx[g] is
-	// g's index in Net.POs, -1 when g is not a primary output.
-	PIPos []int32
-	POIdx []int32
-
-	// Pos, PosFanin, PosFanout and PosKind are the graph re-indexed by
-	// topological position (position p holds gate Order[p]), for walks that
-	// run in position space and keep their values there: the fault
-	// simulator's event-driven cone walk reads only these tables. Pos[p]
-	// packs p's CSR offsets and PO index; p's fanin positions, in pin order,
-	// are PosFanin[Pos[p].In:Pos[p+1].In] and its fanout positions are
-	// PosFanout[Pos[p].Out:Pos[p+1].Out], so Pos has NumGates()+1 records.
-	// PosKind[p] is the type of the gate at position p.
+	// Pos, PosFanin, PosFanout and PosKind are the graph. Pos[p] packs
+	// position p's CSR offsets and PO index; p's fanin positions, in pin
+	// order, are PosFanin[Pos[p].In:Pos[p+1].In] and its fanout positions,
+	// in the netlist's fanout order, are PosFanout[Pos[p].Out:Pos[p+1].Out],
+	// so Pos has NumGates()+1 records. PosKind[p] is the type of the gate at
+	// position p.
 	Pos       []PosNode
 	PosFanin  []int32
 	PosFanout []int32
 	PosKind   []GateType
 
-	// Depth is the number of logic levels (PIs at level 0 count as one).
-	Depth int
 	// MaxFanin is the largest fanin count of any gate: the size of the
 	// per-gate gather scratch an evaluator needs.
 	MaxFanin int
@@ -67,8 +50,9 @@ type Compiled struct {
 
 // PosNode is one topological position's packed record in Compiled.Pos: the
 // start offsets of its fanin and fanout runs, and its index in Net.POs (-1
-// when the gate is not a primary output). The walk that reads the offsets
-// of an event finds the PO index in the same record.
+// when the gate is not a primary output). A walk that reads the offsets of
+// an event finds the PO index in the same record; an ID-edge caller asks
+// Pos[Tpos[id]].PO.
 type PosNode struct {
 	In, Out, PO int32
 }
@@ -83,8 +67,11 @@ var compileCount atomic.Int64
 func CompileCount() int64 { return compileCount.Load() }
 
 // Compile builds the immutable IR for the netlist. It validates the netlist
-// (structure and acyclicity) and additionally rejects unknown gate types, so
-// a malformed netlist fails here — at compile time — rather than mid-
+// (structure and acyclicity) and additionally rejects unknown gate types and
+// a PI list that is not the first topological positions (AddGate and
+// UnmarshalNetlist list PIs in ID order, and Levelize queues zero-fanin
+// gates first in ID order, so only a hand-built PI list can fail), so a
+// malformed netlist fails here — at compile time — rather than mid-
 // simulation. Most callers should prefer Netlist.Compiled, which caches the
 // result on the netlist.
 func Compile(n *Netlist) (*Compiled, error) {
@@ -97,69 +84,45 @@ func Compile(n *Netlist) (*Compiled, error) {
 			return nil, fmt.Errorf("circuit: %s: gate %q has unknown type %v", n.Name, g.Name, g.Type)
 		}
 	}
+	order := n.TopoOrder()
+	for i, id := range n.PIs {
+		if order[i] != id {
+			return nil, fmt.Errorf("circuit: %s: PI %q is not at topological position %d", n.Name, n.Gates[id].Name, i)
+		}
+	}
 	compileCount.Add(1)
 	c := &Compiled{
-		Net:       n,
-		FaninOff:  make([]int32, ng+1),
-		FanoutOff: make([]int32, ng+1),
-		Types:     make([]GateType, ng),
-		Level:     make([]int32, ng),
-		Order:     make([]int32, ng),
-		Tpos:      make([]int32, ng),
-		PIPos:     make([]int32, ng),
-		POIdx:     make([]int32, ng),
-		Depth:     n.Depth(),
+		Net:     n,
+		Order:   make([]int32, ng),
+		Tpos:    make([]int32, ng),
+		Pos:     make([]PosNode, ng+1),
+		PosKind: make([]GateType, ng),
 	}
 	nIn, nOut := 0, 0
-	for _, g := range n.Gates {
-		nIn += len(g.Fanin)
-		nOut += len(g.Fanout)
+	for p, id := range order {
+		c.Order[p] = int32(id)
+		c.Tpos[id] = int32(p)
+		nIn += len(n.Gates[id].Fanin)
+		nOut += len(n.Gates[id].Fanout)
 	}
-	c.FaninDat = make([]int32, 0, nIn)
-	c.FanoutDat = make([]int32, 0, nOut)
-	for _, g := range n.Gates {
-		c.Types[g.ID] = g.Type
-		c.Level[g.ID] = int32(g.Level)
-		c.PIPos[g.ID] = -1
-		c.POIdx[g.ID] = -1
-		for _, f := range g.Fanin {
-			c.FaninDat = append(c.FaninDat, int32(f))
-		}
-		c.FaninOff[g.ID+1] = int32(len(c.FaninDat))
+	c.PosFanin = make([]int32, 0, nIn)
+	c.PosFanout = make([]int32, 0, nOut)
+	for p, id := range order {
+		g := n.Gates[id]
+		c.Pos[p] = PosNode{In: int32(len(c.PosFanin)), Out: int32(len(c.PosFanout)), PO: -1}
+		c.PosKind[p] = g.Type
 		c.MaxFanin = max(c.MaxFanin, len(g.Fanin))
+		for _, f := range g.Fanin {
+			c.PosFanin = append(c.PosFanin, c.Tpos[f])
+		}
 		for _, fo := range g.Fanout {
-			c.FanoutDat = append(c.FanoutDat, int32(fo))
+			c.PosFanout = append(c.PosFanout, c.Tpos[fo])
 		}
-		c.FanoutOff[g.ID+1] = int32(len(c.FanoutDat))
 	}
-	for i, id := range n.TopoOrder() {
-		c.Order[i] = int32(id)
-		c.Tpos[id] = int32(i)
-	}
-	for i, id := range n.PIs {
-		c.PIPos[id] = int32(i)
-	}
+	c.Pos[ng] = PosNode{In: int32(nIn), Out: int32(nOut), PO: -1}
 	for i, po := range n.POs {
-		c.POIdx[po] = int32(i)
+		c.Pos[c.Tpos[po]].PO = int32(i)
 	}
-	c.Pos = make([]PosNode, ng+1)
-	c.PosFanin = make([]int32, nIn)
-	c.PosFanout = make([]int32, nOut)
-	c.PosKind = make([]GateType, ng)
-	in, out := int32(0), int32(0)
-	for p, id := range c.Order {
-		c.Pos[p] = PosNode{In: in, Out: out, PO: c.POIdx[id]}
-		c.PosKind[p] = c.Types[id]
-		for _, f := range c.FaninDat[c.FaninOff[id]:c.FaninOff[id+1]] {
-			c.PosFanin[in] = c.Tpos[f]
-			in++
-		}
-		for _, fo := range c.FanoutDat[c.FanoutOff[id]:c.FanoutOff[id+1]] {
-			c.PosFanout[out] = c.Tpos[fo]
-			out++
-		}
-	}
-	c.Pos[ng] = PosNode{In: in, Out: out, PO: -1}
 	return c, nil
 }
 
@@ -182,22 +145,10 @@ func (n *Netlist) Compiled() (*Compiled, error) {
 }
 
 // NumGates returns the total gate count including primary inputs.
-func (c *Compiled) NumGates() int { return len(c.Types) }
+func (c *Compiled) NumGates() int { return len(c.Order) }
 
 // NumPIs returns the primary-input count (including scan-cell outputs).
 func (c *Compiled) NumPIs() int { return len(c.Net.PIs) }
 
 // NumPOs returns the primary-output count (including scan D-sources).
 func (c *Compiled) NumPOs() int { return len(c.Net.POs) }
-
-// Fanin returns gate id's fanin gate IDs in pin order. Read-only view into
-// the shared CSR storage.
-func (c *Compiled) Fanin(id int) []int32 {
-	return c.FaninDat[c.FaninOff[id]:c.FaninOff[id+1]]
-}
-
-// Fanout returns gate id's fanout gate IDs. Read-only view into the shared
-// CSR storage.
-func (c *Compiled) Fanout(id int) []int32 {
-	return c.FanoutDat[c.FanoutOff[id]:c.FanoutOff[id+1]]
-}

@@ -5,11 +5,11 @@ import (
 	"testing"
 )
 
-// BenchmarkCompile measures the cost of building the full compiled IR (CSR
-// fanin/fanout, topo order, PI/PO maps) from a levelized netlist. Compile is
-// called directly — Netlist.Compiled() would cache and return immediately —
-// so best-of-N reflects the CSR-build cost the concurrent engines pay once
-// per netlist.
+// BenchmarkCompile measures the cost of building the full compiled IR (topo
+// order and its inverse, the position-indexed CSR fanin/fanout and records)
+// from a levelized netlist. Compile is called directly — Netlist.Compiled()
+// would cache and return immediately — so best-of-N reflects the build cost
+// the concurrent engines pay once per netlist.
 func BenchmarkCompile(b *testing.B) {
 	for _, gates := range []int{500, 2000, 8000} {
 		n := Random(64, gates, 3)

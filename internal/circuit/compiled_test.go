@@ -5,11 +5,46 @@ import (
 	"testing"
 )
 
-// TestCompiledMatchesNetlist cross-checks every CSR table and side map of
-// the compiled IR against the per-gate slices of the netlist it was built
-// from.
+// TestCompiledMatchesNetlist cross-checks every table of the compiled IR
+// (Order, Tpos, the Pos* graph and MaxFanin) against the per-gate slices of
+// the netlist it was built from, and the PI-prefix invariant: position i is
+// PI i. It covers a generated netlist, the same netlist decoded by
+// UnmarshalNetlist, the s27 .bench netlist (three scan DFFs: pseudo-PIs
+// whose D-sources are pseudo-POs), and a scan netlist whose DFF is created
+// after a logic gate, so its gate ID is not its PI index.
 func TestCompiledMatchesNetlist(t *testing.T) {
-	n := Random(16, 300, 11)
+	gen := Random(16, 300, 11)
+	data, err := gen.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := UnmarshalNetlist(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := ParseBenchString(s27, "s27")
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := New("latescan")
+	late.MustAddGate("a", Input)
+	late.MustAddGate("b", Input)
+	late.MustAddGate("n1", Nand, "a", "b")
+	late.MustAddGate("q", DFF)
+	late.MustAddGate("n2", Xor, "n1", "q")
+	if err := late.MarkOutput("n2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := late.ConnectScanD("q", "n1"); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*Netlist{gen, decoded, scan, late} {
+		checkCompiled(t, n)
+	}
+}
+
+func checkCompiled(t *testing.T, n *Netlist) {
+	t.Helper()
 	c, err := n.Compiled()
 	if err != nil {
 		t.Fatal(err)
@@ -18,91 +53,64 @@ func TestCompiledMatchesNetlist(t *testing.T) {
 		t.Fatal("Compiled.Net does not point back at the source netlist")
 	}
 	if c.NumGates() != len(n.Gates) || c.NumPIs() != len(n.PIs) || c.NumPOs() != len(n.POs) {
-		t.Fatalf("counts: gates %d/%d PIs %d/%d POs %d/%d",
+		t.Fatalf("%s counts: gates %d/%d PIs %d/%d POs %d/%d", n.Name,
 			c.NumGates(), len(n.Gates), c.NumPIs(), len(n.PIs), c.NumPOs(), len(n.POs))
-	}
-	for _, g := range n.Gates {
-		if c.Types[g.ID] != g.Type {
-			t.Errorf("gate %d type %v != %v", g.ID, c.Types[g.ID], g.Type)
-		}
-		if int(c.Level[g.ID]) != g.Level {
-			t.Errorf("gate %d level %d != %d", g.ID, c.Level[g.ID], g.Level)
-		}
-		fanin := c.Fanin(g.ID)
-		if len(fanin) != len(g.Fanin) {
-			t.Fatalf("gate %d fanin len %d != %d", g.ID, len(fanin), len(g.Fanin))
-		}
-		for p, f := range g.Fanin {
-			if int(fanin[p]) != f {
-				t.Errorf("gate %d fanin[%d] = %d want %d", g.ID, p, fanin[p], f)
-			}
-		}
-		fanout := c.Fanout(g.ID)
-		if len(fanout) != len(g.Fanout) {
-			t.Fatalf("gate %d fanout len %d != %d", g.ID, len(fanout), len(g.Fanout))
-		}
-		for p, f := range g.Fanout {
-			if int(fanout[p]) != f {
-				t.Errorf("gate %d fanout[%d] = %d want %d", g.ID, p, fanout[p], f)
-			}
-		}
 	}
 	for i, id := range n.TopoOrder() {
 		if int(c.Order[i]) != id {
-			t.Fatalf("Order[%d] = %d want %d", i, c.Order[i], id)
+			t.Fatalf("%s: Order[%d] = %d want %d", n.Name, i, c.Order[i], id)
 		}
 		if int(c.Tpos[id]) != i {
-			t.Fatalf("Tpos[%d] = %d want %d", id, c.Tpos[id], i)
+			t.Fatalf("%s: Tpos[%d] = %d want %d", n.Name, id, c.Tpos[id], i)
 		}
 	}
-	piSeen, poSeen := 0, 0
-	for id := range n.Gates {
-		if p := c.PIPos[id]; p >= 0 {
-			piSeen++
-			if n.PIs[p] != id {
-				t.Errorf("PIPos[%d] = %d but PIs[%d] = %d", id, p, p, n.PIs[p])
-			}
-		}
-		if p := c.POIdx[id]; p >= 0 {
-			poSeen++
-			if n.POs[p] != id {
-				t.Errorf("POIdx[%d] = %d but POs[%d] = %d", id, p, p, n.POs[p])
-			}
+	for i, id := range n.PIs {
+		if int(c.Order[i]) != id {
+			t.Errorf("%s: position %d holds gate %d, want PI %d (gate %d)", n.Name, i, c.Order[i], i, id)
 		}
 	}
-	if piSeen != len(n.PIs) || poSeen != len(n.POs) {
-		t.Errorf("PI/PO maps cover %d/%d and %d/%d", piSeen, len(n.PIs), poSeen, len(n.POs))
+	poIdx := make(map[int]int32)
+	for i, po := range n.POs {
+		poIdx[po] = int32(i)
 	}
-	if c.Depth != n.Depth() {
-		t.Errorf("Depth %d != %d", c.Depth, n.Depth())
-	}
-	// The position-indexed view is the gate-ID graph renumbered by Tpos.
 	if len(c.Pos) != len(n.Gates)+1 || len(c.PosKind) != len(n.Gates) {
-		t.Fatalf("position tables: %d records, %d kinds for %d gates", len(c.Pos), len(c.PosKind), len(n.Gates))
+		t.Fatalf("%s position tables: %d records, %d kinds for %d gates", n.Name, len(c.Pos), len(c.PosKind), len(n.Gates))
 	}
+	maxFanin := 0
 	for p, id := range c.Order {
 		g := n.Gates[id]
-		if c.PosKind[p] != g.Type || c.Pos[p].PO != c.POIdx[id] {
-			t.Errorf("position %d (gate %d): kind %v PO %d, want %v %d", p, id, c.PosKind[p], c.Pos[p].PO, g.Type, c.POIdx[id])
+		maxFanin = max(maxFanin, len(g.Fanin))
+		po, ok := poIdx[g.ID]
+		if !ok {
+			po = -1
+		}
+		if c.PosKind[p] != g.Type || c.Pos[p].PO != po {
+			t.Errorf("%s: position %d (gate %d): kind %v PO %d, want %v %d", n.Name, p, id, c.PosKind[p], c.Pos[p].PO, g.Type, po)
 		}
 		fanin := c.PosFanin[c.Pos[p].In:c.Pos[p+1].In]
 		if len(fanin) != len(g.Fanin) {
-			t.Fatalf("position %d fanin len %d != %d", p, len(fanin), len(g.Fanin))
+			t.Fatalf("%s: position %d fanin len %d != %d", n.Name, p, len(fanin), len(g.Fanin))
 		}
 		for pin, f := range g.Fanin {
-			if fanin[pin] != c.Tpos[f] {
-				t.Errorf("position %d fanin[%d] = %d want %d", p, pin, fanin[pin], c.Tpos[f])
+			if int(c.Order[fanin[pin]]) != f || int(fanin[pin]) >= p {
+				t.Errorf("%s: position %d fanin[%d] = %d holds gate %d, want gate %d (< %d)", n.Name, p, pin, fanin[pin], c.Order[fanin[pin]], f, p)
 			}
 		}
 		fanout := c.PosFanout[c.Pos[p].Out:c.Pos[p+1].Out]
 		if len(fanout) != len(g.Fanout) {
-			t.Fatalf("position %d fanout len %d != %d", p, len(fanout), len(g.Fanout))
+			t.Fatalf("%s: position %d fanout len %d != %d", n.Name, p, len(fanout), len(g.Fanout))
 		}
 		for k, fo := range g.Fanout {
-			if fanout[k] != c.Tpos[fo] || int(fanout[k]) <= p {
-				t.Errorf("position %d fanout[%d] = %d want %d (> %d)", p, k, fanout[k], c.Tpos[fo], p)
+			if int(c.Order[fanout[k]]) != fo || int(fanout[k]) <= p {
+				t.Errorf("%s: position %d fanout[%d] = %d holds gate %d, want gate %d (> %d)", n.Name, p, k, fanout[k], c.Order[fanout[k]], fo, p)
 			}
 		}
+	}
+	if last := c.Pos[len(n.Gates)]; int(last.In) != len(c.PosFanin) || int(last.Out) != len(c.PosFanout) {
+		t.Errorf("%s: sentinel record %+v, want In %d Out %d", n.Name, last, len(c.PosFanin), len(c.PosFanout))
+	}
+	if c.MaxFanin != maxFanin {
+		t.Errorf("%s: MaxFanin %d, want %d", n.Name, c.MaxFanin, maxFanin)
 	}
 }
 
@@ -168,5 +176,17 @@ func TestCompileRejectsUnknownGateType(t *testing.T) {
 	}
 	if _, err := Compile(n); err == nil {
 		t.Fatal("Compile accepted a netlist with an unknown gate type")
+	}
+}
+
+// TestCompileRejectsReorderedPIs pins the PI-prefix check: a PI list that
+// is not the first topological positions (only constructible by editing
+// Net.PIs by hand) fails at Compile, since every engine reads PI i at
+// position i.
+func TestCompileRejectsReorderedPIs(t *testing.T) {
+	n := MustC17()
+	n.PIs[0], n.PIs[1] = n.PIs[1], n.PIs[0]
+	if _, err := Compile(n); err == nil {
+		t.Fatal("Compile accepted a PI list out of topological order")
 	}
 }

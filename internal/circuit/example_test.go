@@ -23,9 +23,11 @@ y = NAND(a, b)
 
 func ExampleComputeSCOAP() {
 	n := circuit.MustC17()
-	s := circuit.ComputeSCOAP(n)
+	s := circuit.ComputeSCOAP(n) // by topological position
+	c, _ := n.Compiled()
 	g22, _ := n.GateByName("G22")
-	fmt.Printf("G22: CC0=%d CC1=%d CO=%d\n", s.CC0[g22.ID], s.CC1[g22.ID], s.CO[g22.ID])
+	p := c.Tpos[g22.ID]
+	fmt.Printf("G22: CC0=%d CC1=%d CO=%d\n", s.CC0[p], s.CC1[p], s.CO[p])
 	// Output: G22: CC0=5 CC1=4 CO=0
 }
 

@@ -55,11 +55,11 @@ func TestSCOAPObservabilityProperty(t *testing.T) {
 			}
 			minFo := int(^uint(0) >> 1)
 			for _, fo := range g.Fanout {
-				if s.CO[fo] < minFo {
-					minFo = s.CO[fo]
+				if _, _, co := scoapOf(c, s, fo); co < minFo {
+					minFo = co
 				}
 			}
-			if s.CO[g.ID] <= minFo {
+			if _, _, co := scoapOf(c, s, g.ID); co <= minFo {
 				return false // must be strictly harder than the consumer
 			}
 		}

@@ -6,10 +6,14 @@ package circuit
 // estimates the effort to observe a signal at a primary output. The ATPG
 // backtrace uses these measures to pick the cheapest input to justify an
 // objective, and they also serve as topological features for the ML models.
+//
+// The measures are stored by topological position, like every engine's
+// per-gate state: gate id's CC0 is CC0[c.Tpos[id]] for the netlist's
+// compiled IR c.
 type SCOAP struct {
-	CC0 []int // controllability to 0, per gate ID
-	CC1 []int // controllability to 1, per gate ID
-	CO  []int // observability, per gate ID
+	CC0 []int // controllability to 0, per position
+	CC1 []int // controllability to 1, per position
+	CO  []int // observability, per position
 }
 
 const scoapInf = 1 << 28
@@ -27,7 +31,7 @@ func ComputeSCOAP(n *Netlist) *SCOAP {
 }
 
 // ComputeSCOAPCompiled calculates the SCOAP measures over the shared
-// compiled IR.
+// compiled IR, by position.
 func ComputeSCOAPCompiled(c *Compiled) *SCOAP {
 	ng := c.NumGates()
 	s := &SCOAP{
@@ -36,18 +40,17 @@ func ComputeSCOAPCompiled(c *Compiled) *SCOAP {
 		CO:  make([]int, ng),
 	}
 	// Controllability: forward pass in topological order.
-	for _, id32 := range c.Order {
-		id := int(id32)
-		fanin := c.Fanin(id)
-		switch c.Types[id] {
+	for p := range ng {
+		fanin := c.PosFanin[c.Pos[p].In:c.Pos[p+1].In]
+		switch t := c.PosKind[p]; t {
 		case Input, DFF:
-			s.CC0[id], s.CC1[id] = 1, 1
+			s.CC0[p], s.CC1[p] = 1, 1
 		case Buf:
 			f := fanin[0]
-			s.CC0[id], s.CC1[id] = s.CC0[f]+1, s.CC1[f]+1
+			s.CC0[p], s.CC1[p] = s.CC0[f]+1, s.CC1[f]+1
 		case Not:
 			f := fanin[0]
-			s.CC0[id], s.CC1[id] = s.CC1[f]+1, s.CC0[f]+1
+			s.CC0[p], s.CC1[p] = s.CC1[f]+1, s.CC0[f]+1
 		case And, Nand:
 			sum1, min0 := 1, scoapInf
 			for _, f := range fanin {
@@ -57,10 +60,10 @@ func ComputeSCOAPCompiled(c *Compiled) *SCOAP {
 				}
 			}
 			c1, c0 := sum1, min0+1
-			if c.Types[id] == Nand {
+			if t == Nand {
 				c0, c1 = c1, c0
 			}
-			s.CC0[id], s.CC1[id] = c0, c1
+			s.CC0[p], s.CC1[p] = c0, c1
 		case Or, Nor:
 			sum0, min1 := 1, scoapInf
 			for _, f := range fanin {
@@ -70,10 +73,10 @@ func ComputeSCOAPCompiled(c *Compiled) *SCOAP {
 				}
 			}
 			c0, c1 := sum0, min1+1
-			if c.Types[id] == Nor {
+			if t == Nor {
 				c0, c1 = c1, c0
 			}
-			s.CC0[id], s.CC1[id] = c0, c1
+			s.CC0[p], s.CC1[p] = c0, c1
 		case Xor, Xnor:
 			// For 2-input XOR: CC1 = min(CC1a+CC0b, CC0a+CC1b)+1,
 			// CC0 = min(CC0a+CC0b, CC1a+CC1b)+1. Generalize pairwise.
@@ -85,10 +88,10 @@ func ComputeSCOAPCompiled(c *Compiled) *SCOAP {
 			}
 			c0++
 			c1++
-			if c.Types[id] == Xnor {
+			if t == Xnor {
 				c0, c1 = c1, c0
 			}
-			s.CC0[id], s.CC1[id] = c0, c1
+			s.CC0[p], s.CC1[p] = c0, c1
 		}
 	}
 	// Observability: backward pass in reverse topological order.
@@ -96,44 +99,28 @@ func ComputeSCOAPCompiled(c *Compiled) *SCOAP {
 		s.CO[i] = scoapInf
 	}
 	for _, po := range c.Net.POs {
-		s.CO[po] = 0
+		s.CO[c.Tpos[po]] = 0
 	}
-	for i := len(c.Order) - 1; i >= 0; i-- {
-		id := int(c.Order[i])
-		if s.CO[id] == scoapInf {
+	for p := ng - 1; p >= 0; p-- {
+		if s.CO[p] == scoapInf {
 			continue
 		}
-		fanin := c.Fanin(id)
+		fanin := c.PosFanin[c.Pos[p].In:c.Pos[p+1].In]
+		t := c.PosKind[p]
 		for pin, f := range fanin {
-			var co int
-			switch c.Types[id] {
-			case Buf, Not:
-				co = s.CO[id] + 1
-			case And, Nand:
-				// Sensitize: all side inputs at 1.
-				co = s.CO[id] + 1
-				for p2, f2 := range fanin {
-					if p2 != pin {
-						co += s.CC1[f2]
-					}
+			co := s.CO[p] + 1
+			for p2, f2 := range fanin {
+				if p2 == pin {
+					continue
 				}
-			case Or, Nor:
-				co = s.CO[id] + 1
-				for p2, f2 := range fanin {
-					if p2 != pin {
-						co += s.CC0[f2]
-					}
+				switch t {
+				case And, Nand: // sensitize: all side inputs at 1
+					co += s.CC1[f2]
+				case Or, Nor:
+					co += s.CC0[f2]
+				case Xor, Xnor: // side inputs need any known value
+					co += min(s.CC0[f2], s.CC1[f2])
 				}
-			case Xor, Xnor:
-				// Side inputs need any known value; use cheaper of CC0/CC1.
-				co = s.CO[id] + 1
-				for p2, f2 := range fanin {
-					if p2 != pin {
-						co += min(s.CC0[f2], s.CC1[f2])
-					}
-				}
-			default:
-				co = s.CO[id] + 1
 			}
 			if co < s.CO[f] {
 				s.CO[f] = co
@@ -141,21 +128,4 @@ func ComputeSCOAPCompiled(c *Compiled) *SCOAP {
 		}
 	}
 	return s
-}
-
-// Testability returns a per-gate combined difficulty score
-// (CC0+CC1+CO), clamped, used as an ML feature and for reporting.
-func (s *SCOAP) Testability(id int) int {
-	t := s.CC0[id] + s.CC1[id] + s.CO[id]
-	if t > scoapInf {
-		t = scoapInf
-	}
-	return t
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

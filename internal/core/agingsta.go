@@ -70,14 +70,15 @@ func WorkloadProfile(n *circuit.Netlist, patterns, seed int64) (probHigh, activi
 	rng := rand.New(rand.NewSource(seed))
 	p := logic.NewPatternSet(len(n.PIs), int(patterns))
 	p.RandFill(rng.Uint64)
+	// ones, toggles and carry are indexed by topological position, like
+	// the simulator's values. carry[p] is p's value on the pattern before
+	// the current word's first one, starting from the all-zero input.
 	ones := make([]int, len(n.Gates))
 	toggles := make([]int, len(n.Gates))
 	pi := make([]logic.Word, len(n.PIs))
-	// carry[g] is gate g's value on the pattern before the current word's
-	// first one, starting from the all-zero input.
 	carry := make([]logic.Word, len(n.Gates))
-	for g, v := range ps.BlockRange(pi, 0, 1) {
-		carry[g] = v & 1
+	for p, v := range ps.BlockRange(pi, 0, 1) {
+		carry[p] = v & 1
 	}
 	for w := 0; w < p.Words(); w++ {
 		for i := range pi {
@@ -85,17 +86,18 @@ func WorkloadProfile(n *circuit.Netlist, patterns, seed int64) (probHigh, activi
 		}
 		vals := ps.BlockRange(pi, 0, 1)
 		mask := p.TailMask(w)
-		for g, v := range vals {
-			ones[g] += logic.PopCount(v & mask)
-			toggles[g] += logic.PopCount((v ^ (v<<1 | carry[g])) & mask)
-			carry[g] = v >> (logic.WordBits - 1)
+		for q, v := range vals {
+			ones[q] += logic.PopCount(v & mask)
+			toggles[q] += logic.PopCount((v ^ (v<<1 | carry[q])) & mask)
+			carry[q] = v >> (logic.WordBits - 1)
 		}
 	}
 	probHigh = make([]float64, len(n.Gates))
 	activity = make([]float64, len(n.Gates))
 	for g := range probHigh {
-		probHigh[g] = float64(ones[g]) / float64(p.N)
-		activity[g] = float64(toggles[g]) / float64(p.N)
+		q := c.Tpos[g]
+		probHigh[g] = float64(ones[q]) / float64(p.N)
+		activity[g] = float64(toggles[q]) / float64(p.N)
 	}
 	return probHigh, activity, nil
 }

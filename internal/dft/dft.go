@@ -43,26 +43,23 @@ type ControlPoint struct {
 // The SCOAP measures and PO membership come from the netlist's shared
 // compiled IR (cached; compiled at most once).
 func SelectTestPoints(n *circuit.Netlist, nObs, nCtl int) Plan {
-	c, err := n.Compiled()
+	comp, err := n.Compiled()
 	if err != nil {
 		panic(err) // matches the previous ComputeSCOAP/TopoOrder contract
 	}
-	s := circuit.ComputeSCOAPCompiled(c)
+	s := circuit.ComputeSCOAPCompiled(comp) // by position
 	type cand struct {
 		id   int
 		cost int
 	}
 	var obsCands, ctlCands []cand
 	for _, g := range n.Gates {
-		if g.Type == circuit.Input || g.Type == circuit.DFF || c.POIdx[g.ID] >= 0 {
+		p := comp.Tpos[g.ID]
+		if g.Type == circuit.Input || g.Type == circuit.DFF || comp.Pos[p].PO >= 0 {
 			continue
 		}
-		obsCands = append(obsCands, cand{g.ID, s.CO[g.ID]})
-		cc := s.CC0[g.ID]
-		if s.CC1[g.ID] > cc {
-			cc = s.CC1[g.ID]
-		}
-		ctlCands = append(ctlCands, cand{g.ID, cc})
+		obsCands = append(obsCands, cand{g.ID, s.CO[p]})
+		ctlCands = append(ctlCands, cand{g.ID, max(s.CC0[p], s.CC1[p])})
 	}
 	sort.Slice(obsCands, func(a, b int) bool {
 		if obsCands[a].cost != obsCands[b].cost {
@@ -90,7 +87,7 @@ func SelectTestPoints(n *circuit.Netlist, nObs, nCtl int) Plan {
 		}
 		used[c.id] = true
 		kind := ForceZero
-		if s.CC1[c.id] > s.CC0[c.id] {
+		if p := comp.Tpos[c.id]; s.CC1[p] > s.CC0[p] {
 			kind = ForceOne // 1 is the hard value: insert an OR point
 		}
 		plan.Control = append(plan.Control, ControlPoint{Gate: c.id, Kind: kind})

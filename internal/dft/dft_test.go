@@ -96,8 +96,8 @@ func evalPattern(s *sim.Wide, bits []bool) []bool {
 	}
 	vals := s.BlockRange(pi, 0, 1)
 	out := make([]bool, len(vals))
-	for g, v := range vals {
-		out[g] = v&1 == 1
+	for g := range out {
+		out[g] = vals[s.C.Tpos[g]]&1 == 1
 	}
 	return out
 }

@@ -38,7 +38,8 @@ type Diagnoser struct {
 	Net    *circuit.Netlist
 	Faults []fault.Fault
 	Dict   []*fault.Signature
-	scoap  *circuit.SCOAP
+	scoap  *circuit.SCOAP // by position
+	tpos   []int32        // gate ID -> position, to index scoap
 }
 
 // NewWorkersWords builds a diagnoser: it fault-simulates the pattern set to
@@ -47,6 +48,10 @@ type Diagnoser struct {
 // {1,2,4,8}). The dictionary is bit-identical for any worker count and
 // width.
 func NewWorkersWords(n *circuit.Netlist, patterns *logic.PatternSet, workers, words int) (*Diagnoser, error) {
+	c, err := n.Compiled()
+	if err != nil {
+		return nil, err
+	}
 	faults := fault.Universe(n)
 	dict, err := fault.DictionaryConcurrentWords(n, patterns, faults, workers, words)
 	if err != nil {
@@ -56,7 +61,8 @@ func NewWorkersWords(n *circuit.Netlist, patterns *logic.PatternSet, workers, wo
 		Net:    n,
 		Faults: faults,
 		Dict:   dict,
-		scoap:  circuit.ComputeSCOAP(n),
+		scoap:  circuit.ComputeSCOAPCompiled(c),
+		tpos:   c.Tpos,
 	}, nil
 }
 
@@ -130,7 +136,7 @@ func (d *Diagnoser) featureVector(sig *fault.Signature, obs *Observation, f faul
 	if m := maxInt(dictPOs, obsPOs); m > 0 {
 		poOverlap = float64(bothPOs) / float64(m)
 	}
-	co := float64(d.scoap.CO[f.Gate])
+	co := float64(d.scoap.CO[d.tpos[f.Gate]])
 	coNorm := co / (co + 10)
 	return []float64{
 		float64(inter), float64(onlyDict), float64(onlyObs), jacc,

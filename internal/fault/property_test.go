@@ -163,7 +163,7 @@ func fullResim(c *circuit.Netlist, f *Fault, pi []logic.Word) []logic.Word {
 }
 
 // goodValues simulates every pattern word of p through a one-lane sim.Wide
-// and returns each word's gate values: vals[word][gate].
+// and returns each word's gate values by gate ID: vals[word][gate].
 func goodValues(c *circuit.Compiled, p *logic.PatternSet) [][]logic.Word {
 	gsim := sim.NewWideCompiled(c, 1)
 	pi := make([]logic.Word, c.NumPIs())
@@ -172,7 +172,11 @@ func goodValues(c *circuit.Compiled, p *logic.PatternSet) [][]logic.Word {
 		for i := range pi {
 			pi[i] = p.Bits[i][w]
 		}
-		vals[w] = append([]logic.Word(nil), gsim.BlockRange(pi, 0, 1)...)
+		byPos := gsim.BlockRange(pi, 0, 1)
+		vals[w] = make([]logic.Word, c.NumGates())
+		for g := range vals[w] {
+			vals[w][g] = byPos[c.Tpos[g]]
+		}
 	}
 	return vals
 }

@@ -96,7 +96,7 @@ func SimulateTransitionsWords(n *circuit.Netlist, p *logic.PatternSet, faults []
 		block := gsim.BlockRange(pi, 0, 1)
 		mask := p.TailMask(w)
 		for g := range vals {
-			vals[g][w] = block[g] & mask
+			vals[g][w] = block[c.Tpos[g]] & mask
 		}
 	}
 	getVal := func(gate, k int) bool {

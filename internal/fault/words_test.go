@@ -263,13 +263,13 @@ func TestWalkRestoresGoodValues(t *testing.T) {
 	p := logic.NewPatternSet(len(c.PIs), 2*logic.WordBits)
 	p.RandFill(rng.Uint64)
 	fsim.simulateGood(p, 0, 0, W, W)
-	snapshot := append([]logic.Word(nil), fsim.vals...)
+	snapshot := append([]logic.Word(nil), fsim.good.Values()...)
 	masks := []logic.Word{p.TailMask(0), p.TailMask(1)}
 	diff := make([]logic.Word, W)
 	for _, fl := range faults {
 		diff[0], diff[1] = 0, 0
 		fsim.detectLanes(fl, 0, W, masks, diff, nil)
-		for i, v := range fsim.vals {
+		for i, v := range fsim.good.Values() {
 			if v != snapshot[i] {
 				t.Fatalf("fault %v: good value %d not restored: %x != %x", fl, i, v, snapshot[i])
 			}

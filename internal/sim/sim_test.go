@@ -108,7 +108,7 @@ func response(s *Wide, p *logic.PatternSet) [][]logic.Word {
 		}
 		vals := s.BlockRange(pi, 0, 1)
 		for o, po := range s.Net.POs {
-			r[o][w] = vals[po]
+			r[o][w] = vals[s.C.Tpos[po]]
 		}
 	}
 	return r
@@ -130,7 +130,7 @@ func runPattern(s *Wide, bits []bool) []bool {
 	vals := s.BlockRange(pi, 0, 1)
 	out := make([]bool, len(s.Net.POs))
 	for i, po := range s.Net.POs {
-		out[i] = vals[po]&1 == 1
+		out[i] = vals[s.C.Tpos[po]]&1 == 1
 	}
 	return out
 }

@@ -56,7 +56,7 @@ func TestWideMatchesSingleWord(t *testing.T) {
 				got := ws.BlockRange(pi, 0, act)
 				for l := 0; l < act; l++ {
 					for g := 0; g < c.NumGates(); g++ {
-						if got[g*w+l] != want[l][g] {
+						if got[int(c.Tpos[g])*w+l] != want[l][g] {
 							return false
 						}
 					}
@@ -112,6 +112,40 @@ func TestEvalLanesMatchesEval(t *testing.T) {
 						t.Fatalf("%v n=%d act=%d lane %d: %x != %x", gt, n, act, l, out[l], want)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestWideRestride drives one Wide through a sequence of strides, as the
+// fault simulator does when a run alternates staging and lane groups. After
+// each Restride a whole-block BlockRange must equal a fresh simulator of
+// that width, and a stride that fits the buffer must not reallocate it.
+func TestWideRestride(t *testing.T) {
+	c, err := circuit.Random(12, 300, 5).Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	ws := NewWideCompiled(c, MaxLanes)
+	backing := &ws.Values()[0]
+	for _, w := range []int{1, 2, MaxLanes, 4, 1, 2} {
+		ws.Restride(w)
+		if &ws.Values()[0] != backing {
+			t.Fatalf("Restride(%d) reallocated the value buffer", w)
+		}
+		pi := make([]logic.Word, c.NumPIs()*w)
+		for i := range pi {
+			pi[i] = logic.Word(rng.Uint64())
+		}
+		got := ws.BlockRange(pi, 0, w)
+		want := NewWideCompiled(c, w).BlockRange(pi, 0, w)
+		if len(got) != len(want) {
+			t.Fatalf("stride %d: %d values, want %d", w, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("stride %d: value %d = %x, want %x", w, i, got[i], want[i])
 			}
 		}
 	}

@@ -29,15 +29,16 @@ type Analyzer struct {
 	// variation); nil or 1.0 entries mean nominal.
 	Derates []float64
 
-	c     *circuit.Compiled // shared immutable IR
-	cells []*liberty.Cell   // per gate ID; nil for PIs
-	loads []float64         // per gate ID: capacitive load on the gate output
+	cells []*liberty.Cell // per gate ID; nil for PIs
+	loads []float64       // per gate ID: capacitive load on the gate output
 }
 
 // New maps every logic gate to a library cell (drive strength picked from
-// the output load) and precomputes loads. It fails when the library lacks a
-// cell for some gate type/fanin combination. The compiled IR is cached on
-// the netlist and shared with every other engine bound to it.
+// the output load) and precomputes loads. It fails when the netlist does
+// not compile or the library lacks a cell for some gate type/fanin
+// combination. STA is indexed by gate ID and reads the netlist's own gate
+// slices and topological order; the compiled IR (cached on the netlist and
+// shared with every other engine bound to it) answers PO membership.
 func New(n *circuit.Netlist, lib *liberty.Library) (*Analyzer, error) {
 	c, err := n.Compiled()
 	if err != nil {
@@ -49,7 +50,6 @@ func New(n *circuit.Netlist, lib *liberty.Library) (*Analyzer, error) {
 		WireCapPerFanout: 0.2e-15,
 		PrimaryLoad:      2e-15,
 		InputSlew:        10e-12,
-		c:                c,
 		cells:            make([]*liberty.Cell, len(n.Gates)),
 		loads:            make([]float64, len(n.Gates)),
 	}
@@ -88,17 +88,16 @@ func New(n *circuit.Netlist, lib *liberty.Library) (*Analyzer, error) {
 	// Iterate sizing twice: loads depend on chosen pin caps and vice versa.
 	for iter := 0; iter < 2; iter++ {
 		for _, g := range n.Gates {
-			fanout := c.Fanout(g.ID)
-			load := a.WireCapPerFanout * float64(len(fanout))
-			for _, fo := range fanout {
-				pin := faninIndex(c, int(fo), g.ID)
+			load := a.WireCapPerFanout * float64(len(g.Fanout))
+			for _, fo := range g.Fanout {
+				pin := faninIndex(n.Gates[fo], g.ID)
 				if fc := a.cells[fo]; fc != nil && pin < len(fc.PinCaps) {
 					load += fc.PinCaps[pin]
 				} else {
 					load += 0.8e-15 // pre-sizing estimate
 				}
 			}
-			if c.POIdx[g.ID] >= 0 {
+			if c.Pos[c.Tpos[g.ID]].PO >= 0 {
 				load += a.PrimaryLoad
 			}
 			a.loads[g.ID] = load
@@ -115,9 +114,9 @@ func New(n *circuit.Netlist, lib *liberty.Library) (*Analyzer, error) {
 }
 
 // faninIndex returns the pin position of driver id on gate g's inputs.
-func faninIndex(c *circuit.Compiled, g, id int) int {
-	for i, f := range c.Fanin(g) {
-		if int(f) == id {
+func faninIndex(g *circuit.Gate, id int) int {
+	for i, f := range g.Fanin {
+		if f == id {
 			return i
 		}
 	}
@@ -211,16 +210,14 @@ func (a *Analyzer) Run() (*Timing, error) {
 		}
 		return a.Derates[id]
 	}
-	for _, id32 := range a.c.Order {
-		id := int(id32)
-		if t := a.c.Types[id]; t == circuit.Input || t == circuit.DFF {
+	for _, id := range n.TopoOrder() {
+		if t := n.Gates[id].Type; t == circuit.Input || t == circuit.DFF {
 			continue
 		}
 		cell := a.cells[id]
 		load := a.loads[id]
 		d := derate(id)
-		for pin, fi32 := range a.c.Fanin(id) {
-			fi := int(fi32)
+		for pin, fi := range n.Gates[id].Fanin {
 			for _, inRise := range []bool{true, false} {
 				var inArr, inSlew float64
 				if inRise {
