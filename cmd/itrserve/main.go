@@ -1,5 +1,5 @@
 // Command itrserve is the online test-floor inference daemon: it loads
-// trained itr-model/v2 artifacts into a hot-swappable model registry and
+// trained itr-model/v3 artifacts into a hot-swappable model registry and
 // serves them over HTTP with micro-batching, expvar/pprof observability,
 // structured logging, load shedding, and graceful shutdown.
 //
@@ -22,7 +22,7 @@
 //	itrserve -replicate-from host:9090 -replicate-only  # sync and exit (cron/CI)
 //
 // Replication is content-addressed: every artifact is verified against its
-// embedded blake2b-256 content hash before install, so a corrupted link or
+// embedded SHA-256 content hash before install, so a corrupted link or
 // store yields a typed refusal, never a wrong model.
 //
 // SIGTERM/SIGINT drain in-flight requests before exiting; SIGHUP re-scans
@@ -51,7 +51,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
-		modelDir    = flag.String("models", "", "directory of itr-model/v2 artifact files (*.itm)")
+		modelDir    = flag.String("models", "", "directory of itr-model/v3 artifact files (*.itm)")
 		demo        = flag.Bool("demo", false, "train small built-in demo models at startup")
 		probe       = flag.String("probe", "", "client mode: exercise a running itrserve at this base URL and exit")
 		maxBatch    = flag.Int("batch", 32, "max requests coalesced per inference batch")

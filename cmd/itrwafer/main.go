@@ -7,7 +7,7 @@
 //	itrwafer                      # train + evaluate all classifiers
 //	itrwafer -show Scratch        # print an example map of one class
 //	itrwafer -dim 8192 -train 80  # bigger hypervectors / training set
-//	itrwafer -export model.itm    # train and save an itr-model/v2 artifact
+//	itrwafer -export model.itm    # train and save an itr-model/v3 artifact
 //	itrwafer -import model.itm    # evaluate a saved artifact
 package main
 
@@ -32,7 +32,7 @@ func main() {
 		testN   = flag.Int("test", 20, "test maps per class")
 		size    = flag.Int("size", 64, "wafer grid size")
 		seed    = flag.Int64("seed", 1, "random seed")
-		export  = flag.String("export", "", "train the HDC classifier and write it as an itr-model/v2 artifact")
+		export  = flag.String("export", "", "train the HDC classifier and write it as an itr-model/v3 artifact")
 		imprt   = flag.String("import", "", "load a saved artifact and evaluate it instead of training")
 		version = flag.Int("version", 1, "artifact version written by -export")
 	)
@@ -108,7 +108,7 @@ func main() {
 }
 
 // exportModel trains the HDC classifier on a generated dataset and writes
-// it as a versioned itr-model/v2 artifact — the input of itrserve's model
+// it as a versioned itr-model/v3 artifact — the input of itrserve's model
 // registry (which scans *.itm files). The format does not depend on the
 // file extension.
 func exportModel(path string, cfg wafer.Config, dim, trainN int, seed int64, version int) error {
@@ -132,7 +132,7 @@ func exportModel(path string, cfg wafer.Config, dim, trainN int, seed int64, ver
 		return err
 	}
 	fmt.Printf("wrote %s artifact v%d (%s) to %s, hash %s\n",
-		a.Kind, a.Version, serve.SchemaV2, path, a.Hash)
+		a.Kind, a.Version, serve.Schema, path, a.Hash)
 	return nil
 }
 

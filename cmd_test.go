@@ -196,7 +196,7 @@ func TestItrwaferExportImport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wafer.itm")
 	common := []string{"-dim", "512", "-size", "16", "-seed", "5"}
 	out := runTool(t, append([]string{"./cmd/itrwafer", "-export", path, "-train", "2"}, common...)...)
-	for _, needle := range []string{"wrote wafer-hdc artifact v1", "itr-model/v2", "hash "} {
+	for _, needle := range []string{"wrote wafer-hdc artifact v1", "itr-model/v3", "hash "} {
 		if !strings.Contains(out, needle) {
 			t.Fatalf("export output missing %q:\n%s", needle, out)
 		}
@@ -216,7 +216,7 @@ func TestItrwaferExportImport(t *testing.T) {
 }
 
 // TestItrwaferExportImportV2 pins that the file extension does not pick
-// the format: an export to a ".json" path still writes the itr-model/v2
+// the format: an export to a ".json" path still writes the itr-model/v3
 // binary format, and it evaluates line for line like the ".itm" export of
 // the identical model.
 func TestItrwaferExportImportV2(t *testing.T) {
@@ -233,8 +233,8 @@ func TestItrwaferExportImportV2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(data), "ITRM") {
-		t.Fatalf("export to %s did not write an itr-model/v2 file (starts %q)", jsonPath, data[:min(len(data), 8)])
+	if !strings.HasPrefix(string(data), "ITRM\x03") {
+		t.Fatalf("export to %s did not write an itr-model/v3 file (starts %q)", jsonPath, data[:min(len(data), 8)])
 	}
 	imp := func(path string) string {
 		return runTool(t, "./cmd/itrwafer", "-import", path, "-size", "16", "-seed", "5", "-test", "2")

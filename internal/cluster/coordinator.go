@@ -32,13 +32,6 @@ type Config struct {
 	// (default 4×Deadline). Slow workers lose their connection but their
 	// shard has long since been re-dispatched; on reconnect they rejoin.
 	SessionTimeout time.Duration
-	// MaxFrame bounds accepted frame payloads (default wire.DefaultMaxFrame).
-	MaxFrame uint32
-	// MaxShardFailures is how many times one shard may come back as a
-	// worker error before the job is failed as a whole — the guard that
-	// turns a deterministically failing shard into a typed job error
-	// instead of an infinite re-dispatch loop. Default 3.
-	MaxShardFailures int
 	// CrashHook, when non-nil, is consulted at each named crash point of
 	// the checkpoint protocol (internal/chaos.CrashPoints). Returning true
 	// simulates the coordinator process dying right there: the journal
@@ -60,12 +53,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.SessionTimeout <= 0 {
 		out.SessionTimeout = 4 * out.Deadline
-	}
-	if out.MaxFrame == 0 {
-		out.MaxFrame = wire.DefaultMaxFrame
-	}
-	if out.MaxShardFailures <= 0 {
-		out.MaxShardFailures = 3
 	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
@@ -540,15 +527,21 @@ func (c *Coordinator) requeue(j *job, idx int) {
 	}
 }
 
+// maxShardFailures is how many times one shard may come back as a worker
+// error before the job is failed as a whole — the guard that turns a
+// deterministically failing shard into a typed job error instead of an
+// infinite re-dispatch loop.
+const maxShardFailures = 3
+
 // shardFailed counts a worker-reported failure against the shard and either
-// requeues it or — past MaxShardFailures — fails the whole job, so a
+// requeues it or — past maxShardFailures — fails the whole job, so a
 // deterministically poisoned shard cannot re-dispatch forever.
 func (c *Coordinator) shardFailed(j *job, idx int, werr error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.ShardFailures++
 	j.failures[idx]++
-	if j.failures[idx] >= c.cfg.MaxShardFailures {
+	if j.failures[idx] >= maxShardFailures {
 		c.failJobLocked(j, fmt.Errorf("shard %d failed %d times: %w", idx, j.failures[idx], werr))
 		return
 	}
@@ -693,7 +686,7 @@ func (c *Coordinator) nextJob(lastID uint64) *job {
 func (c *Coordinator) handle(conn net.Conn) {
 	defer conn.Close()
 	conn.SetReadDeadline(time.Now().Add(c.cfg.SessionTimeout))
-	ft, payload, err := ReadFrame(conn, c.cfg.MaxFrame)
+	ft, payload, err := ReadFrame(conn, wire.DefaultMaxFrame)
 	if err != nil || ft != FrameHello {
 		c.cfg.Logf("cluster: rejected connection: frame %v err %v", ft, err)
 		return
@@ -754,7 +747,7 @@ func (c *Coordinator) serveJob(j *job, conn net.Conn, workerID string) error {
 			return ErrCrashed // dispatched, nothing journaled: resume re-dispatches
 		}
 		conn.SetReadDeadline(time.Now().Add(c.cfg.SessionTimeout))
-		ft, payload, err := ReadFrame(conn, c.cfg.MaxFrame)
+		ft, payload, err := ReadFrame(conn, wire.DefaultMaxFrame)
 		if err != nil {
 			c.requeue(j, idx)
 			return fmt.Errorf("shard %d result: %w", idx, err)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/logic"
+	"repro/internal/wire"
 )
 
 // Worker is a cluster compute node: it dials the coordinator, receives job
@@ -26,8 +27,6 @@ type Worker struct {
 	ID string
 	// Dial opens a connection to the coordinator (TCP, Loopback.Dial, ...).
 	Dial func() (net.Conn, error)
-	// MaxFrame bounds accepted frame payloads (default wire.DefaultMaxFrame).
-	MaxFrame uint32
 	// MinBackoff/MaxBackoff bound the reconnect delay (defaults 50ms / 2s).
 	MinBackoff time.Duration
 	MaxBackoff time.Duration
@@ -132,7 +131,7 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 	var setupErr error     // deterministic setup rejection, reported on the
 	var setupErrJob uint64 // next shard request to keep strict alternation
 	for {
-		ft, payload, err := ReadFrame(conn, w.MaxFrame)
+		ft, payload, err := ReadFrame(conn, wire.DefaultMaxFrame)
 		if err != nil {
 			if err == io.EOF {
 				return nil // orderly close at a frame boundary

@@ -9,7 +9,7 @@ import (
 )
 
 // Canonical binary form of a trained HDCWaferClassifier, the payload of
-// "wafer-hdc" itr-model/v2 artifacts:
+// "wafer-hdc" itr-model/v3 artifacts:
 //
 //	encoder config (u32 dim, u32 size, i64 seed — the rebuild recipe)
 //	u32  epochs
@@ -69,6 +69,9 @@ func (h *HDCWaferClassifier) UnmarshalBinary(data []byte) error {
 	}
 	if cls.Dim != cfg.Dim {
 		return fmt.Errorf("core: classifier dim %d != encoder dim %d", cls.Dim, cfg.Dim)
+	}
+	if cls.NClasses != int(wafer.NumClasses) {
+		return fmt.Errorf("core: classifier has %d classes, want %d", cls.NClasses, wafer.NumClasses)
 	}
 	enc, err := wafer.NewEncoderFromConfig(cfg)
 	if err != nil {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
+	"repro/internal/hdc"
 	"repro/internal/wafer"
 	"repro/internal/wire"
 )
@@ -22,7 +24,7 @@ func trainSmallWafer(t testing.TB) (*HDCWaferClassifier, *wafer.Dataset) {
 	return cls, test
 }
 
-// TestWaferClassifierBinaryRoundTrip pins the v2 contract for the composed
+// TestWaferClassifierBinaryRoundTrip pins the v3 contract for the composed
 // model: canonical bytes round-trip bit-identically and the reloaded model
 // predicts exactly like the original.
 func TestWaferClassifierBinaryRoundTrip(t *testing.T) {
@@ -83,5 +85,45 @@ func TestWaferClassifierBinaryValidation(t *testing.T) {
 	bad = wire.AppendBytes(bad, clsBytes)
 	if err := new(HDCWaferClassifier).UnmarshalBinary(bad); err == nil {
 		t.Error("encoder/classifier dim mismatch accepted")
+	}
+}
+
+// TestWaferClassifierBinaryAllocBound: a payload is decoded from bytes a
+// replication peer may have forged, and the encoder it describes is built
+// up front, so a payload that declares a grid above wafer.MaxGridSize (or
+// a classifier without one class per wafer class) is refused before the
+// encoder's basis is allocated.
+func TestWaferClassifierBinaryAllocBound(t *testing.T) {
+	payload := func(size, nClasses int) []byte {
+		b, err := wafer.EncoderConfig{Dim: 64, Size: size, Seed: 1}.AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = wire.AppendU32(b, 0)
+		b = wire.AppendI64s(b, nil)
+		cls, err := hdc.NewClassifier(64, nClasses).AppendBinary(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire.AppendBytes(b, cls)
+	}
+	if err := new(HDCWaferClassifier).UnmarshalBinary(payload(16, int(wafer.NumClasses))); err != nil {
+		t.Fatalf("well-formed payload refused: %v", err)
+	}
+	for name, data := range map[string][]byte{
+		"grid above MaxGridSize": payload(wafer.MaxGridSize+1, int(wafer.NumClasses)),
+		"grid 1024":              payload(1024, int(wafer.NumClasses)),
+		"too few classes":        payload(16, 2),
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := new(HDCWaferClassifier).UnmarshalBinary(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 256<<10 {
+			t.Errorf("%s: %d-byte payload allocated %d bytes", name, len(data), alloc)
+		}
 	}
 }

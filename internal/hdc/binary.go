@@ -7,20 +7,19 @@ import (
 )
 
 // Canonical binary form of a trained Classifier, the section embedded in
-// itr-model/v2 wafer-hdc artifacts. Field order is fixed and every section
+// itr-model/v3 wafer-hdc artifacts. Field order is fixed and every section
 // is length-prefixed, so one trained classifier has exactly one encoding
-// and blake2b over the bytes is a usable identity:
+// and SHA-256 over the bytes is a usable identity:
 //
 //	u32 dim
 //	u32 n_classes
-//	u8  mode
 //	per class, in class order:
 //	  i64  adds   (Add operation count)
 //	  i32s counts (per-bit accumulator votes, exactly dim entries)
 //
-// The integer accumulators are the complete training state — prototypes
-// and norms are derived on load — so a decoded classifier is bit-identical
-// to the original in both modes and can keep retraining.
+// The integer accumulators are the complete training state — the norms are
+// derived on load — so a decoded classifier is bit-identical to the
+// original and can keep retraining.
 
 // AppendBinary appends the canonical binary encoding to b.
 func (c *Classifier) AppendBinary(b []byte) ([]byte, error) {
@@ -30,7 +29,6 @@ func (c *Classifier) AppendBinary(b []byte) ([]byte, error) {
 	}
 	b = wire.AppendU32(b, uint32(c.Dim))
 	b = wire.AppendU32(b, uint32(c.NClasses))
-	b = wire.AppendU8(b, uint8(c.Mode))
 	for _, acc := range c.acc {
 		b = wire.AppendI64(b, int64(acc.n))
 		b = wire.AppendI32s(b, acc.counts)
@@ -42,21 +40,23 @@ func (c *Classifier) AppendBinary(b []byte) ([]byte, error) {
 func (c *Classifier) MarshalBinary() ([]byte, error) { return c.AppendBinary(nil) }
 
 // UnmarshalBinary restores a classifier saved by AppendBinary, rebuilding
-// the derived prototypes and norms. It implements
-// encoding.BinaryUnmarshaler.
+// the derived norms. It implements encoding.BinaryUnmarshaler.
 func (c *Classifier) UnmarshalBinary(data []byte) error {
 	d := wire.NewDec(data)
 	dim := int(d.U32())
 	nClasses := int(d.U32())
-	mode := Mode(d.U8())
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("hdc: decode classifier: %w", err)
 	}
 	if dim < 1 || nClasses < 1 {
 		return fmt.Errorf("hdc: invalid classifier dims %dx%d", dim, nClasses)
 	}
-	if mode != ModeInteger && mode != ModeBinary {
-		return fmt.Errorf("hdc: unknown mode %d", mode)
+	// Every class takes 12 + 4·dim bytes (add count, counts length, counts),
+	// so a class count the remaining bytes cannot hold is refused before it
+	// sizes an allocation.
+	if classBytes := 12 + 4*dim; nClasses > d.Remaining()/classBytes {
+		return fmt.Errorf("hdc: %d classes of dim %d do not fit in %d bytes",
+			nClasses, dim, d.Remaining())
 	}
 	acc := make([]*Bundler, nClasses)
 	for i := range acc {
@@ -76,7 +76,7 @@ func (c *Classifier) UnmarshalBinary(data []byte) error {
 	if err := d.Close(); err != nil {
 		return fmt.Errorf("hdc: decode classifier: %w", err)
 	}
-	c.Dim, c.NClasses, c.Mode, c.acc = dim, nClasses, mode, acc
+	c.Dim, c.NClasses, c.acc = dim, nClasses, acc
 	c.rebuild()
 	return nil
 }

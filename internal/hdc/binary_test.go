@@ -2,48 +2,71 @@ package hdc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/wire"
 )
 
-// TestClassifierBinaryRoundTrip pins the itr-model/v2 contract: the
+// TestClassifierBinaryRoundTrip pins the itr-model/v3 contract: the
 // canonical binary form round-trips bit-identically (decode → re-encode
-// yields the same bytes), the reloaded classifier predicts identically in
-// both modes, and it can keep retraining.
+// yields the same bytes), the reloaded classifier predicts identically,
+// and it can keep retraining.
 func TestClassifierBinaryRoundTrip(t *testing.T) {
-	for _, mode := range []Mode{ModeInteger, ModeBinary} {
-		cls, enc := trainToy(t, mode)
-		data, err := cls.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
+	cls, enc := trainToy(t)
+	data, err := cls.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := &Classifier{}
+	if err := loaded.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Dim != cls.Dim || loaded.NClasses != cls.NClasses {
+		t.Fatalf("reloaded header %d/%d", loaded.Dim, loaded.NClasses)
+	}
+	again, err := loaded.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, again) {
+		t.Fatalf("re-encode differs (%d vs %d bytes)", len(data), len(again))
+	}
+	for i, h := range enc {
+		if a, b := cls.Predict(h), loaded.Predict(h); a != b {
+			t.Fatalf("reloaded Predict(%d) = %d, want %d", i, b, a)
 		}
-		loaded := &Classifier{}
-		if err := loaded.UnmarshalBinary(data); err != nil {
-			t.Fatal(err)
+	}
+	loaded.Retrain(enc[:4], []int{0, 0, 0, 0}, 1)
+}
+
+// TestClassifierBinaryLayout pins the section layout byte for byte: two
+// u32 dims, then per class an i64 add count and the count-prefixed
+// accumulator, with no mode byte between header and classes.
+func TestClassifierBinaryLayout(t *testing.T) {
+	cls, _ := trainToy(t)
+	data, err := cls.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := binary.BigEndian.AppendUint32(nil, uint32(cls.Dim))
+	want = binary.BigEndian.AppendUint32(want, uint32(cls.NClasses))
+	for _, acc := range cls.acc {
+		want = binary.BigEndian.AppendUint64(want, uint64(acc.n))
+		want = binary.BigEndian.AppendUint32(want, uint32(len(acc.counts)))
+		for _, v := range acc.counts {
+			want = binary.BigEndian.AppendUint32(want, uint32(v))
 		}
-		if loaded.Dim != cls.Dim || loaded.NClasses != cls.NClasses || loaded.Mode != mode {
-			t.Fatalf("mode %v: reloaded header %d/%d/%v", mode, loaded.Dim, loaded.NClasses, loaded.Mode)
-		}
-		again, err := loaded.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(data, again) {
-			t.Fatalf("mode %v: re-encode differs (%d vs %d bytes)", mode, len(data), len(again))
-		}
-		for i, h := range enc {
-			if a, b := cls.Predict(h), loaded.Predict(h); a != b {
-				t.Fatalf("mode %v: reloaded Predict(%d) = %d, want %d", mode, i, b, a)
-			}
-		}
-		loaded.Retrain(enc[:4], []int{0, 0, 0, 0}, 1)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatalf("section is %d bytes, want %d laid out as documented", len(data), len(want))
 	}
 }
 
 func TestClassifierBinaryValidation(t *testing.T) {
-	cls, _ := trainToy(t, ModeInteger)
+	cls, _ := trainToy(t)
 	good, err := cls.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -58,17 +81,10 @@ func TestClassifierBinaryValidation(t *testing.T) {
 	if err := new(Classifier).UnmarshalBinary(append(append([]byte(nil), good...), 0)); !errors.Is(err, wire.ErrCodec) {
 		t.Errorf("trailing byte: err = %v, want ErrCodec", err)
 	}
-	// A corrupt mode byte is a validation error.
-	bad := append([]byte(nil), good...)
-	bad[8] = 9 // mode lives after the two u32 dims
-	if err := new(Classifier).UnmarshalBinary(bad); err == nil {
-		t.Error("mode 9 accepted")
-	}
 	// Well-framed encodings of invalid states are refused too.
 	encode := func(dim, nClasses uint32, adds []int64, counts [][]int32) []byte {
 		b := wire.AppendU32(nil, dim)
 		b = wire.AppendU32(b, nClasses)
-		b = wire.AppendU8(b, uint8(ModeInteger))
 		for i := range adds {
 			b = wire.AppendI64(b, adds[i])
 			b = wire.AppendI32s(b, counts[i])
@@ -76,13 +92,28 @@ func TestClassifierBinaryValidation(t *testing.T) {
 		return b
 	}
 	for name, data := range map[string][]byte{
-		"zero dim":     encode(0, 1, []int64{0}, [][]int32{{}}),
-		"zero classes": encode(2, 0, nil, nil),
-		"short counts": encode(3, 1, []int64{1}, [][]int32{{1, 2}}),
-		"negative n":   encode(2, 1, []int64{-1}, [][]int32{{1, 2}}),
+		"zero dim":         encode(0, 1, []int64{0}, [][]int32{{}}),
+		"zero classes":     encode(2, 0, nil, nil),
+		"short counts":     encode(3, 1, []int64{1}, [][]int32{{1, 2}}),
+		"negative n":       encode(2, 1, []int64{-1}, [][]int32{{1, 2}}),
+		"huge class count": encode(1, 1<<20, nil, nil),
+		"max class count":  encode(1, 1<<32-1, []int64{0}, [][]int32{{0}}),
 	} {
-		if err := new(Classifier).UnmarshalBinary(data); err == nil {
+		var err error
+		if alloc := allocBytes(func() { err = new(Classifier).UnmarshalBinary(data) }); alloc > 64<<10 {
+			t.Errorf("%s: %d-byte input allocated %d bytes", name, len(data), alloc)
+		}
+		if err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// allocBytes reports the heap bytes f allocates.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -1,9 +1,9 @@
 // Package hdc implements binary hyperdimensional computing (Kanerva-style):
-// dense random hypervectors with XOR binding, rotation permutation,
-// majority bundling, level (thermometer) encoding of scalars, and an
-// associative-memory classifier with perceptron-style online retraining —
-// the brain-inspired lightweight classifier the survey applies to
-// semiconductor test data (experiments T3/F1/F5).
+// dense random hypervectors with XOR binding, majority bundling, level
+// (thermometer) encoding of scalars, and an associative-memory classifier
+// with perceptron-style online retraining — the brain-inspired lightweight
+// classifier the survey applies to semiconductor test data (experiments
+// T3/F1/F5).
 package hdc
 
 import (
@@ -86,19 +86,6 @@ func (h HV) Popcount() int {
 		c += bits.OnesCount64(w)
 	}
 	return c
-}
-
-// Permute rotates the vector by k bit positions (cyclic), the standard HDC
-// sequence/permutation operator.
-func Permute(h HV, dim, k int) HV {
-	k = ((k % dim) + dim) % dim
-	out := NewHV(dim)
-	for i := 0; i < dim; i++ {
-		if h.Bit(i) {
-			out.SetBit((i+k)%dim, true)
-		}
-	}
-	return out
 }
 
 // Bundler accumulates vectors by per-bit vote counting; Binarize yields the
@@ -246,33 +233,21 @@ func (l *Levels) Vec(x float64) HV { return l.vecs[l.Quantize(x)] }
 // VecAt returns the hypervector of a level index directly.
 func (l *Levels) VecAt(i int) HV { return l.vecs[i] }
 
-// Mode selects how Classifier compares queries with class memories.
-type Mode int
-
-// Classifier similarity modes.
-const (
-	// ModeInteger scores by cosine similarity between the bipolar query and
-	// the raw integer class accumulator. It is robust when encodings are
-	// strongly correlated (e.g. spatial wafer-map encodings share a large
-	// common mode), because magnitude information survives.
-	ModeInteger Mode = iota
-	// ModeBinary scores by Hamming distance to the binarized prototype —
-	// the classical lightweight associative memory.
-	ModeBinary
-)
-
 // Classifier is an associative memory: one accumulator per class, formed by
 // bundling training encodings and refined by perceptron-style retraining.
+// It scores a query by cosine similarity between the bipolar query and the
+// raw integer class accumulator. That stays robust when encodings are
+// strongly correlated (spatial wafer-map encodings share a large common
+// mode), because magnitude information survives; Hamming distance to a
+// binarized prototype does not (EXPERIMENTS T3).
 type Classifier struct {
 	Dim      int
 	NClasses int
-	Mode     Mode
 	acc      []*Bundler
-	protos   []HV
-	norms    []float64 // L2 norms of the accumulators (integer mode)
+	norms    []float64 // squared L2 norms of the accumulators
 }
 
-// NewClassifier returns an untrained classifier in ModeInteger.
+// NewClassifier returns an untrained classifier.
 func NewClassifier(dim, nClasses int) *Classifier {
 	c := &Classifier{Dim: dim, NClasses: nClasses}
 	c.acc = make([]*Bundler, nClasses)
@@ -283,7 +258,7 @@ func NewClassifier(dim, nClasses int) *Classifier {
 }
 
 // Train bundles each encoding into its class accumulator and rebuilds the
-// prototypes.
+// norms.
 func (c *Classifier) Train(enc []HV, labels []int) error {
 	if len(enc) != len(labels) {
 		return fmt.Errorf("hdc: %d encodings for %d labels", len(enc), len(labels))
@@ -300,10 +275,8 @@ func (c *Classifier) Train(enc []HV, labels []int) error {
 }
 
 func (c *Classifier) rebuild() {
-	c.protos = make([]HV, c.NClasses)
 	c.norms = make([]float64, c.NClasses)
 	for i, b := range c.acc {
-		c.protos[i] = b.Binarize()
 		n := 0.0
 		for _, v := range b.counts {
 			n += float64(v) * float64(v)
@@ -312,26 +285,13 @@ func (c *Classifier) rebuild() {
 	}
 }
 
-// Predict returns the best-matching class: minimum Hamming distance to the
-// binarized prototype in ModeBinary, maximum cosine similarity against the
-// integer accumulator in ModeInteger.
+// Predict returns the class whose integer accumulator has the maximum
+// cosine similarity with the query.
 //
 // Predict only reads the trained state, so any number of goroutines may
 // call it concurrently on one fitted classifier (the serving hot path) as
 // long as no Train/Retrain/UnmarshalBinary runs at the same time.
 func (c *Classifier) Predict(h HV) int {
-	if c.Mode == ModeBinary {
-		best, bestD := 0, 1<<62
-		for cl, p := range c.protos {
-			if p == nil {
-				continue
-			}
-			if d := h.Hamming(p); d < bestD {
-				best, bestD = cl, d
-			}
-		}
-		return best
-	}
 	best, bestS := 0, -1e308
 	for cl, b := range c.acc {
 		if c.norms[cl] == 0 {

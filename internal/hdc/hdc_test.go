@@ -65,26 +65,6 @@ func TestBitOps(t *testing.T) {
 	}
 }
 
-func TestPermute(t *testing.T) {
-	r := rng()
-	a := RandHV(dim, r)
-	p := Permute(a, dim, 1)
-	if p.Hamming(a) == 0 {
-		t.Error("permute by 1 must change the vector")
-	}
-	if p.Popcount() != a.Popcount() {
-		t.Error("permute must preserve popcount")
-	}
-	// Rotating by dim is identity.
-	if Permute(a, dim, dim).Hamming(a) != 0 {
-		t.Error("full rotation not identity")
-	}
-	// Inverse rotation.
-	if Permute(p, dim, -1).Hamming(a) != 0 {
-		t.Error("negative rotation does not invert")
-	}
-}
-
 func TestBundlerMajority(t *testing.T) {
 	r := rng()
 	a, b, c := RandHV(dim, r), RandHV(dim, r), RandHV(dim, r)
@@ -300,7 +280,7 @@ func BenchmarkBundleAdd(b *testing.B) {
 }
 
 // trainToy builds a small fitted classifier over random class clusters.
-func trainToy(t testing.TB, mode Mode) (*Classifier, []HV) {
+func trainToy(t testing.TB) (*Classifier, []HV) {
 	t.Helper()
 	const (
 		dim      = 512
@@ -327,7 +307,6 @@ func trainToy(t testing.TB, mode Mode) (*Classifier, []HV) {
 		}
 	}
 	cls := NewClassifier(dim, nClasses)
-	cls.Mode = mode
 	if err := cls.Train(enc, labels); err != nil {
 		t.Fatal(err)
 	}
@@ -339,33 +318,31 @@ func trainToy(t testing.TB, mode Mode) (*Classifier, []HV) {
 // under the race detector: Predict is documented safe for concurrent
 // readers (the serving hot path shares one model across handlers).
 func TestPredictConcurrent(t *testing.T) {
-	for _, mode := range []Mode{ModeInteger, ModeBinary} {
-		cls, enc := trainToy(t, mode)
-		want := make([]int, len(enc))
-		for i, h := range enc {
-			want[i] = cls.Predict(h)
-		}
-		var wg sync.WaitGroup
-		mismatch := make(chan string, 8)
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i, h := range enc {
-					if got := cls.Predict(h); got != want[i] {
-						select {
-						case mismatch <- "concurrent Predict diverged from serial":
-						default:
-						}
-						return
+	cls, enc := trainToy(t)
+	want := make([]int, len(enc))
+	for i, h := range enc {
+		want[i] = cls.Predict(h)
+	}
+	var wg sync.WaitGroup
+	mismatch := make(chan string, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, h := range enc {
+				if got := cls.Predict(h); got != want[i] {
+					select {
+					case mismatch <- "concurrent Predict diverged from serial":
+					default:
 					}
+					return
 				}
-			}()
-		}
-		wg.Wait()
-		close(mismatch)
-		for m := range mismatch {
-			t.Error(m)
-		}
+			}
+		}()
+	}
+	wg.Wait()
+	close(mismatch)
+	for m := range mismatch {
+		t.Error(m)
 	}
 }

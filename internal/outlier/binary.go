@@ -13,7 +13,7 @@ const (
 	MethodKNN         = "knn"
 )
 
-// Canonical binary forms of the fitted PAT scorers (itr-model/v2
+// Canonical binary forms of the fitted PAT scorers (itr-model/v3
 // sections). The envelope is a method code byte followed by the method's
 // state, so one decoder dispatches to the right implementation. Matrices
 // are stored flat with their row length implied by the preceding vector

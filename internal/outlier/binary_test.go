@@ -22,7 +22,7 @@ func fittedScorers(t *testing.T) []Scorer {
 	return out
 }
 
-// TestScorerBinaryRoundTrip pins the itr-model/v2 contract for every
+// TestScorerBinaryRoundTrip pins the itr-model/v3 contract for every
 // serializable scorer: canonical bytes round-trip bit-identically and the
 // reloaded scorer produces the same float64 score bits on every device.
 func TestScorerBinaryRoundTrip(t *testing.T) {

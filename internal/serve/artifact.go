@@ -10,6 +10,7 @@
 package serve
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -30,8 +31,8 @@ const (
 	KindOutlierScreen = "outlier-screen"
 )
 
-// itr-model/v2 is the one artifact format. Identity is content: the
-// artifact's hash is blake2b-256 over its canonical body bytes (the
+// itr-model/v3 is the one artifact format. Identity is content: the
+// artifact's hash is SHA-256 over its canonical body bytes (the
 // easyfl LibraryHash pattern), so two artifacts are the same artifact iff
 // their bytes are the same, replicas can diff and dedupe by hash alone,
 // and a flipped bit anywhere surfaces as a typed refusal instead of a
@@ -41,8 +42,8 @@ const (
 //
 //	offset  size  field
 //	0       4     magic "ITRM"
-//	4       1     format version (2)
-//	5       32    blake2b-256(body)
+//	4       1     format version (3)
+//	5       32    sha256(body)
 //	37      n     body
 //
 // body (canonical: fixed field order, big-endian, length-prefixed):
@@ -59,16 +60,20 @@ const (
 //	outlier-screen  str method, u32 tests, bytes scorer
 //	                (outlier.AppendScorerBinary), f64 reject, f64 retest
 //
+// Version 2 used another hash over the same layout and carried an HDC
+// mode byte in wafer-hdc payloads. A v2 file is refused by its version
+// byte (ErrBadArtifact) before any hash is checked.
+//
 // CreatedUnix is inside the hashed body on purpose: an artifact is
 // immutable once published, and re-publishing "the same" model under the
 // same kind/name/version with any byte changed — even just the timestamp —
 // is a forked lineage the registry must refuse rather than paper over.
 const (
-	// SchemaV2 names the artifact format.
-	SchemaV2 = "itr-model/v2"
+	// Schema names the artifact format.
+	Schema = "itr-model/v3"
 
 	artifactMagic   = "ITRM"
-	artifactVersion = 2
+	artifactVersion = 3
 	// artifactHeaderSize is the unhashed prefix: magic, version, hash.
 	artifactHeaderSize = 4 + 1 + 32
 	// maxArtifactBytes bounds a decoded artifact file (a corrupt length
@@ -80,7 +85,7 @@ const (
 var (
 	// ErrBadArtifact marks a structurally malformed artifact (bad magic,
 	// unknown format version, truncated or trailing bytes).
-	ErrBadArtifact = errors.New("serve: malformed itr-model/v2 artifact")
+	ErrBadArtifact = errors.New("serve: malformed itr-model/v3 artifact")
 	// ErrHashMismatch marks an artifact whose bytes do not match its
 	// content hash — bit rot, torn write, or in-flight corruption. Loaders
 	// and replicas refuse such artifacts outright.
@@ -136,7 +141,7 @@ func (a *Artifact) Validate() error {
 }
 
 // ReadArtifact loads and verifies an artifact file. Anything that is not
-// an itr-model/v2 file is refused with ErrBadArtifact.
+// an itr-model/v3 file is refused with ErrBadArtifact.
 func ReadArtifact(path string) (*Artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -186,8 +191,8 @@ func appendScreenPayload(b []byte, method string, tests int, s outlier.Scorer, r
 	return b, nil
 }
 
-// decodeScreenPayload parses a canonical outlier-screen payload into an
-// installable model (metadata filled in by the caller).
+// decodeScreenPayload parses and validates a canonical outlier-screen
+// payload into an installable model (metadata filled in by the caller).
 func decodeScreenPayload(data []byte) (*OutlierModel, error) {
 	d := wire.NewDec(data)
 	method := d.String()
@@ -197,6 +202,12 @@ func decodeScreenPayload(data []byte) (*OutlierModel, error) {
 	retest := d.F64()
 	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("serve: decode %s payload: %w", KindOutlierScreen, err)
+	}
+	if tests < 1 {
+		return nil, fmt.Errorf("serve: outlier artifact declares %d tests", tests)
+	}
+	if retest > reject {
+		return nil, fmt.Errorf("serve: retest threshold %g above reject threshold %g", retest, reject)
 	}
 	s, err := outlier.UnmarshalScorerBinary(scorerBytes)
 	if err != nil {
@@ -218,12 +229,12 @@ func (a *Artifact) canonicalBody() []byte {
 }
 
 // ContentHash computes (and stamps) the artifact's identity: the hex
-// blake2b-256 of its canonical body.
+// SHA-256 of its canonical body.
 func (a *Artifact) ContentHash() (string, error) {
 	if err := a.Validate(); err != nil {
 		return "", err
 	}
-	sum := wire.Blake2b256(a.canonicalBody())
+	sum := sha256.Sum256(a.canonicalBody())
 	a.Hash = hex.EncodeToString(sum[:])
 	return a.Hash, nil
 }
@@ -236,7 +247,7 @@ func (a *Artifact) EncodeV2() ([]byte, error) {
 		return nil, err
 	}
 	body := a.canonicalBody()
-	sum := wire.Blake2b256(body)
+	sum := sha256.Sum256(body)
 	a.Hash = hex.EncodeToString(sum[:])
 	out := make([]byte, 0, artifactHeaderSize+len(body))
 	out = append(out, artifactMagic...)
@@ -267,7 +278,7 @@ func DecodeArtifactV2(data []byte) (*Artifact, error) {
 	var want [32]byte
 	copy(want[:], data[5:artifactHeaderSize])
 	body := data[artifactHeaderSize:]
-	if sum := wire.Blake2b256(body); sum != want {
+	if sum := sha256.Sum256(body); sum != want {
 		return nil, fmt.Errorf("%w: body hashes to %x, header claims %x",
 			ErrHashMismatch, sum[:8], want[:8])
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestArtifactV2RoundTripIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(hash) != 64 {
-			t.Errorf("%s: hash %q is not hex blake2b-256", a.Kind, hash)
+			t.Errorf("%s: hash %q is not hex SHA-256", a.Kind, hash)
 		}
 		data, err := a.EncodeV2()
 		if err != nil {
@@ -52,7 +53,7 @@ func TestArtifactV2RoundTripIdentity(t *testing.T) {
 	}
 }
 
-// TestArtifactV2FlippedByte: corrupting any single byte of a v2 artifact
+// TestArtifactV2FlippedByte: corrupting any single byte of an artifact
 // is refused with a typed error — ErrBadArtifact in the unhashed header,
 // ErrHashMismatch everywhere in the hashed body and in the hash itself.
 // The outlier artifact is small enough to sweep every byte; the wafer
@@ -282,6 +283,58 @@ func FuzzArtifactV2(f *testing.F) {
 		}
 		if !bytes.Equal(data, again) {
 			t.Fatalf("re-encode differs from accepted input (%d vs %d bytes)", len(data), len(again))
+		}
+	})
+}
+
+// FuzzModelPayload feeds arbitrary bytes to both payload decoders that
+// Registry.Install runs, since a validly hashed artifact from a lying peer
+// carries whatever payload the peer chose. No input may panic, allocation
+// must stay within a bound linear in the input, and any accepted payload
+// must re-encode to the exact input.
+func FuzzModelPayload(f *testing.F) {
+	cfg := DemoConfig{Dim: 64, GridSize: 8, TrainN: 1, Devices: 60, Seed: 3, OverkillBudget: 0.05}
+	for _, train := range []func(DemoConfig, int) (*Artifact, error){TrainWaferArtifact, TrainOutlierArtifact} {
+		a, err := train(cfg, 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(a.Payload)
+		f.Add(a.Payload[:len(a.Payload)/2])
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		wm := &core.HDCWaferClassifier{}
+		werr := wm.UnmarshalBinary(data)
+		om, oerr := decodeScreenPayload(data)
+		runtime.ReadMemStats(&after)
+		// The wafer encoder precomputes 3 vectors per die (position, pass,
+		// fail) on at most wafer.MaxGridSize² dies, and each vector's
+		// words are bounded by the 9 classifier accumulators of 4 bytes
+		// per bit that the payload must carry: about 700 bytes per input
+		// byte plus 5 MiB of vector headers at the smallest dim.
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(16<<20+1024*len(data)); alloc > limit {
+			t.Fatalf("%d-byte payload allocated %d bytes, limit %d", len(data), alloc, limit)
+		}
+		if werr == nil {
+			again, err := wm.AppendBinary(nil)
+			if err != nil {
+				t.Fatalf("decoded %s payload failed to re-encode: %v", KindWaferHDC, err)
+			}
+			if !bytes.Equal(data, again) {
+				t.Fatalf("%s re-encode differs from accepted input (%d vs %d bytes)", KindWaferHDC, len(data), len(again))
+			}
+		}
+		if oerr == nil {
+			again, err := appendScreenPayload(nil, om.Method, om.Tests, om.Scorer, om.RejectThreshold, om.RetestThreshold)
+			if err != nil {
+				t.Fatalf("decoded %s payload failed to re-encode: %v", KindOutlierScreen, err)
+			}
+			if !bytes.Equal(data, again) {
+				t.Fatalf("%s re-encode differs from accepted input (%d vs %d bytes)", KindOutlierScreen, len(data), len(again))
+			}
 		}
 	})
 }

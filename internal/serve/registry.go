@@ -142,13 +142,6 @@ func (r *Registry) Install(a *Artifact) (prev ModelMeta, err error) {
 		if err != nil {
 			return ModelMeta{}, fmt.Errorf("serve: install %s: %w", art.Kind, err)
 		}
-		if m.Tests < 1 {
-			return ModelMeta{}, fmt.Errorf("serve: outlier artifact declares %d tests", m.Tests)
-		}
-		if m.RetestThreshold > m.RejectThreshold {
-			return ModelMeta{}, fmt.Errorf("serve: retest threshold %g above reject threshold %g",
-				m.RetestThreshold, m.RejectThreshold)
-		}
 		m.Meta = meta
 		for {
 			old := r.outlier.Load()

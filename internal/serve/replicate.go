@@ -20,7 +20,7 @@ import (
 // by diffing manifests and pulling only the hashes it is missing. Every
 // pulled artifact is verified twice before install — the frame carries a
 // sha256 over the bytes in flight (wire.Proto), and the artifact itself
-// embeds the blake2b content hash of its body — so neither a corrupted
+// embeds the SHA-256 content hash of its body — so neither a corrupted
 // link nor a corrupted (or lying) peer can install wrong bytes: the worst
 // outcome is a typed refusal.
 //
@@ -35,7 +35,7 @@ import (
 //	manifest     <-  u32 count, then per entry: str kind, str name,
 //	                 u32 version, str hash   (sorted, canonical)
 //	fetch        ->  str hash
-//	artifact     <-  raw itr-model/v2 file bytes (EncodeV2)
+//	artifact     <-  raw itr-model/v3 file bytes (EncodeV2)
 //	errReply     <-  str message
 const (
 	repMagic   = "ITRS"
@@ -234,7 +234,7 @@ type RepReport struct {
 
 // ReplicateFrom dials a RepServer, diffs its manifest against the local
 // registry's content store, and pulls every hash the replica is missing.
-// Each pulled artifact must decode as a valid itr-model/v2 file whose body
+// Each pulled artifact must decode as a valid itr-model/v3 file whose body
 // matches its embedded content hash AND whose hash equals the one
 // requested; anything else — a flipped byte in flight, a corrupted store,
 // a peer serving the wrong content under a hash — is refused with a typed

@@ -194,7 +194,7 @@ func TestReplicationUnknownHash(t *testing.T) {
 func FuzzManifest(f *testing.F) {
 	f.Add(encodeManifest(nil))
 	f.Add(encodeManifest([]ModelMeta{
-		{Kind: "wafer", Name: "demo", Version: 2, Hash: "blake2b:00ff"},
+		{Kind: "wafer", Name: "demo", Version: 2, Hash: "sha256:00ff"},
 		{Kind: "outlier", Name: "screen", Version: 1},
 	}))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})

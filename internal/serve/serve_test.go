@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"io"
 	"math"
@@ -18,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/outlier"
 	"repro/internal/wafer"
-	"repro/internal/wire"
 )
 
 // testCfg keeps fixture training fast: the serving contract under test does
@@ -494,13 +494,13 @@ func TestArtifactValidation(t *testing.T) {
 	}
 }
 
-// encodeRawArtifact builds a correctly hashed itr-model/v2 file around an
+// encodeRawArtifact builds a correctly hashed itr-model/v3 file around an
 // arbitrary envelope, bypassing Validate, so decoder-side checks can be
 // exercised on inputs EncodeV2 refuses to produce.
 func encodeRawArtifact(kind, name string, version int, payload []byte) []byte {
 	a := &Artifact{Kind: kind, Name: name, Version: version, Payload: payload}
 	body := a.canonicalBody()
-	sum := wire.Blake2b256(body)
+	sum := sha256.Sum256(body)
 	out := append([]byte(artifactMagic), artifactVersion)
 	out = append(out, sum[:]...)
 	return append(out, body...)

@@ -3,6 +3,7 @@ package wafer
 import (
 	"fmt"
 
+	"repro/internal/hdc"
 	"repro/internal/wire"
 )
 
@@ -12,7 +13,7 @@ import (
 // store only this config instead of megabytes of basis vectors, and a
 // rebuilt encoder is bit-identical to the one used at training time.
 //
-// Canonical binary form (itr-model/v2 section):
+// Canonical binary form (itr-model/v3 section):
 //
 //	u32 dim
 //	u32 size
@@ -28,14 +29,34 @@ func (e *Encoder) Config() EncoderConfig {
 	return EncoderConfig{Dim: e.Dim, Size: e.size, Seed: e.seed}
 }
 
+// Bounds on a saved encoder config. A config arrives inside an artifact,
+// possibly from a faulty or lying replication peer, and NewEncoder
+// allocates 2·size² basis hypervectors before it encodes anything, so both
+// bounds are checked first.
+const (
+	// MaxGridSize bounds the grid edge: 4× the 64-die default grid
+	// (DefaultConfig, itrwafer -size) and 8× the 32-die grids of the
+	// experiments and the serving demo. At the smallest dim, rebuilding a
+	// 256-die grid's encoder allocates about 5 MB.
+	MaxGridSize = 256
+	// maxBasisBytes bounds the basis vectors' words (2·size²·dim/8 bytes),
+	// so a large dim cannot make up for the size bound. It admits dim
+	// 16384 on the largest grid, twice the largest dim of experiment F1.
+	maxBasisBytes = 256 << 20
+)
+
 // NewEncoderFromConfig deterministically rebuilds an encoder from a saved
 // config, validating the parameters first.
 func NewEncoderFromConfig(c EncoderConfig) (*Encoder, error) {
 	if c.Dim < 64 {
 		return nil, fmt.Errorf("wafer: encoder dim %d too small (need >= 64)", c.Dim)
 	}
-	if c.Size < 2 {
-		return nil, fmt.Errorf("wafer: encoder grid size %d too small (need >= 2)", c.Size)
+	if c.Size < 2 || c.Size > MaxGridSize {
+		return nil, fmt.Errorf("wafer: encoder grid size %d outside [2, %d]", c.Size, MaxGridSize)
+	}
+	if basis := 2 * c.Size * c.Size * hdc.Words(c.Dim) * 8; basis > maxBasisBytes {
+		return nil, fmt.Errorf("wafer: encoder basis %dx%d at dim %d needs %d bytes, limit %d",
+			c.Size, c.Size, c.Dim, basis, maxBasisBytes)
 	}
 	return NewEncoder(c.Dim, c.Size, c.Seed), nil
 }

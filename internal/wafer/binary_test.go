@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// TestEncoderConfigBinaryRoundTrip pins the v2 rebuild recipe: the config
+// TestEncoderConfigBinaryRoundTrip pins the v3 rebuild recipe: the config
 // round-trips bit-identically and the rebuilt encoder produces the exact
 // hypervector of the original for the same map.
 func TestEncoderConfigBinaryRoundTrip(t *testing.T) {

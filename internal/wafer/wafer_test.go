@@ -385,4 +385,13 @@ func TestEncoderConfigRebuild(t *testing.T) {
 	if _, err := NewEncoderFromConfig(EncoderConfig{Dim: 512, Size: 1}); err == nil {
 		t.Error("tiny grid must be rejected")
 	}
+	if _, err := NewEncoderFromConfig(EncoderConfig{Dim: 64, Size: MaxGridSize + 1}); err == nil {
+		t.Error("grid above MaxGridSize must be rejected")
+	}
+	if _, err := NewEncoderFromConfig(EncoderConfig{Dim: 1 << 15, Size: MaxGridSize}); err == nil {
+		t.Error("basis above maxBasisBytes must be rejected")
+	}
+	if _, err := NewEncoderFromConfig(EncoderConfig{Dim: 1<<32 - 1, Size: 2}); err == nil {
+		t.Error("largest u32 dim must be rejected")
+	}
 }

@@ -10,7 +10,7 @@ import (
 // Canonical binary codec. The encode half is append-only over a caller
 // byte slice (zero hidden allocation, composable into larger sections);
 // the decode half is a cursor with sticky error tracking. The rules that
-// make an encoding canonical — and therefore make blake2b over the bytes a
+// make an encoding canonical — and therefore make SHA-256 over the bytes a
 // usable identity:
 //
 //   - fields are written in one fixed, documented order; there is no map

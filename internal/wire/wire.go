@@ -3,8 +3,8 @@
 // internal/cluster introduced, extracted so the artifact-replication
 // protocol reuses it verbatim), a canonical binary codec for deterministic
 // model serialization (fixed field order, big-endian fixed-width scalars,
-// length-prefixed sections — no map iteration anywhere), and a pure-Go
-// BLAKE2b-256 whose digest over canonical bytes is an artifact's identity.
+// length-prefixed sections — no map iteration anywhere), so that SHA-256
+// over canonical bytes can serve as an artifact's identity.
 package wire
 
 import (
