@@ -9,6 +9,8 @@
 //	POST /v1/outlier/score    {"x": [..12 floats..]}            outlier score + reject verdict
 //	POST /v1/adaptive/decide  {"x": [..12 floats..]}            continue / retest / stop
 //	GET  /v1/models                                             installed model versions
+//	GET  /v1/artifacts                                          artifact store manifest (replication)
+//	GET  /v1/artifacts/{hash}                                   one raw itr-model/v3 artifact file
 //	GET  /healthz, /readyz                                      liveness / readiness
 //	GET  /debug/vars, /debug/pprof/                             metrics, profiling
 //
@@ -17,13 +19,14 @@
 //	itrserve -demo                        # train small built-in models, serve on :8080
 //	itrserve -models DIR                  # load *.itm artifacts from DIR
 //	itrserve -probe http://host:8080      # client mode: exercise a running server
-//	itrserve -demo -replicate-listen :9090        # also serve the artifact store to replicas
-//	itrserve -replicate-from host:9090 -models D  # pull missing artifacts before serving
-//	itrserve -replicate-from host:9090 -replicate-only  # sync and exit (cron/CI)
+//	itrserve -replicate-from http://host:8080 -models D  # pull missing artifacts before serving
+//	itrserve -replicate-from http://host:8080 -replicate-only  # sync and exit (cron/CI)
 //
-// Replication is content-addressed: every artifact is verified against its
-// embedded SHA-256 content hash before install, so a corrupted link or
-// store yields a typed refusal, never a wrong model.
+// Every server publishes its artifact store under /v1/artifacts, so any
+// node can be a replication primary. Replication is content-addressed:
+// every artifact is verified against its embedded SHA-256 content hash
+// before install, so a corrupted link or store yields a typed refusal,
+// never a wrong model.
 //
 // SIGTERM/SIGINT drain in-flight requests before exiting; SIGHUP re-scans
 // the -models directory (hot swap without restart).
@@ -65,10 +68,8 @@ func main() {
 		seed        = flag.Int64("seed", 1, "demo model training seed")
 		quiet       = flag.Bool("quiet", false, "disable per-request logging")
 
-		repListen  = flag.String("replicate-listen", "", "also serve the artifact store to replicas on this address")
-		repFrom    = flag.String("replicate-from", "", "pull missing artifacts from a peer's replication address before serving")
-		repOnly    = flag.Bool("replicate-only", false, "with -replicate-from: sync, print the report and exit")
-		repCorrupt = flag.Int64("replicate-corrupt", 0, "chaos hook: corrupt the Nth artifact served to replicas (testing)")
+		repFrom = flag.String("replicate-from", "", "pull missing artifacts from the itrserve at this base URL before serving")
+		repOnly = flag.Bool("replicate-only", false, "with -replicate-from: sync, print the report and exit")
 	)
 	flag.Parse()
 
@@ -120,19 +121,6 @@ func main() {
 				len(rep.Pulled), *repFrom, rep.AlreadyHad)
 			return
 		}
-	}
-	var repSrv *serve.RepServer
-	if *repListen != "" {
-		var err error
-		repSrv, err = serve.NewRepServer(reg, *repListen, logger)
-		if err != nil {
-			fatal(logger, err)
-		}
-		repSrv.CorruptNth = *repCorrupt
-		repSrv.CorruptOffset = -1
-		go repSrv.Serve()
-		defer repSrv.Close()
-		logger.Info("replication listener up", "addr", repSrv.Addr())
 	}
 	for _, m := range reg.Models() {
 		logger.Info("model installed", "kind", m.Kind, "name", m.Name,

@@ -28,9 +28,9 @@ import (
 
 // The frame layout (magic, version, type, big-endian length, sha256 of the
 // payload), its size bound (wire.DefaultMaxFrame) and its typed frame
-// errors live in internal/wire, shared with artifact replication; this file
-// keeps the cluster protocol's identity — its magic, version and frame-type
-// vocabulary — plus the cluster's own message-level errors.
+// errors live in internal/wire; this file keeps the cluster protocol's
+// identity — its magic, version and frame-type vocabulary — plus the
+// cluster's own message-level errors.
 const (
 	wireMagic   = "ITRC"
 	WireVersion = 1

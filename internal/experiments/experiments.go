@@ -89,7 +89,10 @@ func library(cfg Config, tempK, dVth float64) (*liberty.Library, error) {
 	return entry.lib, entry.err
 }
 
+// step is one entry of the experiment table: the identifier Run accepts,
+// the report header, and the experiment itself.
 type step struct {
+	id   string
 	name string
 	run  func(Config) error
 }
@@ -138,81 +141,40 @@ func runOrdered(cfg Config, steps []step) error {
 
 func allSteps() []step {
 	return []step{
-		{"T1 ML cell characterization", func(c Config) error { _, err := RunT1(c); return err }},
-		{"T2 aging degradation model", func(c Config) error { _, err := RunT2(c); return err }},
-		{"T3 wafer-map classification", func(c Config) error { _, err := RunT3(c); return err }},
-		{"F1 HDC dimension sweep", func(c Config) error { _, err := RunF1(c); return err }},
-		{"F2 coverage vs patterns", func(c Config) error { _, err := RunF2(c); return err }},
-		{"T4 ATPG summary", func(c Config) error { _, err := RunT4(c); return err }},
-		{"T5 diagnosis ranking", func(c Config) error { _, err := RunT5(c); return err }},
-		{"F3 adaptive-test tradeoff", func(c Config) error { _, err := RunF3(c); return err }},
-		{"T6 aging-aware STA", func(c Config) error { _, err := RunT6(c); return err }},
-		{"F4 variation Monte Carlo", func(c Config) error { _, err := RunF4(c); return err }},
-		{"F5 learning convergence", func(c Config) error { _, err := RunF5(c); return err }},
-		{"T7 fault-simulation speedup", func(c Config) error { _, err := RunT7(c); return err }},
-		{"T8 test-point insertion (extension)", func(c Config) error { _, err := RunT8(c); return err }},
-		{"T9 transition-fault ATPG (extension)", func(c Config) error { _, err := RunT9(c); return err }},
-		{"T10 temperature corners (extension)", func(c Config) error { _, err := RunT10(c); return err }},
-		{"F6 logic BIST (extension)", func(c Config) error { _, err := RunF6(c); return err }},
+		{"T1", "T1 ML cell characterization", func(c Config) error { _, err := RunT1(c); return err }},
+		{"T2", "T2 aging degradation model", func(c Config) error { _, err := RunT2(c); return err }},
+		{"T3", "T3 wafer-map classification", func(c Config) error { _, err := RunT3(c); return err }},
+		{"F1", "F1 HDC dimension sweep", func(c Config) error { _, err := RunF1(c); return err }},
+		{"F2", "F2 coverage vs patterns", func(c Config) error { _, err := RunF2(c); return err }},
+		{"T4", "T4 ATPG summary", func(c Config) error { _, err := RunT4(c); return err }},
+		{"T5", "T5 diagnosis ranking", func(c Config) error { _, err := RunT5(c); return err }},
+		{"F3", "F3 adaptive-test tradeoff", func(c Config) error { _, err := RunF3(c); return err }},
+		{"T6", "T6 aging-aware STA", func(c Config) error { _, err := RunT6(c); return err }},
+		{"F4", "F4 variation Monte Carlo", func(c Config) error { _, err := RunF4(c); return err }},
+		{"F5", "F5 learning convergence", func(c Config) error { _, err := RunF5(c); return err }},
+		{"T7", "T7 fault-simulation speedup", func(c Config) error { _, err := RunT7(c); return err }},
+		{"T8", "T8 test-point insertion (extension)", func(c Config) error { _, err := RunT8(c); return err }},
+		{"T9", "T9 transition-fault ATPG (extension)", func(c Config) error { _, err := RunT9(c); return err }},
+		{"T10", "T10 temperature corners (extension)", func(c Config) error { _, err := RunT10(c); return err }},
+		{"F6", "F6 logic BIST (extension)", func(c Config) error { _, err := RunF6(c); return err }},
 	}
 }
 
-// Names lists the experiment identifiers accepted by Run.
+// Names lists the experiment identifiers accepted by Run, in RunAll order.
 func Names() []string {
-	return []string{"T1", "T2", "T3", "T4", "T5", "T6", "T7", "T8", "T9", "T10", "F1", "F2", "F3", "F4", "F5", "F6"}
+	var names []string
+	for _, s := range allSteps() {
+		names = append(names, s.id)
+	}
+	return names
 }
 
 // Run executes one experiment by identifier.
 func Run(id string, cfg Config) error {
-	switch id {
-	case "T1":
-		_, err := RunT1(cfg)
-		return err
-	case "T2":
-		_, err := RunT2(cfg)
-		return err
-	case "T3":
-		_, err := RunT3(cfg)
-		return err
-	case "T4":
-		_, err := RunT4(cfg)
-		return err
-	case "T5":
-		_, err := RunT5(cfg)
-		return err
-	case "T6":
-		_, err := RunT6(cfg)
-		return err
-	case "T7":
-		_, err := RunT7(cfg)
-		return err
-	case "T8":
-		_, err := RunT8(cfg)
-		return err
-	case "T9":
-		_, err := RunT9(cfg)
-		return err
-	case "T10":
-		_, err := RunT10(cfg)
-		return err
-	case "F1":
-		_, err := RunF1(cfg)
-		return err
-	case "F2":
-		_, err := RunF2(cfg)
-		return err
-	case "F3":
-		_, err := RunF3(cfg)
-		return err
-	case "F4":
-		_, err := RunF4(cfg)
-		return err
-	case "F5":
-		_, err := RunF5(cfg)
-		return err
-	case "F6":
-		_, err := RunF6(cfg)
-		return err
+	for _, s := range allSteps() {
+		if s.id == id {
+			return s.run(cfg)
+		}
 	}
 	return fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, Names())
 }

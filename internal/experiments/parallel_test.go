@@ -134,9 +134,9 @@ func TestRunOrderedEmitsInIndexOrder(t *testing.T) {
 // wraps its error.
 func TestRunOrderedReportsLowestFailingStep(t *testing.T) {
 	steps := []step{
-		{"ok", func(c Config) error { return nil }},
-		{"bad", func(c Config) error { return fmt.Errorf("exploded") }},
-		{"after", func(c Config) error { return nil }},
+		{name: "ok", run: func(c Config) error { return nil }},
+		{name: "bad", run: func(c Config) error { return fmt.Errorf("exploded") }},
+		{name: "after", run: func(c Config) error { return nil }},
 	}
 	err := runOrdered(Config{W: io.Discard, Workers: 2}, steps)
 	if err == nil || !strings.Contains(err.Error(), "bad") || !strings.Contains(err.Error(), "exploded") {

@@ -1,71 +1,43 @@
 package fault
 
 import (
-	"runtime"
-	"sync"
-
 	"repro/internal/circuit"
 	"repro/internal/logic"
 	"repro/internal/parallel"
 )
 
 // RunConcurrentWords fault-simulates the pattern set across multiple
-// goroutines, splitting the fault list into contiguous shards; each worker
-// packs words pattern words per pass (normalized to {1,2,4,8}). The netlist
-// is compiled exactly once; every worker gets a cheap Simulator over the
-// shared immutable IR. Results are identical to Simulator.Run for any worker
-// count and any lane width (fault dropping happens within each shard, and
-// detection indices do not depend on other faults). workers <= 0 selects
-// GOMAXPROCS.
+// workers on the shared parallel pool, splitting the fault list into one
+// contiguous shard per worker; each shard packs words pattern words per
+// pass (normalized to {1,2,4,8}). The netlist is compiled exactly once;
+// every shard gets a cheap Simulator over the shared immutable IR. Results
+// are identical to Simulator.Run for any worker count and any lane width
+// (fault dropping happens within each shard, and detection indices do not
+// depend on other faults). workers <= 0 selects GOMAXPROCS.
 func RunConcurrentWords(n *circuit.Netlist, p *logic.PatternSet, faults []Fault, workers, words int) (*Result, error) {
 	c, err := n.Compiled()
 	if err != nil {
 		return nil, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(faults) {
-		workers = len(faults)
-	}
+	workers = min(parallel.Workers(workers), len(faults))
 	if workers <= 1 {
 		return NewSimulatorCompiledWords(c, words).Run(p, faults), nil
 	}
 	res := &Result{Total: len(faults), DetectedBy: make([]int, len(faults))}
-	type shard struct {
-		lo, hi int
-		out    *Result
-	}
-	shards := make([]shard, workers)
 	per := (len(faults) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(faults) {
-			hi = len(faults)
-		}
-		shards[w] = shard{lo: lo, hi: hi}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(s *shard) {
-			defer wg.Done()
-			s.out = NewSimulatorCompiledWords(c, words).Run(p, faults[s.lo:s.hi])
-		}(&shards[w])
+	shards := (len(faults) + per - 1) / per
+	detected := make([]int, shards)
+	_ = parallel.For(workers, shards, func(s int) error {
+		lo, hi := s*per, min((s+1)*per, len(faults))
+		out := NewSimulatorCompiledWords(c, words).Run(p, faults[lo:hi])
+		copy(res.DetectedBy[lo:hi], out.DetectedBy)
+		detected[s] = out.Detected
+		return nil
+	})
+	for _, d := range detected {
+		res.Detected += d
 	}
-	wg.Wait()
-	for _, s := range shards {
-		if s.out == nil {
-			continue
-		}
-		copy(res.DetectedBy[s.lo:s.hi], s.out.DetectedBy)
-		res.Detected += s.out.Detected
-	}
-	if res.Total > 0 {
-		res.Coverage = float64(res.Detected) / float64(res.Total)
-	}
+	res.Coverage = float64(res.Detected) / float64(res.Total)
 	return res, nil
 }
 

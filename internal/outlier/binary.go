@@ -68,6 +68,34 @@ func UnmarshalScorerBinary(data []byte) (Scorer, error) {
 	return s, nil
 }
 
+// Dim reports how many tests a fitted scorer reads from each measurement
+// vector. It refuses state no vector could be scored against: a scorer
+// that is not fitted, or a kNN reference whose rows differ in length.
+func Dim(s Scorer) (int, error) {
+	var d int
+	switch s := s.(type) {
+	case *ZScorePAT:
+		d = len(s.med)
+	case *Mahalanobis:
+		d = len(s.mean)
+	case *KNNOutlier:
+		if len(s.ref) > 0 {
+			d = len(s.ref[0])
+		}
+		for i, row := range s.ref {
+			if len(row) != d {
+				return 0, fmt.Errorf("outlier: knn reference row %d has %d tests, row 0 has %d", i, len(row), d)
+			}
+		}
+	default:
+		return 0, fmt.Errorf("outlier: scorer %T has no fitted dimension", s)
+	}
+	if d == 0 {
+		return 0, fmt.Errorf("outlier: %T is not fitted", s)
+	}
+	return d, nil
+}
+
 // AppendBinary appends the fitted robust location/scale estimates:
 // f64s med, f64s mad.
 func (s *ZScorePAT) AppendBinary(b []byte) ([]byte, error) {

@@ -95,3 +95,23 @@ func TestScorerBinaryValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestDim pins the fitted test count of every serializable scorer and the
+// refusal of state no vector could be scored against.
+func TestDim(t *testing.T) {
+	lot := Synthesize(DefaultLotConfig(), 7)
+	for _, s := range fittedScorers(t) {
+		if d, err := Dim(s); err != nil || d != len(lot.X[0]) {
+			t.Errorf("%T: Dim = %d, %v; want %d", s, d, err, len(lot.X[0]))
+		}
+	}
+	ragged := &KNNOutlier{K: 1}
+	if err := ragged.Fit([][]float64{{0, 1}, {0}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []Scorer{ragged, &ZScorePAT{}, &PCAResidual{}} {
+		if d, err := Dim(s); err == nil {
+			t.Errorf("%T: Dim = %d, want an error", s, d)
+		}
+	}
+}

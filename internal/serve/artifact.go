@@ -213,6 +213,15 @@ func decodeScreenPayload(data []byte) (*OutlierModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: decode %s payload: %w", KindOutlierScreen, err)
 	}
+	// Scoring indexes the fitted state by test, so a vector of the
+	// declared length must be exactly what the scorer was fitted on.
+	dim, err := outlier.Dim(s)
+	if err != nil {
+		return nil, fmt.Errorf("serve: decode %s payload: %w", KindOutlierScreen, err)
+	}
+	if dim != tests {
+		return nil, fmt.Errorf("serve: outlier artifact declares %d tests, its scorer was fitted on %d", tests, dim)
+	}
 	return &OutlierModel{
 		Method: method, Tests: tests, Scorer: s,
 		RejectThreshold: reject, RetestThreshold: retest,

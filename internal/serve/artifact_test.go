@@ -175,6 +175,42 @@ func TestRegistryForkedLineage(t *testing.T) {
 	}
 }
 
+// TestOutlierScreenTestsMismatchRefused: an outlier-screen payload whose
+// declared test count differs from its scorer's fitted dimension is
+// refused at install. Installed, it would answer every score request of
+// the declared length with a panic (an index past the fitted state).
+func TestOutlierScreenTestsMismatchRefused(t *testing.T) {
+	cases := []struct {
+		name     string
+		scorer   outlier.Scorer
+		ref      [][]float64
+		declared int
+	}{
+		{"zscore fitted on 1, declares 3", &outlier.ZScorePAT{}, [][]float64{{0}, {1}, {2}}, 3},
+		{"knn fitted on 3, declares 1", &outlier.KNNOutlier{K: 1}, [][]float64{{0, 1, 2}, {1, 2, 3}}, 1},
+	}
+	for _, c := range cases {
+		if err := c.scorer.Fit(c.ref); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := appendScreenPayload(nil, "m", c.declared, c.scorer, 3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := NewArtifact(KindOutlierScreen, "screen", 1, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := NewRegistry()
+		if _, err := reg.Install(a); err == nil {
+			t.Errorf("%s: installed", c.name)
+		}
+		if reg.Outlier() != nil || len(reg.Manifest()) != 0 {
+			t.Errorf("%s: refused install left a model behind", c.name)
+		}
+	}
+}
+
 // TestRegistryLoadDirDedupe: byte-identical artifacts under different
 // names count once.
 func TestRegistryLoadDirDedupe(t *testing.T) {
@@ -290,8 +326,9 @@ func FuzzArtifactV2(f *testing.F) {
 // FuzzModelPayload feeds arbitrary bytes to both payload decoders that
 // Registry.Install runs, since a validly hashed artifact from a lying peer
 // carries whatever payload the peer chose. No input may panic, allocation
-// must stay within a bound linear in the input, and any accepted payload
-// must re-encode to the exact input.
+// must stay within a bound linear in the input, any accepted payload
+// must re-encode to the exact input, and an accepted outlier screen must
+// score a vector of its declared test count.
 func FuzzModelPayload(f *testing.F) {
 	cfg := DemoConfig{Dim: 64, GridSize: 8, TrainN: 1, Devices: 60, Seed: 3, OverkillBudget: 0.05}
 	for _, train := range []func(DemoConfig, int) (*Artifact, error){TrainWaferArtifact, TrainOutlierArtifact} {
@@ -328,6 +365,9 @@ func FuzzModelPayload(f *testing.F) {
 			}
 		}
 		if oerr == nil {
+			// Any installable screen scores a vector of its declared
+			// length; a panic here fails the fuzz run.
+			om.Scorer.Score(make([]float64, om.Tests))
 			again, err := appendScreenPayload(nil, om.Method, om.Tests, om.Scorer, om.RejectThreshold, om.RetestThreshold)
 			if err != nil {
 				t.Fatalf("decoded %s payload failed to re-encode: %v", KindOutlierScreen, err)

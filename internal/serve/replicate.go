@@ -1,221 +1,132 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
-	"net"
+	"net/http"
 	"path/filepath"
 	"sort"
-	"sync"
-	"sync/atomic"
+	"strings"
 	"time"
 
 	"repro/internal/wire"
 )
 
 // Registry replication: a serve node exposes its content-addressed
-// artifact store over a small framed TCP protocol, and a replica converges
-// by diffing manifests and pulling only the hashes it is missing. Every
-// pulled artifact is verified twice before install — the frame carries a
-// sha256 over the bytes in flight (wire.Proto), and the artifact itself
-// embeds the SHA-256 content hash of its body — so neither a corrupted
-// link nor a corrupted (or lying) peer can install wrong bytes: the worst
-// outcome is a typed refusal.
+// artifact store on its ordinary HTTP port, and a replica converges by
+// diffing manifests and pulling only the hashes it is missing.
 //
-// The protocol reuses the cluster wire framing (magic/version/type/
-// BE-length/sha256) under its own magic, so a replication client dialing a
-// cluster port (or vice versa) fails immediately with ErrBadMagic instead
-// of misparsing frames.
+//	GET /v1/artifacts         {"artifacts": [{kind, name, version, hash}, ...]}
+//	GET /v1/artifacts/{hash}  raw itr-model/v3 file bytes (EncodeV2)
 //
-// Frames:
-//
-//	manifestReq  ->  (empty payload)
-//	manifest     <-  u32 count, then per entry: str kind, str name,
-//	                 u32 version, str hash   (sorted, canonical)
-//	fetch        ->  str hash
-//	artifact     <-  raw itr-model/v3 file bytes (EncodeV2)
-//	errReply     <-  str message
-const (
-	repMagic   = "ITRS"
-	repVersion = 1
+// Transport carries no integrity check of its own: every pulled artifact
+// must decode as a v3 file whose body matches its embedded SHA-256 content
+// hash, and that hash must be the one requested. A corrupted link, store or
+// peer therefore yields a typed refusal, never a wrong model.
 
-	repManifestReq = 1
-	repManifest    = 2
-	repFetch       = 3
-	repArtifact    = 4
-	repErrReply    = 5
-)
+// maxManifestBytes bounds the manifest body a replica reads. One entry is
+// about 110 bytes of JSON, so 256 KiB holds over 2000 artifacts, while a
+// hostile body of empty entries still decodes in tens of megabytes.
+const maxManifestBytes = 256 << 10
 
-// repProto is the replication wire protocol instance.
-var repProto = wire.Proto{Magic: repMagic, Version: repVersion}
-
-// ErrReplication marks a protocol-level replication failure (unexpected
-// frame, peer-reported error, unknown hash).
+// ErrReplication marks a protocol-level replication failure: a non-200
+// answer (an unknown hash is a 404), an oversized body, or a malformed
+// manifest.
 var ErrReplication = errors.New("serve: replication protocol error")
 
-// encodeManifest appends the canonical manifest payload.
-func encodeManifest(entries []ModelMeta) []byte {
-	b := wire.AppendU32(nil, uint32(len(entries)))
-	for _, e := range entries {
-		b = wire.AppendString(b, e.Kind)
-		b = wire.AppendString(b, e.Name)
-		b = wire.AppendU32(b, uint32(e.Version))
-		b = wire.AppendString(b, e.Hash)
-	}
-	return b
+// ManifestResponse is the body of GET /v1/artifacts.
+type ManifestResponse struct {
+	Artifacts []ModelMeta `json:"artifacts"`
 }
 
-// decodeManifest parses a manifest payload.
-func decodeManifest(data []byte) ([]ModelMeta, error) {
-	d := wire.NewDec(data)
-	n := d.U32()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	entries := make([]ModelMeta, 0, min(int(n), 1024))
-	for i := uint32(0); i < n; i++ {
-		var e ModelMeta
-		e.Kind = d.String()
-		e.Name = d.String()
-		e.Version = int(d.U32())
-		e.Hash = d.String()
-		if err := d.Err(); err != nil {
-			return nil, err
-		}
-		entries = append(entries, e)
-	}
-	if err := d.Close(); err != nil {
-		return nil, err
-	}
-	return entries, nil
+func (s *Server) handleArtifacts(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, ManifestResponse{Artifacts: s.reg.Manifest()})
 }
 
-// RepServer serves a registry's artifact store to replicas.
-type RepServer struct {
-	reg *Registry
-	ln  net.Listener
-	log *slog.Logger
-
-	// CorruptNth is a test/chaos hook: if > 0, the Nth artifact served
-	// (1-based, counted across all connections) has the byte at
-	// CorruptOffset flipped after encoding but before framing (negative
-	// offsets count from the end; out-of-range clamps to the last byte).
-	// The frame checksum is computed over the corrupted bytes, so only
-	// the embedded content hash can catch it — exactly the failure mode
-	// content addressing exists for. Set before Serve; not synchronized
-	// with mutation.
-	CorruptNth    int64
-	CorruptOffset int
-	served        atomic.Int64
-
-	mu     sync.Mutex
-	closed bool
-}
-
-// NewRepServer listens on addr (e.g. "127.0.0.1:0") and serves reg's
-// artifact store. Call Serve (usually in a goroutine) to accept replicas.
-// A nil logger disables logging.
-func NewRepServer(reg *Registry, addr string, log *slog.Logger) (*RepServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
+func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
+	hash := r.PathValue("hash")
+	stored := s.reg.ArtifactByHash(hash)
+	if stored == nil {
+		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown artifact hash %.12s", hash))
+		return
 	}
-	return &RepServer{reg: reg, ln: ln, log: log}, nil
-}
-
-// Addr returns the bound listen address.
-func (s *RepServer) Addr() string { return s.ln.Addr().String() }
-
-// Serve accepts replica connections until the server is closed.
-func (s *RepServer) Serve() error {
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		go s.handle(conn)
-	}
-}
-
-// Close stops accepting replicas. Idempotent.
-func (s *RepServer) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	s.mu.Unlock()
-	return s.ln.Close()
-}
-
-// handle answers one replica's frames until it disconnects.
-func (s *RepServer) handle(conn net.Conn) {
-	defer conn.Close()
-	for {
-		t, payload, err := repProto.ReadFrame(conn, wire.DefaultMaxFrame)
-		if err != nil {
-			if s.log != nil && err != io.EOF {
-				s.log.Warn("replication: bad frame", slog.String("peer", conn.RemoteAddr().String()),
-					slog.String("err", err.Error()))
-			}
-			return
-		}
-		switch t {
-		case repManifestReq:
-			err = repProto.WriteFrame(conn, repManifest, encodeManifest(s.reg.Manifest()))
-		case repFetch:
-			err = s.serveFetch(conn, payload)
-		default:
-			err = repProto.WriteFrame(conn, repErrReply,
-				wire.AppendString(nil, fmt.Sprintf("unexpected frame type %d", t)))
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// serveFetch answers one fetch frame with the requested artifact (or a
-// peer error if the hash is unknown), applying the corruption hook.
-func (s *RepServer) serveFetch(conn net.Conn, payload []byte) error {
-	d := wire.NewDec(payload)
-	hash := d.String()
-	if err := d.Close(); err != nil {
-		return repProto.WriteFrame(conn, repErrReply, wire.AppendString(nil, "malformed fetch"))
-	}
-	a := s.reg.ArtifactByHash(hash)
-	if a == nil {
-		return repProto.WriteFrame(conn, repErrReply,
-			wire.AppendString(nil, fmt.Sprintf("unknown artifact hash %.12s", hash)))
-	}
+	// EncodeV2 stamps Hash; encode a copy so concurrent fetches never
+	// write to the shared stored artifact.
+	a := *stored
 	data, err := a.EncodeV2()
 	if err != nil {
-		return repProto.WriteFrame(conn, repErrReply, wire.AppendString(nil, err.Error()))
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
 	}
-	if n := s.served.Add(1); s.CorruptNth > 0 && n == s.CorruptNth {
-		off := s.CorruptOffset
-		if off < 0 {
-			off += len(data)
-		}
-		if off < 0 || off >= len(data) {
-			off = len(data) - 1
-		}
-		data[off] ^= 0x40
-		if s.log != nil {
-			s.log.Warn("replication: corrupting served artifact (chaos hook)",
-				slog.String("hash", hash[:12]), slog.Int("offset", off))
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(data)
+}
+
+// validHash reports whether h is a hex SHA-256 content hash as the
+// registry stamps it: 64 lowercase hex characters.
+func validHash(h string) bool {
+	if len(h) != 64 {
+		return false
+	}
+	for i := 0; i < len(h); i++ {
+		if c := h[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
 		}
 	}
-	return repProto.WriteFrame(conn, repArtifact, data)
+	return true
+}
+
+// readCapped reads all of r, refusing more than limit bytes.
+func readCapped(r io.Reader, limit int64) ([]byte, error) {
+	data, err := io.ReadAll(io.LimitReader(r, limit+1))
+	if err != nil {
+		return nil, err
+	}
+	if int64(len(data)) > limit {
+		return nil, fmt.Errorf("%w: body exceeds %d bytes", ErrReplication, limit)
+	}
+	return data, nil
+}
+
+// decodeManifest reads a GET /v1/artifacts body (at most maxManifestBytes)
+// and refuses any entry whose hash is not a valid content hash, so nothing
+// but 64 hex characters ever reaches a fetch URL.
+func decodeManifest(r io.Reader) ([]ModelMeta, error) {
+	data, err := readCapped(r, maxManifestBytes)
+	if err != nil {
+		return nil, err
+	}
+	var m ManifestResponse
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, fmt.Errorf("%w: bad manifest: %v", ErrReplication, err)
+	}
+	for _, e := range m.Artifacts {
+		if !validHash(e.Hash) {
+			return nil, fmt.Errorf("%w: bad manifest: hash %q is not 64 lowercase hex characters",
+				ErrReplication, e.Hash)
+		}
+	}
+	return m.Artifacts, nil
+}
+
+// get issues a GET and returns the body of a 200 answer (the caller
+// closes it); any other status is ErrReplication carrying the peer's
+// error text.
+func get(client *http.Client, url string) (io.ReadCloser, error) {
+	resp, err := client.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		resp.Body.Close()
+		return nil, fmt.Errorf("%w: GET %s: status %d: %s",
+			ErrReplication, url, resp.StatusCode, bytes.TrimSpace(msg))
+	}
+	return resp.Body, nil
 }
 
 // RepReport summarizes one ReplicateFrom run.
@@ -232,41 +143,31 @@ type RepReport struct {
 	Skipped []string
 }
 
-// ReplicateFrom dials a RepServer, diffs its manifest against the local
-// registry's content store, and pulls every hash the replica is missing.
-// Each pulled artifact must decode as a valid itr-model/v3 file whose body
-// matches its embedded content hash AND whose hash equals the one
-// requested; anything else — a flipped byte in flight, a corrupted store,
-// a peer serving the wrong content under a hash — is refused with a typed
-// error and nothing is installed from that reply. Verified artifacts
-// install through the ordinary hot-swap path (lineage and downgrade rules
-// included) and, when dir is non-empty, persist there as .itm files so a
-// restart reloads them without re-syncing.
-func ReplicateFrom(addr string, reg *Registry, dir string, timeout time.Duration) (RepReport, error) {
+// ReplicateFrom reads the manifest of the serve node at baseURL (e.g.
+// "http://host:8080"), diffs it against the local registry's content store,
+// and pulls every hash the replica is missing. Each pulled artifact must
+// decode as a valid itr-model/v3 file whose body matches its embedded
+// content hash AND whose hash equals the one requested; anything else — a
+// flipped byte in flight, a corrupted store, a peer serving the wrong
+// content under a hash — is refused with a typed error and nothing is
+// installed from that reply. Verified artifacts install through the
+// ordinary hot-swap path (lineage and downgrade rules included) and, when
+// dir is non-empty, persist there as .itm files so a restart reloads them
+// without re-syncing. timeout bounds each HTTP request (<= 0 selects 30s).
+func ReplicateFrom(baseURL string, reg *Registry, dir string, timeout time.Duration) (RepReport, error) {
 	var rep RepReport
 	if timeout <= 0 {
 		timeout = 30 * time.Second
 	}
-	conn, err := net.DialTimeout("tcp", addr, timeout)
+	client := &http.Client{Timeout: timeout}
+	body, err := get(client, baseURL+epArtifacts)
 	if err != nil {
 		return rep, err
 	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(timeout))
-
-	if err := repProto.WriteFrame(conn, repManifestReq, nil); err != nil {
-		return rep, err
-	}
-	t, payload, err := repProto.ReadFrame(conn, wire.DefaultMaxFrame)
+	remote, err := decodeManifest(body)
+	body.Close()
 	if err != nil {
 		return rep, err
-	}
-	if t != repManifest {
-		return rep, fmt.Errorf("%w: expected manifest, got frame type %d", ErrReplication, t)
-	}
-	remote, err := decodeManifest(payload)
-	if err != nil {
-		return rep, fmt.Errorf("%w: bad manifest: %v", ErrReplication, err)
 	}
 	rep.Remote = remote
 
@@ -292,31 +193,28 @@ func ReplicateFrom(addr string, reg *Registry, dir string, timeout time.Duration
 			rep.AlreadyHad++
 			continue
 		}
-		conn.SetDeadline(time.Now().Add(timeout))
-		if err := repProto.WriteFrame(conn, repFetch, wire.AppendString(nil, want.Hash)); err != nil {
-			return rep, err
-		}
-		t, payload, err := repProto.ReadFrame(conn, wire.DefaultMaxFrame)
+		body, err := get(client, baseURL+epArtifacts+"/"+want.Hash)
 		if err != nil {
 			return rep, err
 		}
-		switch t {
-		case repArtifact:
-		case repErrReply:
-			d := wire.NewDec(payload)
-			msg := d.String()
-			return rep, fmt.Errorf("%w: peer: %s", ErrReplication, msg)
-		default:
-			return rep, fmt.Errorf("%w: expected artifact, got frame type %d", ErrReplication, t)
+		data, err := readCapped(body, wire.DefaultMaxFrame)
+		body.Close()
+		if err != nil {
+			return rep, err
 		}
-		a, err := DecodeArtifactV2(payload)
+		a, err := DecodeArtifactV2(data)
 		if err != nil {
 			return rep, fmt.Errorf("replicate %s/%s/v%d from %s: %w",
-				want.Kind, want.Name, want.Version, addr, err)
+				want.Kind, want.Name, want.Version, baseURL, err)
 		}
 		if a.Hash != want.Hash {
 			return rep, fmt.Errorf("%w: requested %.12s…, peer sent content %.12s…",
 				ErrHashMismatch, want.Hash, a.Hash)
+		}
+		// Persisted files are named after the artifact, which the peer
+		// chose: a path separator would place the file outside dir.
+		if dir != "" && strings.ContainsAny(a.Name, `/\`) {
+			return rep, fmt.Errorf("%w: artifact name %q is not a file name", ErrReplication, a.Name)
 		}
 		if _, err := reg.Install(a); err != nil {
 			rep.Skipped = append(rep.Skipped,

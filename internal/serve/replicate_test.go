@@ -3,17 +3,24 @@ package serve
 import (
 	"bytes"
 	"errors"
-	"net"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/wire"
 )
 
 // primaryRegistry builds a registry holding the three fixture artifacts
-// (two wafer versions + one outlier screen) and serves it for replication.
-func primaryRegistry(t *testing.T) (*Registry, *RepServer) {
+// (two wafer versions + one outlier screen) and serves it over loopback
+// TCP through the ordinary server handler, optionally wrapped (nil wrap
+// serves it as is). It returns the registry and the base URL.
+func primaryRegistry(t *testing.T, wrap func(http.Handler) http.Handler) (*Registry, string) {
 	t.Helper()
 	w1, w2, o1 := testArtifacts(t)
 	reg := NewRegistry()
@@ -22,13 +29,66 @@ func primaryRegistry(t *testing.T) (*Registry, *RepServer) {
 			t.Fatal(err)
 		}
 	}
-	srv, err := NewRepServer(reg, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
+	return reg, servePrimary(t, reg, wrap)
+}
+
+// servePrimary serves reg over loopback TCP and returns the base URL.
+func servePrimary(t *testing.T, reg *Registry, wrap func(http.Handler) http.Handler) string {
+	t.Helper()
+	s := New(Config{Registry: reg})
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	if wrap != nil {
+		h = wrap(h)
 	}
-	go srv.Serve()
-	t.Cleanup(func() { srv.Close() })
-	return reg, srv
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// corrupter flips one byte of the nth artifact body it serves (1-based,
+// counted across all requests; 0 disables). Negative offsets count from
+// the end. It corrupts after the server encoded the artifact, so only the
+// embedded content hash stands between a replica and a wrong model.
+type corrupter struct {
+	next http.Handler
+
+	mu     sync.Mutex
+	served int
+	nth    int
+	offset int
+}
+
+func (c *corrupter) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if !strings.HasPrefix(r.URL.Path, epArtifacts+"/") {
+		c.next.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	c.next.ServeHTTP(rec, r)
+	body := rec.Body.Bytes()
+	c.mu.Lock()
+	c.served++
+	if c.nth > 0 && c.served == c.nth {
+		off := c.offset
+		if off < 0 {
+			off += len(body)
+		}
+		body[off] ^= 0x40
+	}
+	c.mu.Unlock()
+	for k, v := range rec.Header() {
+		w.Header()[k] = v
+	}
+	w.WriteHeader(rec.Code)
+	w.Write(body)
+}
+
+// arm makes the next artifact served the corrupted one.
+func (c *corrupter) arm(offset int) {
+	c.mu.Lock()
+	c.nth, c.offset = c.served+1, offset
+	c.mu.Unlock()
 }
 
 // TestReplicationConverges pins the acceptance criterion: a replica with
@@ -36,11 +96,11 @@ func primaryRegistry(t *testing.T) (*Registry, *RepServer) {
 // primary's, serves the same live models, and persists artifacts a
 // restart can reload. A second sync is a no-op.
 func TestReplicationConverges(t *testing.T) {
-	primary, srv := primaryRegistry(t)
+	primary, url := primaryRegistry(t, nil)
 	replica := NewRegistry()
 	dir := t.TempDir()
 
-	rep, err := ReplicateFrom(srv.Addr(), replica, dir, 10*time.Second)
+	rep, err := ReplicateFrom(url, replica, dir, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +121,7 @@ func TestReplicationConverges(t *testing.T) {
 	}
 
 	// Idempotent re-sync: everything already present by hash.
-	rep, err = ReplicateFrom(srv.Addr(), replica, dir, 10*time.Second)
+	rep, err = ReplicateFrom(url, replica, dir, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,22 +145,60 @@ func TestReplicationConverges(t *testing.T) {
 	}
 }
 
+// TestArtifactFetchConcurrent: replicas fetching the same stored artifacts
+// at once all get its exact file bytes, and (under -race) serving never
+// writes to the shared store.
+func TestArtifactFetchConcurrent(t *testing.T) {
+	w1, w2, o1 := testArtifacts(t)
+	files := map[string][]byte{}
+	for _, a := range []*Artifact{w1, w2, o1} {
+		data, err := a.EncodeV2()
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[a.Hash] = data
+	}
+	_, url := primaryRegistry(t, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for hash, want := range files {
+				resp, err := http.Get(url + epArtifacts + "/" + hash)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := readCapped(resp.Body, int64(len(want)))
+				resp.Body.Close()
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("GET %.12s: %d bytes, err %v; want the %d-byte file", hash, len(got), err, len(want))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestReplicationRefusesCorruption: a byte flipped in flight — at the
 // artifact header, inside the stored hash, or anywhere in the hashed body
-// — is refused with a typed error and installs nothing. The server-side
-// hook corrupts after encoding but before framing, so the frame checksum
-// passes and only the embedded content hash stands between the replica
-// and a wrong model. After the corruption clears, the same replica
-// converges.
+// — is refused with a typed error and installs nothing. The transport has
+// no checksum of its own, so only the embedded content hash stands between
+// the replica and a wrong model. After the corruption clears, the same
+// replica converges.
 func TestReplicationRefusesCorruption(t *testing.T) {
-	_, srv := primaryRegistry(t)
+	c := &corrupter{}
+	_, url := primaryRegistry(t, func(h http.Handler) http.Handler {
+		c.next = h
+		return c
+	})
 	// Offsets spanning the file: magic, format version, stored hash,
 	// body header, and (via negative indexing) the payload tail.
+	replica := NewRegistry()
 	for _, off := range []int{0, 4, 5, 20, 37, 50, -1, -17} {
-		srv.CorruptNth = srv.served.Load() + 1
-		srv.CorruptOffset = off
-		replica := NewRegistry()
-		_, err := ReplicateFrom(srv.Addr(), replica, "", 10*time.Second)
+		c.arm(off)
+		_, err := ReplicateFrom(url, replica, "", 10*time.Second)
 		if err == nil {
 			t.Fatalf("offset %d: corrupted artifact accepted", off)
 		}
@@ -112,9 +210,10 @@ func TestReplicationRefusesCorruption(t *testing.T) {
 		}
 	}
 	// Corruption cleared: the replica recovers on the next sync.
-	srv.CorruptNth = 0
-	replica := NewRegistry()
-	rep, err := ReplicateFrom(srv.Addr(), replica, "", 10*time.Second)
+	c.mu.Lock()
+	c.nth = 0
+	c.mu.Unlock()
+	rep, err := ReplicateFrom(url, replica, "", 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,15 +237,10 @@ func TestReplicationLyingPeer(t *testing.T) {
 	reg.mu.Lock()
 	reg.store[w1.Hash] = &o2
 	reg.mu.Unlock()
-	srv, err := NewRepServer(reg, "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve()
-	defer srv.Close()
+	url := servePrimary(t, reg, nil)
 
 	replica := NewRegistry()
-	_, err = ReplicateFrom(srv.Addr(), replica, "", 10*time.Second)
+	_, err := ReplicateFrom(url, replica, "", 10*time.Second)
 	if !errors.Is(err, ErrHashMismatch) {
 		t.Errorf("lying peer: err = %v, want ErrHashMismatch", err)
 	}
@@ -155,56 +249,136 @@ func TestReplicationLyingPeer(t *testing.T) {
 	}
 }
 
-// TestReplicationUnknownHash: fetching a hash the peer does not have is a
-// typed error reply, not a hang or a panic, and an unexpected frame type
-// is answered the same way.
-func TestReplicationUnknownHash(t *testing.T) {
-	_, srv := primaryRegistry(t)
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := repProto.WriteFrame(conn, repFetch, wire.AppendString(nil, "no-such-hash")); err != nil {
-		t.Fatal(err)
-	}
-	ft, payload, err := repProto.ReadFrame(conn, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ft != repErrReply {
-		t.Fatalf("frame type %d, want error reply", ft)
-	}
-	if len(payload) == 0 {
-		t.Error("empty error reply")
-	}
-	// Unknown frame type: answered with an error reply too.
-	if err := repProto.WriteFrame(conn, 99, nil); err != nil {
-		t.Fatal(err)
-	}
-	if ft, _, err = repProto.ReadFrame(conn, 1<<20); err != nil || ft != repErrReply {
-		t.Fatalf("unknown frame type: got frame %d, err %v; want error reply", ft, err)
+// manifestOverride answers GET /v1/artifacts with body and passes every
+// other request to the real handler, counting artifact fetches.
+func manifestOverride(body string, fetches *atomic.Int64) func(http.Handler) http.Handler {
+	return func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == epArtifacts {
+				w.Write([]byte(body))
+				return
+			}
+			if strings.HasPrefix(r.URL.Path, epArtifacts+"/") {
+				fetches.Add(1)
+			}
+			next.ServeHTTP(w, r)
+		})
 	}
 }
 
-// FuzzManifest feeds arbitrary payloads to the replication manifest
-// decoder. No input may panic or exhaust memory, and every accepted
-// payload must re-encode to the same bytes.
+// TestReplicationUnknownHash: a manifest naming a hash the peer does not
+// store leads to a 404 on the fetch, which the replica reports as
+// ErrReplication without installing anything.
+func TestReplicationUnknownHash(t *testing.T) {
+	var fetches atomic.Int64
+	missing := strings.Repeat("ab", 32)
+	_, url := primaryRegistry(t, manifestOverride(
+		`{"artifacts":[{"kind":"wafer-hdc","name":"demo","version":1,"hash":"`+missing+`"}]}`, &fetches))
+
+	resp, err := http.Get(url + epArtifacts + "/" + missing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || resp.Header.Get("Content-Type") != "application/json" {
+		t.Errorf("GET unknown hash: status %d, content type %q; want a 404 JSON error",
+			resp.StatusCode, resp.Header.Get("Content-Type"))
+	}
+
+	replica := NewRegistry()
+	_, err = ReplicateFrom(url, replica, "", 10*time.Second)
+	if !errors.Is(err, ErrReplication) || !strings.Contains(err.Error(), "404") {
+		t.Errorf("unknown hash: err = %v, want ErrReplication with status 404", err)
+	}
+	if fetches.Load() != 2 || len(replica.Manifest()) != 0 {
+		t.Errorf("unknown hash: %d fetches, installed %+v", fetches.Load(), replica.Manifest())
+	}
+}
+
+// TestReplicationRefusesBadManifestHash: a manifest hash that is not 64
+// lowercase hex characters is refused before any artifact is fetched, so
+// a peer cannot steer the replica's requests to another path.
+func TestReplicationRefusesBadManifestHash(t *testing.T) {
+	for _, hash := range []string{"../x", "../../healthz", strings.Repeat("AB", 32), ""} {
+		var fetches atomic.Int64
+		_, url := primaryRegistry(t, manifestOverride(
+			`{"artifacts":[{"kind":"wafer-hdc","name":"demo","version":1,"hash":"`+hash+`"}]}`, &fetches))
+		replica := NewRegistry()
+		_, err := ReplicateFrom(url, replica, "", 10*time.Second)
+		if !errors.Is(err, ErrReplication) {
+			t.Errorf("hash %q: err = %v, want ErrReplication", hash, err)
+		}
+		if fetches.Load() != 0 || len(replica.Manifest()) != 0 {
+			t.Errorf("hash %q: %d fetches, installed %+v", hash, fetches.Load(), replica.Manifest())
+		}
+	}
+}
+
+// TestReplicationRefusesPathInName: the replica names persisted files
+// after the artifact's kind, name and version, so a validly hashed
+// artifact whose name holds a path separator must be refused before it
+// can be written outside the models directory.
+func TestReplicationRefusesPathInName(t *testing.T) {
+	_, _, o1 := testArtifacts(t)
+	evil, err := NewArtifact(o1.Kind, "../../../escaped", o1.Version, o1.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := NewRegistry()
+	if _, err := reg.Install(evil); err != nil {
+		t.Fatal(err)
+	}
+	url := servePrimary(t, reg, nil)
+
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "models")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	replica := NewRegistry()
+	_, err = ReplicateFrom(url, replica, dir, 10*time.Second)
+	if !errors.Is(err, ErrReplication) {
+		t.Errorf("path in name: err = %v, want ErrReplication", err)
+	}
+	if len(replica.Manifest()) != 0 {
+		t.Errorf("path in name: installed %+v", replica.Manifest())
+	}
+	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			t.Errorf("replica wrote %s", path)
+		}
+		return nil
+	})
+}
+
+// FuzzManifest feeds arbitrary bodies to the replication manifest
+// decoder. No input may panic, every accepted entry carries a 64-character
+// lowercase hex hash, and allocation stays bounded by the manifest cap
+// however long the input is.
 func FuzzManifest(f *testing.F) {
-	f.Add(encodeManifest(nil))
-	f.Add(encodeManifest([]ModelMeta{
-		{Kind: "wafer", Name: "demo", Version: 2, Hash: "sha256:00ff"},
-		{Kind: "outlier", Name: "screen", Version: 1},
-	}))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte(`{"artifacts":[]}`))
+	f.Add([]byte(`{"artifacts":[{"kind":"wafer-hdc","name":"demo","version":2,"hash":"` +
+		strings.Repeat("0f", 32) + `"}]}`))
+	f.Add([]byte(`{"artifacts":[{"kind":"outlier-screen","name":"screen","version":1,"hash":"../x"}]}`))
+	f.Add([]byte(`{"artifacts":null}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := decodeManifest(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		entries, err := decodeManifest(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		// The JSON decoder spends up to about 110 bytes per input byte on
+		// a body of empty entries (a 56-byte ModelMeta per "{},", plus
+		// slice growth), and never reads past the cap.
+		if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(64<<10+192*min(len(data), maxManifestBytes+1)); alloc > limit {
+			t.Fatalf("%d-byte manifest allocated %d bytes, limit %d", len(data), alloc, limit)
+		}
 		if err != nil {
 			return
 		}
-		if again := encodeManifest(entries); !bytes.Equal(again, data) {
-			t.Fatalf("accepted %x but re-encodes to %x", data, again)
+		for _, e := range entries {
+			if !validHash(e.Hash) {
+				t.Fatalf("accepted manifest hash %q", e.Hash)
+			}
 		}
 	})
 }

@@ -24,6 +24,8 @@ const (
 	epOutlierScore   = "/v1/outlier/score"
 	epAdaptiveDecide = "/v1/adaptive/decide"
 	epModels         = "/v1/models"
+	epArtifacts      = "/v1/artifacts"
+	epArtifact       = "/v1/artifacts/{hash}"
 	epHealthz        = "/healthz"
 	epReadyz         = "/readyz"
 )
@@ -125,7 +127,7 @@ func New(cfg Config) *Server {
 		reg: cfg.Registry,
 		metrics: NewMetrics([]string{
 			epWaferClassify, epOutlierScore, epAdaptiveDecide,
-			epModels, epHealthz, epReadyz,
+			epModels, epArtifacts, epArtifact, epHealthz, epReadyz,
 		}),
 	}
 	s.waferB = NewBatcher(cfg.MaxBatch, cfg.QueueCap, cfg.FlushWindow, s.waferBatch)
@@ -147,6 +149,8 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST "+epOutlierScore, s.instrument(epOutlierScore, s.handleOutlierScore))
 	mux.HandleFunc("POST "+epAdaptiveDecide, s.instrument(epAdaptiveDecide, s.handleAdaptiveDecide))
 	mux.HandleFunc("GET "+epModels, s.instrument(epModels, s.handleModels))
+	mux.HandleFunc("GET "+epArtifacts, s.instrument(epArtifacts, s.handleArtifacts))
+	mux.HandleFunc("GET "+epArtifact, s.instrument(epArtifact, s.handleArtifact))
 	mux.HandleFunc("GET "+epHealthz, s.instrument(epHealthz, s.handleHealthz))
 	mux.HandleFunc("GET "+epReadyz, s.instrument(epReadyz, s.handleReadyz))
 	mux.Handle("GET /debug/vars", expvar.Handler())

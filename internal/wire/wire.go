@@ -1,10 +1,10 @@
 // Package wire is the shared binary transport substrate of the repository:
-// length-prefixed frames with per-frame content hashing (the framing
-// internal/cluster introduced, extracted so the artifact-replication
-// protocol reuses it verbatim), a canonical binary codec for deterministic
-// model serialization (fixed field order, big-endian fixed-width scalars,
-// length-prefixed sections — no map iteration anywhere), so that SHA-256
-// over canonical bytes can serve as an artifact's identity.
+// length-prefixed frames with per-frame content hashing (the framing of the
+// cluster protocol and the coordinator journal), and a canonical binary
+// codec for deterministic model serialization (fixed field order,
+// big-endian fixed-width scalars, length-prefixed sections — no map
+// iteration anywhere), so that SHA-256 over canonical bytes can serve as an
+// artifact's identity.
 package wire
 
 import (
@@ -51,8 +51,8 @@ var (
 )
 
 // Proto identifies one framed protocol: a 4-byte magic and a version byte.
-// Two protocols sharing the frame layout (cluster job dispatch, artifact
-// replication) stay mutually unintelligible through their magics.
+// Protocols sharing the frame layout stay mutually unintelligible through
+// their magics.
 type Proto struct {
 	Magic   string // exactly 4 bytes
 	Version byte

@@ -71,9 +71,9 @@ func TestFrameTypedErrors(t *testing.T) {
 }
 
 // TestProtoIsolation: frames of one protocol must be unreadable under
-// another protocol's magic or version — the property that keeps the
-// cluster job protocol and the artifact replication protocol from ever
-// decoding each other's traffic.
+// another protocol's magic or version — the property that keeps two
+// protocols sharing the frame layout from ever decoding each other's
+// traffic.
 func TestProtoIsolation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := testProto.WriteFrame(&buf, 1, []byte("hi")); err != nil {
