@@ -21,7 +21,8 @@ import (
 // setups and shard assignments, runs the local single-process engines on
 // each shard and streams results back. Run keeps reconnecting with
 // exponential backoff until its context is cancelled, so a worker survives
-// coordinator restarts and transient network loss.
+// coordinator restarts and transient network loss. It keeps the circuit of
+// its last setup across jobs and reconnects (see netCache).
 type Worker struct {
 	// ID names the worker in coordinator logs.
 	ID string
@@ -61,9 +62,18 @@ func jitterBackoff(rng *chaos.Rand, backoff time.Duration) time.Duration {
 	return backoff - time.Duration(rng.Uint64()%uint64(half))
 }
 
+// logf sends one progress line to Logf, if set.
+func (w *Worker) logf(format string, args ...any) {
+	if w.Logf != nil {
+		w.Logf(format, args...)
+	}
+}
+
 // Run connects, serves, and reconnects until ctx is cancelled (its error is
 // then returned). Connection failures back off exponentially; a session
-// that reached the coordinator resets the backoff.
+// that reached the coordinator resets the backoff. The circuit cache lives
+// here, so it outlives each session: a coordinator that restarts and
+// resumes a job hands a surviving worker the same circuit again.
 func (w *Worker) Run(ctx context.Context) error {
 	minB := w.MinBackoff
 	if minB <= 0 {
@@ -73,26 +83,23 @@ func (w *Worker) Run(ctx context.Context) error {
 	if maxB < minB {
 		maxB = 2 * time.Second
 	}
-	logf := w.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	rng := chaos.NewRand(w.seed())
 	backoff := minB
+	var cache netCache
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		conn, err := w.Dial()
 		if err != nil {
-			logf("worker %s: dial: %v (retry in %v)", w.ID, err, backoff)
+			w.logf("worker %s: dial: %v (retry in %v)", w.ID, err, backoff)
 		} else {
-			err = w.session(ctx, conn)
+			err = w.session(ctx, conn, &cache)
 			if ctx.Err() != nil {
 				return ctx.Err()
 			}
 			if err != nil && err != io.EOF {
-				logf("worker %s: session ended: %v", w.ID, err)
+				w.logf("worker %s: session ended: %v", w.ID, err)
 			}
 			backoff = minB // the coordinator was reachable; restart fast
 		}
@@ -109,7 +116,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // Semantic failures (bad job definition, bad shard range, engine panic) are
 // reported to the coordinator as FrameError and the session continues;
 // wire-level failures end the session so Run can reconnect.
-func (w *Worker) session(ctx context.Context, conn net.Conn) error {
+func (w *Worker) session(ctx context.Context, conn net.Conn, cache *netCache) error {
 	defer conn.Close()
 	// Watchdog: cancelling ctx closes the connection, which unblocks any
 	// pending ReadFrame — the only way to interrupt a blocking read.
@@ -141,9 +148,17 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 		switch ft {
 		case FrameSetup:
 			var werr error
-			j, werr = newWorkerJob(payload)
+			var reused bool
+			j, reused, werr = newWorkerJob(payload, cache)
 			setupErr = nil
-			if werr != nil {
+			if werr == nil {
+				how := "decoded"
+				if reused {
+					how = "reused"
+				}
+				w.logf("worker %s: job %d: circuit %s (%d gates)", w.ID, j.id, how, len(j.sim.Net.Gates))
+			} else {
+				w.logf("worker %s: setup refused: %v", w.ID, werr)
 				// A rejected setup is deterministic: the coordinator must
 				// fail the job instead of re-dispatching forever. The reply
 				// waits for the next shard request — the coordinator is
@@ -194,6 +209,21 @@ func (w *Worker) session(ctx context.Context, conn net.Conn) error {
 	}
 }
 
+// netCache is a worker's one-entry circuit cache: the content hash of the
+// last accepted setup's netlist, the decoded netlist (which caches its
+// compiled IR) and the fault simulator over it. A setup with the same hash
+// reuses all three, so a worker decodes and compiles once per netlist, not
+// once per job, and RunInto's good-value memo holds across jobs on equal
+// patterns. The entry is only a shortcut past the decode: every setup, hit
+// or miss, still has its bytes checked against its hash and its patterns
+// and faults checked against the circuit. Jobs run one at a time, so the
+// simulator is never shared by two of them at once.
+type netCache struct {
+	hash [32]byte
+	net  *circuit.Netlist
+	sim  *fault.Simulator
+}
+
 // workerJob is one job's local state: the reconstructed circuit, pattern
 // set and fault list, a simulator, and lazily the full-width signature
 // matrix for dictionary jobs (its columns outside the assigned shards stay
@@ -206,55 +236,71 @@ type workerJob struct {
 	faults []fault.Fault
 	detBy  []int              // detect scratch, reused across shards
 	sigs   []*fault.Signature // dictionary target, allocated on first shard
+	cache  *netCache          // holds sim; emptied if the engine panics
 }
 
-// newWorkerJob validates a setup payload and builds the local job state.
-// The netlist arrives in its canonical binary encoding, whose round trip
-// preserves gate IDs and PI/PO order exactly, so fault indices and
-// signature rows mean the same thing on both ends; the embedded content
-// hash is re-verified as the job's circuit identity.
-func newWorkerJob(payload []byte) (*workerJob, error) {
+// newWorkerJob validates a setup payload and builds the local job state,
+// reporting whether the circuit came from cache. The netlist arrives in
+// its canonical binary encoding, whose round trip preserves gate IDs and
+// PI/PO order exactly, so fault indices and signature rows mean the same
+// thing on both ends; the embedded content hash is re-verified as the
+// job's circuit identity before the cache is consulted. A refused setup
+// leaves the cache as it was.
+func newWorkerJob(payload []byte, cache *netCache) (*workerJob, bool, error) {
 	m, err := decodeSetup(payload)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if sum := sha256.Sum256(m.NetBytes); !bytes.Equal(sum[:], m.NetHash[:]) {
-		return nil, fmt.Errorf("%w: netlist content hash mismatch", ErrMalformed)
-	}
-	n, err := circuit.UnmarshalNetlist(m.NetBytes)
-	if err != nil {
-		return nil, err
+		return nil, false, fmt.Errorf("%w: netlist content hash mismatch", ErrMalformed)
 	}
 	words := int(m.Words)
 	if fault.NormalizeWords(words) != words {
-		return nil, fmt.Errorf("%w: invalid lane width %d", ErrMalformed, words)
+		return nil, false, fmt.Errorf("%w: invalid lane width %d", ErrMalformed, words)
+	}
+	n := cache.net
+	reused := n != nil && cache.hash == m.NetHash
+	if !reused {
+		if n, err = circuit.UnmarshalNetlist(m.NetBytes); err != nil {
+			return nil, false, err
+		}
 	}
 	if m.Inputs != len(n.PIs) {
-		return nil, fmt.Errorf("%w: pattern width %d != PIs %d", ErrMalformed, m.Inputs, len(n.PIs))
+		return nil, false, fmt.Errorf("%w: pattern width %d != PIs %d", ErrMalformed, m.Inputs, len(n.PIs))
 	}
 	p := &logic.PatternSet{Inputs: m.Inputs, N: m.NPat, Bits: m.PatBits}
 	if err := validateJob(n, p, m.Faults); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	sim, err := fault.NewSimulatorWords(n, words)
-	if err != nil {
-		return nil, err
+	sim := cache.sim
+	if !reused || sim.Words() != words {
+		// A miss compiles here. A hit at another lane width reuses the
+		// IR cached on the netlist and builds only the simulator's scratch.
+		if sim, err = fault.NewSimulatorWords(n, words); err != nil {
+			return nil, false, err
+		}
 	}
+	*cache = netCache{hash: m.NetHash, net: n, sim: sim}
 	return &workerJob{
 		id:     m.JobID,
 		kind:   m.Kind,
 		sim:    sim,
 		p:      p,
 		faults: m.Faults,
-	}, nil
+		cache:  cache,
+	}, reused, nil
 }
 
 // exec runs one shard through the local engine. Engine panics (which the
 // range validation should make unreachable) are converted to errors so a
-// poisoned shard reports FrameError instead of killing the worker.
+// poisoned shard reports FrameError instead of killing the worker. A panic
+// may leave the simulator's scratch mid-walk (frontier bits set, value
+// lanes patched), so it also empties the circuit cache: the next setup
+// decodes afresh.
 func (j *workerJob) exec(sm *shardMsg) (res *resultMsg, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			*j.cache = netCache{}
 			res, err = nil, fmt.Errorf("worker engine panic: %v", r)
 		}
 	}()
