@@ -40,7 +40,7 @@ func main() {
 			trainSample = append(trainSample, i)
 		}
 	}
-	scorer, err := core.TrainDiagnosisScorer(d, gen.Patterns, trainSample, 0.15, 1)
+	scorer, err := core.TrainDiagnosisScorer(d, trainSample, 0.15, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -89,15 +89,9 @@ func main() {
 	}
 	for _, noise := range []float64{0, 0.2} {
 		r1 := rand.New(rand.NewSource(33))
-		base, err := d.Evaluate(gen.Patterns, cases, noise, r1.Float64, nil)
-		if err != nil {
-			log.Fatal(err)
-		}
+		base := d.Evaluate(cases, noise, r1.Float64, nil)
 		r2 := rand.New(rand.NewSource(33))
-		learned, err := d.Evaluate(gen.Patterns, cases, noise, r2.Float64, scorer)
-		if err != nil {
-			log.Fatal(err)
-		}
+		learned := d.Evaluate(cases, noise, r2.Float64, scorer)
 		fmt.Printf("\nnoise %.0f%%: top-1 %.0f%% → %.0f%%, top-5 %.0f%% → %.0f%% (classical → learned)\n",
 			noise*100, base.Top1Rate()*100, learned.Top1Rate()*100,
 			base.Top5Rate()*100, learned.Top5Rate()*100)

@@ -26,7 +26,8 @@ type TransitionResult struct {
 // followed by a deterministic phase that, for each remaining fault,
 // generates the capture pattern with PODEM (stuck-at at the slow value)
 // and an initialization pattern justifying the pre-transition value, and
-// appends them as a consecutive pair.
+// appends them as a consecutive pair. Dropping after each pair simulates
+// only the last three patterns, the only ones that form new pairs.
 func RunTransition(n *circuit.Netlist, cfg Config) (*TransitionResult, error) {
 	start := time.Now()
 	if cfg.BacktrackLim == 0 {
@@ -90,12 +91,16 @@ func RunTransition(n *circuit.Netlist, cfg Config) (*TransitionResult, error) {
 			res.Aborted++
 			continue
 		}
-		v1 := fillCube(initCube, rng)
-		v2 := fillCube(capCube, rng)
-		patterns.Append(v1)
-		patterns.Append(v2)
-		// Drop every still-live fault the grown set now detects (the new
-		// pair can detect other faults too).
+		// Only the pairs (last, v1) and (v1, v2) are new: drop every
+		// still-live fault they detect (they can detect other faults too).
+		tail := logic.NewPatternSet(len(n.PIs), 0)
+		if patterns.N > 0 {
+			tail.Append(patterns.Pattern(patterns.N - 1))
+		}
+		for _, v := range [][]bool{fillCube(initCube, rng), fillCube(capCube, rng)} {
+			patterns.Append(v)
+			tail.Append(v)
+		}
 		var live []fault.TransitionFault
 		var liveIdx []int
 		for i, tf2 := range faults {
@@ -104,7 +109,7 @@ func RunTransition(n *circuit.Netlist, cfg Config) (*TransitionResult, error) {
 				liveIdx = append(liveIdx, i)
 			}
 		}
-		r, err := fault.SimulateTransitionsWords(n, patterns, live, cfg.Workers, cfg.Words)
+		r, err := fault.SimulateTransitionsWords(n, tail, live, cfg.Workers, cfg.Words)
 		if err != nil {
 			return nil, err
 		}

@@ -58,16 +58,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Split derives an independent seed for the given stream index, so one
-// base seed can drive many schedules (one per connection, one per worker)
-// that stay uncorrelated however they interleave.
-func Split(seed, stream uint64) uint64 {
-	z := seed*0x9e3779b97f4a7c15 + (stream+1)*0xd1b54a32d192ed03
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // ---------------------------------------------------------------------------
 // Event schedules.
 

@@ -29,20 +29,6 @@ func TestRandDeterministic(t *testing.T) {
 	}
 }
 
-func TestSplitIndependent(t *testing.T) {
-	seen := map[uint64]bool{}
-	for i := uint64(0); i < 64; i++ {
-		s := Split(7, i)
-		if seen[s] {
-			t.Fatalf("Split(7, %d) collides", i)
-		}
-		seen[s] = true
-	}
-	if Split(7, 0) == Split(8, 0) {
-		t.Fatal("Split should vary with base seed")
-	}
-}
-
 func TestRandomScheduleDeterministicAndWeighted(t *testing.T) {
 	s1 := RandomSchedule(99, 64, Weights{})
 	s2 := RandomSchedule(99, 64, Weights{})

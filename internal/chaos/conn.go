@@ -5,6 +5,8 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/parallel"
 )
 
 // ErrTruncatedWrite is returned by Conn.Write for a Truncate event, after
@@ -88,12 +90,12 @@ func NewDialer(dial func() (net.Conn, error), scheds ...Schedule) *Dialer {
 }
 
 // NewSeededDialer derives one n-event schedule per expected connection
-// from a base seed (independent streams via Split), for conns
+// from a base seed (independent streams via parallel.SplitSeed), for conns
 // connections; later connections are clean.
 func NewSeededDialer(dial func() (net.Conn, error), seed uint64, conns, n int, w Weights) *Dialer {
 	scheds := make([]Schedule, conns)
 	for i := range scheds {
-		scheds[i] = RandomSchedule(Split(seed, uint64(i)), n, w)
+		scheds[i] = RandomSchedule(uint64(parallel.SplitSeed(int64(seed), int64(i))), n, w)
 	}
 	return NewDialer(dial, scheds...)
 }

@@ -519,6 +519,11 @@ func (c *Coordinator) takeShard(j *job) (int, bool) {
 func (c *Coordinator) requeue(j *job, idx int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.requeueLocked(j, idx)
+}
+
+// requeueLocked is requeue with c.mu held.
+func (c *Coordinator) requeueLocked(j *job, idx int) {
 	if !j.done[idx] && !j.queued[idx] {
 		j.pending = append(j.pending, idx)
 		j.queued[idx] = true
@@ -545,12 +550,7 @@ func (c *Coordinator) shardFailed(j *job, idx int, werr error) {
 		c.failJobLocked(j, fmt.Errorf("shard %d failed %d times: %w", idx, j.failures[idx], werr))
 		return
 	}
-	if !j.done[idx] && !j.queued[idx] {
-		j.pending = append(j.pending, idx)
-		j.queued[idx] = true
-		j.inflight[idx] = time.Now()
-		c.cond.Broadcast()
-	}
+	c.requeueLocked(j, idx)
 }
 
 // validateResult checks one shard result against its spec: range and

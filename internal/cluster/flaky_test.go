@@ -10,6 +10,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/circuit"
 	"repro/internal/fault"
+	"repro/internal/parallel"
 )
 
 // ---------------------------------------------------------------------------
@@ -165,15 +166,15 @@ func TestFlakyRandomScheduleConverges(t *testing.T) {
 	w := chaos.Weights{Pass: 2, Drop: 1, Corrupt: 1}
 	lb := NewLoopback()
 	fl := chaos.WrapListener(lb,
-		chaos.RandomSchedule(chaos.Split(99, 0), 4, w),
-		chaos.RandomSchedule(chaos.Split(99, 1), 4, w))
+		chaos.RandomSchedule(uint64(parallel.SplitSeed(99, 0)), 4, w),
+		chaos.RandomSchedule(uint64(parallel.SplitSeed(99, 1)), 4, w))
 	c := startCoordinatorOn(t, Config{
 		ShardFaults:    16,
 		Deadline:       100 * time.Millisecond,
 		SessionTimeout: 300 * time.Millisecond,
 	}, fl)
 	for i := 0; i < 2; i++ {
-		d := chaos.NewSeededDialer(lb.Dial, chaos.Split(99, uint64(2+i)), 2, 5, w)
+		d := chaos.NewSeededDialer(lb.Dial, uint64(parallel.SplitSeed(99, int64(2+i))), 2, 5, w)
 		startWorkerDial(t, d.Dial, fmt.Sprintf("flaky-%d", i))
 	}
 	got, err := c.Detect(testCtx(t), n, p, faults, 4)

@@ -274,20 +274,14 @@ func TestDiagnosisMLScorerImproves(t *testing.T) {
 			evalSample = append(evalSample, i)
 		}
 	}
-	scorer, err := TrainDiagnosisScorer(d, res.Patterns, trainSample[:40], 0.15, 1)
+	scorer, err := TrainDiagnosisScorer(d, trainSample[:40], 0.15, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	noise := 0.15
-	base, err := d.Evaluate(res.Patterns, evalSample, noise, rng.Float64, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := d.Evaluate(evalSample, noise, rng.Float64, nil)
 	rng2 := rand.New(rand.NewSource(5))
-	mlAcc, err := d.Evaluate(res.Patterns, evalSample, noise, rng2.Float64, scorer)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mlAcc := d.Evaluate(evalSample, noise, rng2.Float64, scorer)
 	if mlAcc.Top5Rate() < base.Top5Rate()-0.1 {
 		t.Errorf("ML ranking top-5 %.3f clearly below baseline %.3f",
 			mlAcc.Top5Rate(), base.Top5Rate())

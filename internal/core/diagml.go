@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/diagnosis"
-	"repro/internal/logic"
 	"repro/internal/ml"
 )
 
@@ -24,12 +23,8 @@ func (s *MLScorer) Score(features []float64) float64 {
 // injecting the sampled faults (indices into d.Faults) and diagnosing them
 // with the baseline ranker. The model learns which feature combinations
 // indicate the true fault, including under tester noise.
-func TrainDiagnosisScorer(d *diagnosis.Diagnoser, patterns *logic.PatternSet, sample []int, noise float64, seed int64) (*MLScorer, error) {
-	rng := rand.New(rand.NewSource(seed))
-	examples, err := d.TrainingSet(patterns, sample, noise, rng.Float64)
-	if err != nil {
-		return nil, err
-	}
+func TrainDiagnosisScorer(d *diagnosis.Diagnoser, sample []int, noise float64, seed int64) (*MLScorer, error) {
+	examples := d.TrainingSet(sample, noise, rand.New(rand.NewSource(seed)).Float64)
 	if len(examples) == 0 {
 		return nil, fmt.Errorf("core: empty diagnosis training set")
 	}

@@ -75,22 +75,38 @@ func Observe(n *circuit.Netlist, patterns *logic.PatternSet, f fault.Fault, nois
 	if err != nil {
 		return nil, err
 	}
-	sigs := fsim.Dictionary(patterns, []fault.Fault{f})
-	obs := &Observation{Bits: sigs[0].Bits}
-	if noise > 0 {
-		for o := range obs.Bits {
-			for w := range obs.Bits[o] {
-				word := obs.Bits[o][w]
-				for b := 0; b < logic.WordBits; b++ {
-					if word>>uint(b)&1 == 1 && rnd() < noise {
-						word &^= 1 << uint(b)
-					}
+	obs := &Observation{Bits: fsim.Dictionary(patterns, []fault.Fault{f})[0].Bits}
+	obs.addNoise(noise, rnd)
+	return obs, nil
+}
+
+// observe is Observe for the dictionary fault with index fi: the noiseless
+// log is a copy of its dictionary row, so no simulation runs.
+func (d *Diagnoser) observe(fi int, noise float64, rnd func() float64) *Observation {
+	obs := &Observation{Bits: make([][]logic.Word, len(d.Dict[fi].Bits))}
+	for o, row := range d.Dict[fi].Bits {
+		obs.Bits[o] = append([]logic.Word(nil), row...)
+	}
+	obs.addNoise(noise, rnd)
+	return obs
+}
+
+// addNoise flips each failing bit to passing with probability noise,
+// drawing rnd once per failing bit in PO, word, bit order.
+func (obs *Observation) addNoise(noise float64, rnd func() float64) {
+	if noise <= 0 {
+		return
+	}
+	for o := range obs.Bits {
+		for w, word := range obs.Bits[o] {
+			for b := 0; b < logic.WordBits; b++ {
+				if word>>uint(b)&1 == 1 && rnd() < noise {
+					word &^= 1 << uint(b)
 				}
-				obs.Bits[o][w] = word
 			}
+			obs.Bits[o][w] = word
 		}
 	}
-	return obs, nil
 }
 
 // featureVector computes similarity features between a dictionary signature
@@ -163,8 +179,8 @@ func (JaccardScorer) Score(f []float64) float64 {
 
 // Diagnose ranks all dictionary faults against the observation using the
 // given scorer (JaccardScorer when nil). Faults whose signature shares no
-// failure with the observation are pruned unless everything would be
-// pruned.
+// failure with the observation are always pruned, so an observation with no
+// failure yields no candidates.
 func (d *Diagnoser) Diagnose(obs *Observation, scorer Scorer) []Candidate {
 	if scorer == nil {
 		scorer = JaccardScorer{}
@@ -225,17 +241,13 @@ type TrainingExample struct {
 }
 
 // TrainingSet generates labeled candidate examples by injecting each fault
-// in sample (indices into d.Faults), observing it with the given noise, and
-// emitting every surviving candidate as an example. rnd supplies
+// in sample (indices into d.Faults), observing it with the given noise on
+// its dictionary row, and emitting every surviving candidate as an example. rnd supplies
 // determinism for the noise process.
-func (d *Diagnoser) TrainingSet(patterns *logic.PatternSet, sample []int, noise float64, rnd func() float64) ([]TrainingExample, error) {
+func (d *Diagnoser) TrainingSet(sample []int, noise float64, rnd func() float64) []TrainingExample {
 	var out []TrainingExample
 	for _, fi := range sample {
-		obs, err := Observe(d.Net, patterns, d.Faults[fi], noise, rnd)
-		if err != nil {
-			return nil, err
-		}
-		cands := d.Diagnose(obs, nil)
+		cands := d.Diagnose(d.observe(fi, noise, rnd), nil)
 		trueSig := d.Dict[fi]
 		for _, c := range cands {
 			label := 0.0
@@ -245,7 +257,7 @@ func (d *Diagnoser) TrainingSet(patterns *logic.PatternSet, sample []int, noise 
 			out = append(out, TrainingExample{Features: c.Features, Label: label})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Accuracy summarizes a diagnosis evaluation run.
@@ -270,17 +282,14 @@ func rate(n, d int) float64 {
 	return float64(n) / float64(d)
 }
 
-// Evaluate injects each fault index in cases, diagnoses with the scorer and
+// Evaluate injects each fault index in cases (its failure log is its
+// dictionary row with the given noise), diagnoses with the scorer and
 // accumulates ranking accuracy.
-func (d *Diagnoser) Evaluate(patterns *logic.PatternSet, cases []int, noise float64, rnd func() float64, scorer Scorer) (Accuracy, error) {
+func (d *Diagnoser) Evaluate(cases []int, noise float64, rnd func() float64, scorer Scorer) Accuracy {
 	var acc Accuracy
 	totalRank := 0
 	for _, fi := range cases {
-		obs, err := Observe(d.Net, patterns, d.Faults[fi], noise, rnd)
-		if err != nil {
-			return acc, err
-		}
-		cands := d.Diagnose(obs, scorer)
+		cands := d.Diagnose(d.observe(fi, noise, rnd), scorer)
 		r := d.HitRank(cands, fi)
 		acc.Cases++
 		if r == 0 {
@@ -298,7 +307,7 @@ func (d *Diagnoser) Evaluate(patterns *logic.PatternSet, cases []int, noise floa
 	if hit := acc.Cases - acc.NoCand; hit > 0 {
 		acc.MeanRank = float64(totalRank) / float64(hit)
 	}
-	return acc, nil
+	return acc
 }
 
 func maxInt(a, b int) int {

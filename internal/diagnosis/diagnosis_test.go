@@ -2,6 +2,7 @@ package diagnosis
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/atpg"
@@ -60,10 +61,7 @@ func TestDiagnosisWithNoise(t *testing.T) {
 			break
 		}
 	}
-	acc, err := d.Evaluate(p, cases, 0.1, rng.Float64, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	acc := d.Evaluate(cases, 0.1, rng.Float64, nil)
 	if acc.Top5Rate() < 0.6 {
 		t.Errorf("noisy top-5 rate = %.2f, expected >= 0.6", acc.Top5Rate())
 	}
@@ -137,10 +135,7 @@ func TestTrainingSetLabels(t *testing.T) {
 	d, _ := NewWorkersWords(n, p, 0, 1)
 	rng := rand.New(rand.NewSource(6))
 	sample := []int{0, 1, 2, 3}
-	ts, err := d.TrainingSet(p, sample, 0, rng.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := d.TrainingSet(sample, 0, rng.Float64)
 	if len(ts) == 0 {
 		t.Fatal("empty training set")
 	}
@@ -224,5 +219,102 @@ func BenchmarkDiagnose(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Diagnose(obs, nil)
+	}
+}
+
+// evaluateRef is the reference for Evaluate: each case's failure log comes
+// from Observe, a fresh single-fault simulation, not from the dictionary.
+func evaluateRef(t *testing.T, d *Diagnoser, p *logic.PatternSet, cases []int, noise float64, rnd func() float64, scorer Scorer) Accuracy {
+	var acc Accuracy
+	totalRank := 0
+	for _, fi := range cases {
+		obs, err := Observe(d.Net, p, d.Faults[fi], noise, rnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := d.HitRank(d.Diagnose(obs, scorer), fi)
+		acc.Cases++
+		if r == 0 {
+			acc.NoCand++
+			continue
+		}
+		if r == 1 {
+			acc.Top1++
+		}
+		if r <= 5 {
+			acc.Top5++
+		}
+		totalRank += r
+	}
+	if hit := acc.Cases - acc.NoCand; hit > 0 {
+		acc.MeanRank = float64(totalRank) / float64(hit)
+	}
+	return acc
+}
+
+// trainingSetRef is the Observe-based reference for TrainingSet.
+func trainingSetRef(t *testing.T, d *Diagnoser, p *logic.PatternSet, sample []int, noise float64, rnd func() float64) []TrainingExample {
+	var out []TrainingExample
+	for _, fi := range sample {
+		obs, err := Observe(d.Net, p, d.Faults[fi], noise, rnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range d.Diagnose(obs, nil) {
+			label := 0.0
+			if c.Index == fi || sameSignature(d.Dict[c.Index], d.Dict[fi]) {
+				label = 1
+			}
+			out = append(out, TrainingExample{Features: c.Features, Label: label})
+		}
+	}
+	return out
+}
+
+// TestEvaluateAndTrainingSetMatchObserve pins the dictionary-row failure
+// logs to Observe: same accuracy and same examples, noise draws included,
+// on a multi-word set against a dictionary built at another lane width.
+func TestEvaluateAndTrainingSetMatchObserve(t *testing.T) {
+	n := circuit.RippleAdder(6)
+	p := logic.NewPatternSet(len(n.PIs), 150)
+	p.RandFill(rand.New(rand.NewSource(11)).Uint64)
+	d, err := NewWorkersWords(n, p, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []int
+	for fi := range d.Faults {
+		if d.Dict[fi].FailBits() > 0 && len(cases) < 30 {
+			cases = append(cases, fi)
+		}
+	}
+	for _, noise := range []float64{0, 0.2} {
+		got := d.Evaluate(cases, noise, rand.New(rand.NewSource(12)).Float64, nil)
+		if want := evaluateRef(t, d, p, cases, noise, rand.New(rand.NewSource(12)).Float64, nil); got != want {
+			t.Errorf("noise %.1f: Evaluate %+v, reference %+v", noise, got, want)
+		}
+		gotTS := d.TrainingSet(cases, noise, rand.New(rand.NewSource(13)).Float64)
+		wantTS := trainingSetRef(t, d, p, cases, noise, rand.New(rand.NewSource(13)).Float64)
+		if !reflect.DeepEqual(gotTS, wantTS) {
+			t.Errorf("noise %.1f: TrainingSet differs from the reference (%d vs %d examples)", noise, len(gotTS), len(wantTS))
+		}
+	}
+}
+
+// TestDiagnoseAllZeroObservation: a log with no failure shares a failure
+// with no signature, so every candidate is pruned (T5 counts it NoCand).
+func TestDiagnoseAllZeroObservation(t *testing.T) {
+	n := circuit.MustC17()
+	p := logic.Exhaustive(5)
+	d, err := NewWorkersWords(n, p, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &Observation{Bits: make([][]logic.Word, len(n.POs))}
+	for o := range obs.Bits {
+		obs.Bits[o] = make([]logic.Word, p.Words())
+	}
+	if cands := d.Diagnose(obs, nil); len(cands) != 0 {
+		t.Errorf("all-zero observation: %d candidates, want none", len(cands))
 	}
 }

@@ -67,21 +67,15 @@ func RunT5(cfg Config) (*T5Result, error) {
 				evalSample = append(evalSample, i)
 			}
 		}
-		scorer, err := core.TrainDiagnosisScorer(d, gen.Patterns, trainSample, 0.15, cfg.Seed)
+		scorer, err := core.TrainDiagnosisScorer(d, trainSample, 0.15, cfg.Seed)
 		if err != nil {
 			return nil, err
 		}
 		for _, noise := range noises {
 			rngA := rand.New(rand.NewSource(cfg.Seed + 11))
-			base, err := d.Evaluate(gen.Patterns, evalSample, noise, rngA.Float64, nil)
-			if err != nil {
-				return nil, err
-			}
+			base := d.Evaluate(evalSample, noise, rngA.Float64, nil)
 			rngB := rand.New(rand.NewSource(cfg.Seed + 11))
-			mlAcc, err := d.Evaluate(gen.Patterns, evalSample, noise, rngB.Float64, scorer)
-			if err != nil {
-				return nil, err
-			}
+			mlAcc := d.Evaluate(evalSample, noise, rngB.Float64, scorer)
 			res.Rows = append(res.Rows, T5Row{Circuit: c.Name, Noise: noise, Baseline: base, ML: mlAcc})
 			fmt.Fprintf(tw, "%s\t%.2f\t%.1f%%\t%.1f%%\t%.1f%%\t%.1f%%\t%.2f→%.2f\n",
 				c.Name, noise,

@@ -19,26 +19,38 @@ func RunConcurrentWords(n *circuit.Netlist, p *logic.PatternSet, faults []Fault,
 	if err != nil {
 		return nil, err
 	}
-	workers = min(parallel.Workers(workers), len(faults))
-	if workers <= 1 {
-		return NewSimulatorCompiledWords(c, words).Run(p, faults), nil
-	}
 	res := &Result{Total: len(faults), DetectedBy: make([]int, len(faults))}
-	per := (len(faults) + workers - 1) / workers
-	shards := (len(faults) + per - 1) / per
+	res.Detected = shardFaults(workers, len(faults), func(lo, hi int) int {
+		return NewSimulatorCompiledWords(c, words).RunInto(p, faults[lo:hi], res.DetectedBy[lo:hi], nil)
+	})
+	if res.Total > 0 {
+		res.Coverage = float64(res.Detected) / float64(res.Total)
+	}
+	return res, nil
+}
+
+// shardFaults splits the fault indices [0, nFaults) into one contiguous
+// shard per worker (workers <= 0 selects GOMAXPROCS) on the shared parallel
+// pool and returns the sum of what run reports for its shards — their
+// detections. Each shard writes only its own index range, so results do not
+// depend on the worker count.
+func shardFaults(workers, nFaults int, run func(lo, hi int) int) int {
+	workers = min(parallel.Workers(workers), nFaults)
+	if workers <= 1 {
+		return run(0, nFaults)
+	}
+	per := (nFaults + workers - 1) / workers
+	shards := (nFaults + per - 1) / per
 	detected := make([]int, shards)
 	_ = parallel.For(workers, shards, func(s int) error {
-		lo, hi := s*per, min((s+1)*per, len(faults))
-		out := NewSimulatorCompiledWords(c, words).Run(p, faults[lo:hi])
-		copy(res.DetectedBy[lo:hi], out.DetectedBy)
-		detected[s] = out.Detected
+		detected[s] = run(s*per, min((s+1)*per, nFaults))
 		return nil
 	})
+	total := 0
 	for _, d := range detected {
-		res.Detected += d
+		total += d
 	}
-	res.Coverage = float64(res.Detected) / float64(res.Total)
-	return res, nil
+	return total
 }
 
 // DictionaryConcurrentWords builds the same full-response signatures as
@@ -61,7 +73,7 @@ func DictionaryConcurrentWords(n *circuit.Netlist, p *logic.PatternSet, faults [
 	if workers <= 1 || blocks <= 1 {
 		return NewSimulatorCompiledWords(c, W).Dictionary(p, faults), nil
 	}
-	sigs := newSignatures(len(faults), len(n.POs), nWords)
+	sigs := NewSignatures(len(faults), len(n.POs), nWords)
 	type scratch struct {
 		fsim  *Simulator
 		perPO []logic.Word

@@ -695,12 +695,6 @@ func (sg *Signature) FailBits() int {
 // fill disjoint column ranges (DictionaryConcurrentWords locally, the
 // cluster coordinator across nodes).
 func NewSignatures(nFaults, nPOs, words int) []*Signature {
-	return newSignatures(nFaults, nPOs, words)
-}
-
-// newSignatures allocates the signature matrix for faults × POs × words in
-// one backing slice.
-func newSignatures(nFaults, nPOs, words int) []*Signature {
 	sigs := make([]*Signature, nFaults)
 	backing := make([]logic.Word, nFaults*nPOs*words)
 	for i := range sigs {
@@ -755,7 +749,7 @@ func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, base in
 // filled Words() columns per cone walk; the signatures are bit-identical
 // for every lane width.
 func (s *Simulator) Dictionary(p *logic.PatternSet, faults []Fault) []*Signature {
-	sigs := newSignatures(len(faults), len(s.Net.POs), p.Words())
+	sigs := NewSignatures(len(faults), len(s.Net.POs), p.Words())
 	s.DictionaryRange(p, faults, 0, p.Words(), sigs)
 	return sigs
 }

@@ -2,11 +2,10 @@ package fault
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
-	"repro/internal/sim"
 )
 
 // TransitionFault is a gross-delay (transition) fault on a gate output:
@@ -65,108 +64,87 @@ type TransitionResult struct {
 }
 
 // SimulateTransitionsWords runs two-pattern transition-fault simulation
-// over all consecutive pattern pairs of the set. It composes the existing
-// engines: good-value simulation supplies the initialization condition, and
-// the stuck-at dictionary (built block-sharded across workers with
-// words-wide simulators; bit-identical for any count and width, <= 0
-// workers selects GOMAXPROCS) supplies launch/propagation, so the result
-// provably matches the two-pattern definition above.
+// over all consecutive pattern pairs of the set on the stuck-at engine.
+// Faults shard over workers as in RunConcurrentWords (<= 0 selects
+// GOMAXPROCS); each shard walks W-word pattern blocks (words normalized to
+// {1,2,4,8}). Per block it simulates the good circuit once and walks each
+// live fault's slow-value stuck-at fault at its site, with dropping. Pair
+// (k, k+1) detects when that walk reaches an output at pattern k+1 and the
+// good site value at pattern k is the pre-transition value, so the result
+// matches the two-pattern definition above and is bit-identical for any
+// worker count and width.
 func SimulateTransitionsWords(n *circuit.Netlist, p *logic.PatternSet, faults []TransitionFault, workers, words int) (*TransitionResult, error) {
-	if p.N < 2 {
-		return &TransitionResult{Total: len(faults), DetectedBy: fillNeg(len(faults))}, nil
-	}
-	// Compile once; the good-value simulator here and the word-sharded
-	// dictionary workers below all read the same immutable IR.
 	c, err := n.Compiled()
 	if err != nil {
 		return nil, err
 	}
-	gsim := sim.NewWideCompiled(c, 1)
-	// Good value of every gate for every pattern, bit-sliced.
-	nWords := p.Words()
-	vals := make([][]logic.Word, len(n.Gates))
-	for g := range vals {
-		vals[g] = make([]logic.Word, nWords)
-	}
-	pi := make([]logic.Word, len(n.PIs))
-	for w := 0; w < nWords; w++ {
-		for i := range pi {
-			pi[i] = p.Bits[i][w]
-		}
-		block := gsim.BlockRange(pi, 0, 1)
-		mask := p.TailMask(w)
-		for g := range vals {
-			vals[g][w] = block[c.Tpos[g]] & mask
-		}
-	}
-	getVal := func(gate, k int) bool {
-		return vals[gate][k/logic.WordBits]>>(uint(k)%logic.WordBits)&1 == 1
-	}
-
-	// Stuck-at stem dictionary for the gates that carry transition faults,
-	// in deterministic gate order.
-	needGate := map[int]bool{}
-	for _, tf := range faults {
-		needGate[tf.Gate] = true
-	}
-	gates := make([]int, 0, len(needGate))
-	for g := range needGate {
-		gates = append(gates, g)
-	}
-	sort.Ints(gates)
-	var stuck []Fault
-	stuckIdx := map[Fault]int{}
-	for _, g := range gates {
-		for _, sa := range []uint8{0, 1} {
-			f := Fault{Gate: g, Pin: -1, SA: sa}
-			stuckIdx[f] = len(stuck)
-			stuck = append(stuck, f)
-		}
-	}
-	dict, err := DictionaryConcurrentWords(n, p, stuck, workers, words)
-	if err != nil {
-		return nil, err
-	}
-	stuckDetected := func(gate int, sa uint8, k int) bool {
-		sg := dict[stuckIdx[Fault{Gate: gate, Pin: -1, SA: sa}]]
-		w, b := k/logic.WordBits, uint(k%logic.WordBits)
-		for o := range sg.Bits {
-			if sg.Bits[o][w]>>b&1 == 1 {
-				return true
-			}
-		}
-		return false
-	}
-
-	res := &TransitionResult{Total: len(faults), DetectedBy: fillNeg(len(faults))}
-	for fi, tf := range faults {
-		for k := 0; k+1 < p.N; k++ {
-			v1 := getVal(tf.Gate, k)
-			if v1 == tf.SlowToRise {
-				continue // initialization not satisfied (STR needs v1=0)
-			}
-			// Launch/capture: the slow line behaves stuck at its old value.
-			sa := uint8(1)
-			if tf.SlowToRise {
-				sa = 0
-			}
-			if stuckDetected(tf.Gate, sa, k+1) {
-				res.DetectedBy[fi] = k
-				res.Detected++
-				break
-			}
-		}
-	}
+	res := &TransitionResult{Total: len(faults), DetectedBy: make([]int, len(faults))}
+	res.Detected = shardFaults(workers, len(faults), func(lo, hi int) int {
+		return NewSimulatorCompiledWords(c, words).transitions(p, faults[lo:hi], res.DetectedBy[lo:hi])
+	})
 	if res.Total > 0 {
 		res.Coverage = float64(res.Detected) / float64(res.Total)
 	}
 	return res, nil
 }
 
-func fillNeg(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = -1
+// transitions is the shard body of SimulateTransitionsWords: detBy receives
+// each fault's first detecting pair (-1 if none); it returns the number of
+// detected faults. A pair's capture bit is the stuck-at difference at
+// pattern k+1 masked by the site's initialization at pattern k: the site's
+// good lanes (inverted for STR) shifted up one bit, with the top bit of the
+// previous lane carried across lane and block edges. The mask goes into
+// the walk, so its difference word holds only initialized captures.
+func (s *Simulator) transitions(p *logic.PatternSet, faults []TransitionFault, detBy []int) int {
+	s.stagedAct, s.goodAct = 0, 0
+	W, words := s.w, p.Words()
+	carry := make([]logic.Word, len(faults)) // per fault: start word of the last lane seen
+	live := make([]int, len(faults))
+	for i := range live {
+		live[i], detBy[i] = i, -1
 	}
-	return out
+	detected := 0
+	var masks, diff [MaxWords]logic.Word
+	for base := 0; base < words && len(live) > 0; base += W {
+		act := min(W, words-base)
+		s.simulateGood(p, base, 0, act, min(W, words))
+		S, vals := s.good.W, s.good.Values()
+		kept := live[:0]
+		for _, fi := range live {
+			// The slow line keeps its pre-transition value: 0 for STR, 1 for STF.
+			f := Fault{Gate: faults[fi].Gate, Pin: -1, SA: 1}
+			var flip logic.Word
+			if faults[fi].SlowToRise {
+				f.SA, flip = 0, ^logic.Word(0)
+			}
+			site := int(s.c.Tpos[f.Gate]) * S
+			var capture logic.Word
+			for l := 0; l < act; l++ {
+				start := vals[site+l] ^ flip // patterns that hold the pre-transition value
+				masks[l] = p.TailMask(base+l) & (start<<1 | carry[fi]>>63)
+				capture |= masks[l]
+				carry[fi] = start
+				diff[l] = 0
+			}
+			if capture == 0 { // no initialized pair ends in this block
+				kept = append(kept, fi)
+				continue
+			}
+			s.detectLanes(f, 0, act, masks[:act], diff[:act], nil)
+			det := -1
+			for l := 0; l < act && det < 0; l++ {
+				if diff[l] != 0 {
+					det = (base+l)*logic.WordBits + bits.TrailingZeros64(diff[l]) - 1
+				}
+			}
+			if det >= 0 {
+				detBy[fi] = det
+				detected++
+			} else {
+				kept = append(kept, fi)
+			}
+		}
+		live = kept
+	}
+	return detected
 }

@@ -64,9 +64,12 @@ func TestTransitionUniverse(t *testing.T) {
 	}
 }
 
-// TestTransitionSimAgainstExplicit is the correctness anchor: the composed
-// simulator must agree with first-principles pair simulation on every
-// fault and every pair.
+// TestTransitionSimAgainstExplicit is the correctness anchor: the
+// simulator must agree with first-principles pair simulation on every fault
+// and every pair, at every lane width and worker count. The random set
+// spans five pattern words. Each edge set repeats one pattern except for
+// its complement at pattern e, so only the pairs (e-1, e) and (e, e+1) can
+// detect: the first crosses a word edge and, at e = 64·W, a W-block edge.
 func TestTransitionSimAgainstExplicit(t *testing.T) {
 	for _, c := range []*circuit.Netlist{
 		circuit.MustC17(),
@@ -74,24 +77,59 @@ func TestTransitionSimAgainstExplicit(t *testing.T) {
 		circuit.Random(7, 50, 31),
 	} {
 		rng := rand.New(rand.NewSource(5))
-		p := logic.NewPatternSet(len(c.PIs), 40)
-		p.RandFill(rng.Uint64)
-		faults := TransitionUniverse(c)
-		res, err := SimulateTransitionsWords(c, p, faults, 0, 1)
-		if err != nil {
-			t.Fatal(err)
+		random := logic.NewPatternSet(len(c.PIs), 320)
+		random.RandFill(rng.Uint64)
+		sets := []*logic.PatternSet{random}
+		edges := []int{0, 64, 128, 256, 512} // per set; 0: no edge pair to pin
+		for _, e := range edges[1:] {
+			p := logic.NewPatternSet(len(c.PIs), e+40)
+			fixed, flipped := make([]bool, len(c.PIs)), make([]bool, len(c.PIs))
+			for i := range fixed {
+				fixed[i] = rng.Intn(2) == 1
+				flipped[i] = !fixed[i]
+			}
+			for k := 0; k < p.N; k++ {
+				p.SetPattern(k, fixed)
+			}
+			p.SetPattern(e, flipped)
+			sets = append(sets, p)
 		}
-		for fi, tf := range faults {
-			// First detecting pair by explicit simulation.
-			first := -1
-			for k := 0; k+1 < p.N && first < 0; k++ {
-				if explicitTransitionDetect(c, tf, p.Pattern(k), p.Pattern(k+1)) {
-					first = k
+		faults := TransitionUniverse(c)
+		for si, p := range sets {
+			want := make([]int, len(faults))
+			detected, crossing := 0, 0
+			for fi, tf := range faults {
+				want[fi] = -1
+				for k := 0; k+1 < p.N && want[fi] < 0; k++ {
+					if explicitTransitionDetect(c, tf, p.Pattern(k), p.Pattern(k+1)) {
+						want[fi] = k
+						detected++
+					}
+				}
+				if e := edges[si]; e > 0 && want[fi] == e-1 {
+					crossing++
 				}
 			}
-			if res.DetectedBy[fi] != first {
-				t.Fatalf("%s fault %s: simulator pair %d, explicit %d",
-					c.Name, tf.Name(c), res.DetectedBy[fi], first)
+			if edges[si] > 0 && crossing == 0 {
+				t.Fatalf("%s N=%d: no fault first detected by the edge pair", c.Name, p.N)
+			}
+			for _, words := range laneWidths {
+				for _, workers := range []int{1, 3} {
+					res, err := SimulateTransitionsWords(c, p, faults, workers, words)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Detected != detected {
+						t.Fatalf("%s N=%d W=%d workers=%d: detected %d, explicit %d",
+							c.Name, p.N, words, workers, res.Detected, detected)
+					}
+					for fi, tf := range faults {
+						if res.DetectedBy[fi] != want[fi] {
+							t.Fatalf("%s N=%d W=%d workers=%d fault %s: simulator pair %d, explicit %d",
+								c.Name, p.N, words, workers, tf.Name(c), res.DetectedBy[fi], want[fi])
+						}
+					}
+				}
 			}
 		}
 	}
