@@ -10,7 +10,6 @@ package circuit
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -351,14 +350,4 @@ func (n *Netlist) InputIndex() map[int]int {
 		m[id] = i
 	}
 	return m
-}
-
-// SortedNames returns all gate names sorted, for deterministic output.
-func (n *Netlist) SortedNames() []string {
-	names := make([]string, 0, len(n.Gates))
-	for _, g := range n.Gates {
-		names = append(names, g.Name)
-	}
-	sort.Strings(names)
-	return names
 }

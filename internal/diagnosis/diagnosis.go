@@ -6,8 +6,10 @@
 package diagnosis
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/circuit"
 	"repro/internal/fault"
@@ -22,7 +24,17 @@ type Observation struct {
 	Bits [][]logic.Word // [po][word]
 }
 
-// NumFeatures is the length of the per-candidate feature vector.
+// NumFeatures is the length of the per-candidate feature vector,
+// Candidate.Features:
+//
+//	0: |dict ∩ obs|        (matched failures)
+//	1: |dict \ obs|        (predicted failures not observed)
+//	2: |obs \ dict|        (observed failures not predicted)
+//	3: Jaccard(dict, obs)
+//	4: |dict|              (signature size)
+//	5: |obs|               (observation size)
+//	6: output-set overlap  (failing POs in common over the larger count)
+//	7: normalized SCOAP observability of the candidate site
 const NumFeatures = 8
 
 // Candidate is one ranked diagnosis candidate.
@@ -33,13 +45,22 @@ type Candidate struct {
 	Features []float64
 }
 
-// Diagnoser matches observations against a precomputed dictionary.
+// Diagnoser matches observations against a precomputed dictionary. Dict is
+// read-only after construction: Diagnose ranks from per-fault summaries
+// computed from it once.
 type Diagnoser struct {
 	Net    *circuit.Netlist
 	Faults []fault.Fault
 	Dict   []*fault.Signature
-	scoap  *circuit.SCOAP // by position
-	tpos   []int32        // gate ID -> position, to index scoap
+	sums   []faultSummary // by fault index
+}
+
+// faultSummary holds the features of a dictionary fault that do not depend
+// on the observation.
+type faultSummary struct {
+	size   int     // |sig|: failing (pattern, PO) bits
+	pos    int     // POs whose row is nonzero
+	coNorm float64 // normalized SCOAP observability of the fault site
 }
 
 // NewWorkersWords builds a diagnoser: it fault-simulates the pattern set to
@@ -57,13 +78,23 @@ func NewWorkersWords(n *circuit.Netlist, patterns *logic.PatternSet, workers, wo
 	if err != nil {
 		return nil, err
 	}
-	return &Diagnoser{
-		Net:    n,
-		Faults: faults,
-		Dict:   dict,
-		scoap:  circuit.ComputeSCOAPCompiled(c),
-		tpos:   c.Tpos,
-	}, nil
+	scoap := circuit.ComputeSCOAPCompiled(c)
+	sums := make([]faultSummary, len(faults))
+	for i, sig := range dict {
+		for _, row := range sig.Bits {
+			var nz logic.Word
+			for _, w := range row {
+				sums[i].size += logic.PopCount(w)
+				nz |= w
+			}
+			if nz != 0 {
+				sums[i].pos++
+			}
+		}
+		co := float64(scoap.CO[c.Tpos[faults[i].Gate]])
+		sums[i].coNorm = co / (co + 10)
+	}
+	return &Diagnoser{Net: n, Faults: faults, Dict: dict, sums: sums}, nil
 }
 
 // Observe simulates a defective device containing fault f and returns its
@@ -109,58 +140,6 @@ func (obs *Observation) addNoise(noise float64, rnd func() float64) {
 	}
 }
 
-// featureVector computes similarity features between a dictionary signature
-// and the observation:
-//
-//	0: |dict ∩ obs|        (matched failures)
-//	1: |dict \ obs|        (predicted failures not observed)
-//	2: |obs \ dict|        (observed failures not predicted)
-//	3: Jaccard(dict, obs)
-//	4: |dict|              (signature size)
-//	5: |obs|               (observation size)
-//	6: output-set overlap  (fraction of failing POs in common)
-//	7: normalized SCOAP observability of the candidate site
-func (d *Diagnoser) featureVector(sig *fault.Signature, obs *Observation, f fault.Fault) []float64 {
-	var inter, onlyDict, onlyObs int
-	dictPOs, obsPOs, bothPOs := 0, 0, 0
-	for o := range sig.Bits {
-		var dAny, oAny bool
-		for w := range sig.Bits[o] {
-			dw, ow := sig.Bits[o][w], obs.Bits[o][w]
-			inter += logic.PopCount(dw & ow)
-			onlyDict += logic.PopCount(dw &^ ow)
-			onlyObs += logic.PopCount(ow &^ dw)
-			dAny = dAny || dw != 0
-			oAny = oAny || ow != 0
-		}
-		if dAny {
-			dictPOs++
-		}
-		if oAny {
-			obsPOs++
-		}
-		if dAny && oAny {
-			bothPOs++
-		}
-	}
-	union := inter + onlyDict + onlyObs
-	jacc := 0.0
-	if union > 0 {
-		jacc = float64(inter) / float64(union)
-	}
-	poOverlap := 0.0
-	if m := maxInt(dictPOs, obsPOs); m > 0 {
-		poOverlap = float64(bothPOs) / float64(m)
-	}
-	co := float64(d.scoap.CO[d.tpos[f.Gate]])
-	coNorm := co / (co + 10)
-	return []float64{
-		float64(inter), float64(onlyDict), float64(onlyObs), jacc,
-		float64(inter + onlyDict), float64(inter + onlyObs),
-		poOverlap, coNorm,
-	}
-}
-
 // Scorer maps a candidate feature vector to a matching score; higher is a
 // better match. It is the hook for the learned ranker.
 type Scorer interface {
@@ -177,30 +156,110 @@ func (JaccardScorer) Score(f []float64) float64 {
 	return f[3] - 1e-4*(f[1]+f[2])
 }
 
+// rankScratch is the working memory of one Diagnose call, pooled so that
+// a call allocates only the candidates it returns.
+type rankScratch struct {
+	obsPOs []int     // POs where the observation fails
+	hits   []hit     // faults sharing a failure with it, by fault index
+	keys   []rankKey // sort keys of the hits
+}
+
+// hit is a fault sharing a failure with the observation: the failing bits
+// they share, and how many of the observation's failing POs the fault's
+// signature also fails at.
+type hit struct{ fault, inter, both int32 }
+
+type rankKey struct {
+	score float64
+	hit   int32 // index into hits
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
+
 // Diagnose ranks all dictionary faults against the observation using the
-// given scorer (JaccardScorer when nil). Faults whose signature shares no
-// failure with the observation are always pruned, so an observation with no
-// failure yields no candidates.
+// given scorer (JaccardScorer when nil), best score first and by fault index
+// among equal scores. The observation has the dictionary's [po][word]
+// shape. Faults whose signature shares no failure with the observation are
+// always pruned, so an observation with no failure yields no candidates.
+// Diagnose only reads the Diagnoser, so concurrent calls are safe.
 func (d *Diagnoser) Diagnose(obs *Observation, scorer Scorer) []Candidate {
 	if scorer == nil {
 		scorer = JaccardScorer{}
 	}
-	cands := make([]Candidate, 0, len(d.Faults))
-	for i, f := range d.Faults {
-		fv := d.featureVector(d.Dict[i], obs, f)
-		if fv[0] == 0 { // no shared failures: implausible candidate
+	sc := scratchPool.Get().(*rankScratch)
+	defer scratchPool.Put(sc)
+	// Only the POs where the log fails can share a failure with a fault;
+	// every other feature follows from the counts below and the summaries.
+	obsPOs := sc.obsPOs[:0]
+	obsSize := 0
+	for o, row := range obs.Bits {
+		var nz logic.Word
+		for _, w := range row {
+			obsSize += logic.PopCount(w)
+			nz |= w
+		}
+		if nz != 0 {
+			obsPOs = append(obsPOs, o)
+		}
+	}
+	hits := sc.hits[:0]
+	for i, sig := range d.Dict {
+		if d.sums[i].size == 0 {
 			continue
 		}
-		cands = append(cands, Candidate{
-			Index: i, Fault: f, Score: scorer.Score(fv), Features: fv,
-		})
-	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].Score != cands[b].Score {
-			return cands[a].Score > cands[b].Score
+		inter, both := 0, 0
+		for _, o := range obsPOs {
+			orow := obs.Bits[o]
+			drow := sig.Bits[o][:len(orow)]
+			var nz logic.Word
+			for w, dw := range drow {
+				inter += logic.PopCount(dw & orow[w])
+				nz |= dw
+			}
+			if nz != 0 {
+				both++
+			}
 		}
-		return cands[a].Index < cands[b].Index // deterministic tie-break
+		if inter > 0 {
+			hits = append(hits, hit{int32(i), int32(inter), int32(both)})
+		}
+	}
+	// The keys are sorted, not the candidates: 16-byte records without
+	// pointers move far cheaper than Candidate. Hits are in fault index
+	// order, so the hit index breaks score ties as the fault index does.
+	keys := slices.Grow(sc.keys[:0], len(hits))[:len(hits)]
+	blk := make([]float64, len(hits)*NumFeatures)
+	for k, h := range hits {
+		s := &d.sums[h.fault]
+		inter := int(h.inter)
+		// capped, so that an append cannot write into a neighbour
+		fv := blk[k*NumFeatures : (k+1)*NumFeatures : (k+1)*NumFeatures]
+		fv[0] = float64(inter)
+		fv[1] = float64(s.size - inter)
+		fv[2] = float64(obsSize - inter)
+		fv[3] = float64(inter) / float64(s.size+obsSize-inter)
+		fv[4] = float64(s.size)
+		fv[5] = float64(obsSize)
+		fv[6] = float64(h.both) / float64(max(s.pos, len(obsPOs)))
+		fv[7] = s.coNorm
+		keys[k] = rankKey{scorer.Score(fv), int32(k)}
+	}
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.hit, b.hit)
 	})
+	cands := make([]Candidate, len(hits))
+	for j, key := range keys {
+		k := int(key.hit)
+		f := hits[k].fault
+		cands[j] = Candidate{
+			Index: int(f), Fault: d.Faults[f], Score: key.score,
+			Features: blk[k*NumFeatures : (k+1)*NumFeatures : (k+1)*NumFeatures],
+		}
+	}
+	sc.obsPOs, sc.hits, sc.keys = obsPOs, hits, keys
 	return cands
 }
 
@@ -308,11 +367,4 @@ func (d *Diagnoser) Evaluate(cases []int, noise float64, rnd func() float64, sco
 		acc.MeanRank = float64(totalRank) / float64(hit)
 	}
 	return acc
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,12 +1,19 @@
 package diagnosis
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/atpg"
 	"repro/internal/circuit"
+	"repro/internal/fault"
 	"repro/internal/logic"
 )
 
@@ -19,27 +26,90 @@ func testPatterns(t testing.TB, n *circuit.Netlist) *logic.PatternSet {
 	return res.Patterns
 }
 
-func TestNoiselessDiagnosisTop1(t *testing.T) {
-	n := circuit.MustC17()
-	p := logic.Exhaustive(5)
-	d, err := NewWorkersWords(n, p, 0, 1)
+// randomPatterns is a seeded random set of n patterns for the netlist.
+func randomPatterns(nl *circuit.Netlist, n int, seed int64) *logic.PatternSet {
+	p := logic.NewPatternSet(len(nl.PIs), n)
+	p.RandFill(rand.New(rand.NewSource(seed)).Uint64)
+	return p
+}
+
+// loadBench parses the named .bench anchor under testdata/bench at the
+// repository root.
+func loadBench(t testing.TB, name string) *circuit.Netlist {
+	t.Helper()
+	f, err := os.Open(filepath.Join("..", "..", "testdata", "bench", name+".bench"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(1))
-	// With exhaustive patterns and no noise, every detectable fault must be
-	// diagnosed at rank 1 (its own signature matches exactly).
+	defer f.Close()
+	n, err := circuit.ParseBench(f, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// detectable returns up to limit detectable fault indices of d, spread
+// evenly over the fault list.
+func detectable(d *Diagnoser, limit int) []int {
+	var all []int
 	for fi := range d.Faults {
-		if d.Dict[fi].FailBits() == 0 {
-			continue // undetectable: nothing to diagnose
+		if d.Dict[fi].FailBits() > 0 {
+			all = append(all, fi)
 		}
-		obs, err := Observe(n, p, d.Faults[fi], 0, rng.Float64)
-		if err != nil {
-			t.Fatal(err)
+	}
+	if len(all) <= limit {
+		return all
+	}
+	out := make([]int, limit)
+	for k := range out {
+		out[k] = all[k*len(all)/limit]
+	}
+	return out
+}
+
+// TestNoiselessDiagnosisTop1: a fault diagnosed from its own noiseless
+// failure log (a fresh single-fault simulation) ranks first, or behind
+// faults with the same signature, for every worker count and lane width
+// the dictionary is built at.
+func TestNoiselessDiagnosisTop1(t *testing.T) {
+	mul4 := circuit.ArrayMultiplier(4)
+	rca := loadBench(t, "rca16")
+	rnd := circuit.Random(12, 150, 3)
+	cases := []struct {
+		n *circuit.Netlist
+		p *logic.PatternSet
+	}{
+		{circuit.MustC17(), logic.Exhaustive(5)},
+		{rca, randomPatterns(rca, 150, 21)},
+		{mul4, testPatterns(t, mul4)},
+		{rnd, randomPatterns(rnd, 200, 23)},
+	}
+	for _, c := range cases {
+		var faults []int
+		var logs []*Observation
+		for fi, f := range fault.Universe(c.n) {
+			obs, err := Observe(c.n, c.p, f, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (&fault.Signature{Bits: obs.Bits}).FailBits() > 0 {
+				faults, logs = append(faults, fi), append(logs, obs)
+			}
 		}
-		cands := d.Diagnose(obs, nil)
-		if r := d.HitRank(cands, fi); r != 1 {
-			t.Errorf("fault %s: rank %d, want 1", d.Faults[fi].Name(n), r)
+		for _, workers := range []int{1, 2, 4} {
+			for _, words := range []int{1, 8} {
+				d, err := NewWorkersWords(c.n, c.p, workers, words)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, fi := range faults {
+					if r := d.HitRank(d.Diagnose(logs[k], nil), fi); r != 1 {
+						t.Errorf("%s workers %d words %d: fault %s ranks %d, want 1",
+							c.n.Name, workers, words, d.Faults[fi].Name(c.n), r)
+					}
+				}
+			}
 		}
 	}
 }
@@ -119,7 +189,15 @@ func TestSelfSignatureJaccardIsOne(t *testing.T) {
 			continue
 		}
 		obs, _ := Observe(n, p, d.Faults[fi], 0, rng.Float64)
-		fv := d.featureVector(d.Dict[fi], obs, d.Faults[fi])
+		var fv []float64
+		for _, c := range d.Diagnose(obs, nil) {
+			if c.Index == fi {
+				fv = c.Features
+			}
+		}
+		if fv == nil {
+			t.Fatalf("fault %d: not a candidate for its own log", fi)
+		}
 		if fv[3] != 1.0 {
 			t.Errorf("fault %d: self jaccard = %f", fi, fv[3])
 		}
@@ -204,21 +282,32 @@ func TestEquivalentFaultCountsAsHit(t *testing.T) {
 	t.Skip("no equivalent fault pair in collapsed universe")
 }
 
+var benchCands []Candidate
+
+// BenchmarkDiagnose ranks 40 failure logs per op at the shape of the
+// perfbench diagnose workload: the 8-bit array multiplier, its ATPG test
+// set (seed 1), a dictionary built at fault.MaxWords, and logs of random
+// detectable faults with 10 % of their failing bits missed.
 func BenchmarkDiagnose(b *testing.B) {
-	n := circuit.ArrayMultiplier(4)
-	res, err := atpg.Run(n, atpg.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	d, err := NewWorkersWords(n, res.Patterns, 0, 1)
+	n := circuit.ArrayMultiplier(8)
+	d, err := NewWorkersWords(n, testPatterns(b, n), 1, fault.MaxWords)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	obs, _ := Observe(n, res.Patterns, d.Faults[10], 0, rng.Float64)
+	var logs []*Observation
+	for len(logs) < 40 {
+		obs := d.observe(rng.Intn(len(d.Faults)), 0.1, rng.Float64)
+		if (&fault.Signature{Bits: obs.Bits}).FailBits() > 0 {
+			logs = append(logs, obs)
+		}
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d.Diagnose(obs, nil)
+		for _, obs := range logs {
+			benchCands = d.Diagnose(obs, nil)
+		}
 	}
 }
 
@@ -316,5 +405,188 @@ func TestDiagnoseAllZeroObservation(t *testing.T) {
 	}
 	if cands := d.Diagnose(obs, nil); len(cands) != 0 {
 		t.Errorf("all-zero observation: %d candidates, want none", len(cands))
+	}
+}
+
+// featureVector is the reference for the features Diagnose computes (see
+// Candidate.Features): it reads every word of every PO of the signature.
+func featureVector(c *circuit.Compiled, scoap *circuit.SCOAP, sig *fault.Signature, obs *Observation, f fault.Fault) []float64 {
+	var inter, onlyDict, onlyObs int
+	dictPOs, obsPOs, bothPOs := 0, 0, 0
+	for o := range sig.Bits {
+		var dAny, oAny bool
+		for w := range sig.Bits[o] {
+			dw, ow := sig.Bits[o][w], obs.Bits[o][w]
+			inter += logic.PopCount(dw & ow)
+			onlyDict += logic.PopCount(dw &^ ow)
+			onlyObs += logic.PopCount(ow &^ dw)
+			dAny = dAny || dw != 0
+			oAny = oAny || ow != 0
+		}
+		if dAny {
+			dictPOs++
+		}
+		if oAny {
+			obsPOs++
+		}
+		if dAny && oAny {
+			bothPOs++
+		}
+	}
+	union := inter + onlyDict + onlyObs
+	jacc := 0.0
+	if union > 0 {
+		jacc = float64(inter) / float64(union)
+	}
+	poOverlap := 0.0
+	if m := max(dictPOs, obsPOs); m > 0 {
+		poOverlap = float64(bothPOs) / float64(m)
+	}
+	co := float64(scoap.CO[c.Tpos[f.Gate]])
+	coNorm := co / (co + 10)
+	return []float64{
+		float64(inter), float64(onlyDict), float64(onlyObs), jacc,
+		float64(inter + onlyDict), float64(inter + onlyObs),
+		poOverlap, coNorm,
+	}
+}
+
+// diagnoseRef is the reference ranking: featureVector for every fault, the
+// prune on no shared failure, then a stable sort by score and index.
+func diagnoseRef(d *Diagnoser, obs *Observation, scorer Scorer) []Candidate {
+	if scorer == nil {
+		scorer = JaccardScorer{}
+	}
+	c, err := d.Net.Compiled()
+	if err != nil {
+		panic(err)
+	}
+	scoap := circuit.ComputeSCOAPCompiled(c)
+	cands := make([]Candidate, 0, len(d.Faults))
+	for i, f := range d.Faults {
+		fv := featureVector(c, scoap, d.Dict[i], obs, f)
+		if fv[0] == 0 {
+			continue
+		}
+		cands = append(cands, Candidate{Index: i, Fault: f, Score: scorer.Score(fv), Features: fv})
+	}
+	sort.SliceStable(cands, func(a, b int) bool {
+		if cands[a].Score != cands[b].Score {
+			return cands[a].Score > cands[b].Score
+		}
+		return cands[a].Index < cands[b].Index
+	})
+	return cands
+}
+
+// tieScorer scores by quartile of Jaccard similarity, so most candidates
+// tie and their order is the index tie-break.
+type tieScorer struct{}
+
+func (tieScorer) Score(f []float64) float64 { return math.Floor(f[3] * 4) }
+
+// TestDiagnoseMatchesReference compares Diagnose with diagnoseRef on
+// noiseless and noisy logs and an all-zero log, over dictionaries built at
+// one and eight pattern words, with the Jaccard scorer and a tie-heavy one.
+func TestDiagnoseMatchesReference(t *testing.T) {
+	mul8 := circuit.ArrayMultiplier(8)
+	rca := loadBench(t, "rca16")
+	rnd := circuit.Random(14, 200, 5)
+	cases := []struct {
+		n *circuit.Netlist
+		p *logic.PatternSet
+	}{
+		{circuit.MustC17(), logic.Exhaustive(5)},
+		{rca, randomPatterns(rca, 150, 21)},
+		{mul8, testPatterns(t, mul8)},
+		{rnd, randomPatterns(rnd, 200, 22)},
+	}
+	for _, c := range cases {
+		for _, words := range []int{1, 8} {
+			d, err := NewWorkersWords(c.n, c.p, 0, words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			zero := &Observation{Bits: make([][]logic.Word, len(c.n.POs))}
+			for o := range zero.Bits {
+				zero.Bits[o] = make([]logic.Word, c.p.Words())
+			}
+			logs := []*Observation{zero}
+			rng := rand.New(rand.NewSource(31))
+			for _, noise := range []float64{0, 0.1, 0.3} {
+				for _, fi := range detectable(d, 12) {
+					logs = append(logs, d.observe(fi, noise, rng.Float64))
+				}
+			}
+			for _, scorer := range []Scorer{JaccardScorer{}, tieScorer{}} {
+				for k, obs := range logs {
+					got, want := d.Diagnose(obs, scorer), diagnoseRef(d, obs, scorer)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("%s words %d %T log %d: %d candidates differ from the reference's %d",
+							c.n.Name, words, scorer, k, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDiagnoseCandidateFeaturesCapped: the candidates' features share one
+// block, so an append to one candidate's features must not write into the
+// next candidate's.
+func TestDiagnoseCandidateFeaturesCapped(t *testing.T) {
+	n := circuit.MustC17()
+	d, err := NewWorkersWords(n, logic.Exhaustive(5), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := d.observe(detectable(d, 1)[0], 0, nil)
+	cands, want := d.Diagnose(obs, nil), diagnoseRef(d, obs, nil)
+	for i := range cands {
+		_ = append(cands[i].Features, -1)
+	}
+	if !reflect.DeepEqual(cands, want) {
+		t.Error("appending to a candidate's features changed another candidate")
+	}
+}
+
+// TestDiagnoseConcurrentReaders: Diagnose from several goroutines on one
+// Diagnoser returns what serial calls return.
+func TestDiagnoseConcurrentReaders(t *testing.T) {
+	n := loadBench(t, "rca16")
+	d, err := NewWorkersWords(n, randomPatterns(n, 150, 41), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	var logs []*Observation
+	for _, fi := range detectable(d, 16) {
+		logs = append(logs, d.observe(fi, 0.1, rng.Float64))
+	}
+	want := make([][]Candidate, len(logs))
+	for k, obs := range logs {
+		want[k] = d.Diagnose(obs, nil)
+	}
+	const readers = 4
+	var wg sync.WaitGroup
+	errs := make([]error, readers)
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range logs {
+				k := (k + g*len(logs)/readers) % len(logs)
+				if got := d.Diagnose(logs[k], nil); !reflect.DeepEqual(got, want[k]) {
+					errs[g] = fmt.Errorf("reader %d, log %d: result differs from the serial call", g, k)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
