@@ -386,7 +386,7 @@ func TestItrbenchBenchJSONGolden(t *testing.T) {
 
 // TestItratpgBenchJSONGolden pins the ATPG benchmark document: itratpg
 // -benchjson -quick -seed 1 -words 8 -workers 2 must emit valid
-// itr-atpg-bench/v2 JSON covering the named .bench anchors under
+// itr-atpg-bench/v3 JSON covering the named .bench anchors under
 // testdata/bench/ plus the quick generated tier. Timing fields are
 // sanity-checked, then normalized to stable placeholders before comparison.
 // Regenerate with -update.
@@ -407,8 +407,8 @@ func TestItratpgBenchJSONGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("benchjson output is not valid JSON: %v", err)
 	}
-	if doc.Schema != "itr-atpg-bench/v2" {
-		t.Fatalf("schema = %q, want itr-atpg-bench/v2", doc.Schema)
+	if doc.Schema != "itr-atpg-bench/v3" {
+		t.Fatalf("schema = %q, want itr-atpg-bench/v3", doc.Schema)
 	}
 	if doc.Generated == "" || doc.GoVersion == "" {
 		t.Fatalf("missing generated/go_version stamps: %+v", doc)
@@ -419,10 +419,10 @@ func TestItratpgBenchJSONGolden(t *testing.T) {
 		if r.Source == "bench" {
 			anchors++
 		}
-		if r.DetMs <= 0 {
-			t.Errorf("row %d (%s): non-positive deterministic-phase timing: %+v", i, r.Circuit, *r)
+		if r.DetMs <= 0 || r.RestNs <= 0 {
+			t.Errorf("row %d (%s): non-positive phase timing: %+v", i, r.Circuit, *r)
 		}
-		r.GenNs, r.DropNs, r.DetMs = 0, 0, 0
+		r.GenNs, r.DropNs, r.DetMs, r.RestNs = 0, 0, 0, 0
 	}
 	if anchors < 3 {
 		t.Errorf("only %d named .bench anchor rows, want the 3 under testdata/bench/", anchors)

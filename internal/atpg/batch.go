@@ -1,7 +1,6 @@
 package atpg
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/fault"
@@ -30,12 +29,15 @@ func (f *flow) deterministicBatched() {
 	eng := NewShared(f.comp, f.scoap)
 	eng.Guide = f.cfg.Guide
 	eng.BacktrackLim = f.cfg.BacktrackLim
-	pending := logic.NewPatternSet(len(f.net.PIs), 0) // committed, not yet flushed
-	staged := false                                   // pending is staged as it stands
+	pending := logic.NewPatternSet(len(f.net.PIs), blockCap) // committed, not yet flushed
+	pending.Reset()                                          // empty, keeping the block's contiguous backing
+	staged := false                                          // pending is staged as it stands
 
-	// flush marks everything the pending block detects and resets it.
-	// Faults already marked (committed targets, redundant proofs, probe
-	// hits) are not in the live list, so nothing is counted twice.
+	// flush marks everything the pending block detects, appends the block
+	// to the pattern set and resets it. Faults already marked (committed
+	// targets, redundant proofs, probe hits) are not in the live list, so
+	// nothing is counted twice. Nothing reads f.patterns between flushes,
+	// so committing to pending alone keeps the set in commit order.
 	flush := func() {
 		if pending.N == 0 {
 			return
@@ -48,6 +50,7 @@ func (f *flow) deterministicBatched() {
 				f.res.DetPhase++
 			}
 		}
+		f.patterns.AppendSet(pending)
 		pending.Reset()
 		staged = false
 	}
@@ -85,11 +88,12 @@ func (f *flow) deterministicBatched() {
 		case Aborted:
 			f.res.Aborted++
 		case Detected:
-			rng := rand.New(rand.NewSource(f.fillSeed(fi)))
-			bits := fillCube(cube, rng)
+			// Reseeding draws the stream of a fresh
+			// rand.New(rand.NewSource(f.fillSeed(fi))) without allocating.
+			f.fillRng.Seed(f.fillSeed(fi))
+			bits := fillCubeInto(f.patBuf, cube, f.fillRng)
 			lap(&f.res.GenTime)
 			pending.Append(bits)
-			f.patterns.Append(bits)
 			f.detected[fi] = true
 			f.res.DetPhase++
 			staged = false

@@ -55,18 +55,19 @@ func requireIdentical(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// runSerial is the reference flow the production deterministic phase is
-// checked against: one PODEM call and one single-pattern live-list drop per
-// remaining fault, in fault order, then compaction one pattern at a time.
-// It shares setup, the random phase and the final accounting with Run, but
-// none of the block batching, staging or probing.
+// runSerial is the reference flow the production flow is checked against:
+// the random phase appending its blocks one pattern at a time, one PODEM
+// call and one single-pattern live-list drop per remaining fault, in fault
+// order, then compaction one pattern at a time. It shares setup and the
+// final accounting with Run, but none of the block batching, staging,
+// probing or word-level pattern moves.
 func runSerial(n *circuit.Netlist, cfg Config) (*Result, error) {
 	f, err := newFlow(n, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if !cfg.SkipRandom {
-		f.randomPhase()
+		randomPhaseRef(f)
 	}
 	eng := NewShared(f.comp, f.scoap)
 	eng.Guide = f.cfg.Guide
@@ -110,9 +111,83 @@ func runSerial(n *circuit.Netlist, cfg Config) (*Result, error) {
 	}
 	f.res.Backtracks = eng.Backtracks
 	if cfg.Compact && f.patterns.N > 1 {
-		f.patterns = f.compact(1)
+		f.patterns = compactRef(f)
 	}
 	return f.finish()
+}
+
+// randomPhaseRef is the reference random phase: the production phase's
+// blocks, drops and stall rule, with each useful block appended one
+// pattern at a time.
+func randomPhaseRef(f *flow) {
+	rng := rand.New(rand.NewSource(f.cfg.Seed))
+	block := logic.NewPatternSet(len(f.net.PIs), logic.WordBits)
+	buf := make([]bool, len(f.net.PIs))
+	stall := 0
+	remaining := len(f.faults)
+	for b := 0; b < f.cfg.RandomBlocks && remaining > 0 && stall < f.cfg.RandomStall; b++ {
+		block.RandFill(rng.Uint64)
+		live, liveIdx := f.liveFaults()
+		newDet := f.fsim.RunInto(block, live, f.detBy, f.dropBuf)
+		for i, d := range f.detBy {
+			if d >= 0 {
+				f.detected[liveIdx[i]] = true
+			}
+		}
+		if newDet == 0 {
+			stall++
+			continue
+		}
+		stall = 0
+		remaining -= newDet
+		f.res.RandomPhase += newDet
+		for k := 0; k < block.N; k++ {
+			f.patterns.Append(block.PatternInto(k, buf))
+		}
+	}
+}
+
+// compactRef is the reference reverse-order compaction: it simulates one
+// pattern at a time, from the last to the first, keeps each pattern that
+// detects a fault no later pattern detects, and copies the kept patterns
+// out one at a time.
+func compactRef(f *flow) *logic.PatternSet {
+	p := f.patterns
+	detected := make([]bool, len(f.faults))
+	one := logic.NewPatternSet(p.Inputs, 0)
+	buf := make([]bool, p.Inputs)
+	keep := make([]bool, p.N)
+	detByBuf := make([]int, len(f.faults))
+	for k := p.N - 1; k >= 0; k-- {
+		live, liveIdx := f.live[:0], f.liveIdx[:0]
+		for i, fl := range f.faults {
+			if !detected[i] {
+				live = append(live, fl)
+				liveIdx = append(liveIdx, i)
+			}
+		}
+		if len(live) == 0 {
+			break
+		}
+		one.Reset()
+		one.Append(p.PatternInto(k, buf))
+		detBy := detByBuf[:len(live)]
+		if f.fsim.RunInto(one, live, detBy, f.dropBuf) > 0 {
+			keep[k] = true
+		}
+		for i, d := range detBy {
+			if d >= 0 {
+				detected[liveIdx[i]] = true
+			}
+		}
+	}
+	out := logic.NewPatternSet(p.Inputs, 0)
+	for k := 0; k < p.N; k++ {
+		if keep[k] {
+			out.Append(p.PatternInto(k, buf))
+		}
+	}
+	return out
 }
 
 // TestBatchedBitIdenticalGrid pins the determinism contract of the batched
@@ -296,6 +371,32 @@ func benchmarkFlow(b *testing.B, run func(*circuit.Netlist, Config) (*Result, er
 	for i := 0; i < b.N; i++ {
 		if _, err := run(n, cfg); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkATPGFlowTestgen is one op of the perfbench testgen workload: the
+// default flow at Workers=1 on mul16, where the random phase detects nearly
+// every fault, then on gparity32x60, where PODEM, block dropping and
+// compaction do the work. Op i uses seed 2^20 + i mod 16, as a perfbench
+// run of seed 1 does.
+func BenchmarkATPGFlowTestgen(b *testing.B) {
+	nets := []*circuit.Netlist{circuit.ArrayMultiplier(16), circuit.GatedParity(32, 60, 12)}
+	for _, n := range nets {
+		if _, err := n.Compiled(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = 1<<20 + int64(i%16)
+		for _, n := range nets {
+			if _, err := Run(n, cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -15,12 +15,3 @@ func ExampleRun() {
 	fmt.Printf("coverage %.0f%% with %d patterns\n", res.Coverage*100, res.Patterns.N)
 	// Output: coverage 100% with 8 patterns
 }
-
-func ExampleDefectLevel() {
-	dl, err := atpg.DefectLevel(0.5, 0.95)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("yield 50%%, coverage 95%% → %.0f DPPM\n", atpg.DPPM(dl))
-	// Output: yield 50%, coverage 95% → 34064 DPPM
-}

@@ -89,6 +89,7 @@ type flow struct {
 	detBy   []int         // first-detection slots, parallel to live
 	dropBuf []int         // fsim.RunInto internal worklist
 	patBuf  []bool        // one-pattern bit buffer
+	fillRng *rand.Rand    // don't-care fill, reseeded per fault
 }
 
 // liveFaults rebuilds the live worklist (undetected faults and their global
@@ -162,6 +163,7 @@ func newFlow(n *circuit.Netlist, cfg Config) (*flow, error) {
 		res:      &Result{Circuit: n.Name, TotalFaults: len(faults)},
 		patterns: logic.NewPatternSet(len(n.PIs), 0),
 		patBuf:   make([]bool, len(n.PIs)),
+		fillRng:  rand.New(rand.NewSource(0)),
 		live:     make([]fault.Fault, 0, len(faults)),
 		liveIdx:  make([]int, 0, len(faults)),
 		detBy:    make([]int, 0, len(faults)),
@@ -213,9 +215,7 @@ func (f *flow) randomPhase() {
 		stall = 0
 		remaining -= newDet
 		f.res.RandomPhase += newDet
-		for k := 0; k < block.N; k++ {
-			f.patterns.Append(block.PatternInto(k, f.patBuf))
-		}
+		f.patterns.AppendSet(block)
 	}
 }
 
@@ -228,19 +228,25 @@ func (f *flow) fillSeed(fi int) int64 {
 	return parallel.SplitSeed(f.cfg.Seed, int64(fi))
 }
 
-// fillCube turns a test cube into a pattern, filling its X bits from rng.
+// fillCube turns a test cube into a new pattern, filling its X bits from rng.
 func fillCube(cube []logic.V, rng *rand.Rand) []bool {
-	bits := make([]bool, len(cube))
+	return fillCubeInto(make([]bool, len(cube)), cube, rng)
+}
+
+// fillCubeInto is fillCube writing into dst, which must have the cube's
+// length.
+func fillCubeInto(dst []bool, cube []logic.V, rng *rand.Rand) []bool {
 	for i, v := range cube {
 		switch v {
 		case logic.V1:
-			bits[i] = true
-		case logic.V0: // bits[i] is already false
+			dst[i] = true
+		case logic.V0:
+			dst[i] = false
 		default:
-			bits[i] = rng.Intn(2) == 1
+			dst[i] = rng.Intn(2) == 1
 		}
 	}
-	return bits
+	return dst
 }
 
 // compact keeps patterns, sweeping in reverse order, that detect at least
@@ -249,12 +255,12 @@ func fillCube(cube []logic.V, rng *rand.Rand) []bool {
 // with the block's first-detection indices: a pattern survives iff some
 // fault's first detection in the reversed order lands on it — exactly the
 // serial one-pattern-at-a-time dropping rule, so the kept set is
-// independent of blockCap.
+// independent of blockCap. Blocks and the kept set are built with word
+// moves; the per-pattern reference lives with the oracle tests.
 func (f *flow) compact(blockCap int) *logic.PatternSet {
 	p := f.patterns
 	detected := make([]bool, len(f.faults))
 	block := logic.NewPatternSet(p.Inputs, 0)
-	slotPat := make([]int, 0, blockCap) // block slot -> original pattern index
 	keep := make([]bool, p.N)
 	live := make([]fault.Fault, 0, len(f.faults))
 	liveIdx := make([]int, 0, len(f.faults))
@@ -270,11 +276,9 @@ func (f *flow) compact(blockCap int) *logic.PatternSet {
 			break
 		}
 		block.Reset()
-		slotPat = slotPat[:0]
-		for ; k >= 0 && block.N < blockCap; k-- {
-			slotPat = append(slotPat, k)
-			block.Append(p.PatternInto(k, f.patBuf))
-		}
+		last := k
+		block.AppendReversed(p, last, min(blockCap, last+1)) // slot d holds pattern last-d
+		k -= block.N
 		if cap(f.detBy) < len(live) {
 			f.detBy = make([]int, len(live))
 		}
@@ -283,16 +287,18 @@ func (f *flow) compact(blockCap int) *logic.PatternSet {
 		for i, d := range f.detBy {
 			if d >= 0 {
 				detected[liveIdx[i]] = true
-				keep[slotPat[d]] = true
+				keep[last-d] = true
 			}
 		}
 	}
-	out := logic.NewPatternSet(p.Inputs, 0)
-	for k := 0; k < p.N; k++ {
-		if keep[k] {
-			out.Append(p.PatternInto(k, f.patBuf))
+	var kept []int
+	for k, kp := range keep {
+		if kp {
+			kept = append(kept, k)
 		}
 	}
+	out := logic.NewPatternSet(p.Inputs, 0)
+	out.AppendGather(p, kept)
 	return out
 }
 

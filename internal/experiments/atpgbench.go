@@ -16,7 +16,7 @@ import (
 )
 
 // ATPGBenchRow is one circuit of the ATPG benchmark trajectory, serialized
-// into BENCH_atpg.json: the outcome and the timed deterministic phase of a
+// into BENCH_atpg.json: the outcome and the timed phases of a
 // deterministic-only run.
 type ATPGBenchRow struct {
 	Circuit    string  `json:"circuit"`
@@ -29,11 +29,12 @@ type ATPGBenchRow struct {
 	GenNs      float64 `json:"gen_ns"`     // PODEM generation + fill
 	DropNs     float64 `json:"drop_ns"`    // block dropping and probes
 	DetMs      float64 `json:"det_ms"`     // deterministic phase, gen + drop
+	RestNs     float64 `json:"rest_ns"`    // the rest of Runtime: set-up, compaction, final sweep
 }
 
 // ATPGBench is the top-level document of BENCH_atpg.json.
 type ATPGBench struct {
-	Schema    string         `json:"schema"` // "itr-atpg-bench/v2"
+	Schema    string         `json:"schema"` // "itr-atpg-bench/v3"
 	Generated string         `json:"generated"`
 	GoVersion string         `json:"go_version"`
 	Workers   int            `json:"workers"`
@@ -104,16 +105,16 @@ func atpgBenchCases(cfg Config, benchDir string) ([]atpgBenchCase, error) {
 	return cases, nil
 }
 
-// RunATPGBench measures the deterministic ATPG phase on the anchor
-// netlists under benchDir and the generated tiers, and returns the
-// machine-readable document.
+// RunATPGBench measures the deterministic ATPG phase, and the rest of the
+// run around it, on the anchor netlists under benchDir and the generated
+// tiers, and returns the machine-readable document.
 func RunATPGBench(cfg Config, benchDir string) (*ATPGBench, error) {
 	cases, err := atpgBenchCases(cfg, benchDir)
 	if err != nil {
 		return nil, err
 	}
 	doc := &ATPGBench{
-		Schema:    "itr-atpg-bench/v2",
+		Schema:    "itr-atpg-bench/v3",
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		Workers:   parallel.Workers(cfg.Workers),
@@ -121,7 +122,7 @@ func RunATPGBench(cfg Config, benchDir string) (*ATPGBench, error) {
 		Quick:     cfg.Quick,
 	}
 	tw := cfg.table()
-	fmt.Fprintf(tw, "circuit\tsource\tgates\tfaults\tpatterns\tcoverage\tgen\tdrop\tdet\n")
+	fmt.Fprintf(tw, "circuit\tsource\tgates\tfaults\tpatterns\tcoverage\tgen\tdrop\tdet\trest\n")
 	for _, bc := range cases {
 		acfg := atpg.DefaultConfig()
 		acfg.Seed = cfg.Seed
@@ -148,11 +149,12 @@ func RunATPGBench(cfg Config, benchDir string) (*ATPGBench, error) {
 			GenNs:      float64(res.GenTime.Nanoseconds()),
 			DropNs:     float64(res.DropTime.Nanoseconds()),
 			DetMs:      float64(res.GenTime+res.DropTime) / float64(time.Millisecond),
+			RestNs:     float64((res.Runtime - res.GenTime - res.DropTime).Nanoseconds()),
 		}
 		doc.Rows = append(doc.Rows, row)
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%.2f%%\t%.2fms\t%.2fms\t%.2fms\n",
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%.2f%%\t%.2fms\t%.2fms\t%.2fms\t%.2fms\n",
 			row.Circuit, row.Source, row.Gates, row.Faults, row.Patterns, row.Coverage*100,
-			row.GenNs/1e6, row.DropNs/1e6, row.DetMs)
+			row.GenNs/1e6, row.DropNs/1e6, row.DetMs, row.RestNs/1e6)
 	}
 	return doc, tw.Flush()
 }

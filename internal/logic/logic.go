@@ -245,6 +245,142 @@ func (p *PatternSet) PatternInto(n int, out []bool) []bool {
 	return out
 }
 
+// The word-level moves below append whole 64-pattern words instead of one
+// bit per input per pattern. In the bit-sliced layout, moving one pattern
+// bit by bit touches a different row, and so a different cache line, for
+// every input; a word move touches each row once per 64 patterns. Each
+// move leaves the bits above N zero. The source q must not be p itself.
+
+// AppendSet appends every pattern of q, in order, to p: one word per
+// input per 64 patterns, shifted into place when p.N is not a multiple of
+// 64.
+func (p *PatternSet) AppendSet(q *PatternSet) {
+	p.checkInputs(q)
+	off := p.grow(q.N)
+	if q.N == 0 {
+		return
+	}
+	qw := q.Words()
+	tail := q.TailMask(qw - 1)
+	for i, src := range q.Bits {
+		for w, x := range src[:qw] {
+			if w == qw-1 {
+				x &= tail
+			}
+			orWordAt(p.Bits[i], off+w*WordBits, x)
+		}
+	}
+}
+
+// AppendReversed appends q's patterns last, last-1, ..., last-n+1 to p, in
+// that order.
+func (p *PatternSet) AppendReversed(q *PatternSet, last, n int) {
+	p.checkInputs(q)
+	if n < 0 || n > 0 && (last >= q.N || n > last+1) {
+		panic(fmt.Sprintf("logic: reversed range of %d ending at %d outside %d patterns", n, last, q.N))
+	}
+	off := p.grow(n)
+	if n == 0 {
+		return
+	}
+	for i, src := range q.Bits {
+		dst := p.Bits[i]
+		for j := 0; j < n; j += WordBits {
+			x := reversedWindow(src, last-j)
+			if c := n - j; c < WordBits {
+				x &= Word(1)<<uint(c) - 1
+			}
+			orWordAt(dst, off+j, x)
+		}
+	}
+}
+
+// reversedWindow returns the 64 patterns of row ending at pattern e, latest
+// first: bit t holds pattern e-t, and is zero where e-t < 0.
+func reversedWindow(row []Word, e int) Word {
+	s := e - (WordBits - 1)
+	if s < 0 {
+		return bits.Reverse64(row[0] << uint(-s))
+	}
+	w, sh := s/WordBits, uint(s%WordBits)
+	x := row[w] >> sh
+	if sh != 0 {
+		x |= row[w+1] << (WordBits - sh)
+	}
+	return bits.Reverse64(x)
+}
+
+// AppendGather appends q's patterns idx[0], idx[1], ... to p, in that
+// order, walking each input row once.
+func (p *PatternSet) AppendGather(q *PatternSet, idx []int) {
+	p.checkInputs(q)
+	for _, k := range idx {
+		if k < 0 || k >= q.N {
+			panic(fmt.Sprintf("logic: gather index %d outside %d patterns", k, q.N))
+		}
+	}
+	off := p.grow(len(idx))
+	if len(idx) == 0 {
+		return
+	}
+	for i, src := range q.Bits {
+		dst := p.Bits[i]
+		for t, k := range idx {
+			pos := off + t
+			dst[pos/WordBits] |= (src[k/WordBits] >> uint(k%WordBits) & 1) << uint(pos%WordBits)
+		}
+	}
+}
+
+// checkInputs panics unless q has p's number of inputs, as Append does for
+// a pattern of the wrong width.
+func (p *PatternSet) checkInputs(q *PatternSet) {
+	if q.Inputs != p.Inputs || len(q.Bits) != len(p.Bits) {
+		panic(fmt.Sprintf("logic: pattern set inputs %d != inputs %d", q.Inputs, p.Inputs))
+	}
+}
+
+// grow makes room for n more patterns and returns the index of the first.
+// The new words and the bits above the old N in the old last word are
+// zeroed, so the moves can OR the new patterns in. When a row runs out of
+// capacity, every row moves to one shared backing of twice the words.
+func (p *PatternSet) grow(n int) int {
+	off := p.N
+	p.N += n
+	words := p.Words()
+	for _, row := range p.Bits {
+		if cap(row) < words {
+			c := max(words, 2*cap(row))
+			backing := make([]Word, len(p.Bits)*c)
+			for i, r := range p.Bits {
+				p.Bits[i] = backing[i*c : i*c+len(r) : (i+1)*c]
+				copy(p.Bits[i], r)
+			}
+			break
+		}
+	}
+	for i, row := range p.Bits {
+		if b := uint(off % WordBits); b != 0 {
+			row[off/WordBits] &= Word(1)<<b - 1
+		}
+		old := len(row)
+		row = row[:words]
+		clear(row[old:])
+		p.Bits[i] = row
+	}
+	return off
+}
+
+// orWordAt ORs the 64 patterns of x into row starting at pattern pos. Bits
+// of x that would land past the end of row must be zero.
+func orWordAt(row []Word, pos int, x Word) {
+	w, b := pos/WordBits, uint(pos%WordBits)
+	row[w] |= x << b
+	if b != 0 && w+1 < len(row) {
+		row[w+1] |= x >> (WordBits - b)
+	}
+}
+
 // Clone returns a deep copy of the pattern set.
 func (p *PatternSet) Clone() *PatternSet {
 	q := NewPatternSet(p.Inputs, p.N)

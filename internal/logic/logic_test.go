@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -366,4 +367,199 @@ func BenchmarkFiveValuedAnd(b *testing.B) {
 		sink = And(allV[i%5], allV[(i+1)%5])
 	}
 	_ = sink
+}
+
+// garbageSet returns a set of n patterns whose words, including the bits
+// above N, are random. With reuse, it is a larger random set that was Reset
+// and refilled one pattern at a time, so stale words sit past its rows'
+// lengths in their backing.
+func garbageSet(rng *rand.Rand, inputs, n int, reuse bool) *PatternSet {
+	if !reuse {
+		p := NewPatternSet(inputs, n)
+		for _, row := range p.Bits {
+			for w := range row {
+				row[w] = rng.Uint64()
+			}
+		}
+		return p
+	}
+	p := NewPatternSet(inputs, n+WordBits+rng.Intn(3*WordBits))
+	for _, row := range p.Bits {
+		for w := range row {
+			row[w] = rng.Uint64()
+		}
+	}
+	p.Reset()
+	bits := make([]bool, inputs)
+	for k := 0; k < n; k++ {
+		for i := range bits {
+			bits[i] = rng.Intn(2) == 1
+		}
+		p.Append(bits)
+	}
+	return p
+}
+
+// refMove is the per-bit reference for every word-level move: a copy of
+// dst's valid bits, then src's patterns order[0], order[1], ... appended
+// one at a time through Get and Set.
+func refMove(dst, src *PatternSet, order []int) *PatternSet {
+	ref := NewPatternSet(dst.Inputs, dst.N)
+	for k := 0; k < dst.N; k++ {
+		for i := 0; i < dst.Inputs; i++ {
+			ref.Set(k, i, dst.Get(k, i))
+		}
+	}
+	for _, k := range order {
+		ref.Append(src.Pattern(k))
+	}
+	return ref
+}
+
+// sameMove reports how got differs from the per-bit reference, or "" if it
+// holds the same patterns, as many words per row as it needs, and no bits
+// above N.
+func sameMove(got, want *PatternSet) string {
+	if got.N != want.N || got.Inputs != want.Inputs {
+		return fmt.Sprintf("dims (%d,%d), want (%d,%d)", got.Inputs, got.N, want.Inputs, want.N)
+	}
+	for i, row := range got.Bits {
+		if len(row) != got.Words() {
+			return fmt.Sprintf("input %d: %d words, want %d", i, len(row), got.Words())
+		}
+		if w := len(row) - 1; w >= 0 && row[w]&^got.TailMask(w) != 0 {
+			return fmt.Sprintf("input %d: bits above N set: %x", i, row[w]&^got.TailMask(w))
+		}
+		for k := 0; k < got.N; k++ {
+			if got.Get(k, i) != want.Get(k, i) {
+				return fmt.Sprintf("input %d pattern %d: %v, want %v", i, k, got.Get(k, i), want.Get(k, i))
+			}
+		}
+	}
+	return ""
+}
+
+// checkMoves runs AppendSet, AppendReversed and AppendGather from a random
+// source of srcN patterns onto a random destination of dstN patterns and
+// compares each with the per-bit reference. With mismatch, the source has
+// one input more and every move must panic, as Append does.
+func checkMoves(t testing.TB, inputs, dstN, srcN int, seed int64, reuse, mismatch bool) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	srcInputs := inputs
+	if mismatch {
+		srcInputs++
+	}
+	src := garbageSet(rng, srcInputs, srcN, reuse)
+	last, n := -1, 0
+	if srcN > 0 {
+		last = rng.Intn(srcN)
+		n = rng.Intn(last + 2)
+	}
+	var idx []int
+	if srcN > 0 {
+		idx = make([]int, rng.Intn(srcN+8))
+		for t := range idx {
+			idx[t] = rng.Intn(srcN)
+		}
+	}
+	reversed := make([]int, n)
+	for j := range reversed {
+		reversed[j] = last - j
+	}
+	all := make([]int, srcN)
+	for k := range all {
+		all[k] = k
+	}
+	moves := []struct {
+		name  string
+		order []int
+		move  func(p *PatternSet)
+	}{
+		{"AppendSet", all, func(p *PatternSet) { p.AppendSet(src) }},
+		{"AppendReversed", reversed, func(p *PatternSet) { p.AppendReversed(src, max(last, 0), n) }},
+		{"AppendGather", idx, func(p *PatternSet) { p.AppendGather(src, idx) }},
+	}
+	for _, m := range moves {
+		dst := garbageSet(rng, inputs, dstN, reuse)
+		label := fmt.Sprintf("%s inputs=%d dstN=%d srcN=%d seed=%d reuse=%v", m.name, inputs, dstN, srcN, seed, reuse)
+		if mismatch {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: inputs %d onto %d did not panic", label, srcInputs, inputs)
+					}
+				}()
+				m.move(dst)
+			}()
+			continue
+		}
+		want := refMove(dst, src, m.order)
+		m.move(dst)
+		if diff := sameMove(dst, want); diff != "" {
+			t.Fatalf("%s: %s", label, diff)
+		}
+	}
+}
+
+// TestPatternSetMoves compares the word-level moves with the per-bit
+// reference on the edges of the word layout: empty sets, exact multiples
+// of 64 and one either side, zero inputs, stale bits above N and stale
+// words left by Reset.
+func TestPatternSetMoves(t *testing.T) {
+	seed := int64(0)
+	for _, inputs := range []int{0, 1, 3, 64, 70} {
+		for _, dstN := range []int{0, 1, 63, 64, 65, 127, 128, 130} {
+			for _, srcN := range []int{0, 1, 63, 64, 65, 128, 129, 200} {
+				for _, reuse := range []bool{false, true} {
+					seed++
+					checkMoves(t, inputs, dstN, srcN, seed, reuse, false)
+				}
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	for r := 0; r < 300; r++ {
+		checkMoves(t, rng.Intn(71), rng.Intn(131), rng.Intn(201), rng.Int63(), rng.Intn(2) == 1, false)
+	}
+	for _, inputs := range []int{0, 5, 64} {
+		checkMoves(t, inputs, 7, 70, 1, false, true)
+	}
+}
+
+// TestPatternSetMovesPanic pins the argument checks of the ranged moves.
+func TestPatternSetMovesPanic(t *testing.T) {
+	src := NewPatternSet(4, 10)
+	for name, move := range map[string]func(p *PatternSet){
+		"last past N":         func(p *PatternSet) { p.AppendReversed(src, 10, 1) },
+		"range before 0":      func(p *PatternSet) { p.AppendReversed(src, 3, 5) },
+		"negative count":      func(p *PatternSet) { p.AppendReversed(src, 3, -1) },
+		"gather index past N": func(p *PatternSet) { p.AppendGather(src, []int{0, 10}) },
+		"negative index":      func(p *PatternSet) { p.AppendGather(src, []int{-1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			move(NewPatternSet(4, 3))
+		}()
+	}
+}
+
+// FuzzPatternSetMoves compares the word-level moves with the per-bit
+// reference on arbitrary shapes: 0-70 inputs, destination offsets 0-130,
+// sources of 0-200 patterns, optionally reused after Reset or with a
+// mismatched input count.
+func FuzzPatternSetMoves(f *testing.F) {
+	f.Add(uint8(3), uint8(0), uint8(64), int64(1), uint8(0))
+	f.Add(uint8(70), uint8(64), uint8(128), int64(2), uint8(1))
+	f.Add(uint8(9), uint8(65), uint8(63), int64(3), uint8(1))
+	f.Add(uint8(1), uint8(130), uint8(200), int64(4), uint8(0))
+	f.Add(uint8(0), uint8(5), uint8(7), int64(5), uint8(0))
+	f.Add(uint8(12), uint8(33), uint8(99), int64(6), uint8(2))
+	f.Fuzz(func(t *testing.T, inputs, dstN, srcN uint8, seed int64, flags uint8) {
+		checkMoves(t, int(inputs)%71, int(dstN)%131, int(srcN)%201, seed, flags&1 != 0, flags&2 != 0)
+	})
 }
