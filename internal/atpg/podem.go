@@ -69,6 +69,10 @@ type Engine struct {
 	epoch         int64
 	stackBuf      []int32
 	front         []uint64 // implyPI frontier bitmap over topological positions
+	// piVals is the search's PI assignment, all-X between Generate calls;
+	// cube is the test cube Generate returns, overwritten by the next call.
+	piVals []logic.V
+	cube   []logic.V
 
 	// Incremental search state, maintained by evalGate so the per-decision
 	// O(gates) scans of the textbook loop disappear: dCount is the number of
@@ -116,6 +120,11 @@ func NewShared(c *circuit.Compiled, scoap *circuit.SCOAP) *Engine {
 		visit:        make([]int64, c.NumGates()),
 		front:        make([]uint64, (c.NumGates()+63)/64),
 		dfPos:        make([]int32, c.NumGates()),
+		piVals:       make([]logic.V, c.NumPIs()),
+		cube:         make([]logic.V, c.NumPIs()),
+	}
+	for i := range e.piVals {
+		e.piVals[i] = logic.VX
 	}
 	for i := range e.vals {
 		e.vals[i] = logic.VX // the resting all-X fixpoint Generate relies on
@@ -470,7 +479,9 @@ func (e *Engine) pickInput(p int, fanin []int32, want logic.V, allNeeded bool) i
 }
 
 // Generate runs PODEM for one fault. On Detected it returns the test cube
-// as five-valued PI assignments (VX = don't care).
+// as five-valued PI assignments (VX = don't care), nil otherwise. The cube
+// is engine-owned and valid until the next Generate; a caller that keeps it
+// across calls copies it.
 //
 // The engine enters with its value array at the all-X fixpoint — which is
 // identical under every fault injection, so no per-fault baseline
@@ -479,18 +490,14 @@ func (e *Engine) pickInput(p int, fanin []int32, want logic.V, allNeeded bool) i
 // state the search had dirtied.
 func (e *Engine) Generate(f fault.Fault) ([]logic.V, Status) {
 	e.faultPos, e.faultPin, e.faultSA = int(e.c.Tpos[f.Gate]), f.Pin, f.SA
-	piVals := make([]logic.V, len(e.Net.PIs))
-	for i := range piVals {
-		piVals[i] = logic.VX
-	}
+	piVals := e.piVals // all-X: every exit below unwinds its decisions
 	e.decisionStack = e.decisionStack[:0]
 	backtracks := 0
 	for {
 		if e.detected() {
-			out := make([]logic.V, len(piVals))
-			copy(out, piVals)
+			copy(e.cube, piVals)
 			e.unwind(piVals)
-			return out, Detected
+			return e.cube, Detected
 		}
 		gate, val, ok := e.objective()
 		var pi int

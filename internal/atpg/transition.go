@@ -68,6 +68,7 @@ func RunTransition(n *circuit.Netlist, cfg Config) (*TransitionResult, error) {
 	}
 
 	// Phase 2: deterministic pairs for the remaining faults.
+	capBuf := make([]logic.V, 0, len(n.PIs))
 	for fi, tf := range faults {
 		if detected[fi] {
 			continue
@@ -78,6 +79,7 @@ func RunTransition(n *circuit.Netlist, cfg Config) (*TransitionResult, error) {
 			sa = 0
 		}
 		capCube, capStatus := eng.Generate(fault.Fault{Gate: tf.Gate, Pin: -1, SA: sa})
+		capCube = append(capBuf[:0], capCube...) // the next Generate reuses the engine's cube
 		// Launch/init pattern: the opposite stuck-at test sets the site to
 		// the pre-transition value (its activation condition).
 		initCube, initStatus := eng.Generate(fault.Fault{Gate: tf.Gate, Pin: -1, SA: 1 - sa})

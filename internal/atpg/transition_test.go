@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -53,6 +54,7 @@ func runTransitionRef(n *circuit.Netlist, cfg Config) (*TransitionResult, error)
 			sa = 0
 		}
 		capCube, capStatus := eng.Generate(fault.Fault{Gate: tf.Gate, Pin: -1, SA: sa})
+		capCube = slices.Clone(capCube) // the next Generate reuses the engine's cube
 		initCube, initStatus := eng.Generate(fault.Fault{Gate: tf.Gate, Pin: -1, SA: 1 - sa})
 		if capStatus == Redundant || initStatus == Redundant {
 			res.Untestable++

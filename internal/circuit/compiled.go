@@ -43,6 +43,17 @@ type Compiled struct {
 	PosFanout []int32
 	PosKind   []GateType
 
+	// FFRStem partitions the positions into fanout-free regions (FFRs):
+	// trees whose every non-root position feeds exactly one pin of exactly
+	// one gate, so a value change inside a region can only reach the rest
+	// of the circuit through the region's root, its stem. A position is a
+	// stem if its fanout is not 1, if it is a PO, if it feeds its consumer
+	// on more than one pin, or if that consumer is an Input or DFF (a
+	// pseudo-PI that no fanin change reaches). FFRStem[p] is the stem of
+	// p's region, p itself at a stem; FFRNext derives p's consumer inside
+	// the region.
+	FFRStem []int32
+
 	// MaxFanin is the largest fanin count of any gate: the size of the
 	// per-gate gather scratch an evaluator needs.
 	MaxFanin int
@@ -123,7 +134,37 @@ func Compile(n *Netlist) (*Compiled, error) {
 	for i, po := range n.POs {
 		c.Pos[c.Tpos[po]].PO = int32(i)
 	}
+	c.buildFFRs()
 	return c, nil
+}
+
+// buildFFRs fills FFRStem. A fanout run lists a consumer once per pin it
+// reads (Levelize counts down fanin by it), so a position that feeds one
+// gate on two pins has fanout 2 and is a stem. Consumers sit at higher
+// positions, so one descending pass finds every stem before the positions
+// that lead to it.
+func (c *Compiled) buildFFRs() {
+	c.FFRStem = make([]int32, c.NumGates())
+	for p := len(c.FFRStem) - 1; p >= 0; p-- {
+		c.FFRStem[p] = int32(p)
+		fo := c.PosFanout[c.Pos[p].Out:c.Pos[p+1].Out]
+		if len(fo) != 1 || c.Pos[p].PO >= 0 {
+			continue
+		}
+		if t := c.PosKind[fo[0]]; t != Input && t != DFF {
+			c.FFRStem[p] = c.FFRStem[fo[0]]
+		}
+	}
+}
+
+// FFRNext returns position p's sole consumer inside its fanout-free
+// region, or -1 when p is a stem: a non-stem position has exactly one
+// fanout.
+func (c *Compiled) FFRNext(p int) int {
+	if int(c.FFRStem[p]) == p {
+		return -1
+	}
+	return int(c.PosFanout[c.Pos[p].Out])
 }
 
 // Compiled returns the netlist's compiled IR, building it on first use. The

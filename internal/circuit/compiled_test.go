@@ -6,12 +6,14 @@ import (
 )
 
 // TestCompiledMatchesNetlist cross-checks every table of the compiled IR
-// (Order, Tpos, the Pos* graph and MaxFanin) against the per-gate slices of
-// the netlist it was built from, and the PI-prefix invariant: position i is
-// PI i. It covers a generated netlist, the same netlist decoded by
-// UnmarshalNetlist, the s27 .bench netlist (three scan DFFs: pseudo-PIs
-// whose D-sources are pseudo-POs), and a scan netlist whose DFF is created
-// after a logic gate, so its gate ID is not its PI index.
+// (Order, Tpos, the Pos* graph, MaxFanin and the FFR stems) against the
+// per-gate slices of the netlist it was built from, and the PI-prefix
+// invariant: position i is PI i. It covers a generated netlist, the same
+// netlist decoded by UnmarshalNetlist, the s27 .bench netlist (three scan
+// DFFs: pseudo-PIs whose D-sources are pseudo-POs), a scan netlist whose
+// DFF is created after a logic gate, so its gate ID is not its PI index,
+// and a netlist that reads one net on two pins of a gate (the
+// repeated-fanin stem rule of the fanout-free regions).
 func TestCompiledMatchesNetlist(t *testing.T) {
 	gen := Random(16, 300, 11)
 	data, err := gen.MarshalBinary()
@@ -38,7 +40,16 @@ func TestCompiledMatchesNetlist(t *testing.T) {
 	if err := late.ConnectScanD("q", "n1"); err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []*Netlist{gen, decoded, scan, late} {
+	rep := New("repeated")
+	rep.MustAddGate("a", Input)
+	rep.MustAddGate("b", Input)
+	rep.MustAddGate("x", Nand, "a", "a", "b")
+	rep.MustAddGate("y", Not, "x")
+	rep.MustAddGate("z", Xor, "y", "b")
+	if err := rep.MarkOutput("z"); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []*Netlist{gen, decoded, scan, late, rep} {
 		checkCompiled(t, n)
 	}
 }
@@ -111,6 +122,49 @@ func checkCompiled(t *testing.T, n *Netlist) {
 	}
 	if c.MaxFanin != maxFanin {
 		t.Errorf("%s: MaxFanin %d, want %d", n.Name, c.MaxFanin, maxFanin)
+	}
+	checkFFRs(t, n, c, poIdx)
+}
+
+// checkFFRs recomputes the fanout-free regions from the netlist's per-gate
+// slices: a gate continues its region into its consumer only when it has
+// one fanout, is no PO, feeds that consumer on one pin and the consumer is
+// no pseudo-PI; the stem is where that chain ends.
+func checkFFRs(t *testing.T, n *Netlist, c *Compiled, poIdx map[int]int32) {
+	t.Helper()
+	next := func(id int) int {
+		g := n.Gates[id]
+		if _, po := poIdx[id]; po || len(g.Fanout) != 1 {
+			return -1
+		}
+		q := n.Gates[g.Fanout[0]]
+		pins := 0
+		for _, f := range q.Fanin {
+			if f == id {
+				pins++
+			}
+		}
+		if pins != 1 || q.Type == Input || q.Type == DFF {
+			return -1
+		}
+		return q.ID
+	}
+	if len(c.FFRStem) != len(n.Gates) {
+		t.Fatalf("%s FFR table: %d entries for %d gates", n.Name, len(c.FFRStem), len(n.Gates))
+	}
+	for _, g := range n.Gates {
+		p := int(c.Tpos[g.ID])
+		wantNext := -1
+		stem := g.ID
+		for q := next(g.ID); q >= 0; q = next(q) {
+			if stem == g.ID {
+				wantNext = int(c.Tpos[q])
+			}
+			stem = q
+		}
+		if c.FFRNext(p) != wantNext || c.FFRStem[p] != c.Tpos[stem] {
+			t.Errorf("%s: gate %q: FFRNext %d FFRStem %d, want %d %d", n.Name, g.Name, c.FFRNext(p), c.FFRStem[p], wantNext, c.Tpos[stem])
+		}
 	}
 }
 

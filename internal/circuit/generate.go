@@ -299,6 +299,9 @@ func Random(nIn, nGates int, seed int64) *Netlist {
 				fanin = 2
 			}
 		}
+		// Fanins are distinct signals, so a 3-input gate over only two
+		// signals (the first gate of a 2-PI circuit) takes both.
+		fanin = min(fanin, len(signals))
 		// Bias fanin selection toward recent signals to control depth while
 		// still creating reconvergence.
 		ins := make([]string, 0, fanin)

@@ -23,6 +23,7 @@ func FuzzRandomCircuit(f *testing.F) {
 	f.Add(8, 120, int64(7))
 	f.Add(6, 40, int64(-1))
 	f.Add(128, 3000, int64(42))
+	f.Add(0, 23, int64(42)) // 2 PIs, and the first gate draws 3 inputs
 	f.Fuzz(func(t *testing.T, nIn, nGates int, seed int64) {
 		// Clamp into the builder's documented domain; sizes beyond the
 		// 100k benchmark tier only cost fuzz time, not coverage.

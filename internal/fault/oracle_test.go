@@ -65,7 +65,8 @@ func poFanoutCircuit() *circuit.Netlist {
 
 // repeatedFaninCircuit has gates that read one net on several pins:
 // NAND(a,a,b) and XOR(c,b,c). Each pin is its own input branch, so a fault
-// on pin 0 must not leak onto pin 1.
+// on pin 0 must not leak onto pin 1, and a fault on c flips both XOR pins,
+// which cancel at the observed output y.
 func repeatedFaninCircuit() *circuit.Netlist {
 	n := circuit.New("repeated")
 	for _, in := range []string{"a", "b", "c"} {
@@ -74,7 +75,7 @@ func repeatedFaninCircuit() *circuit.Netlist {
 	n.MustAddGate("x", circuit.Nand, "a", "a", "b")
 	n.MustAddGate("y", circuit.Xor, "c", "b", "c")
 	n.MustAddGate("z", circuit.Nor, "x", "a", "y")
-	mustMarkOutputs(n, "x", "z")
+	mustMarkOutputs(n, "x", "y", "z")
 	return n
 }
 
@@ -180,11 +181,12 @@ func TestWideFaninMatchesFullResim(t *testing.T) {
 // TestEdgeCircuitsMatchFullResim pins the position-indexed walk on the
 // shapes where its tables can go wrong: pseudo-PI fault sites and a
 // D-source PO under full scan, POs with fanout, one net on several pins of
-// a gate (distinct branch faults), and a fanin wider than 8. Every
+// a gate (distinct branch faults), a fanin wider than 8, and a DFF with
+// structural fanin. Every
 // uncollapsed fault is checked, at a set narrower than the widest lane
 // group (100 patterns, 2 words) and at one wider than it (600, 10 words).
 func TestEdgeCircuitsMatchFullResim(t *testing.T) {
-	circuits := []*circuit.Netlist{scanCircuit(), poFanoutCircuit(), repeatedFaninCircuit(), wideFaninCircuit(9)}
+	circuits := []*circuit.Netlist{scanCircuit(), poFanoutCircuit(), repeatedFaninCircuit(), wideFaninCircuit(9), dffFaninCircuit()}
 	for _, c := range circuits {
 		faults := AllFaults(c)
 		for _, n := range []int{100, 600} {

@@ -31,14 +31,16 @@ func NormalizeWords(w int) int {
 	}
 }
 
-// Simulator performs serial-fault, parallel-pattern stuck-at fault
-// simulation (PPSFP): the good circuit is simulated once per pattern block,
-// then each live fault is injected and its structural fanout cone
-// re-evaluated event-driven — only gates reached by a live fault effect are
-// touched, and injection terminates as soon as the effect dies (every
-// faulty lane equals its good lane and nothing downstream can differ).
-// A fault is detected when any primary output differs from the good value
-// in any pattern bit.
+// Simulator performs parallel-pattern stuck-at fault simulation: the good
+// circuit is simulated once per pattern block, then fault effects are
+// injected and their structural fanout cones re-evaluated event-driven —
+// only gates reached by a live effect are touched, and a walk terminates as
+// soon as the effect dies (every faulty lane equals its good lane and
+// nothing downstream can differ). A fault is detected when any primary
+// output differs from the good value in any pattern bit. Drop mode (Run,
+// RunInto) walks once per fanout-free-region stem for all of the region's
+// live faults (see dropStage); Probe, the dictionary, transitions and
+// RunSerial walk once per fault (serial-fault PPSFP).
 //
 // The engine packs W = Words() 64-bit pattern words per gate (lanes), so a
 // single cone walk amortizes over up to W*64 patterns, and the live-effect
@@ -52,9 +54,10 @@ func NormalizeWords(w int) int {
 //
 // All graph structure (the position-indexed tables the walk reads) lives in
 // the shared immutable circuit.Compiled IR; a Simulator owns only its
-// mutable scratch (the value lanes, the frontier bitmap and the undo log),
-// so per-worker instances over one compiled graph are cheap — O(gates)
-// each, independent of circuit depth or cone sizes.
+// mutable scratch (the value lanes, the frontier bitmap, the undo log and
+// the drop pass's lane windows), so per-worker instances over one compiled
+// graph are cheap — O(gates) each, independent of circuit depth or cone
+// sizes.
 type Simulator struct {
 	Net *circuit.Netlist
 	c   *circuit.Compiled
@@ -91,6 +94,23 @@ type Simulator struct {
 	// faninBuf is the gather scratch of the hot loop: one window of the
 	// widest gate's fanin lanes, c.MaxFanin*w words.
 	faninBuf []logic.Word
+
+	// Drop-pass scratch (dropStage). Within a stage over act lanes, ffr
+	// holds one act-lane window per position: at a position inside a
+	// fanout-free region the memoized sensitization of its path to the
+	// region's stem, at a stem the union of its faults' reach and, after the
+	// stem walk, the lanes where that union is observed. ffrUsed marks the
+	// windows the stage wrote — memoized positions and stems to walk — so
+	// the stage can leave ffr and ffrUsed all zero; ffrDirty is set while a
+	// stage runs, so one that panicked is cleared by the next. chain is the
+	// backward pass's path stack.
+	ffr      []logic.Word
+	ffrDirty bool
+	ffrUsed  []uint64
+	chain    []int32
+	// sensSteps counts the gates whose side inputs the backward pass read;
+	// tests pin it next to gateEvals.
+	sensSteps int
 
 	// Staged-probe state (Stage/Probe): the lane count and tail masks of the
 	// pattern set whose good values currently occupy the value lanes, plus
@@ -130,6 +150,7 @@ func NewSimulatorCompiledWords(c *circuit.Compiled, words int) *Simulator {
 		w:        w,
 		front:    make([]uint64, (c.NumGates()+63)/64),
 		faninBuf: make([]logic.Word, c.MaxFanin*w),
+		ffrUsed:  make([]uint64, (c.NumGates()+63)/64),
 	}
 }
 
@@ -158,23 +179,78 @@ func (s *Simulator) detectWord(f Fault, mask logic.Word, perPO []logic.Word) log
 // every window lane l it OR-accumulates the masked PO difference word into
 // diff[l]. When perPO is non-nil, per-PO difference lanes are accumulated
 // at perPO[po*W+lo+l] and the indices of the touched POs are returned (the
-// caller owns clearing them — detectLanes never zeroes perPO).
+// caller owns clearing them — detectLanes never zeroes perPO). It is the
+// per-fault form of the engine: the fault site's faulty lanes (siteLanes)
+// fed to the walk kernel (walk).
+func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, perPO []logic.Word) []int32 {
+	var v [MaxWords]logic.Word
+	site := s.siteLanes(f, lo, act, v[:act])
+	s.gateEvals++ // the fault site
+	return s.walk(site, v[:act], lo, act, masks, diff, perPO)
+}
+
+// siteLanes writes the faulty value of fault f's site gate over the lane
+// window [lo, lo+act) into v and returns the site's position: the stuck
+// value for a stem fault, the gate re-evaluated with the stuck value on its
+// pin for a branch fault, and the good value for a branch fault on a
+// pseudo-PI (Input/DFF), which no fanin reaches.
+func (s *Simulator) siteLanes(f Fault, lo, act int, v []logic.Word) int {
+	c := s.c
+	S := s.good.W
+	vals := s.good.Values()
+	site := int(c.Tpos[f.Gate])
+	var force logic.Word
+	if f.SA == 1 {
+		force = ^logic.Word(0)
+	}
+	sbase := site*S + lo
+	switch t := c.PosKind[site]; {
+	case f.Pin < 0:
+		for l := range v {
+			v[l] = force
+		}
+	case t == circuit.Input || t == circuit.DFF:
+		copy(v, vals[sbase:sbase+act])
+	default:
+		fanin := c.PosFanin[c.Pos[site].In:c.Pos[site+1].In]
+		in := s.faninBuf[:len(fanin)*act]
+		for pin, fp := range fanin {
+			ib := pin * act
+			if pin == f.Pin {
+				for l := 0; l < act; l++ {
+					in[ib+l] = force
+				}
+			} else {
+				fb := int(fp)*S + lo
+				copy(in[ib:ib+act], vals[fb:fb+act])
+			}
+		}
+		sim.EvalLanes(t, in, len(fanin), act, v)
+	}
+	return site
+}
+
+// walk is the event-driven kernel shared by every fault path: it sets
+// position site to the lanes v over the window [lo, lo+act) and propagates
+// the change, OR-accumulating the masked PO differences into diff (and
+// perPO, as detectLanes describes). A per-fault caller passes the fault
+// site's faulty lanes; the drop pass passes a stem with its faults' reach
+// flipped.
 //
 // The walk runs in topological-position space: it reads only the
 // position-indexed tables of the compiled IR (Pos, PosFanin, PosFanout,
 // PosKind) and the position-indexed good values, so an event costs no
 // gate-ID to position translation and touches a value buffer only as wide
-// as the lanes simulated. The fault's gate ID is translated once, at the
-// site. The work-list is a frontier bitmap over positions: evaluating a
-// gate whose lanes differ from the good lanes sets the bits of its
-// fanouts, and the walk consumes set bits in increasing position (fanouts
-// always sit at strictly higher positions, so each gate is evaluated at
-// most once, after all of its faulty fanins). Only gates actually fed by a
-// live fault effect are ever visited, and the walk terminates exactly when
-// the effect has died in every lane — an empty frontier is the all-lanes-
-// dead early exit. The bitmap is self-clearing (each consumed bit is
-// cleared before its gate is processed), so the scratch never needs a bulk
-// reset between faults.
+// as the lanes simulated. The work-list is a frontier bitmap over
+// positions: evaluating a gate whose lanes differ from the good lanes sets
+// the bits of its fanouts, and the walk consumes set bits in increasing
+// position (fanouts always sit at strictly higher positions, so each gate
+// is evaluated at most once, after all of its faulty fanins). Only gates
+// actually fed by a live effect are ever visited, and the walk terminates
+// exactly when the effect has died in every lane — an empty frontier is the
+// all-lanes-dead early exit. The bitmap is self-clearing (each consumed bit
+// is cleared before its gate is processed), so the scratch never needs a
+// bulk reset between walks.
 //
 // Faulty lanes are patched directly into the good-value buffer and logged
 // in the undo list; the walk epilogue replays the log to restore the good
@@ -183,9 +259,9 @@ func (s *Simulator) detectWord(f Fault, mask logic.Word, perPO []logic.Word) log
 //
 // act == 1 takes a specialized scalar path with the gate evaluation fused
 // into the fanin loads: the drop-mode Run stages lane 0 of every block
-// through it as a cheap filter before packing the surviving lanes into one
-// multi-lane walk.
-func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, perPO []logic.Word) []int32 {
+// through it as a cheap filter before the remaining lanes are walked
+// packed.
+func (s *Simulator) walk(site int, v []logic.Word, lo, act int, masks, diff []logic.Word, perPO []logic.Word) []int32 {
 	c := s.c
 	W := s.w
 	S := s.good.W
@@ -195,40 +271,18 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 	dirty := s.dirty[:0]
 	undoIdx := s.undoIdx[:0]
 	undoVal := s.undoVal[:0]
-	var force logic.Word
-	if f.SA == 1 {
-		force = ^logic.Word(0)
-	}
-	site := int(c.Tpos[f.Gate])
 	maxW := -1
-	evals := 1 // the fault site
+	evals := 0
 
 	if act == 1 {
 		// Scalar fast path: one lane, evaluation fused into the loads.
 		mask := masks[0]
 		var d0 logic.Word
 		sbase := site*S + lo
-		var v logic.Word
-		if t := kind[site]; f.Pin < 0 {
-			v = force // stem fault on the site output
-		} else if t == circuit.Input || t == circuit.DFF {
-			v = vals[sbase] // pseudo-PIs have no evaluable fanin
-		} else {
-			fanin := c.PosFanin[pos[site].In:pos[site+1].In]
-			in := s.faninBuf[:len(fanin)]
-			for pin, fp := range fanin {
-				if pin == f.Pin {
-					in[pin] = force // input-branch fault
-				} else {
-					in[pin] = vals[int(fp)*S+lo]
-				}
-			}
-			v = sim.Eval(t, in)
-		}
-		if d := v ^ vals[sbase]; d != 0 {
+		if d := v[0] ^ vals[sbase]; d != 0 {
 			undoIdx = append(undoIdx, int32(sbase))
 			undoVal = append(undoVal, vals[sbase])
-			vals[sbase] = v
+			vals[sbase] = v[0]
 			for _, fp := range c.PosFanout[pos[site].Out:pos[site+1].Out] {
 				bm[fp>>6] |= 1 << uint(fp&63)
 				maxW = max(maxW, int(fp>>6))
@@ -307,7 +361,7 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 				}
 			}
 		}
-		diff[0] = d0
+		diff[0] |= d0
 		for k, bi := range undoIdx {
 			vals[bi] = undoVal[k]
 		}
@@ -321,30 +375,6 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 	// buffer, so gathers and undo snapshots are plain copies.
 	faninBuf := s.faninBuf
 	var vbuf, dbuf [MaxWords]logic.Word
-	sbase := site*S + lo
-	v := vbuf[:act]
-	if t := kind[site]; f.Pin < 0 {
-		for l := 0; l < act; l++ {
-			v[l] = force
-		}
-	} else if t == circuit.Input || t == circuit.DFF {
-		copy(v, vals[sbase:sbase+act])
-	} else {
-		fanin := c.PosFanin[pos[site].In:pos[site+1].In]
-		in := faninBuf[:len(fanin)*act]
-		for pin, fp := range fanin {
-			ib := pin * act
-			if pin == f.Pin {
-				for l := 0; l < act; l++ {
-					in[ib+l] = force
-				}
-			} else {
-				fb := int(fp)*S + lo
-				copy(in[ib:ib+act], vals[fb:fb+act])
-			}
-		}
-		sim.EvalLanes(t, in, len(fanin), act, v)
-	}
 	commit := func(p, base int, v []logic.Word) {
 		var any logic.Word
 		d := dbuf[:act]
@@ -386,7 +416,7 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 			}
 		}
 	}
-	commit(site, sbase, v)
+	commit(site, site*S+lo, v)
 	for w := site >> 6; w <= maxW; w++ {
 		for bm[w] != 0 {
 			b := bits.TrailingZeros64(bm[w])
@@ -429,12 +459,14 @@ type Result struct {
 // dropping and returns detection results. Faults are not mutated. The
 // pattern words are processed Words() lanes at a time, with the good-value
 // simulation amortized over the whole block. Within a block, lane 0 is
-// staged first through the scalar walk: on random patterns the majority of
+// dropped first through the scalar walk: on random patterns the majority of
 // detectable faults fall in the first 64 patterns, and a detected fault
 // never needs its remaining lanes, so the cheap lane filters the fault list
-// before one packed multi-lane walk covers lanes 1..act-1 for the
-// survivors — the faults that were going to need every lane anyway.
-// Detection indices and coverage are bit-identical for every lane width.
+// before one packed multi-lane pass covers lanes 1..act-1 for the
+// survivors — the faults that were going to need every lane anyway. Each
+// stage drops by fanout-free region (dropStage): one walk per region stem,
+// not one per fault. Detection indices and coverage are bit-identical for
+// every lane width.
 func (s *Simulator) Run(p *logic.PatternSet, faults []Fault) *Result {
 	res := &Result{Total: len(faults), DetectedBy: make([]int, len(faults))}
 	res.Detected = s.RunInto(p, faults, res.DetectedBy, nil)
@@ -480,7 +512,7 @@ func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, li
 		live = append(live, i)
 	}
 	W := s.w
-	var masks, diff [MaxWords]logic.Word
+	var masks [MaxWords]logic.Word
 	words := p.Words()
 	for base := 0; base < words && len(live) > 0; base += W {
 		act := W
@@ -495,48 +527,237 @@ func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, li
 			masks[l] = p.TailMask(base + l)
 		}
 		// Stage 1: lane 0 as a scalar filter.
-		kept := live[:0]
-		for _, fi := range live {
-			diff[0] = 0
-			s.detectLanes(faults[fi], 0, 1, masks[:1], diff[:1], nil)
-			if diff[0] != 0 {
-				detBy[fi] = base*logic.WordBits + bits.TrailingZeros64(diff[0])
-				detected++
-			} else {
-				kept = append(kept, fi)
-			}
-		}
-		live = kept
-		// Stage 2: one packed walk over the remaining lanes for survivors.
+		var d int
+		live, d = s.dropStage(faults, live, base, 0, 1, masks[:1], detBy)
+		detected += d
+		// Stage 2: one packed pass over the remaining lanes for survivors.
 		if act > 1 && len(live) > 0 {
-			kept = live[:0]
-			for _, fi := range live {
-				for l := 1; l < act; l++ {
-					diff[l] = 0
-				}
-				s.detectLanes(faults[fi], 1, act-1, masks[1:act], diff[1:act], nil)
-				det := -1
-				for l := 1; l < act; l++ {
-					if diff[l] != 0 {
-						// First detecting pattern = lowest set bit of the first live lane.
-						det = (base+l)*logic.WordBits + bits.TrailingZeros64(diff[l])
-						break
-					}
-				}
-				if det >= 0 {
-					detBy[fi] = det
-					detected++
-				} else {
-					kept = append(kept, fi)
-				}
-			}
-			live = kept
+			live, d = s.dropStage(faults, live, base, 1, act-1, masks[1:act], detBy)
+			detected += d
 		}
 	}
 	if words <= W {
 		s.goodAct = memo
 	}
 	return detected
+}
+
+// dropStage drops the live faults over the lane window [lo, lo+act) of the
+// pattern block at word base, by fanout-free region (FFR) instead of one
+// walk per fault. For each live fault it computes reach, the lanes in which
+// the fault flips its region's stem: the fault's activation (the good value
+// XOR the stuck value, read at the driver of a branch fault) & the
+// sensitization of its path to the stem & the tail masks. It ORs reach into
+// the stem's union, walks each stem with a non-zero union once, injecting
+// the good value XOR the union, and a fault's detected lanes are then its
+// reach & the lanes the stem walk observed. This is exact: inside a region
+// exactly one input of each gate on the path differs, so a gate passes the
+// change iff its side inputs are non-controlling; and lanes are
+// independent, so whether a flip of the stem is observed in a lane does not
+// depend on which other lanes are flipped. Injecting only the union keeps a
+// stem walk as short as its faults' own effects.
+//
+// Each detected fault's first detecting pattern goes to detBy; the survivors
+// are compacted in place at the front of live and returned with the number
+// detected.
+func (s *Simulator) dropStage(faults []Fault, live []int, base, lo, act int, masks []logic.Word, detBy []int) ([]int, int) {
+	S := s.good.W
+	vals := s.good.Values()
+	if s.ffrDirty {
+		clear(s.ffr)
+		clear(s.ffrUsed)
+	}
+	if n := s.c.NumGates() * act; len(s.ffr) < n {
+		s.ffr = make([]logic.Word, n)
+	}
+	s.ffrDirty = true
+	ffr, used, stem := s.ffr, s.ffrUsed, s.c.FFRStem
+	var r [MaxWords]logic.Word
+	for _, fi := range live {
+		st := s.reach(faults[fi], lo, act, masks, r[:act])
+		if st < 0 {
+			continue
+		}
+		u := ffr[st*act : st*act+act]
+		for l := range u {
+			u[l] |= r[l]
+		}
+		used[st>>6] |= 1 << uint(st&63)
+	}
+	// The tail masks enter once, through reach: a stem walk flips only
+	// lanes of the union, so its PO differences need no mask.
+	var v, ones [MaxWords]logic.Word
+	for l := range ones {
+		ones[l] = ^logic.Word(0)
+	}
+	for w, bm := range used {
+		for ; bm != 0; bm &= bm - 1 {
+			st := w<<6 | bits.TrailingZeros64(bm)
+			if int(stem[st]) != st {
+				continue // a memoized sensitization, not a union
+			}
+			b := st*S + lo
+			u := ffr[st*act : st*act+act]
+			for l := range u {
+				v[l] = vals[b+l] ^ u[l]
+				u[l] = 0
+			}
+			s.walk(st, v[:act], lo, act, ones[:act], u, nil) // u becomes the observed lanes
+		}
+	}
+	detected := 0
+	kept := live[:0]
+	for _, fi := range live {
+		f := faults[fi]
+		st := int(stem[s.c.Tpos[f.Gate]])
+		obs := ffr[st*act : st*act+act]
+		var seen logic.Word
+		for _, o := range obs {
+			seen |= o
+		}
+		det := -1
+		if seen != 0 {
+			s.reach(f, lo, act, masks, r[:act])
+			for l, o := range obs {
+				if d := r[l] & o; d != 0 {
+					// First detection = lowest set bit of the first detecting lane.
+					det = (base+lo+l)*logic.WordBits + bits.TrailingZeros64(d)
+					break
+				}
+			}
+		}
+		if det >= 0 {
+			detBy[fi] = det
+			detected++
+		} else {
+			kept = append(kept, fi)
+		}
+	}
+	for w, bm := range used {
+		for ; bm != 0; bm &= bm - 1 {
+			x := w<<6 | bits.TrailingZeros64(bm)
+			clear(ffr[x*act : x*act+act])
+		}
+		used[w] = 0
+	}
+	s.ffrDirty = false
+	return kept, detected
+}
+
+// reach writes into r the lanes of the window [lo, lo+act) in which fault f
+// flips the stem of its fanout-free region, and returns that stem's
+// position, or -1 when f cannot flip it in any lane.
+func (s *Simulator) reach(f Fault, lo, act int, masks, r []logic.Word) int {
+	c := s.c
+	S := s.good.W
+	vals := s.good.Values()
+	site := int(c.Tpos[f.Gate])
+	src := site // where the fault is activated
+	if f.Pin >= 0 {
+		if t := c.PosKind[site]; t == circuit.Input || t == circuit.DFF {
+			return -1 // pseudo-PIs are immune to fanin changes
+		}
+		src = int(c.PosFanin[int(c.Pos[site].In)+f.Pin])
+	}
+	var force logic.Word
+	if f.SA == 1 {
+		force = ^logic.Word(0)
+	}
+	var any logic.Word
+	b := src*S + lo
+	for l := range r {
+		r[l] = (vals[b+l] ^ force) & masks[l]
+		any |= r[l]
+	}
+	if any == 0 {
+		return -1
+	}
+	if f.Pin >= 0 {
+		if any = s.sideSens(site, -1, f.Pin, lo, r); any == 0 {
+			return -1
+		}
+	}
+	if int(c.FFRStem[site]) != site {
+		sens := s.sens(site, lo, act)
+		any = 0
+		for l := range r {
+			r[l] &= sens[l]
+			any |= r[l]
+		}
+		if any == 0 {
+			return -1
+		}
+	}
+	return int(c.FFRStem[site])
+}
+
+// sens returns the lanes of the window [lo, lo+act) in which a change at
+// position p (not a stem) reaches its stem: the AND of the side-input
+// sensitization of every gate on the path. It is memoized per stage, so a
+// backward pass from p stops at the first position whose answer is known,
+// and a zero answer is passed down the rest of the path without reading a
+// gate.
+func (s *Simulator) sens(p, lo, act int) []logic.Word {
+	c := s.c
+	done := s.ffrUsed
+	chain := s.chain[:0]
+	for q := p; int(c.FFRStem[q]) != q && done[q>>6]&(1<<uint(q&63)) == 0; q = c.FFRNext(q) {
+		chain = append(chain, int32(q))
+	}
+	for i := len(chain) - 1; i >= 0; i-- {
+		x := int(chain[i])
+		nx := c.FFRNext(x)
+		w := s.ffr[x*act : x*act+act]
+		var any logic.Word
+		if int(c.FFRStem[nx]) == nx { // a change at the stem is the stem's
+			for l := range w {
+				w[l] = ^logic.Word(0)
+			}
+			any = 1
+		} else {
+			for l, v := range s.ffr[nx*act : nx*act+act] {
+				w[l] = v
+				any |= v
+			}
+		}
+		if any != 0 {
+			s.sideSens(nx, int32(x), -1, lo, w)
+		}
+		done[x>>6] |= 1 << uint(x&63)
+	}
+	s.chain = chain
+	return s.ffr[p*act : p*act+act]
+}
+
+// sideSens ANDs into r (the lane window starting at lo) the lanes in which
+// gate q passes a change on one input to its output, and returns the OR of
+// the result. The changed input is pin skipPin, or the one pin driven by
+// position skipPos; every other input must be non-controlling, 1 for
+// AND/NAND and 0 for OR/NOR, and XOR/XNOR/NOT/BUF pass every change.
+func (s *Simulator) sideSens(q int, skipPos int32, skipPin, lo int, r []logic.Word) logic.Word {
+	c := s.c
+	S := s.good.W
+	vals := s.good.Values()
+	s.sensSteps++
+	if t := c.PosKind[q]; t == circuit.And || t == circuit.Nand || t == circuit.Or || t == circuit.Nor {
+		var flip logic.Word // the side inputs must read ^flip
+		if t == circuit.Or || t == circuit.Nor {
+			flip = ^logic.Word(0)
+		}
+		for pin, fp := range c.PosFanin[c.Pos[q].In:c.Pos[q+1].In] {
+			if pin != skipPin && fp != skipPos {
+				b := int(fp)*S + lo
+				for l := range r {
+					r[l] &= vals[b+l] ^ flip
+				}
+			}
+		}
+	}
+	var any logic.Word
+	for _, w := range r {
+		any |= w
+	}
+	return any
 }
 
 // samePIs reports whether the first act PI words of p equal the lanes the

@@ -9,35 +9,50 @@ import (
 	"repro/internal/logic"
 )
 
-// walkEvalsWant pins the exact number of gates detectLanes evaluates on
+// walkEvalsWant pins the exact number of gates the walk evaluates on
 // Random(64,2000,3)'s collapsed universe, keyed "op/patterns/W". The
 // answers of the walk are pinned elsewhere; these counts pin its work, so a
-// change of the walk's data layout must leave them equal.
+// change of the walk's data layout must leave them equal. Run drops by
+// fanout-free region (one stem walk per region); Probe and Dictionary walk
+// once per fault.
 var walkEvalsWant = map[string]int{
-	"Run/128/1":        491473,
+	"Run/128/1":        193825,
 	"Probe/128/1":      483559,
 	"Dictionary/128/1": 950193,
-	"Run/128/2":        491473,
+	"Run/128/2":        193825,
 	"Probe/128/2":      620879,
 	"Dictionary/128/2": 575609,
-	"Run/128/8":        491473,
+	"Run/128/8":        193825,
 	"Probe/128/8":      620879,
 	"Dictionary/128/8": 575609,
-	"Run/200/1":        545092,
+	"Run/200/1":        210564,
 	"Probe/200/1":      474942,
 	"Dictionary/200/1": 1705454,
-	"Run/200/2":        545092,
+	"Run/200/2":        210564,
 	"Probe/200/2":      606488,
 	"Dictionary/200/2": 1117943,
-	"Run/200/8":        536472,
+	"Run/200/8":        210689,
 	"Probe/200/8":      667162,
 	"Dictionary/200/8": 679305,
 }
 
+// sensStepsWant pins the gates whose side inputs Run's backward
+// sensitization pass read, keyed like walkEvalsWant; Probe and Dictionary
+// read none.
+var sensStepsWant = map[string]int{
+	"Run/128/1": 9908,
+	"Run/128/2": 9908,
+	"Run/128/8": 9908,
+	"Run/200/1": 13236,
+	"Run/200/2": 13236,
+	"Run/200/8": 10338,
+}
+
 // TestWalkGateEvalsPinned runs Run, Probe after Stage and Dictionary at
 // 128 and 200 patterns and W in {1,2,8}, and compares the gates each
-// evaluated with walkEvalsWant. Probe stages the first min(patterns, 64*W)
-// patterns, the most one lane group holds.
+// evaluated with walkEvalsWant and the sensitization steps each took with
+// sensStepsWant. Probe stages the first min(patterns, 64*W) patterns, the
+// most one lane group holds.
 func TestWalkGateEvalsPinned(t *testing.T) {
 	c := circuit.Random(64, 2000, 3)
 	faults := Universe(c)
@@ -52,11 +67,12 @@ func TestWalkGateEvalsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := map[string]int{}
+			got, steps := map[string]int{}, map[string]int{}
 			count := func(op string, run func()) {
-				before := s.gateEvals
+				before, stepsBefore := s.gateEvals, s.sensSteps
 				run()
-				got[fmt.Sprintf("%s/%d/%d", op, n, w)] = s.gateEvals - before
+				k := fmt.Sprintf("%s/%d/%d", op, n, w)
+				got[k], steps[k] = s.gateEvals-before, s.sensSteps-stepsBefore
 			}
 			count("Run", func() { s.Run(p, faults) })
 			count("Probe", func() {
@@ -69,6 +85,9 @@ func TestWalkGateEvalsPinned(t *testing.T) {
 			for k, v := range got {
 				if want, ok := walkEvalsWant[k]; !ok || v != want {
 					t.Errorf("%s: %d gates evaluated, want %d", k, v, want)
+				}
+				if want := sensStepsWant[k]; steps[k] != want {
+					t.Errorf("%s: %d sensitization steps, want %d", k, steps[k], want)
 				}
 			}
 		}
