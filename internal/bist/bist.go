@@ -65,9 +65,6 @@ func (l *LFSR) Seed(seed uint64) {
 	}
 }
 
-// State returns the current register contents.
-func (l *LFSR) State() uint64 { return l.state }
-
 // Step advances one clock and returns the new state.
 func (l *LFSR) Step() uint64 {
 	fb := uint64(0)
@@ -89,21 +86,6 @@ func trailingZeros(x uint64) int {
 		n++
 	}
 	return n
-}
-
-// Period steps the register until the start state recurs and returns the
-// cycle length (2^Length - 1 for a primitive polynomial). It is O(period);
-// intended for verification of short registers.
-func (l *LFSR) Period() int {
-	start := l.state
-	n := 0
-	for {
-		l.Step()
-		n++
-		if l.state == start || n > 1<<uint(l.Length)+1 {
-			return n
-		}
-	}
 }
 
 // Patterns expands nPatterns LFSR states into test patterns for a circuit

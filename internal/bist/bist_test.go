@@ -6,6 +6,21 @@ import (
 	"repro/internal/circuit"
 )
 
+// Period steps the register until the start state recurs and returns the
+// cycle length (2^Length - 1 for a primitive polynomial). It is O(period),
+// so only short registers are checked.
+func (l *LFSR) Period() int {
+	start := l.state
+	n := 0
+	for {
+		l.Step()
+		n++
+		if l.state == start || n > 1<<uint(l.Length)+1 {
+			return n
+		}
+	}
+}
+
 func TestLFSRMaximalPeriod(t *testing.T) {
 	for _, length := range []int{4, 5, 6, 7, 8, 9, 10, 12, 16} {
 		l, err := NewLFSR(length, 1)

@@ -233,7 +233,7 @@ func scoapOf(n *Netlist, s *SCOAP, id int) (int, int, int) {
 
 func TestSCOAPC17(t *testing.T) {
 	n := MustC17()
-	s := ComputeSCOAP(n)
+	s := computeSCOAP(n)
 	for _, pi := range n.PIs {
 		if cc0, cc1, _ := scoapOf(n, s, pi); cc0 != 1 || cc1 != 1 {
 			t.Errorf("PI %s controllability = (%d,%d)", n.Gates[pi].Name, cc0, cc1)
@@ -254,7 +254,7 @@ func TestSCOAPC17(t *testing.T) {
 func TestSCOAPMonotone(t *testing.T) {
 	// Deeper signals must never be easier to control than 1 (the PI cost).
 	for _, c := range []*Netlist{RippleAdder(8), ALUSlice(4), Random(12, 200, 7)} {
-		s := ComputeSCOAP(c)
+		s := computeSCOAP(c)
 		for _, g := range c.Gates {
 			cc0, cc1, co := scoapOf(c, s, g.ID)
 			if cc0 < 1 || cc1 < 1 {
@@ -278,7 +278,7 @@ y = XOR(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := ComputeSCOAP(n)
+	s := computeSCOAP(n)
 	y, _ := n.GateByName("y")
 	// XOR of two PIs: CC0 = min(1+1, 1+1)+1 = 3, CC1 = 3.
 	if cc0, cc1, _ := scoapOf(n, s, y.ID); cc0 != 3 || cc1 != 3 {

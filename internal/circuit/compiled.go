@@ -190,6 +190,3 @@ func (c *Compiled) NumGates() int { return len(c.Order) }
 
 // NumPIs returns the primary-input count (including scan-cell outputs).
 func (c *Compiled) NumPIs() int { return len(c.Net.PIs) }
-
-// NumPOs returns the primary-output count (including scan D-sources).
-func (c *Compiled) NumPOs() int { return len(c.Net.POs) }

@@ -63,9 +63,9 @@ func checkCompiled(t *testing.T, n *Netlist) {
 	if c.Net != n {
 		t.Fatal("Compiled.Net does not point back at the source netlist")
 	}
-	if c.NumGates() != len(n.Gates) || c.NumPIs() != len(n.PIs) || c.NumPOs() != len(n.POs) {
-		t.Fatalf("%s counts: gates %d/%d PIs %d/%d POs %d/%d", n.Name,
-			c.NumGates(), len(n.Gates), c.NumPIs(), len(n.PIs), c.NumPOs(), len(n.POs))
+	if c.NumGates() != len(n.Gates) || c.NumPIs() != len(n.PIs) {
+		t.Fatalf("%s counts: gates %d/%d PIs %d/%d", n.Name,
+			c.NumGates(), len(n.Gates), c.NumPIs(), len(n.PIs))
 	}
 	for i, id := range n.TopoOrder() {
 		if int(c.Order[i]) != id {

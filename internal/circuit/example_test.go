@@ -21,10 +21,10 @@ y = NAND(a, b)
 	// Output: tiny: 2 PI, 1 PO, 1 gates, depth 2, avg fanout 0.67
 }
 
-func ExampleComputeSCOAP() {
+func ExampleComputeSCOAPCompiled() {
 	n := circuit.MustC17()
-	s := circuit.ComputeSCOAP(n) // by topological position
 	c, _ := n.Compiled()
+	s := circuit.ComputeSCOAPCompiled(c) // by topological position
 	g22, _ := n.GateByName("G22")
 	p := c.Tpos[g22.ID]
 	fmt.Printf("G22: CC0=%d CC1=%d CO=%d\n", s.CC0[p], s.CC1[p], s.CO[p])

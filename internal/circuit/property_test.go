@@ -44,7 +44,7 @@ func TestBenchRoundTripProperty(t *testing.T) {
 func TestSCOAPObservabilityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		c := Random(6, 50+int(seed%50+50), seed)
-		s := ComputeSCOAP(c)
+		s := computeSCOAP(c)
 		isPO := map[int]bool{}
 		for _, po := range c.POs {
 			isPO[po] = true

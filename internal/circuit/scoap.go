@@ -18,18 +18,6 @@ type SCOAP struct {
 
 const scoapInf = 1 << 28
 
-// ComputeSCOAP calculates the combinational SCOAP measures for the netlist.
-// It panics when the netlist does not compile (cycle, dangling reference),
-// mirroring TopoOrder; use ComputeSCOAPCompiled with an already-compiled IR
-// to avoid the error path entirely.
-func ComputeSCOAP(n *Netlist) *SCOAP {
-	c, err := n.Compiled()
-	if err != nil {
-		panic(err)
-	}
-	return ComputeSCOAPCompiled(c)
-}
-
 // ComputeSCOAPCompiled calculates the SCOAP measures over the shared
 // compiled IR, by position.
 func ComputeSCOAPCompiled(c *Compiled) *SCOAP {

@@ -94,7 +94,8 @@ type errorMsg struct {
 const errorShardSetup = math.MaxUint32
 
 // doneMsg tells the worker the job completed; it returns to awaiting the
-// next setup on the same connection.
+// next setup on the same connection. The worker acts on the frame type
+// alone and never decodes the payload.
 type doneMsg struct {
 	JobID uint64
 }
@@ -302,12 +303,6 @@ func decodeError(payload []byte) (*errorMsg, error) {
 
 func (m *doneMsg) encode() []byte {
 	return wire.AppendU64(nil, m.JobID)
-}
-
-func decodeDone(payload []byte) (*doneMsg, error) {
-	d := wire.NewDec(payload)
-	m := &doneMsg{JobID: d.U64()}
-	return m, malformed(d.Close())
 }
 
 // encodeSetup builds the setup payload for a job over the given netlist,

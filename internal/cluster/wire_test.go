@@ -112,10 +112,6 @@ func TestMessageRoundTrips(t *testing.T) {
 	if got, err := decodeError(e.encode()); err != nil || *got != *e {
 		t.Errorf("error: got %+v err %v", got, err)
 	}
-	dn := &doneMsg{JobID: 5}
-	if got, err := decodeDone(dn.encode()); err != nil || *got != *dn {
-		t.Errorf("done: got %+v err %v", got, err)
-	}
 
 	det := &resultMsg{JobID: 1, Shard: 0, Kind: KindDetect, Lo: 10, Hi: 13, DetBy: []int32{-1, 7, 0}}
 	got, err := decodeResult(det.encode())
@@ -305,9 +301,6 @@ func FuzzClusterMessages(f *testing.F) {
 		}
 		if m, err := decodeError(data); err == nil {
 			roundTrip("error", m.encode)
-		}
-		if m, err := decodeDone(data); err == nil {
-			roundTrip("done", m.encode)
 		}
 	})
 }

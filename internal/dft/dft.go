@@ -45,7 +45,7 @@ type ControlPoint struct {
 func SelectTestPoints(n *circuit.Netlist, nObs, nCtl int) Plan {
 	comp, err := n.Compiled()
 	if err != nil {
-		panic(err) // matches the previous ComputeSCOAP/TopoOrder contract
+		panic(err) // matches the TopoOrder contract
 	}
 	s := circuit.ComputeSCOAPCompiled(comp) // by position
 	type cand struct {
@@ -178,22 +178,4 @@ func Insert(n *circuit.Netlist, nObs, nCtl int) (*circuit.Netlist, Plan, error) 
 	plan := SelectTestPoints(n, nObs, nCtl)
 	out, err := Apply(n, plan)
 	return out, plan, err
-}
-
-// NonControllingInputs returns the input assignment that neutralizes all
-// control points (cp inputs at their non-controlling value), given the plan
-// and the transformed netlist. Indices follow the transformed netlist's PI
-// order.
-func NonControllingInputs(transformed *circuit.Netlist, plan Plan) []bool {
-	idx := transformed.InputIndex()
-	out := make([]bool, len(transformed.PIs))
-	for i, cp := range plan.Control {
-		g, ok := transformed.GateByName(fmt.Sprintf("cp%d", i))
-		if !ok {
-			continue
-		}
-		// OR point: neutral value 0; AND point: neutral value 1.
-		out[idx[g.ID]] = cp.Kind == ForceZero
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package dft
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -46,7 +47,7 @@ func TestApplyPreservesFunction(t *testing.T) {
 			t.Fatalf("%s: %v", orig.Name, err)
 		}
 		sOrig, sTP := newWide(t, orig), newWide(t, tp)
-		neutral := NonControllingInputs(tp, plan)
+		neutral := nonControllingInputs(tp, plan)
 		idxTP := tp.InputIndex()
 		rng := rand.New(rand.NewSource(4))
 		for trial := 0; trial < 64; trial++ {
@@ -178,4 +179,22 @@ func TestInsertZeroPointsIsIdentity(t *testing.T) {
 	if tp.NumLogicGates() != orig.NumLogicGates() || len(tp.PIs) != len(orig.PIs) {
 		t.Error("zero-point insertion changed the netlist")
 	}
+}
+
+// nonControllingInputs returns the input assignment that neutralizes all
+// control points (cp inputs at their non-controlling value), given the plan
+// and the transformed netlist. Indices follow the transformed netlist's PI
+// order.
+func nonControllingInputs(transformed *circuit.Netlist, plan Plan) []bool {
+	idx := transformed.InputIndex()
+	out := make([]bool, len(transformed.PIs))
+	for i, cp := range plan.Control {
+		g, ok := transformed.GateByName(fmt.Sprintf("cp%d", i))
+		if !ok {
+			continue
+		}
+		// OR point: neutral value 0; AND point: neutral value 1.
+		out[idx[g.ID]] = cp.Kind == ForceZero
+	}
+	return out
 }

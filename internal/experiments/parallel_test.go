@@ -143,3 +143,27 @@ func TestRunOrderedReportsLowestFailingStep(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestMinDurationKeepsFastest checks the best-of-N timer that F4's
+// surrogate speedup, T7 and the BENCH sweep report: it runs fn reps times
+// and returns the fastest run, so one slow run (a descheduled worker, a
+// cold cache) does not set the figure.
+func TestMinDurationKeepsFastest(t *testing.T) {
+	const slow = 40 * time.Millisecond
+	calls := 0
+	best := minDuration(3, func() {
+		calls++
+		if calls == 1 {
+			time.Sleep(slow)
+		}
+	})
+	if calls != 3 {
+		t.Errorf("fn ran %d times, want 3", calls)
+	}
+	if best >= slow {
+		t.Errorf("best = %v, not below the slow first run (%v)", best, slow)
+	}
+	if d := minDuration(1, func() { time.Sleep(time.Millisecond) }); d < time.Millisecond {
+		t.Errorf("single run timed %v, want at least 1ms", d)
+	}
+}

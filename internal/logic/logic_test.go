@@ -7,6 +7,17 @@ import (
 	"testing/quick"
 )
 
+// Faulty returns the value seen in the faulty circuit: V0, V1 or VX.
+func (v V) Faulty() V {
+	switch v {
+	case VD:
+		return V0
+	case VDbar:
+		return V1
+	}
+	return v
+}
+
 func TestVString(t *testing.T) {
 	cases := map[V]string{V0: "0", V1: "1", VX: "X", VD: "D", VDbar: "D'"}
 	for v, want := range cases {

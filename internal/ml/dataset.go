@@ -2,7 +2,7 @@
 // providing the model families the survey applies to test and reliability
 // problems: regularized linear regression, k-nearest neighbours, CART
 // decision trees, random forests, gradient-boosted trees and multilayer
-// perceptrons, together with dataset handling, metrics and cross-validation.
+// perceptrons, together with dataset handling and metrics.
 package ml
 
 import (
@@ -18,9 +18,6 @@ type Dataset struct {
 	Y      []float64
 	Labels []int
 }
-
-// Len returns the number of samples.
-func (d *Dataset) Len() int { return len(d.X) }
 
 // Dim returns the feature dimensionality (0 for an empty set).
 func (d *Dataset) Dim() int {
@@ -62,28 +59,6 @@ func (d *Dataset) Clone() *Dataset {
 	return out
 }
 
-// Subset returns the dataset restricted to the given row indices (views
-// into the same rows, not copies).
-func (d *Dataset) Subset(idx []int) *Dataset {
-	out := &Dataset{X: make([][]float64, len(idx))}
-	if d.Y != nil {
-		out.Y = make([]float64, len(idx))
-	}
-	if d.Labels != nil {
-		out.Labels = make([]int, len(idx))
-	}
-	for k, i := range idx {
-		out.X[k] = d.X[i]
-		if d.Y != nil {
-			out.Y[k] = d.Y[i]
-		}
-		if d.Labels != nil {
-			out.Labels[k] = d.Labels[i]
-		}
-	}
-	return out
-}
-
 // Shuffle permutes the dataset in place, deterministically from the seed.
 func (d *Dataset) Shuffle(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
@@ -96,51 +71,6 @@ func (d *Dataset) Shuffle(seed int64) {
 			d.Labels[i], d.Labels[j] = d.Labels[j], d.Labels[i]
 		}
 	})
-}
-
-// Split partitions into train/test with the given test fraction. The split
-// is positional; call Shuffle first for a random split.
-func (d *Dataset) Split(testFrac float64) (train, test *Dataset) {
-	n := d.Len()
-	nTest := int(math.Round(float64(n) * testFrac))
-	if nTest < 0 {
-		nTest = 0
-	}
-	if nTest > n {
-		nTest = n
-	}
-	trainIdx := make([]int, 0, n-nTest)
-	testIdx := make([]int, 0, nTest)
-	for i := 0; i < n-nTest; i++ {
-		trainIdx = append(trainIdx, i)
-	}
-	for i := n - nTest; i < n; i++ {
-		testIdx = append(testIdx, i)
-	}
-	return d.Subset(trainIdx), d.Subset(testIdx)
-}
-
-// KFold yields k (train, test) index partitions.
-func KFold(n, k int, seed int64) [][2][]int {
-	if k < 2 || n < k {
-		panic(fmt.Sprintf("ml: invalid k-fold request n=%d k=%d", n, k))
-	}
-	perm := rand.New(rand.NewSource(seed)).Perm(n)
-	folds := make([][]int, k)
-	for i, p := range perm {
-		folds[i%k] = append(folds[i%k], p)
-	}
-	out := make([][2][]int, k)
-	for f := 0; f < k; f++ {
-		var train []int
-		for g := 0; g < k; g++ {
-			if g != f {
-				train = append(train, folds[g]...)
-			}
-		}
-		out[f] = [2][]int{train, folds[f]}
-	}
-	return out
 }
 
 // Scaler standardizes features to zero mean, unit variance, remembering the

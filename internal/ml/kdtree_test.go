@@ -1,7 +1,9 @@
 package ml
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -100,4 +102,33 @@ func BenchmarkKDTreeVsBrute(b *testing.B) {
 			nearest(X, q, 5)
 		}
 	})
+}
+
+// nearest is the brute-force oracle for KDTree: the indices and distances
+// of the k nearest rows to x, ties broken by lower index.
+func nearest(X [][]float64, x []float64, k int) ([]int, []float64) {
+	if k > len(X) {
+		k = len(X)
+	}
+	type nd struct {
+		i int
+		d float64
+	}
+	ds := make([]nd, len(X))
+	for i, row := range X {
+		ds[i] = nd{i, sqDist(row, x)}
+	}
+	sort.Slice(ds, func(a, b int) bool {
+		if ds[a].d != ds[b].d {
+			return ds[a].d < ds[b].d
+		}
+		return ds[a].i < ds[b].i
+	})
+	idx := make([]int, k)
+	dist := make([]float64, k)
+	for j := 0; j < k; j++ {
+		idx[j] = ds[j].i
+		dist[j] = math.Sqrt(ds[j].d)
+	}
+	return idx, dist
 }

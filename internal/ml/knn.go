@@ -1,10 +1,6 @@
 package ml
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
 // KNNRegressor predicts the (optionally distance-weighted) mean target of
 // the k nearest training samples under Euclidean distance. Queries are
@@ -16,9 +12,6 @@ type KNNRegressor struct {
 	Y        []float64
 	tree     *KDTree
 }
-
-// NewKNNRegressor returns a k-NN regressor.
-func NewKNNRegressor(k int) *KNNRegressor { return &KNNRegressor{K: k} }
 
 // Fit memorizes the training set and indexes it.
 func (m *KNNRegressor) Fit(X [][]float64, y []float64) error {
@@ -97,34 +90,6 @@ func (m *KNNClassifier) Predict(x []float64) int {
 		}
 	}
 	return best
-}
-
-// nearest returns the indices and distances of the k nearest rows to x.
-func nearest(X [][]float64, x []float64, k int) ([]int, []float64) {
-	if k > len(X) {
-		k = len(X)
-	}
-	type nd struct {
-		i int
-		d float64
-	}
-	ds := make([]nd, len(X))
-	for i, row := range X {
-		ds[i] = nd{i, sqDist(row, x)}
-	}
-	sort.Slice(ds, func(a, b int) bool {
-		if ds[a].d != ds[b].d {
-			return ds[a].d < ds[b].d
-		}
-		return ds[a].i < ds[b].i
-	})
-	idx := make([]int, k)
-	dist := make([]float64, k)
-	for j := 0; j < k; j++ {
-		idx[j] = ds[j].i
-		dist[j] = math.Sqrt(ds[j].d)
-	}
-	return idx, dist
 }
 
 func sqDist(a, b []float64) float64 {

@@ -22,19 +22,6 @@ func MSE(yTrue, yPred []float64) float64 {
 // RMSE returns the root mean squared error.
 func RMSE(yTrue, yPred []float64) float64 { return math.Sqrt(MSE(yTrue, yPred)) }
 
-// MAE returns the mean absolute error.
-func MAE(yTrue, yPred []float64) float64 {
-	checkLen(len(yTrue), len(yPred))
-	if len(yTrue) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := range yTrue {
-		s += math.Abs(yTrue[i] - yPred[i])
-	}
-	return s / float64(len(yTrue))
-}
-
 // MAPE returns the mean absolute percentage error (fraction, not percent).
 // Samples with |yTrue| below eps are skipped to avoid division blow-up.
 func MAPE(yTrue, yPred []float64) float64 {

@@ -112,7 +112,7 @@ func TestPolyFeatures(t *testing.T) {
 
 func TestKNNRegressor(t *testing.T) {
 	X, y := nonlinearData(800, 3)
-	m := NewKNNRegressor(5)
+	m := &KNNRegressor{K: 5}
 	if err := m.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestKNNClassifier(t *testing.T) {
 }
 
 func TestKNNValidation(t *testing.T) {
-	if err := NewKNNRegressor(0).Fit([][]float64{{1}}, []float64{1}); err == nil {
+	if err := (&KNNRegressor{}).Fit([][]float64{{1}}, []float64{1}); err == nil {
 		t.Error("k=0 must fail")
 	}
 	if err := NewKNNClassifier(3).Fit(nil, nil); err == nil {
@@ -332,7 +332,7 @@ func TestMLPClassifier(t *testing.T) {
 func TestMetricsBasics(t *testing.T) {
 	yt := []float64{1, 2, 3}
 	yp := []float64{1, 2, 3}
-	if MSE(yt, yp) != 0 || MAE(yt, yp) != 0 || RMSE(yt, yp) != 0 {
+	if MSE(yt, yp) != 0 || RMSE(yt, yp) != 0 {
 		t.Error("perfect prediction metrics nonzero")
 	}
 	if R2(yt, yp) != 1 {
@@ -377,7 +377,7 @@ func TestScaler(t *testing.T) {
 	}
 }
 
-func TestDatasetSplitShuffle(t *testing.T) {
+func TestDatasetCloneShuffle(t *testing.T) {
 	d := &Dataset{}
 	for i := 0; i < 100; i++ {
 		d.X = append(d.X, []float64{float64(i)})
@@ -389,10 +389,6 @@ func TestDatasetSplitShuffle(t *testing.T) {
 	}
 	c := d.Clone()
 	c.Shuffle(5)
-	tr, te := c.Split(0.25)
-	if tr.Len() != 75 || te.Len() != 25 {
-		t.Errorf("split sizes %d/%d", tr.Len(), te.Len())
-	}
 	// Original untouched.
 	if d.X[0][0] != 0 {
 		t.Error("clone shares storage")
@@ -403,33 +399,6 @@ func TestDatasetSplitShuffle(t *testing.T) {
 			t.Fatal("shuffle broke row alignment")
 		}
 	}
-}
-
-func TestKFold(t *testing.T) {
-	folds := KFold(10, 5, 1)
-	if len(folds) != 5 {
-		t.Fatalf("folds = %d", len(folds))
-	}
-	seen := map[int]int{}
-	for _, f := range folds {
-		if len(f[0])+len(f[1]) != 10 {
-			t.Error("fold does not cover dataset")
-		}
-		for _, i := range f[1] {
-			seen[i]++
-		}
-	}
-	for i := 0; i < 10; i++ {
-		if seen[i] != 1 {
-			t.Errorf("index %d in %d test folds", i, seen[i])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("bad kfold must panic")
-		}
-	}()
-	KFold(3, 5, 1)
 }
 
 // Property: standardization is invertible within float tolerance.
@@ -483,41 +452,5 @@ func BenchmarkMLPPredict(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Predict(X[i%len(X)])
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	X, y := linearData(200, 0.05, 31)
-	res, err := CrossValidate(func() Regressor { return NewRidge(1e-6) }, X, y, 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.FoldR2) != 5 {
-		t.Fatalf("folds = %d", len(res.FoldR2))
-	}
-	if res.MeanR2() < 0.99 {
-		t.Errorf("linear problem CV R2 = %f", res.MeanR2())
-	}
-	if res.MeanRMSE() <= 0 || res.MeanMAPE() <= 0 {
-		t.Error("zero CV errors on noisy data are implausible")
-	}
-	if _, err := CrossValidate(func() Regressor { return NewRidge(0) }, nil, nil, 3, 1); err == nil {
-		t.Error("empty CV must fail")
-	}
-}
-
-func TestCrossValidateRanksModels(t *testing.T) {
-	// On a nonlinear problem, CV must rank the forest above plain linear.
-	X, y := nonlinearData(300, 32)
-	lin, err := CrossValidate(func() Regressor { return NewRidge(1e-6) }, X, y, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	forest, err := CrossValidate(func() Regressor { return NewForestRegressor(25, 8, 1) }, X, y, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forest.MeanR2() <= lin.MeanR2() {
-		t.Errorf("CV ranking wrong: forest %f <= linear %f", forest.MeanR2(), lin.MeanR2())
 	}
 }

@@ -103,12 +103,3 @@ func SplitSeed(seed int64, i int64) int64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return int64(z ^ (z >> 31))
 }
-
-// Seeds returns n seeds split from the base seed, one per stream.
-func Seeds(seed int64, n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = SplitSeed(seed, int64(i))
-	}
-	return out
-}

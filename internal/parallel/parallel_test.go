@@ -139,18 +139,6 @@ func TestSplitSeedStreamsLookRandom(t *testing.T) {
 	}
 }
 
-func TestSeeds(t *testing.T) {
-	s := Seeds(99, 16)
-	if len(s) != 16 {
-		t.Fatalf("len = %d", len(s))
-	}
-	for i := range s {
-		if s[i] != SplitSeed(99, int64(i)) {
-			t.Errorf("Seeds[%d] mismatch", i)
-		}
-	}
-}
-
 func TestWorkers(t *testing.T) {
 	if Workers(3) != 3 {
 		t.Error("explicit count not honoured")

@@ -80,9 +80,6 @@ type Metrics struct {
 // handler is broken even though the process keeps serving.
 func (m *Metrics) RecordPanic() { m.panics.Add(1) }
 
-// Panics reports the number of recovered panics so far.
-func (m *Metrics) Panics() int64 { return m.panics.Load() }
-
 // NewMetrics builds counters for a fixed endpoint set and registers them
 // with the process-wide expvar publication.
 func NewMetrics(endpoints []string) *Metrics {

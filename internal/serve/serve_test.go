@@ -21,6 +21,9 @@ import (
 	"repro/internal/wafer"
 )
 
+// Panics reports the number of recovered panics so far.
+func (m *Metrics) Panics() int64 { return m.panics.Load() }
+
 // testCfg keeps fixture training fast: the serving contract under test does
 // not depend on model quality.
 var testCfg = DemoConfig{Dim: 512, GridSize: 16, TrainN: 3, Devices: 200, Seed: 1, OverkillBudget: 0.05}

@@ -24,9 +24,6 @@ type Network struct {
 	Children []*Network
 }
 
-// Dev returns a single-transistor network with unit width.
-func Dev(pin int) *Network { return &Network{Kind: KindDevice, Pin: pin, Width: 1} }
-
 // DevW returns a single-transistor network with the given width multiple.
 func DevW(pin int, w float64) *Network { return &Network{Kind: KindDevice, Pin: pin, Width: w} }
 

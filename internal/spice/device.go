@@ -129,9 +129,3 @@ func (p Params) id(vgs, vds, width, vth, k, i0 float64) float64 {
 	x := vds / vdsat
 	return idsat*(2-x)*x + sub
 }
-
-// LeakN returns the OFF-state NMOS leakage (vgs = 0, vds = VDD).
-func (p Params) LeakN(width float64) float64 { return p.idN(0, p.VDD, width) }
-
-// LeakP returns the OFF-state PMOS leakage.
-func (p Params) LeakP(width float64) float64 { return p.idP(0, p.VDD, width) }

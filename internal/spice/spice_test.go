@@ -49,7 +49,7 @@ func TestDeviceCurrentsMonotone(t *testing.T) {
 		prev = id
 	}
 	// On current vastly exceeds off current.
-	if on, off := p.idN(p.VDD, p.VDD, 1), p.LeakN(1); on < 1e4*off {
+	if on, off := p.idN(p.VDD, p.VDD, 1), p.idN(0, p.VDD, 1); on < 1e4*off {
 		t.Errorf("on/off ratio too small: %g / %g", on, off)
 	}
 	// vds = 0 carries no current.
@@ -65,7 +65,7 @@ func TestDeviceCurrentsMonotone(t *testing.T) {
 func TestCryoDeviceBehaviour(t *testing.T) {
 	warm, cold := Default(300), Default(10)
 	// Leakage collapses by orders of magnitude at 10 K.
-	if lw, lc := warm.LeakN(1), cold.LeakN(1); lc > lw*1e-6 {
+	if lw, lc := warm.idN(0, warm.VDD, 1), cold.idN(0, cold.VDD, 1); lc > lw*1e-6 {
 		t.Errorf("cryo leakage %g not ≪ 300K leakage %g", lc, lw)
 	}
 	// Threshold rises at cryo.
@@ -268,7 +268,7 @@ func TestLogicContentionPanics(t *testing.T) {
 	c := NewCell("BROKEN", 2)
 	// Pull-up gated by pin 0 (conducts when low), pull-down by pin 1
 	// (conducts when high): inputs {false,true} drive both on.
-	c.AddStage(Dev(0), Dev(1), 1e-15)
+	c.AddStage(DevW(0, 1), DevW(1, 1), 1e-15)
 	defer func() {
 		if recover() == nil {
 			t.Error("contention must panic")

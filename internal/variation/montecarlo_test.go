@@ -3,16 +3,20 @@ package variation
 import (
 	"math"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // TestMonteCarloDeterministicAcrossWorkers asserts the seed-splitting
-// contract: the sample vector is bit-identical for any worker count.
+// contract of a Monte Carlo sweep that draws sample i from NewSamplerAt, as
+// F4 does: the sample vector is bit-identical for any worker count.
 func TestMonteCarloDeterministicAcrossWorkers(t *testing.T) {
 	p := Default()
 	n := 500
 	run := func(workers int) []float64 {
 		out := make([]float64, n)
-		err := MonteCarlo(p, 42, n, workers, func(i int, s *Sampler) error {
+		err := parallel.For(workers, n, func(i int) error {
+			s := NewSamplerAt(p, 42, i)
 			v := s.Global()
 			for k := 0; k < 8; k++ {
 				v += s.Instance(1)
@@ -57,8 +61,8 @@ func TestMonteCarloStats(t *testing.T) {
 	p := Default()
 	n := 4000
 	xs := make([]float64, n)
-	err := MonteCarlo(p, 9, n, 4, func(i int, s *Sampler) error {
-		xs[i] = s.Instance(1)
+	err := parallel.For(4, n, func(i int) error {
+		xs[i] = NewSamplerAt(p, 9, i).Instance(1)
 		return nil
 	})
 	if err != nil {

@@ -45,16 +45,6 @@ func NewSamplerAt(p Params, seed int64, i int) *Sampler {
 	return NewSampler(p, parallel.SplitSeed(seed, int64(i)))
 }
 
-// MonteCarlo runs fn for each of n samples across a bounded worker pool
-// (workers <= 0 selects GOMAXPROCS). Each call receives the sample index and
-// a sampler derived via seed-splitting, so results are bit-identical for
-// any worker count as long as fn(i) writes only to per-index state.
-func MonteCarlo(p Params, seed int64, n, workers int, fn func(i int, s *Sampler) error) error {
-	return parallel.For(workers, n, func(i int) error {
-		return fn(i, NewSamplerAt(p, seed, i))
-	})
-}
-
 // Global draws one die-level Vth offset shared by all instances on the die.
 func (s *Sampler) Global() float64 {
 	return s.rng.NormFloat64() * s.p.GlobalSig
@@ -67,15 +57,6 @@ func (s *Sampler) Instance(width float64) float64 {
 		width = 1
 	}
 	return s.rng.NormFloat64() * s.p.SigmaVth0 / math.Sqrt(width)
-}
-
-// PerGate draws n independent instance offsets with unit width.
-func (s *Sampler) PerGate(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = s.Instance(1)
-	}
-	return out
 }
 
 // Stats summarizes a sample.
