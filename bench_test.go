@@ -232,7 +232,7 @@ func BenchmarkParallelCharacterize(b *testing.B) {
 	for _, workers := range counts {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lib, err := liberty.CharacterizeWorkers("bench", cells, p, grid, workers)
+				lib, err := liberty.Characterize("bench", cells, p, grid, workers)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -44,7 +44,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if fault.NormalizeWords(*words) != *words {
+	opts := fault.Options{Workers: *workers, Words: *words}
+	if opts.Lanes() != *words {
 		fmt.Fprintf(os.Stderr, "itratpg: invalid -words %d: must be 1, 2, 4 or 8\n", *words)
 		os.Exit(2)
 	}
@@ -53,8 +54,7 @@ func main() {
 		ecfg := experiments.Default()
 		ecfg.Seed = *seed
 		ecfg.Quick = *quick
-		ecfg.Workers = *workers
-		ecfg.Words = *words
+		ecfg.Options = opts
 		doc, err := experiments.RunATPGBench(ecfg, *benchdir)
 		if err != nil {
 			fatal(err)
@@ -87,8 +87,7 @@ func main() {
 	cfg := atpg.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Compact = !*noCompact
-	cfg.Workers = *workers
-	cfg.Words = *words
+	cfg.Options = opts
 	if *naive {
 		cfg.Guide = atpg.GuideNaive
 	}

@@ -33,7 +33,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if fault.NormalizeWords(*words) != *words {
+	opts := fault.Options{Workers: *workers, Words: *words}
+	if opts.Lanes() != *words {
 		fmt.Fprintf(os.Stderr, "itrbench: invalid -words %d: must be 1, 2, 4 or 8\n", *words)
 		os.Exit(2)
 	}
@@ -41,8 +42,7 @@ func main() {
 	cfg := experiments.Default()
 	cfg.Quick = *quick
 	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.Words = *words
+	cfg.Options = opts
 
 	start := time.Now()
 	switch {

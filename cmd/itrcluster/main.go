@@ -84,7 +84,7 @@ func runCoordinator(args []string) {
 		chaosKill   = fs.String("chaos-kill", "", fmt.Sprintf("deterministic chaos: exit(3) at the Nth hit of a named crash point, \"point:N\" (points: %s)", strings.Join(chaos.CrashPoints, ", ")))
 	)
 	fs.Parse(args)
-	if fault.NormalizeWords(*words) != *words {
+	if (fault.Options{Words: *words}).Lanes() != *words {
 		fmt.Fprintf(os.Stderr, "itrcluster: invalid -words %d: must be 1, 2, 4 or 8\n", *words)
 		os.Exit(2)
 	}

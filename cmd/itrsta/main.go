@@ -47,7 +47,7 @@ func main() {
 		grid = liberty.CoarseGrid()
 	}
 	fmt.Printf("characterizing library at %g K (%d workers) ...\n", *temp, *workers)
-	lib, err := liberty.CharacterizeWorkers("lib", liberty.AllCells(), spice.Default(*temp), grid, *workers)
+	lib, err := liberty.Characterize("lib", liberty.AllCells(), spice.Default(*temp), grid, *workers)
 	if err != nil {
 		fatal(err)
 	}

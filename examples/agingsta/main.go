@@ -18,7 +18,7 @@ import (
 func main() {
 	fmt.Println("characterizing 300 K library (coarse grid)...")
 	lib, err := liberty.Characterize("demo300", liberty.AllCells(),
-		spice.Default(300), liberty.CoarseGrid())
+		spice.Default(300), liberty.CoarseGrid(), 0) // 0 workers: GOMAXPROCS
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func main() {
 	// 1. Classic flow: full characterization of a corner, cached to .lib.
 	cells := liberty.AllCells()
 	fmt.Printf("characterizing %d cells at 300 K (coarse grid)...\n", len(cells))
-	lib, err := liberty.Characterize("tt300", cells, spice.Default(300), liberty.CoarseGrid())
+	lib, err := liberty.Characterize("tt300", cells, spice.Default(300), liberty.CoarseGrid(), 0) // 0 workers: GOMAXPROCS
 	if err != nil {
 		log.Fatal(err)
 	}

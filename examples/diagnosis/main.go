@@ -14,6 +14,7 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/diagnosis"
+	"repro/internal/fault"
 )
 
 func main() {
@@ -27,7 +28,7 @@ func main() {
 	}
 	fmt.Printf("test set: %d patterns, %.1f%% coverage\n", gen.Patterns.N, gen.Coverage*100)
 
-	d, err := diagnosis.NewWorkersWords(n, gen.Patterns, 0, 1)
+	d, err := diagnosis.New(n, gen.Patterns, fault.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

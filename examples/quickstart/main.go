@@ -35,7 +35,7 @@ func main() {
 	// 3. A standard-cell library, characterized from the transistor level
 	//    at 300 K (coarse grid keeps the demo fast).
 	lib, err := liberty.Characterize("demo300", liberty.AllCells(),
-		spice.Default(300), liberty.CoarseGrid())
+		spice.Default(300), liberty.CoarseGrid(), 0) // 0 workers: GOMAXPROCS
 	if err != nil {
 		log.Fatal(err)
 	}

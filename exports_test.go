@@ -39,6 +39,43 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
+// TestNoWidthSuffixFuncs keeps engine width and fan-out in fault.Options.
+// It fails on any exported package-level function of internal/ whose name
+// ends in Words or Workers after another word, the family of positional
+// workers/words entry points that Options replaced. parallel.Workers, whose
+// whole name is the suffix, and methods such as Simulator.Words are not
+// package-level functions of that shape and pass.
+func TestNoWidthSuffixFuncs(t *testing.T) {
+	funcs, _ := scanFuncs(t, ".")
+	var found []string
+	for key, f := range funcs {
+		if !strings.HasPrefix(f.pkg, "repro/internal/") || f.recv != "" || !ast.IsExported(f.name) {
+			continue
+		}
+		for _, suffix := range []string{"Words", "Workers"} {
+			if strings.HasSuffix(f.name, suffix) && f.name != suffix && widthSuffixAllowed[key] == "" {
+				found = append(found, key+" ("+f.pos+")")
+			}
+		}
+	}
+	sort.Strings(found)
+	for _, msg := range found {
+		t.Errorf("%s: a workers/words variant; give the base function the argument instead (fault.Options for the fault engines)", msg)
+	}
+	for key := range widthSuffixAllowed {
+		if funcs[key] == nil {
+			t.Errorf("widthSuffixAllowed names %s, which no longer exists; drop the entry", key)
+		}
+	}
+}
+
+// widthSuffixAllowed lists the suffixed functions that stay, each with its
+// reason.
+var widthSuffixAllowed = map[string]string{
+	"repro/internal/fault.NewSimulatorWords":   "perfbench faultsim calls it; the benchmark PR moves perfbench to fault.Options and deletes it",
+	"repro/internal/diagnosis.NewWorkersWords": "perfbench diagnose calls it; the benchmark PR moves perfbench to fault.Options and deletes it",
+}
+
 // testOnlyFuncs runs the check over the tree at root. It returns the
 // functions of internal/ that no production code reaches, keyed as in
 // testOnlyAllowed and mapped to their positions, and one message for each

@@ -29,7 +29,7 @@ func integrationLib(t testing.TB) *liberty.Library {
 	t.Helper()
 	ilibOnce.Do(func() {
 		ilib, ilibErr = liberty.Characterize("int300", liberty.AllCells(),
-			spice.Default(300), liberty.CoarseGrid())
+			spice.Default(300), liberty.CoarseGrid(), 0)
 	})
 	if ilibErr != nil {
 		t.Fatal(ilibErr)
@@ -89,7 +89,7 @@ func TestATPGPatternsDriveDiagnosis(t *testing.T) {
 	if gen.Coverage < 0.99 {
 		t.Fatalf("coverage %.3f too low for diagnosis study", gen.Coverage)
 	}
-	d, err := diagnosis.NewWorkersWords(n, gen.Patterns, 0, 1)
+	d, err := diagnosis.New(n, gen.Patterns, fault.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestAgedCornerSlowsEveryCircuit(t *testing.T) {
 	fresh := integrationLib(t)
 	p := spice.Default(300)
 	p.DVthN, p.DVthP = 0.05, 0.05
-	aged, err := liberty.Characterize("aged300", liberty.AllCells(), p, liberty.CoarseGrid())
+	aged, err := liberty.Characterize("aged300", liberty.AllCells(), p, liberty.CoarseGrid(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package atpg
 import (
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/logic"
 )
 
@@ -25,7 +24,7 @@ import (
 // it, so the Generate calls, the pattern set and every counter match the
 // per-pattern flow bit for bit (pinned by the test-side reference oracle).
 func (f *flow) deterministicBatched() {
-	blockCap := logic.WordBits * fault.NormalizeWords(f.cfg.Words)
+	blockCap := logic.WordBits * f.cfg.Lanes()
 	eng := NewShared(f.comp, f.scoap)
 	eng.Guide = f.cfg.Guide
 	eng.BacktrackLim = f.cfg.BacktrackLim

@@ -19,15 +19,10 @@ type Config struct {
 	Guide        Guide
 	Compact      bool // reverse-order static compaction (default on via DefaultConfig)
 	SkipRandom   bool // deterministic-only flow (for ablation)
-	// Workers bounds the fan-out of the post-generation coverage sweep and
-	// the transition-fault dictionary (<= 0 selects GOMAXPROCS). PODEM
-	// generation itself runs on one engine in fault order. Results are
-	// bit-identical for any count.
-	Workers int
-	// Words selects the fault-simulation lane width (pattern words packed
-	// per cone walk, normalized to {1,2,4,8}). Results are bit-identical
-	// for any width.
-	Words int
+	// Options sets the fault-simulation width of every phase and the
+	// fan-out of the final coverage sweep. PODEM generation itself runs on
+	// one engine in fault order.
+	fault.Options
 }
 
 // DefaultConfig returns the standard flow configuration.
@@ -114,7 +109,7 @@ func (f *flow) liveFaults() ([]fault.Fault, []int) {
 // with fault dropping, a deterministic PODEM phase for the remaining
 // faults with committed patterns dropped in 64×Words blocks, and optional
 // reverse-order static compaction. Results are bit-identical for any
-// Workers and Words.
+// Options.
 func Run(n *circuit.Netlist, cfg Config) (*Result, error) {
 	f, err := newFlow(n, cfg)
 	if err != nil {
@@ -125,7 +120,7 @@ func Run(n *circuit.Netlist, cfg Config) (*Result, error) {
 	}
 	f.deterministicBatched()
 	if cfg.Compact && f.patterns.N > 1 {
-		f.patterns = f.compact(logic.WordBits * fault.NormalizeWords(cfg.Words))
+		f.patterns = f.compact(logic.WordBits * cfg.Lanes())
 	}
 	return f.finish()
 }
@@ -146,7 +141,7 @@ func newFlow(n *circuit.Netlist, cfg Config) (*flow, error) {
 	if err != nil {
 		return nil, err
 	}
-	fsim, err := fault.NewSimulatorWords(n, cfg.Words)
+	fsim, err := fault.New(n, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +170,7 @@ func newFlow(n *circuit.Netlist, cfg Config) (*flow, error) {
 // set, fanned out across workers (fault-shard results are bit-identical to
 // serial).
 func (f *flow) finish() (*Result, error) {
-	final, err := fault.RunConcurrentWords(f.net, f.patterns, f.faults, f.cfg.Workers, f.cfg.Words)
+	final, err := fault.RunConcurrent(f.net, f.patterns, f.faults, f.cfg.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -323,16 +318,15 @@ func coverageCurve(r *fault.Result, nPatterns, total int) []CoveragePoint {
 	return curve
 }
 
-// RandomOnlyWords generates nPatterns random patterns and returns the
-// coverage curve — the baseline against which the ATPG curve is compared
-// (figure F2). workers shards the fault list (<= 0 selects GOMAXPROCS) and
-// words selects the lane width; results are bit-identical for any values.
-func RandomOnlyWords(n *circuit.Netlist, nPatterns int, seed int64, workers, words int) (*Result, error) {
+// RandomOnly generates nPatterns random patterns and returns the coverage
+// curve — the baseline against which the ATPG curve is compared (figure
+// F2) — fault-simulated with fault.RunConcurrent under o.
+func RandomOnly(n *circuit.Netlist, nPatterns int, seed int64, o fault.Options) (*Result, error) {
 	faults := fault.Universe(n)
 	rng := rand.New(rand.NewSource(seed))
 	p := logic.NewPatternSet(len(n.PIs), nPatterns)
 	p.RandFill(rng.Uint64)
-	r, err := fault.RunConcurrentWords(n, p, faults, workers, words)
+	r, err := fault.RunConcurrent(n, p, faults, o)
 	if err != nil {
 		return nil, err
 	}

@@ -28,6 +28,11 @@ type TransitionResult struct {
 // and an initialization pattern justifying the pre-transition value, and
 // appends them as a consecutive pair. Dropping after each pair simulates
 // only the last three patterns, the only ones that form new pairs.
+//
+// It reads cfg's Seed, RandomBlocks, SkipRandom, BacktrackLim, Guide and
+// Options. It ignores RandomStall and Compact: the random phase keeps all
+// RandomBlocks×64 patterns and the set is never compacted (ROADMAP item
+// "Transition tests as short as stuck-at tests").
 func RunTransition(n *circuit.Netlist, cfg Config) (*TransitionResult, error) {
 	start := time.Now()
 	if cfg.BacktrackLim == 0 {
@@ -56,7 +61,7 @@ func RunTransition(n *circuit.Netlist, cfg Config) (*TransitionResult, error) {
 
 	detected := make([]bool, len(faults))
 	if nRand > 0 {
-		r, err := fault.SimulateTransitionsWords(n, patterns, faults, cfg.Workers, cfg.Words)
+		r, err := fault.SimulateTransitions(n, patterns, faults, cfg.Options)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +116,7 @@ func RunTransition(n *circuit.Netlist, cfg Config) (*TransitionResult, error) {
 				liveIdx = append(liveIdx, i)
 			}
 		}
-		r, err := fault.SimulateTransitionsWords(n, tail, live, cfg.Workers, cfg.Words)
+		r, err := fault.SimulateTransitions(n, tail, live, cfg.Options)
 		if err != nil {
 			return nil, err
 		}
@@ -122,7 +127,7 @@ func RunTransition(n *circuit.Netlist, cfg Config) (*TransitionResult, error) {
 		}
 	}
 
-	final, err := fault.SimulateTransitionsWords(n, patterns, faults, cfg.Workers, cfg.Words)
+	final, err := fault.SimulateTransitions(n, patterns, faults, cfg.Options)
 	if err != nil {
 		return nil, err
 	}

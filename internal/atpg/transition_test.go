@@ -37,7 +37,7 @@ func runTransitionRef(n *circuit.Netlist, cfg Config) (*TransitionResult, error)
 	patterns.RandFill(rng.Uint64)
 	detected := make([]bool, len(faults))
 	if nRand > 0 {
-		r, err := fault.SimulateTransitionsWords(n, patterns, faults, 1, 1)
+		r, err := fault.SimulateTransitions(n, patterns, faults, fault.Options{Workers: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -75,7 +75,7 @@ func runTransitionRef(n *circuit.Netlist, cfg Config) (*TransitionResult, error)
 				liveIdx = append(liveIdx, i)
 			}
 		}
-		r, err := fault.SimulateTransitionsWords(n, patterns, live, 1, 1)
+		r, err := fault.SimulateTransitions(n, patterns, live, fault.Options{Workers: 1})
 		if err != nil {
 			return nil, err
 		}
@@ -85,7 +85,7 @@ func runTransitionRef(n *circuit.Netlist, cfg Config) (*TransitionResult, error)
 			}
 		}
 	}
-	final, err := fault.SimulateTransitionsWords(n, patterns, faults, 1, 1)
+	final, err := fault.SimulateTransitions(n, patterns, faults, fault.Options{Workers: 1})
 	if err != nil {
 		return nil, err
 	}

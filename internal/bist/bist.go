@@ -193,7 +193,10 @@ func Run(n *circuit.Netlist, lfsrLen, misrLen int, seed uint64, nPatterns int) (
 		good.Absorb(row)
 	}
 
-	fsim := fault.NewSimulatorCompiledWords(comp, 1)
+	fsim, err := fault.NewSimulator(n)
+	if err != nil {
+		return nil, err
+	}
 	faults := fault.Universe(n)
 	res := &Result{
 		Patterns:      patterns.N,

@@ -380,7 +380,7 @@ func TestClusterStragglerRedispatchAndDuplicateDiscard(t *testing.T) {
 	// Late delivery of the straggler's (bit-identical) result: recompute it
 	// locally and send. The coordinator must discard it as a duplicate and
 	// answer Done rather than corrupting or re-counting the merge.
-	sim, err := fault.NewSimulatorWords(n, 1)
+	sim, err := fault.New(n, fault.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

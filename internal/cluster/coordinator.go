@@ -207,7 +207,7 @@ func (c *Coordinator) Stats() Stats {
 	return c.stats
 }
 
-// Detect distributes a fault-detection run (the fault.RunConcurrentWords
+// Detect distributes a fault-detection run (the fault.RunConcurrent
 // workload) over the connected workers: the fault list splits into
 // contiguous shards, each simulated remotely with per-shard dropping.
 // The result is bit-identical to fault.RunSerial on the same inputs for
@@ -223,7 +223,7 @@ func (c *Coordinator) DetectOpt(ctx context.Context, n *circuit.Netlist, p *logi
 	if err := validateJob(n, p, faults); err != nil {
 		return nil, err
 	}
-	w := fault.NormalizeWords(words)
+	w := fault.Options{Words: words}.Lanes()
 	j, err := c.newJob(KindDetect, w, n, p, faults)
 	if err != nil {
 		return nil, err
@@ -248,7 +248,7 @@ func (c *Coordinator) DetectOpt(ctx context.Context, n *circuit.Netlist, p *logi
 }
 
 // Dictionary distributes a full-response dictionary build (the
-// fault.DictionaryConcurrentWords workload): pattern-word column ranges
+// fault.DictionaryConcurrent workload): pattern-word column ranges
 // shard across workers, each filling the signature columns of its range
 // for every fault. Distinct shards write disjoint signature storage — the
 // same disjoint-column scheme that makes the in-process concurrent build
@@ -263,7 +263,7 @@ func (c *Coordinator) DictionaryOpt(ctx context.Context, n *circuit.Netlist, p *
 	if err := validateJob(n, p, faults); err != nil {
 		return nil, err
 	}
-	w := fault.NormalizeWords(words)
+	w := fault.Options{Words: words}.Lanes()
 	j, err := c.newJob(KindDictionary, w, n, p, faults)
 	if err != nil {
 		return nil, err

@@ -255,7 +255,7 @@ func newWorkerJob(payload []byte, cache *netCache) (*workerJob, bool, error) {
 		return nil, false, fmt.Errorf("%w: netlist content hash mismatch", ErrMalformed)
 	}
 	words := int(m.Words)
-	if fault.NormalizeWords(words) != words {
+	if (fault.Options{Words: words}).Lanes() != words {
 		return nil, false, fmt.Errorf("%w: invalid lane width %d", ErrMalformed, words)
 	}
 	n := cache.net
@@ -276,7 +276,7 @@ func newWorkerJob(payload []byte, cache *netCache) (*workerJob, bool, error) {
 	if !reused || sim.Words() != words {
 		// A miss compiles here. A hit at another lane width reuses the
 		// IR cached on the netlist and builds only the simulator's scratch.
-		if sim, err = fault.NewSimulatorWords(n, words); err != nil {
+		if sim, err = fault.New(n, fault.Options{Words: words}); err != nil {
 			return nil, false, err
 		}
 	}

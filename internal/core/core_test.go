@@ -9,6 +9,7 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/circuit"
 	"repro/internal/diagnosis"
+	"repro/internal/fault"
 	"repro/internal/liberty"
 	"repro/internal/outlier"
 	"repro/internal/spice"
@@ -185,7 +186,7 @@ func agingLib(t testing.TB) *liberty.Library {
 	t.Helper()
 	libOnce.Do(func() {
 		aLib, aLibErr = liberty.Characterize("t300", liberty.AllCells(),
-			spice.Default(300), liberty.CoarseGrid())
+			spice.Default(300), liberty.CoarseGrid(), 0)
 	})
 	if aLibErr != nil {
 		t.Fatal(aLibErr)
@@ -258,7 +259,7 @@ func TestDiagnosisMLScorerImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := diagnosis.NewWorkersWords(n, res.Patterns, 0, 1)
+	d, err := diagnosis.New(n, res.Patterns, fault.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,18 +63,23 @@ type faultSummary struct {
 	coNorm float64 // normalized SCOAP observability of the fault site
 }
 
-// NewWorkersWords builds a diagnoser: it fault-simulates the pattern set to
-// create the full-response dictionary, word-sharded across workers (<= 0
-// selects GOMAXPROCS) with words pattern words per cone walk (normalized to
-// {1,2,4,8}). The dictionary is bit-identical for any worker count and
-// width.
+// NewWorkersWords is New with both options given positionally. Only
+// perfbench calls it; the benchmark PR that moves perfbench to
+// fault.Options deletes it.
 func NewWorkersWords(n *circuit.Netlist, patterns *logic.PatternSet, workers, words int) (*Diagnoser, error) {
+	return New(n, patterns, fault.Options{Workers: workers, Words: words})
+}
+
+// New builds a diagnoser: it fault-simulates the pattern set to create the
+// full-response dictionary with fault.DictionaryConcurrent under o. The
+// dictionary is bit-identical for any worker count and width.
+func New(n *circuit.Netlist, patterns *logic.PatternSet, o fault.Options) (*Diagnoser, error) {
 	c, err := n.Compiled()
 	if err != nil {
 		return nil, err
 	}
 	faults := fault.Universe(n)
-	dict, err := fault.DictionaryConcurrentWords(n, patterns, faults, workers, words)
+	dict, err := fault.DictionaryConcurrent(n, patterns, faults, o)
 	if err != nil {
 		return nil, err
 	}

@@ -99,7 +99,7 @@ func TestNoiselessDiagnosisTop1(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 4} {
 			for _, words := range []int{1, 8} {
-				d, err := NewWorkersWords(c.n, c.p, workers, words)
+				d, err := New(c.n, c.p, fault.Options{Workers: workers, Words: words})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -117,7 +117,7 @@ func TestNoiselessDiagnosisTop1(t *testing.T) {
 func TestDiagnosisWithNoise(t *testing.T) {
 	n := circuit.RippleAdder(6)
 	p := testPatterns(t, n)
-	d, err := NewWorkersWords(n, p, 0, 1)
+	d, err := New(n, p, fault.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestDiagnosisWithNoise(t *testing.T) {
 func TestCandidatesSortedAndPruned(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
-	d, _ := NewWorkersWords(n, p, 0, 1)
+	d, _ := New(n, p, fault.Options{})
 	rng := rand.New(rand.NewSource(3))
 	obs, _ := Observe(n, p, d.Faults[0], 0, rng.Float64)
 	cands := d.Diagnose(obs, nil)
@@ -165,7 +165,7 @@ func TestCandidatesSortedAndPruned(t *testing.T) {
 func TestFeatureVectorShape(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
-	d, _ := NewWorkersWords(n, p, 0, 1)
+	d, _ := New(n, p, fault.Options{})
 	rng := rand.New(rand.NewSource(4))
 	obs, _ := Observe(n, p, d.Faults[2], 0, rng.Float64)
 	cands := d.Diagnose(obs, nil)
@@ -182,7 +182,7 @@ func TestFeatureVectorShape(t *testing.T) {
 func TestSelfSignatureJaccardIsOne(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
-	d, _ := NewWorkersWords(n, p, 0, 1)
+	d, _ := New(n, p, fault.Options{})
 	rng := rand.New(rand.NewSource(5))
 	for fi := 0; fi < len(d.Faults); fi += 3 {
 		if d.Dict[fi].FailBits() == 0 {
@@ -210,7 +210,7 @@ func TestSelfSignatureJaccardIsOne(t *testing.T) {
 func TestTrainingSetLabels(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
-	d, _ := NewWorkersWords(n, p, 0, 1)
+	d, _ := New(n, p, fault.Options{})
 	rng := rand.New(rand.NewSource(6))
 	sample := []int{0, 1, 2, 3}
 	ts := d.TrainingSet(sample, 0, rng.Float64)
@@ -234,7 +234,7 @@ func TestTrainingSetLabels(t *testing.T) {
 func TestObserveNoiseReducesFails(t *testing.T) {
 	n := circuit.RippleAdder(4)
 	p := testPatterns(t, n)
-	d, _ := NewWorkersWords(n, p, 0, 1)
+	d, _ := New(n, p, fault.Options{})
 	var fi int
 	for i := range d.Faults {
 		if d.Dict[i].FailBits() > 10 {
@@ -264,7 +264,7 @@ func TestEquivalentFaultCountsAsHit(t *testing.T) {
 	// them, so rank must treat either as a hit.
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
-	d, _ := NewWorkersWords(n, p, 0, 1)
+	d, _ := New(n, p, fault.Options{})
 	// find two distinct faults with identical signatures, if any
 	for i := range d.Faults {
 		for j := i + 1; j < len(d.Faults); j++ {
@@ -290,7 +290,7 @@ var benchCands []Candidate
 // detectable faults with 10 % of their failing bits missed.
 func BenchmarkDiagnose(b *testing.B) {
 	n := circuit.ArrayMultiplier(8)
-	d, err := NewWorkersWords(n, testPatterns(b, n), 1, fault.MaxWords)
+	d, err := New(n, testPatterns(b, n), fault.Options{Workers: 1, Words: fault.MaxWords})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -367,7 +367,7 @@ func TestEvaluateAndTrainingSetMatchObserve(t *testing.T) {
 	n := circuit.RippleAdder(6)
 	p := logic.NewPatternSet(len(n.PIs), 150)
 	p.RandFill(rand.New(rand.NewSource(11)).Uint64)
-	d, err := NewWorkersWords(n, p, 2, 4)
+	d, err := New(n, p, fault.Options{Workers: 2, Words: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestEvaluateAndTrainingSetMatchObserve(t *testing.T) {
 func TestDiagnoseAllZeroObservation(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
-	d, err := NewWorkersWords(n, p, 0, 1)
+	d, err := New(n, p, fault.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +503,7 @@ func TestDiagnoseMatchesReference(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, words := range []int{1, 8} {
-			d, err := NewWorkersWords(c.n, c.p, 0, words)
+			d, err := New(c.n, c.p, fault.Options{Words: words})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -536,7 +536,7 @@ func TestDiagnoseMatchesReference(t *testing.T) {
 // next candidate's.
 func TestDiagnoseCandidateFeaturesCapped(t *testing.T) {
 	n := circuit.MustC17()
-	d, err := NewWorkersWords(n, logic.Exhaustive(5), 0, 1)
+	d, err := New(n, logic.Exhaustive(5), fault.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,7 +554,7 @@ func TestDiagnoseCandidateFeaturesCapped(t *testing.T) {
 // Diagnoser returns what serial calls return.
 func TestDiagnoseConcurrentReaders(t *testing.T) {
 	n := loadBench(t, "rca16")
-	d, err := NewWorkersWords(n, randomPatterns(n, 150, 41), 0, 1)
+	d, err := New(n, randomPatterns(n, 150, 41), fault.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/circuit"
-	"repro/internal/fault"
 	"repro/internal/parallel"
 )
 
@@ -118,7 +117,7 @@ func RunATPGBench(cfg Config, benchDir string) (*ATPGBench, error) {
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		Workers:   parallel.Workers(cfg.Workers),
-		Words:     fault.NormalizeWords(cfg.Words),
+		Words:     cfg.Lanes(),
 		Quick:     cfg.Quick,
 	}
 	tw := cfg.table()
@@ -127,8 +126,7 @@ func RunATPGBench(cfg Config, benchDir string) (*ATPGBench, error) {
 		acfg := atpg.DefaultConfig()
 		acfg.Seed = cfg.Seed
 		acfg.BacktrackLim = 2000
-		acfg.Workers = cfg.Workers
-		acfg.Words = cfg.Words
+		acfg.Options = cfg.Options
 		// Deterministic-only: this benchmark times the deterministic phase
 		// (the part block dropping targets), so every fault is routed
 		// through PODEM instead of letting the random phase absorb 90% of

@@ -82,7 +82,6 @@ func minDuration(reps int, fn func()) time.Duration {
 // concurrent DetectedBy must match it bit for bit or the sweep aborts.
 func RunFaultSimBench(cfg Config, benchDir string) (*FaultSimBench, error) {
 	sizes, patterns := faultSimBenchSizes(cfg.Quick)
-	words := fault.NormalizeWords(cfg.Words)
 	doc := &FaultSimBench{
 		Schema:    "itr-faultsim-bench/v1",
 		Generated: time.Now().UTC().Format(time.RFC3339),
@@ -111,7 +110,7 @@ func RunFaultSimBench(cfg Config, benchDir string) (*FaultSimBench, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		p := logic.NewPatternSet(len(c.PIs), patterns)
 		p.RandFill(rng.Uint64)
-		fsim, err := fault.NewSimulatorWords(c, words)
+		fsim, err := fault.New(c, cfg.Options)
 		if err != nil {
 			return nil, err
 		}
@@ -120,7 +119,7 @@ func RunFaultSimBench(cfg Config, benchDir string) (*FaultSimBench, error) {
 		ppsfp := minDuration(3, func() { rp = fsim.Run(p, faults) })
 		var cerr error
 		var rc *fault.Result
-		conc := minDuration(3, func() { rc, cerr = fault.RunConcurrentWords(c, p, faults, cfg.Workers, words) })
+		conc := minDuration(3, func() { rc, cerr = fault.RunConcurrent(c, p, faults, cfg.Options) })
 		if cerr != nil {
 			return nil, cerr
 		}
@@ -142,7 +141,7 @@ func RunFaultSimBench(cfg Config, benchDir string) (*FaultSimBench, error) {
 		}
 		if row.Gates <= dictMaxGates {
 			dict := minDuration(2, func() {
-				if _, err := fault.DictionaryConcurrentWords(c, p, faults, cfg.Workers, words); err != nil {
+				if _, err := fault.DictionaryConcurrent(c, p, faults, cfg.Options); err != nil {
 					cerr = err
 				}
 			})

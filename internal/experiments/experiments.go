@@ -14,6 +14,7 @@ import (
 	"sync"
 	"text/tabwriter"
 
+	"repro/internal/fault"
 	"repro/internal/liberty"
 	"repro/internal/parallel"
 	"repro/internal/spice"
@@ -25,16 +26,12 @@ type Config struct {
 	Quick bool
 	Seed  int64
 	W     io.Writer
-	// Workers bounds the fan-out of parallel sections (library
-	// characterization, Monte Carlo sweeps, RunAll). <= 0 selects
-	// GOMAXPROCS. Results are bit-identical for any value: every
-	// randomized work item draws from a seed-split RNG stream.
-	Workers int
-	// Words selects the fault-simulation lane width (pattern words packed
-	// per cone walk, normalized to {1,2,4,8}); threaded through the ATPG,
-	// diagnosis, fault-simulation and transition experiments. Results are
-	// bit-identical for any width.
-	Words int
+	// Options sets the lane width of the ATPG, diagnosis, fault-simulation
+	// and transition experiments. Its Workers also bounds the other
+	// parallel sections (library characterization, Monte Carlo sweeps,
+	// RunAll); every randomized work item draws from a seed-split RNG
+	// stream, so results are bit-identical for any value.
+	fault.Options
 }
 
 // Default returns the full-scale configuration printing to stdout.
@@ -84,7 +81,7 @@ func library(cfg Config, tempK, dVth float64) (*liberty.Library, error) {
 		if cfg.Quick {
 			grid = liberty.CoarseGrid()
 		}
-		entry.lib, entry.err = liberty.CharacterizeWorkers(key, liberty.AllCells(), p, grid, cfg.Workers)
+		entry.lib, entry.err = liberty.Characterize(key, liberty.AllCells(), p, grid, cfg.Workers)
 	})
 	return entry.lib, entry.err
 }

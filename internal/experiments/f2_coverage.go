@@ -24,14 +24,13 @@ func RunF2(cfg Config) (*F2Result, error) {
 		c = circuit.ArrayMultiplier(4)
 	}
 	nRandom := 512
-	rnd, err := atpg.RandomOnlyWords(c, nRandom, cfg.Seed, cfg.Workers, cfg.Words)
+	rnd, err := atpg.RandomOnly(c, nRandom, cfg.Seed, cfg.Options)
 	if err != nil {
 		return nil, err
 	}
 	acfg := atpg.DefaultConfig()
 	acfg.Seed = cfg.Seed
-	acfg.Workers = cfg.Workers
-	acfg.Words = cfg.Words
+	acfg.Options = cfg.Options
 	det, err := atpg.Run(c, acfg)
 	if err != nil {
 		return nil, err

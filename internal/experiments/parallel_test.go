@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // TestF4DeterministicAcrossWorkers is the determinism regression test for
@@ -15,7 +17,7 @@ import (
 // error, which is a pure function of the samples) with 1 and 8 workers.
 func TestF4DeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) *F4Result {
-		cfg := Config{Quick: true, Seed: 1, W: io.Discard, Workers: workers}
+		cfg := Config{Quick: true, Seed: 1, W: io.Discard, Options: fault.Options{Workers: workers}}
 		res, err := RunF4(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -106,7 +108,7 @@ func TestRunOrderedEmitsInIndexOrder(t *testing.T) {
 			},
 		}
 	}
-	cfg := Config{W: &buf, Workers: n}
+	cfg := Config{W: &buf, Options: fault.Options{Workers: n}}
 	if err := runOrdered(cfg, steps); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestRunOrderedReportsLowestFailingStep(t *testing.T) {
 		{name: "bad", run: func(c Config) error { return fmt.Errorf("exploded") }},
 		{name: "after", run: func(c Config) error { return nil }},
 	}
-	err := runOrdered(Config{W: io.Discard, Workers: 2}, steps)
+	err := runOrdered(Config{W: io.Discard, Options: fault.Options{Workers: 2}}, steps)
 	if err == nil || !strings.Contains(err.Error(), "bad") || !strings.Contains(err.Error(), "exploded") {
 		t.Fatalf("err = %v", err)
 	}

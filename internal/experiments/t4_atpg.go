@@ -56,8 +56,7 @@ func RunT4(cfg Config) (*T4Result, error) {
 		guided := atpg.DefaultConfig()
 		guided.Seed = cfg.Seed
 		guided.BacktrackLim = 2000
-		guided.Workers = cfg.Workers
-		guided.Words = cfg.Words
+		guided.Options = cfg.Options
 		rg, err := atpg.Run(c, guided)
 		if err != nil {
 			return nil, err

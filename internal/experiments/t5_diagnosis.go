@@ -45,13 +45,12 @@ func RunT5(cfg Config) (*T5Result, error) {
 	for _, c := range circuits {
 		acfg := atpg.DefaultConfig()
 		acfg.Seed = cfg.Seed
-		acfg.Workers = cfg.Workers
-		acfg.Words = cfg.Words
+		acfg.Options = cfg.Options
 		gen, err := atpg.Run(c, acfg)
 		if err != nil {
 			return nil, err
 		}
-		d, err := diagnosis.NewWorkersWords(c, gen.Patterns, cfg.Workers, cfg.Words)
+		d, err := diagnosis.New(c, gen.Patterns, cfg.Options)
 		if err != nil {
 			return nil, err
 		}

@@ -59,7 +59,7 @@ func RunT7(cfg Config) (*T7Result, error) {
 	tw := cfg.table()
 	fmt.Fprintf(tw, "circuit\tfaults(all)\tfaults(collapsed)\tpatterns\tserial\tparallel\tspeedup\tconc(%d)\tspeedup\n", res.Workers)
 	for _, c := range suite {
-		fsim, err := fault.NewSimulatorWords(c, cfg.Words)
+		fsim, err := fault.New(c, cfg.Options)
 		if err != nil {
 			return nil, err
 		}
@@ -81,7 +81,7 @@ func RunT7(cfg Config) (*T7Result, error) {
 			t1 := time.Now()
 			rp = fsim.Run(p, faults)
 			t2 := time.Now()
-			rc, err = fault.RunConcurrentWords(c, p, faults, cfg.Workers, cfg.Words)
+			rc, err = fault.RunConcurrent(c, p, faults, cfg.Options)
 			if err != nil {
 				return nil, err
 			}

@@ -52,7 +52,7 @@ func RunT8(cfg Config) (*T8Result, error) {
 		faults := fault.Universe(c)
 		// Fault grading rides the concurrent engine: shards are
 		// bit-identical to the serial run for any worker count.
-		r, err := fault.RunConcurrentWords(c, p, faults, cfg.Workers, cfg.Words)
+		r, err := fault.RunConcurrent(c, p, faults, cfg.Options)
 		if err != nil {
 			return 0, 0, err
 		}

@@ -54,15 +54,14 @@ func RunT9(cfg Config) (*T9Result, error) {
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		p := logic.NewPatternSet(len(c.PIs), nRandom)
 		p.RandFill(rng.Uint64)
-		rr, err := fault.SimulateTransitionsWords(c, p, faults, cfg.Workers, cfg.Words)
+		rr, err := fault.SimulateTransitions(c, p, faults, cfg.Options)
 		if err != nil {
 			return nil, err
 		}
 		acfg := atpg.DefaultConfig()
 		acfg.Seed = cfg.Seed
 		acfg.BacktrackLim = 2000
-		acfg.Workers = cfg.Workers
-		acfg.Words = cfg.Words
+		acfg.Options = cfg.Options
 		ar, err := atpg.RunTransition(c, acfg)
 		if err != nil {
 			return nil, err

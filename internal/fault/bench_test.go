@@ -44,7 +44,7 @@ func BenchmarkFaultSim(b *testing.B) {
 // circuit.
 func benchRun(b *testing.B, gates, words, patterns int) {
 	c, faults, p := benchSetup(b, gates, patterns)
-	fsim, err := NewSimulatorWords(c, words)
+	fsim, err := New(c, Options{Words: words})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func BenchmarkFaultSimConcurrent(b *testing.B) {
 	c, faults, p := benchSetup(b, 2000, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunConcurrentWords(c, p, faults, 0, 1); err != nil {
+		if _, err := RunConcurrent(c, p, faults, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func BenchmarkDictionary(b *testing.B) {
 		for _, words := range []int{1, 2} {
 			b.Run(fmt.Sprintf("gates=%d/words=%d", gates, words), func(b *testing.B) {
 				c, faults, p := benchSetup(b, gates, 128)
-				fsim, err := NewSimulatorWords(c, words)
+				fsim, err := New(c, Options{Words: words})
 				if err != nil {
 					b.Fatal(err)
 				}

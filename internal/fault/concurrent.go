@@ -6,22 +6,22 @@ import (
 	"repro/internal/parallel"
 )
 
-// RunConcurrentWords fault-simulates the pattern set across multiple
-// workers on the shared parallel pool, splitting the fault list into one
-// contiguous shard per worker; each shard packs words pattern words per
-// pass (normalized to {1,2,4,8}). The netlist is compiled exactly once;
+// RunConcurrent fault-simulates the pattern set across o.Workers workers
+// on the shared parallel pool, splitting the fault list into one
+// contiguous shard per worker; each shard packs o.Lanes() pattern words
+// per pass. The netlist is compiled exactly once;
 // every shard gets a cheap Simulator over the shared immutable IR. Results
 // are identical to Simulator.Run for any worker count and any lane width
 // (fault dropping happens within each shard, and detection indices do not
-// depend on other faults). workers <= 0 selects GOMAXPROCS.
-func RunConcurrentWords(n *circuit.Netlist, p *logic.PatternSet, faults []Fault, workers, words int) (*Result, error) {
+// depend on other faults).
+func RunConcurrent(n *circuit.Netlist, p *logic.PatternSet, faults []Fault, o Options) (*Result, error) {
 	c, err := n.Compiled()
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{Total: len(faults), DetectedBy: make([]int, len(faults))}
-	res.Detected = shardFaults(workers, len(faults), func(lo, hi int) int {
-		return NewSimulatorCompiledWords(c, words).RunInto(p, faults[lo:hi], res.DetectedBy[lo:hi], nil)
+	res.Detected = shardFaults(o.Workers, len(faults), func(lo, hi int) int {
+		return newSimulator(c, o.Lanes()).RunInto(p, faults[lo:hi], res.DetectedBy[lo:hi], nil)
 	})
 	if res.Total > 0 {
 		res.Coverage = float64(res.Detected) / float64(res.Total)
@@ -53,25 +53,25 @@ func shardFaults(workers, nFaults int, run func(lo, hi int) int) int {
 	return total
 }
 
-// DictionaryConcurrentWords builds the same full-response signatures as
-// Simulator.Dictionary, sharding W-word pattern blocks across workers
-// (words normalized to {1,2,4,8}). The netlist is compiled exactly once up
+// DictionaryConcurrent builds the same full-response signatures as
+// Simulator.Dictionary, sharding o.Lanes()-word pattern blocks across
+// o.Workers workers. The netlist is compiled exactly once up
 // front; each worker owns a cheap Simulator over the shared IR (created
 // lazily on first claim) and fills whole signature-column blocks from one
 // cone walk per fault. Distinct blocks write disjoint storage, so the
 // merged dictionary is bit-identical to the serial one for any worker count
-// and any lane width. workers <= 0 selects GOMAXPROCS.
-func DictionaryConcurrentWords(n *circuit.Netlist, p *logic.PatternSet, faults []Fault, workers, words int) ([]*Signature, error) {
+// and any lane width.
+func DictionaryConcurrent(n *circuit.Netlist, p *logic.PatternSet, faults []Fault, o Options) ([]*Signature, error) {
 	c, err := n.Compiled()
 	if err != nil {
 		return nil, err
 	}
-	W := NormalizeWords(words)
+	W := o.Lanes()
 	nWords := p.Words()
 	blocks := (nWords + W - 1) / W
-	workers = parallel.Workers(workers)
+	workers := parallel.Workers(o.Workers)
 	if workers <= 1 || blocks <= 1 {
-		return NewSimulatorCompiledWords(c, W).Dictionary(p, faults), nil
+		return newSimulator(c, W).Dictionary(p, faults), nil
 	}
 	sigs := NewSignatures(len(faults), len(n.POs), nWords)
 	type scratch struct {
@@ -82,7 +82,7 @@ func DictionaryConcurrentWords(n *circuit.Netlist, p *logic.PatternSet, faults [
 	err = parallel.ForWorker(workers, blocks, func(worker, b int) error {
 		sc := &scratches[worker]
 		if sc.fsim == nil {
-			sc.fsim = NewSimulatorCompiledWords(c, W)
+			sc.fsim = newSimulator(c, W)
 			sc.perPO = make([]logic.Word, len(n.POs)*W)
 		}
 		sc.fsim.dictionaryBlock(p, faults, b*W, sigs, sc.perPO)

@@ -93,7 +93,7 @@ func dffFaninCircuit() *circuit.Netlist {
 // runIntoRef — every detBy entry and the count — on the given set.
 func checkDropMatchesRef(t *testing.T, c *circuit.Netlist, p *logic.PatternSet, faults []Fault, w int) {
 	t.Helper()
-	s, err := NewSimulatorWords(c, w)
+	s, err := New(c, Options{Words: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestDropPassRecoversFromPanic(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	p, next := randSet(rng, len(n.PIs), 300), randSet(rng, len(n.PIs), 300)
 	for _, w := range []int{1, 8} {
-		s := NewSimulatorCompiledWords(c, w)
+		s := newSimulator(c, w)
 		bad := append(faults[:len(faults):len(faults)], Fault{Gate: len(n.Gates), Pin: -1})
 		func() {
 			defer func() {

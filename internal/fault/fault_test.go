@@ -337,7 +337,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	}
 	want := fsim.Run(p, faults)
 	for _, workers := range []int{0, 1, 2, 4, 7} {
-		got, err := RunConcurrentWords(c, p, faults, workers, 1)
+		got, err := RunConcurrent(c, p, faults, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,7 +356,7 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 func TestConcurrentMoreWorkersThanFaults(t *testing.T) {
 	c := circuit.MustC17()
 	faults := Universe(c)[:3]
-	got, err := RunConcurrentWords(c, logic.Exhaustive(5), faults, 64, 1)
+	got, err := RunConcurrent(c, logic.Exhaustive(5), faults, Options{Workers: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func freshRunInto(t *testing.T, c *circuit.Compiled, w int, p *logic.PatternSet, faults []Fault) []int {
 	t.Helper()
 	detBy := make([]int, len(faults))
-	NewSimulatorCompiledWords(c, w).RunInto(p, faults, detBy, nil)
+	newSimulator(c, w).RunInto(p, faults, detBy, nil)
 	return detBy
 }
 
@@ -44,7 +44,7 @@ func TestRunIntoMemoMatchesFreshSimulator(t *testing.T) {
 	in := len(n.PIs)
 	for _, w := range []int{1, 8} {
 		rng := rand.New(rand.NewSource(int64(17 + w)))
-		s := NewSimulatorCompiledWords(c, w)
+		s := newSimulator(c, w)
 		oneGroup := func() int { return 1 + rng.Intn(w*logic.WordBits) }
 		cur := randSet(rng, in, oneGroup())
 		check := func(op string, p *logic.PatternSet, fs []Fault) {
@@ -129,7 +129,7 @@ func TestRunIntoOneGoodSimPerSet(t *testing.T) {
 	const k = 7
 	shard := len(faults) / k
 	for _, w := range []int{1, 8} {
-		s, err := NewSimulatorWords(n, w)
+		s, err := New(n, Options{Words: w})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -126,7 +126,7 @@ func checkFullResim(t *testing.T, c *circuit.Netlist, p *logic.PatternSet, fault
 		}
 	}
 	for _, words := range widths {
-		fsim, err := NewSimulatorWords(c, words)
+		fsim, err := New(c, Options{Words: words})
 		if err != nil {
 			t.Fatal(err)
 		}

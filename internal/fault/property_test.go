@@ -196,7 +196,7 @@ func TestDictionaryConcurrentBitIdentical(t *testing.T) {
 		p.RandFill(rng.Uint64)
 		want := fsim.Dictionary(p, faults)
 		for _, workers := range []int{1, 2, 3, 8} {
-			got, err := DictionaryConcurrentWords(c, p, faults, workers, 1)
+			got, err := DictionaryConcurrent(c, p, faults, Options{Workers: workers})
 			if err != nil {
 				return false
 			}

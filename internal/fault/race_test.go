@@ -24,7 +24,7 @@ func TestSharedCompiledRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewSimulatorCompiledWords(c, 1).RunSerial(p, faults)
+	ref := newSimulator(c, 1).RunSerial(p, faults)
 	refGood := goodValues(c, p)
 
 	// Second IR, used only by the racing goroutines.
@@ -37,7 +37,7 @@ func TestSharedCompiledRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			fsim := NewSimulatorCompiledWords(c2, 1)
+			fsim := newSimulator(c2, 1)
 			if got := fsim.Compiled(); got != c2 {
 				t.Errorf("worker %d: simulator not bound to the shared IR", w)
 				return
@@ -79,16 +79,16 @@ func TestConcurrentCompilesOnce(t *testing.T) {
 	p.RandFill(rng.Uint64)
 
 	before := circuit.CompileCount()
-	if _, err := RunConcurrentWords(n, p, faults, 8, 1); err != nil {
+	if _, err := RunConcurrent(n, p, faults, Options{Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if d := circuit.CompileCount() - before; d != 1 {
-		t.Fatalf("RunConcurrentWords with 8 workers compiled %d times, want 1", d)
+		t.Fatalf("RunConcurrent with 8 workers compiled %d times, want 1", d)
 	}
-	if _, err := DictionaryConcurrentWords(n, p, faults, 8, 1); err != nil {
+	if _, err := DictionaryConcurrent(n, p, faults, Options{Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SimulateTransitionsWords(n, p, TransitionUniverse(n), 8, 1); err != nil {
+	if _, err := SimulateTransitions(n, p, TransitionUniverse(n), Options{Workers: 8}); err != nil {
 		t.Fatal(err)
 	}
 	if d := circuit.CompileCount() - before; d != 1 {
@@ -113,7 +113,7 @@ func TestMultiWordSharedCompiledRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewSimulatorCompiledWords(c, 1).RunSerial(p, faults)
+	ref := newSimulator(c, 1).RunSerial(p, faults)
 
 	before := circuit.CompileCount()
 	c2, err := circuit.Compile(n) // cold IR the workers share
@@ -130,7 +130,7 @@ func TestMultiWordSharedCompiledRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			fsim := NewSimulatorCompiledWords(c2, widths[w])
+			fsim := newSimulator(c2, widths[w])
 			if got := fsim.Words(); got != widths[w] {
 				t.Errorf("worker %d: width %d, want %d", w, got, widths[w])
 				return

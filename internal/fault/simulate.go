@@ -14,12 +14,24 @@ import (
 // engine amortizes one cone walk over up to 512 patterns.
 const MaxWords = sim.MaxLanes
 
-// NormalizeWords clamps a Words knob to the supported lane widths
-// {1, 2, 4, 8}: values <= 1 select 1, other values round down to the
-// nearest supported width, capped at MaxWords. Every engine entry point
-// applies it, so callers may thread raw flag values through unchecked.
-func NormalizeWords(w int) int {
-	switch {
+// Options sets the width and the fan-out of a fault-simulation engine.
+// Every engine entry point takes it; atpg.Config and experiments.Config
+// embed it. Results are bit-identical for any value of either field.
+type Options struct {
+	// Workers bounds the shards a concurrent driver runs at once
+	// (<= 0 selects GOMAXPROCS). A single Simulator ignores it.
+	Workers int
+	// Words is the number of 64-bit pattern words packed per cone walk; it
+	// is normalized by Lanes.
+	Words int
+}
+
+// Lanes returns the lane width Words selects among {1, 2, 4, 8}: values
+// <= 1 select 1, other values round down to the nearest supported width,
+// capped at MaxWords. Every engine entry point applies it, so callers may
+// thread raw flag values through unchecked.
+func (o Options) Lanes() int {
+	switch w := o.Words; {
 	case w <= 1:
 		return 1
 	case w < 4:
@@ -122,28 +134,33 @@ type Simulator struct {
 	stagedN     int
 }
 
-// NewSimulator compiles a single-word (W=1) fault simulator for the
-// netlist. The compiled IR is cached on the netlist, so repeated calls
-// share one graph.
+// NewSimulator compiles a single-word fault simulator for the netlist: New
+// with the zero Options.
 func NewSimulator(n *circuit.Netlist) (*Simulator, error) {
-	return NewSimulatorWords(n, 1)
+	return New(n, Options{})
 }
 
-// NewSimulatorWords compiles a fault simulator packing words pattern words
-// per gate (normalized to {1,2,4,8}).
+// NewSimulatorWords is New with only Words set. Only perfbench calls it;
+// the benchmark PR that moves perfbench to Options deletes it.
 func NewSimulatorWords(n *circuit.Netlist, words int) (*Simulator, error) {
+	return New(n, Options{Words: words})
+}
+
+// New compiles a fault simulator packing o.Lanes() pattern words per cone
+// walk. The compiled IR is cached on the netlist, so repeated calls share
+// one graph.
+func New(n *circuit.Netlist, o Options) (*Simulator, error) {
 	c, err := n.Compiled()
 	if err != nil {
 		return nil, err
 	}
-	return NewSimulatorCompiledWords(c, words), nil
+	return newSimulator(c, o.Lanes()), nil
 }
 
-// NewSimulatorCompiledWords builds a W-word fault simulator over an
-// already-compiled IR. words is normalized to {1,2,4,8}; all widths share
-// the IR, so simulators of different widths over one graph are cheap.
-func NewSimulatorCompiledWords(c *circuit.Compiled, words int) *Simulator {
-	w := NormalizeWords(words)
+// newSimulator builds a simulator of w lanes (already normalized) over the
+// compiled IR. Simulators of any width share the IR, so the shard drivers
+// cheaply build one per shard.
+func newSimulator(c *circuit.Compiled, w int) *Simulator {
 	return &Simulator{
 		Net:      c.Net,
 		c:        c,
@@ -913,7 +930,7 @@ func (sg *Signature) FailBits() int {
 
 // NewSignatures allocates the zeroed signature matrix for faults × POs ×
 // words in one backing slice — the merge target for dictionary builds that
-// fill disjoint column ranges (DictionaryConcurrentWords locally, the
+// fill disjoint column ranges (DictionaryConcurrent locally, the
 // cluster coordinator across nodes).
 func NewSignatures(nFaults, nPOs, words int) []*Signature {
 	sigs := make([]*Signature, nFaults)
@@ -932,7 +949,7 @@ func NewSignatures(nFaults, nPOs, words int) []*Signature {
 // words and injects every fault once, writing all act columns from a single
 // cone walk. Signatures must have been allocated (zeroed) for the full word
 // range; distinct blocks touch disjoint storage, which is what makes
-// DictionaryConcurrentWords' block-sharded merge bit-identical to the serial
+// DictionaryConcurrent's block-sharded merge bit-identical to the serial
 // run. perPO is caller scratch of len(POs)*W; it must be zero on entry and is left zero on return (only the touched PO
 // lanes are written and cleared, so sparse signatures never pay a full
 // clear).

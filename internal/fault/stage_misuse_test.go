@@ -31,7 +31,7 @@ func assertPanics(t *testing.T, substr string, fn func()) {
 func stageFixture(t *testing.T, words int) (*Simulator, *circuit.Netlist, []Fault) {
 	t.Helper()
 	n := circuit.Random(7, 80, 11)
-	s, err := NewSimulatorWords(n, words)
+	s, err := New(n, Options{Words: words})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestStageMultiWordIncremental(t *testing.T) {
 // RunInto over the same set — the documented equivalence.
 func probeMatchesOracle(t *testing.T, s *Simulator, n *circuit.Netlist, p *logic.PatternSet, faults []Fault) {
 	t.Helper()
-	oracle, err := NewSimulatorWords(n, s.Words())
+	oracle, err := New(n, Options{Words: s.Words()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,24 +63,23 @@ type TransitionResult struct {
 	Coverage   float64
 }
 
-// SimulateTransitionsWords runs two-pattern transition-fault simulation
-// over all consecutive pattern pairs of the set on the stuck-at engine.
-// Faults shard over workers as in RunConcurrentWords (<= 0 selects
-// GOMAXPROCS); each shard walks W-word pattern blocks (words normalized to
-// {1,2,4,8}). Per block it simulates the good circuit once and walks each
+// SimulateTransitions runs two-pattern transition-fault simulation over
+// all consecutive pattern pairs of the set on the stuck-at engine. Faults
+// shard over o.Workers as in RunConcurrent; each shard walks o.Lanes()-word
+// pattern blocks. Per block it simulates the good circuit once and walks each
 // live fault's slow-value stuck-at fault at its site, with dropping. Pair
 // (k, k+1) detects when that walk reaches an output at pattern k+1 and the
 // good site value at pattern k is the pre-transition value, so the result
 // matches the two-pattern definition above and is bit-identical for any
 // worker count and width.
-func SimulateTransitionsWords(n *circuit.Netlist, p *logic.PatternSet, faults []TransitionFault, workers, words int) (*TransitionResult, error) {
+func SimulateTransitions(n *circuit.Netlist, p *logic.PatternSet, faults []TransitionFault, o Options) (*TransitionResult, error) {
 	c, err := n.Compiled()
 	if err != nil {
 		return nil, err
 	}
 	res := &TransitionResult{Total: len(faults), DetectedBy: make([]int, len(faults))}
-	res.Detected = shardFaults(workers, len(faults), func(lo, hi int) int {
-		return NewSimulatorCompiledWords(c, words).transitions(p, faults[lo:hi], res.DetectedBy[lo:hi])
+	res.Detected = shardFaults(o.Workers, len(faults), func(lo, hi int) int {
+		return newSimulator(c, o.Lanes()).transitions(p, faults[lo:hi], res.DetectedBy[lo:hi])
 	})
 	if res.Total > 0 {
 		res.Coverage = float64(res.Detected) / float64(res.Total)
@@ -88,7 +87,7 @@ func SimulateTransitionsWords(n *circuit.Netlist, p *logic.PatternSet, faults []
 	return res, nil
 }
 
-// transitions is the shard body of SimulateTransitionsWords: detBy receives
+// transitions is the shard body of SimulateTransitions: detBy receives
 // each fault's first detecting pair (-1 if none); it returns the number of
 // detected faults. A pair's capture bit is the stuck-at difference at
 // pattern k+1 masked by the site's initialization at pattern k: the site's

@@ -115,7 +115,7 @@ func TestTransitionSimAgainstExplicit(t *testing.T) {
 			}
 			for _, words := range laneWidths {
 				for _, workers := range []int{1, 3} {
-					res, err := SimulateTransitionsWords(c, p, faults, workers, words)
+					res, err := SimulateTransitions(c, p, faults, Options{Workers: workers, Words: words})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -138,7 +138,7 @@ func TestTransitionSimAgainstExplicit(t *testing.T) {
 func TestTransitionNeedsTwoPatterns(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.NewPatternSet(len(n.PIs), 1)
-	res, err := SimulateTransitionsWords(n, p, TransitionUniverse(n), 0, 1)
+	res, err := SimulateTransitions(n, p, TransitionUniverse(n), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestTransitionCoverageBelowStuckAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	p := logic.NewPatternSet(len(c.PIs), 128)
 	p.RandFill(rng.Uint64)
-	tres, err := SimulateTransitionsWords(c, p, TransitionUniverse(c), 0, 1)
+	tres, err := SimulateTransitions(c, p, TransitionUniverse(c), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

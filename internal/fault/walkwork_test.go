@@ -63,7 +63,7 @@ func TestWalkGateEvalsPinned(t *testing.T) {
 			p.RandFill(rng.Uint64)
 			staged := logic.NewPatternSet(len(c.PIs), min(n, w*logic.WordBits))
 			staged.RandFill(rng.Uint64)
-			s, err := NewSimulatorWords(c, w)
+			s, err := New(c, Options{Words: w})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,19 +15,19 @@ import (
 // bit-identity suite pins every width against the serial baseline.
 var laneWidths = []int{1, 2, 4, 8}
 
-// TestNormalizeWords pins the lane-width clamping every engine entry point
+// TestOptionsLanes pins the lane-width clamping every engine entry point
 // applies to raw flag values.
-func TestNormalizeWords(t *testing.T) {
+func TestOptionsLanes(t *testing.T) {
 	cases := map[int]int{-3: 1, 0: 1, 1: 1, 2: 2, 3: 2, 4: 4, 5: 4, 7: 4, 8: 8, 9: 8, 64: 8}
 	for in, want := range cases {
-		if got := NormalizeWords(in); got != want {
-			t.Errorf("NormalizeWords(%d) = %d, want %d", in, got, want)
+		if got := (Options{Words: in}).Lanes(); got != want {
+			t.Errorf("Options{Words: %d}.Lanes() = %d, want %d", in, got, want)
 		}
 	}
 }
 
 // Property: for every lane width W in {1,2,4,8} and worker count in
-// {1,4,8}, Run and RunConcurrentWords return exactly the serial baseline's
+// {1,4,8}, Run and RunConcurrent return exactly the serial baseline's
 // DetectedBy — including ragged tails where the pattern count is not a
 // multiple of 64*W, so the last super-word runs with fewer active lanes and
 // a partial tail mask.
@@ -48,7 +48,7 @@ func TestMultiWordRunBitIdentical(t *testing.T) {
 		}
 		want := base.RunSerial(p, faults)
 		for _, words := range laneWidths {
-			fsim, err := NewSimulatorWords(c, words)
+			fsim, err := New(c, Options{Words: words})
 			if err != nil {
 				return false
 			}
@@ -62,7 +62,7 @@ func TestMultiWordRunBitIdentical(t *testing.T) {
 				}
 			}
 			for _, workers := range []int{1, 4, 8} {
-				rc, err := RunConcurrentWords(c, p, faults, workers, words)
+				rc, err := RunConcurrent(c, p, faults, Options{Workers: workers, Words: words})
 				if err != nil {
 					return false
 				}
@@ -98,7 +98,7 @@ func TestMultiWordDictionaryBitIdentical(t *testing.T) {
 		want := base.Dictionary(p, faults)
 		for _, words := range laneWidths {
 			for _, workers := range []int{1, 4, 8} {
-				got, err := DictionaryConcurrentWords(c, p, faults, workers, words)
+				got, err := DictionaryConcurrent(c, p, faults, Options{Workers: workers, Words: words})
 				if err != nil {
 					return false
 				}
@@ -130,7 +130,7 @@ func TestMultiWordMatchesFullResimOracle(t *testing.T) {
 		c := circuit.Random(5+rng.Intn(6), 30+rng.Intn(80), seed)
 		faults := Universe(c)
 		for _, words := range []int{2, 4, 8} {
-			fsim, err := NewSimulatorWords(c, words)
+			fsim, err := New(c, Options{Words: words})
 			if err != nil {
 				return false
 			}
@@ -182,7 +182,7 @@ func TestLaneWindowComposition(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c := circuit.Random(6, 60+rng.Intn(60), seed)
 		faults := Universe(c)
-		fsim, err := NewSimulatorWords(c, 4)
+		fsim, err := New(c, Options{Words: 4})
 		if err != nil {
 			return false
 		}
@@ -224,13 +224,13 @@ func TestTransitionWordsBitIdentical(t *testing.T) {
 	faults := TransitionUniverse(c)
 	p := logic.NewPatternSet(len(c.PIs), 150)
 	p.RandFill(rng.Uint64)
-	want, err := SimulateTransitionsWords(c, p, faults, 1, 1)
+	want, err := SimulateTransitions(c, p, faults, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, words := range laneWidths {
 		for _, workers := range []int{1, 4, 8} {
-			got, err := SimulateTransitionsWords(c, p, faults, workers, words)
+			got, err := SimulateTransitions(c, p, faults, Options{Workers: workers, Words: words})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +254,7 @@ func TestTransitionWordsBitIdentical(t *testing.T) {
 func TestWalkRestoresGoodValues(t *testing.T) {
 	c := circuit.Random(8, 200, 11)
 	faults := Universe(c)
-	fsim, err := NewSimulatorWords(c, 2)
+	fsim, err := New(c, Options{Words: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,12 +288,12 @@ func TestMultiWordDictionaryMatchesRun(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
 			p := logic.NewPatternSet(len(c.PIs), 200)
 			p.RandFill(rng.Uint64)
-			fsim, err := NewSimulatorWords(c, words)
+			fsim, err := New(c, Options{Words: words})
 			if err != nil {
 				t.Fatal(err)
 			}
 			run := fsim.Run(p, faults)
-			dict, err := DictionaryConcurrentWords(c, p, faults, 4, words)
+			dict, err := DictionaryConcurrent(c, p, faults, Options{Workers: 4, Words: words})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,7 +326,7 @@ func TestRunIntoMatchesRunReusedScratch(t *testing.T) {
 		c := circuit.Random(5+rng.Intn(6), 30+rng.Intn(90), seed)
 		faults := Universe(c)
 		words := laneWidths[rng.Intn(len(laneWidths))]
-		fsim, err := NewSimulatorWords(c, words)
+		fsim, err := New(c, Options{Words: words})
 		if err != nil {
 			return false
 		}
@@ -365,11 +365,11 @@ func TestStageProbeMatchesRunIntoOracle(t *testing.T) {
 		c := circuit.Random(5+rng.Intn(6), 30+rng.Intn(80), seed)
 		faults := Universe(c)
 		words := laneWidths[rng.Intn(len(laneWidths))]
-		probe, err := NewSimulatorWords(c, words)
+		probe, err := New(c, Options{Words: words})
 		if err != nil {
 			return false
 		}
-		oracle, err := NewSimulatorWords(c, words)
+		oracle, err := New(c, Options{Words: words})
 		if err != nil {
 			return false
 		}

@@ -153,21 +153,16 @@ func (m *ItemMemory) Get(id int) HV {
 // positions, so Hamming distance grows linearly with level separation.
 type Levels struct {
 	Dim  int
-	Min  float64
-	Max  float64
 	vecs []HV
 }
 
-// NewLevels builds n level vectors spanning [min, max].
-func NewLevels(dim, n int, min, max float64, seed int64) *Levels {
+// NewLevels builds n level vectors; they depend only on dim, n and seed.
+func NewLevels(dim, n int, seed int64) *Levels {
 	if n < 2 {
 		panic(fmt.Sprintf("hdc: need >= 2 levels, got %d", n))
 	}
-	if max <= min {
-		panic(fmt.Sprintf("hdc: invalid level range [%g,%g]", min, max))
-	}
 	rng := rand.New(rand.NewSource(seed))
-	l := &Levels{Dim: dim, Min: min, Max: max, vecs: make([]HV, n)}
+	l := &Levels{Dim: dim, vecs: make([]HV, n)}
 	l.vecs[0] = RandHV(dim, rng)
 	// Total flips from level 0 to n-1 is dim/2 (orthogonal ends), spread
 	// evenly over a random permutation of positions.

@@ -30,10 +30,11 @@ func (h HV) Popcount() int {
 	return c
 }
 
-// Quantize maps x to its level index, clamping outside the range.
-func (l *Levels) Quantize(x float64) int {
+// Quantize maps x to its level index over the range [lo, hi], clamping
+// outside it.
+func (l *Levels) Quantize(x, lo, hi float64) int {
 	n := len(l.vecs)
-	idx := int(float64(n) * (x - l.Min) / (l.Max - l.Min))
+	idx := int(float64(n) * (x - lo) / (hi - lo))
 	if idx < 0 {
 		idx = 0
 	}
@@ -138,7 +139,7 @@ func TestItemMemoryDeterministic(t *testing.T) {
 }
 
 func TestLevelsSimilarityStructure(t *testing.T) {
-	l := NewLevels(dim, 16, 0, 1, 3)
+	l := NewLevels(dim, 16, 3)
 	// Adjacent levels are close; extremes are ~orthogonal.
 	dAdj := l.VecAt(0).Hamming(l.VecAt(1))
 	dFar := l.VecAt(0).Hamming(l.VecAt(15))
@@ -160,31 +161,30 @@ func TestLevelsSimilarityStructure(t *testing.T) {
 }
 
 // TestLevelsQuantize checks the scalar-to-level oracle the classifier tests
-// encode with: it clamps outside [Min, Max] and every index it returns
+// encode with: it clamps outside the range and every index it returns
 // names one of the n levels.
 func TestLevelsQuantize(t *testing.T) {
-	l := NewLevels(dim, 10, 0, 1, 1)
+	l := NewLevels(dim, 10, 1)
 	if len(l.vecs) != 10 {
 		t.Fatalf("levels = %d, want 10", len(l.vecs))
 	}
-	if l.Quantize(-5) != 0 {
+	if l.Quantize(-5, 0, 1) != 0 {
 		t.Error("below range must clamp to 0")
 	}
-	if l.Quantize(5) != 9 {
+	if l.Quantize(5, 0, 1) != 9 {
 		t.Error("above range must clamp to max")
 	}
-	if l.Quantize(0.05) != 0 || l.Quantize(0.95) != 9 || l.Quantize(0.55) != 5 {
+	if l.Quantize(0.05, 0, 1) != 0 || l.Quantize(0.95, 0, 1) != 9 || l.Quantize(0.55, 0, 1) != 5 {
 		t.Error("interior quantization wrong")
 	}
-	if l.VecAt(l.Quantize(1)).Hamming(l.VecAt(9)) != 0 {
-		t.Error("Max must quantize to the last level")
+	if l.VecAt(l.Quantize(1, 0, 1)).Hamming(l.VecAt(9)) != 0 {
+		t.Error("the top of the range must quantize to the last level")
 	}
 }
 
 func TestLevelsPanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewLevels(dim, 1, 0, 1, 1) },
-		func() { NewLevels(dim, 4, 1, 1, 1) },
+		func() { NewLevels(dim, 1, 1) },
 	} {
 		func() {
 			defer func() {
@@ -201,13 +201,13 @@ func TestLevelsPanics(t *testing.T) {
 // encoded as bind(xLevel, yLevel).
 func quadrantData(n int, seed int64) ([]HV, []int) {
 	r := rand.New(rand.NewSource(seed))
-	lx := NewLevels(dim, 32, -1, 1, 11)
-	ly := NewLevels(dim, 32, -1, 1, 22)
+	lx := NewLevels(dim, 32, 11)
+	ly := NewLevels(dim, 32, 22)
 	enc := make([]HV, n)
 	labels := make([]int, n)
 	for i := 0; i < n; i++ {
 		x, y := r.Float64()*2-1, r.Float64()*2-1
-		enc[i] = lx.VecAt(lx.Quantize(x)).Xor(ly.VecAt(ly.Quantize(y)))
+		enc[i] = lx.VecAt(lx.Quantize(x, -1, 1)).Xor(ly.VecAt(ly.Quantize(y, -1, 1)))
 		q := 0
 		if x >= 0 {
 			q |= 1

@@ -15,12 +15,12 @@ func TestCharacterizeDeterministicAcrossWorkers(t *testing.T) {
 	cells := AllCells()
 	p := spice.Default(300)
 	grid := CoarseGrid()
-	ref, err := CharacterizeWorkers("det", cells, p, grid, 1)
+	ref, err := Characterize("det", cells, p, grid, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 8} {
-		lib, err := CharacterizeWorkers("det", cells, p, grid, workers)
+		lib, err := Characterize("det", cells, p, grid, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -128,15 +128,6 @@ func CoarseGrid() Grid {
 	}
 }
 
-// Characterize builds a library by running the transistor-level simulator
-// over every (cell, pin, edge, slew, load) point of the grid, exactly like
-// a commercial characterization flow. The passed params carry the corner:
-// temperature, supply, and aging ΔVth. It fans the sweep out over
-// GOMAXPROCS workers; use CharacterizeWorkers for an explicit worker count.
-func Characterize(name string, cells []*spice.Cell, p spice.Params, grid Grid) (*Library, error) {
-	return CharacterizeWorkers(name, cells, p, grid, 0)
-}
-
 // arcUnit is one independent characterization work item: the full slew×load
 // grid of a single (cell, pin, input-edge) timing arc. Units only write
 // their own arc tables and local counters, so they parallelize freely.
@@ -150,13 +141,16 @@ type arcUnit struct {
 	runs, steps int
 }
 
-// CharacterizeWorkers is Characterize with a bounded worker pool
-// (workers <= 0 selects GOMAXPROCS). The characterization is deterministic:
-// the transistor-level simulator has no randomness and every (cell, arc)
-// unit is independent, with cost counters accumulated in unit order after
-// the fan-out, so the resulting library is bit-identical for any worker
-// count.
-func CharacterizeWorkers(name string, cells []*spice.Cell, p spice.Params, grid Grid, workers int) (*Library, error) {
+// Characterize builds a library by running the transistor-level simulator
+// over every (cell, pin, edge, slew, load) point of the grid, exactly like
+// a commercial characterization flow. The passed params carry the corner:
+// temperature, supply, and aging ΔVth. It fans the sweep out over a
+// bounded worker pool (workers <= 0 selects GOMAXPROCS). The
+// characterization is deterministic: the transistor-level simulator has no
+// randomness and every (cell, arc) unit is independent, with cost counters
+// accumulated in unit order after the fan-out, so the resulting library is
+// bit-identical for any worker count.
+func Characterize(name string, cells []*spice.Cell, p spice.Params, grid Grid, workers int) (*Library, error) {
 	lib := &Library{Name: name, Params: p, Cells: make(map[string]*Cell, len(cells))}
 	// Serial skeleton pass: resolve arcs and pin data, building the flat
 	// unit list the pool consumes. This is pure logic evaluation — cheap

@@ -108,7 +108,7 @@ func TestCellFor(t *testing.T) {
 func smallLib(t testing.TB, temp float64) *Library {
 	t.Helper()
 	cells := []*spice.Cell{invCell(), nandCell(2), xorCell()}
-	lib, err := Characterize("test", cells, spice.Default(temp), CoarseGrid())
+	lib, err := Characterize("test", cells, spice.Default(temp), CoarseGrid(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestAgedLibrarySlower(t *testing.T) {
 	fresh := smallLib(t, 300)
 	p := spice.Default(300)
 	p.DVthN, p.DVthP = 0.06, 0.06
-	aged, err := Characterize("aged", []*spice.Cell{invCell(), nandCell(2), xorCell()}, p, CoarseGrid())
+	aged, err := Characterize("aged", []*spice.Cell{invCell(), nandCell(2), xorCell()}, p, CoarseGrid(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

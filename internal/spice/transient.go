@@ -119,7 +119,6 @@ func Simulate(c *Cell, p Params, arc Arc) (Measurement, error) {
 	}
 
 	outSig := c.Output()
-	outIdx := outSig - c.NumInputs
 	rise := !out0 // output rising transition?
 
 	// Crossing trackers.
@@ -249,7 +248,6 @@ func Simulate(c *Cell, p Params, arc Arc) (Measurement, error) {
 	if outSlew < 0 {
 		outSlew = -outSlew
 	}
-	_ = outIdx
 	return Measurement{Delay: tOut50 - tIn50, Slew: outSlew, Energy: energy, Steps: steps}, nil
 }
 

@@ -25,7 +25,7 @@ func lib(t testing.TB) *liberty.Library {
 	t.Helper()
 	libOnce.Do(func() {
 		testLib, libErr = liberty.Characterize("t300", liberty.AllCells(),
-			spice.Default(300), liberty.CoarseGrid())
+			spice.Default(300), liberty.CoarseGrid(), 0)
 	})
 	if libErr != nil {
 		t.Fatal(libErr)

@@ -386,8 +386,8 @@ func NewEncoder(dim, size int, seed int64) *Encoder {
 		Dim:      dim,
 		size:     size,
 		seed:     seed,
-		rows:     hdc.NewLevels(dim, size, 0, float64(size), seed),
-		cols:     hdc.NewLevels(dim, size, 0, float64(size), seed+1),
+		rows:     hdc.NewLevels(dim, size, seed),
+		cols:     hdc.NewLevels(dim, size, seed+1),
 		failMark: marks.Get(0),
 		passMark: marks.Get(1),
 	}
