@@ -6,7 +6,6 @@
 package diagnosis
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -24,8 +23,8 @@ type Observation struct {
 	Bits [][]logic.Word // [po][word]
 }
 
-// NumFeatures is the length of the per-candidate feature vector,
-// Candidate.Features:
+// NumFeatures is the length of the per-candidate feature vector a Scorer
+// reads and TrainingExample.Features holds:
 //
 //	0: |dict ∩ obs|        (matched failures)
 //	1: |dict \ obs|        (predicted failures not observed)
@@ -37,12 +36,12 @@ type Observation struct {
 //	7: normalized SCOAP observability of the candidate site
 const NumFeatures = 8
 
-// Candidate is one ranked diagnosis candidate.
+// Candidate is one ranked diagnosis candidate. Its feature vector is not
+// kept: TrainingSet returns the vectors of the candidates it ranks.
 type Candidate struct {
-	Index    int // index into the fault list
-	Fault    fault.Fault
-	Score    float64
-	Features []float64
+	Index int // index into the fault list
+	Fault fault.Fault
+	Score float64
 }
 
 // Diagnoser matches observations against a precomputed dictionary. Dict is
@@ -146,7 +145,8 @@ func (obs *Observation) addNoise(noise float64, rnd func() float64) {
 }
 
 // Scorer maps a candidate feature vector to a matching score; higher is a
-// better match. It is the hook for the learned ranker.
+// better match. It is the hook for the learned ranker. The vector is
+// Diagnose's scratch, valid only during the call.
 type Scorer interface {
 	Score(features []float64) float64
 }
@@ -161,12 +161,15 @@ func (JaccardScorer) Score(f []float64) float64 {
 	return f[3] - 1e-4*(f[1]+f[2])
 }
 
-// rankScratch is the working memory of one Diagnose call, pooled so that
-// a call allocates only the candidates it returns.
+// rankScratch is the working memory of one ranking, pooled so that a
+// Diagnose call allocates only the candidates it returns.
 type rankScratch struct {
 	obsPOs []int     // POs where the observation fails
 	hits   []hit     // faults sharing a failure with it, by fault index
-	keys   []rankKey // sort keys of the hits
+	fv     []float64 // the hits' feature vectors, NumFeatures each
+	scores []float64 // the hits' scores
+	keys   []rankKey // sort keys of the hits, in rank order after rank
+	tmp    []rankKey // the radix sort's other buffer
 }
 
 // hit is a fault sharing a failure with the observation: the failing bits
@@ -174,9 +177,11 @@ type rankScratch struct {
 // signature also fails at.
 type hit struct{ fault, inter, both int32 }
 
+// rankKey is a hit's place in the ranking: key (scoreKey of its score)
+// ascending, then hit index.
 type rankKey struct {
-	score float64
-	hit   int32 // index into hits
+	key uint64
+	hit int32 // index into hits
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
@@ -188,11 +193,18 @@ var scratchPool = sync.Pool{New: func() any { return new(rankScratch) }}
 // always pruned, so an observation with no failure yields no candidates.
 // Diagnose only reads the Diagnoser, so concurrent calls are safe.
 func (d *Diagnoser) Diagnose(obs *Observation, scorer Scorer) []Candidate {
+	sc := scratchPool.Get().(*rankScratch)
+	defer scratchPool.Put(sc)
+	return d.rank(obs, scorer, sc)
+}
+
+// rank is Diagnose on the caller's scratch. On return sc.keys lists the
+// hits in rank order, and sc.fv holds the feature vector of hit k at
+// [k*NumFeatures, (k+1)*NumFeatures).
+func (d *Diagnoser) rank(obs *Observation, scorer Scorer, sc *rankScratch) []Candidate {
 	if scorer == nil {
 		scorer = JaccardScorer{}
 	}
-	sc := scratchPool.Get().(*rankScratch)
-	defer scratchPool.Put(sc)
 	// Only the POs where the log fails can share a failure with a fault;
 	// every other feature follows from the counts below and the summaries.
 	obsPOs := sc.obsPOs[:0]
@@ -229,43 +241,88 @@ func (d *Diagnoser) Diagnose(obs *Observation, scorer Scorer) []Candidate {
 			hits = append(hits, hit{int32(i), int32(inter), int32(both)})
 		}
 	}
-	// The keys are sorted, not the candidates: 16-byte records without
-	// pointers move far cheaper than Candidate. Hits are in fault index
-	// order, so the hit index breaks score ties as the fault index does.
-	keys := slices.Grow(sc.keys[:0], len(hits))[:len(hits)]
-	blk := make([]float64, len(hits)*NumFeatures)
+	// The keys are sorted, not the candidates. Hits are in fault index
+	// order and the radix sort is stable, so the hit index breaks score
+	// ties as the fault index does.
+	n := len(hits)
+	fv := slices.Grow(sc.fv[:0], n*NumFeatures)[:n*NumFeatures]
+	scores := slices.Grow(sc.scores[:0], n)[:n]
+	keys := slices.Grow(sc.keys[:0], n)[:n]
+	tmp := slices.Grow(sc.tmp[:0], n)[:n]
 	for k, h := range hits {
 		s := &d.sums[h.fault]
 		inter := int(h.inter)
-		// capped, so that an append cannot write into a neighbour
-		fv := blk[k*NumFeatures : (k+1)*NumFeatures : (k+1)*NumFeatures]
-		fv[0] = float64(inter)
-		fv[1] = float64(s.size - inter)
-		fv[2] = float64(obsSize - inter)
-		fv[3] = float64(inter) / float64(s.size+obsSize-inter)
-		fv[4] = float64(s.size)
-		fv[5] = float64(obsSize)
-		fv[6] = float64(h.both) / float64(max(s.pos, len(obsPOs)))
-		fv[7] = s.coNorm
-		keys[k] = rankKey{scorer.Score(fv), int32(k)}
+		f := fv[k*NumFeatures : (k+1)*NumFeatures : (k+1)*NumFeatures]
+		f[0] = float64(inter)
+		f[1] = float64(s.size - inter)
+		f[2] = float64(obsSize - inter)
+		f[3] = float64(inter) / float64(s.size+obsSize-inter)
+		f[4] = float64(s.size)
+		f[5] = float64(obsSize)
+		f[6] = float64(h.both) / float64(max(s.pos, len(obsPOs)))
+		f[7] = s.coNorm
+		scores[k] = scorer.Score(f)
+		keys[k] = rankKey{scoreKey(scores[k]), int32(k)}
 	}
-	slices.SortFunc(keys, func(a, b rankKey) int {
-		if c := cmp.Compare(b.score, a.score); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.hit, b.hit)
-	})
-	cands := make([]Candidate, len(hits))
+	keys, tmp = radixSort(keys, tmp)
+	cands := make([]Candidate, n)
 	for j, key := range keys {
-		k := int(key.hit)
+		k := key.hit
 		f := hits[k].fault
-		cands[j] = Candidate{
-			Index: int(f), Fault: d.Faults[f], Score: key.score,
-			Features: blk[k*NumFeatures : (k+1)*NumFeatures : (k+1)*NumFeatures],
-		}
+		cands[j] = Candidate{Index: int(f), Fault: d.Faults[f], Score: scores[k]}
 	}
-	sc.obsPOs, sc.hits, sc.keys = obsPOs, hits, keys
+	sc.obsPOs, sc.hits, sc.fv, sc.scores, sc.keys, sc.tmp = obsPOs, hits, fv, scores, keys, tmp
 	return cands
+}
+
+// scoreKey maps a score to a key whose unsigned order is the ranking's:
+// score descending by cmp.Compare, so −0 keys as +0 and every NaN takes
+// the largest key, after −Inf.
+func scoreKey(x float64) uint64 {
+	switch {
+	case x != x:
+		return math.MaxUint64
+	case x == 0:
+		x = 0 // −0 ranks with +0
+	}
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return b // negative: a larger magnitude ranks later
+	}
+	return ^b &^ (1 << 63) // positive: a larger value ranks earlier
+}
+
+// radixSort sorts a by key with a stable least-significant-digit radix
+// sort, one pass per key byte, skipping each byte that every key shares.
+// tmp must be as long as a. It returns the sorted slice and the other
+// buffer, which may be a and tmp swapped.
+func radixSort(a, tmp []rankKey) (sorted, other []rankKey) {
+	and, or := ^uint64(0), uint64(0)
+	for _, k := range a {
+		and &= k.key
+		or |= k.key
+	}
+	var count [256]int
+	for shift := 0; shift < 64; shift += 8 {
+		if (and^or)>>shift&0xff == 0 {
+			continue
+		}
+		clear(count[:])
+		for _, k := range a {
+			count[k.key>>shift&0xff]++
+		}
+		sum := 0
+		for i, c := range count {
+			count[i], sum = sum, sum+c
+		}
+		for _, k := range a {
+			b := k.key >> shift & 0xff
+			tmp[count[b]] = k
+			count[b]++
+		}
+		a, tmp = tmp, a
+	}
+	return a, tmp
 }
 
 // HitRank returns the 1-based rank of the true fault in the candidate list,
@@ -306,19 +363,28 @@ type TrainingExample struct {
 
 // TrainingSet generates labeled candidate examples by injecting each fault
 // in sample (indices into d.Faults), observing it with the given noise on
-// its dictionary row, and emitting every surviving candidate as an example. rnd supplies
-// determinism for the noise process.
+// its dictionary row, and emitting every surviving candidate, in rank
+// order, as an example with its feature vector. rnd supplies determinism
+// for the noise process.
 func (d *Diagnoser) TrainingSet(sample []int, noise float64, rnd func() float64) []TrainingExample {
+	sc := scratchPool.Get().(*rankScratch)
+	defer scratchPool.Put(sc)
 	var out []TrainingExample
 	for _, fi := range sample {
-		cands := d.Diagnose(d.observe(fi, noise, rnd), nil)
+		cands := d.rank(d.observe(fi, noise, rnd), nil, sc)
+		// One block per log; each example's features are a capped
+		// sub-slice, so an append cannot write into a neighbour.
+		blk := make([]float64, len(cands)*NumFeatures)
 		trueSig := d.Dict[fi]
-		for _, c := range cands {
+		for j, c := range cands {
+			k := int(sc.keys[j].hit)
+			f := blk[j*NumFeatures : (j+1)*NumFeatures : (j+1)*NumFeatures]
+			copy(f, sc.fv[k*NumFeatures:(k+1)*NumFeatures])
 			label := 0.0
 			if c.Index == fi || sameSignature(d.Dict[c.Index], trueSig) {
 				label = 1.0
 			}
-			out = append(out, TrainingExample{Features: c.Features, Label: label})
+			out = append(out, TrainingExample{Features: f, Label: label})
 		}
 	}
 	return out

@@ -1,13 +1,14 @@
 package diagnosis
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
 
@@ -155,8 +156,10 @@ func TestCandidatesSortedAndPruned(t *testing.T) {
 			t.Fatal("candidates not sorted by score")
 		}
 	}
-	for _, c := range cands {
-		if c.Features[0] == 0 {
+	c, _ := n.Compiled()
+	scoap := circuit.ComputeSCOAPCompiled(c)
+	for _, cand := range cands {
+		if featureVector(c, scoap, d.Dict[cand.Index], obs, cand.Fault)[0] == 0 {
 			t.Fatal("pruning failed: candidate with zero intersection")
 		}
 	}
@@ -166,19 +169,18 @@ func TestFeatureVectorShape(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
 	d, _ := New(n, p, fault.Options{})
-	rng := rand.New(rand.NewSource(4))
-	obs, _ := Observe(n, p, d.Faults[2], 0, rng.Float64)
-	cands := d.Diagnose(obs, nil)
-	for _, c := range cands {
-		if len(c.Features) != NumFeatures {
-			t.Fatalf("feature vector length %d, want %d", len(c.Features), NumFeatures)
+	for _, ex := range d.TrainingSet([]int{2}, 0, nil) {
+		if len(ex.Features) != NumFeatures {
+			t.Fatalf("feature vector length %d, want %d", len(ex.Features), NumFeatures)
 		}
-		if c.Features[3] < 0 || c.Features[3] > 1 {
-			t.Fatalf("jaccard out of range: %f", c.Features[3])
+		if ex.Features[3] < 0 || ex.Features[3] > 1 {
+			t.Fatalf("jaccard out of range: %f", ex.Features[3])
 		}
 	}
 }
 
+// TestSelfSignatureJaccardIsOne reads the features of a fault's own
+// candidate from TrainingSet, whose examples follow Diagnose's rank order.
 func TestSelfSignatureJaccardIsOne(t *testing.T) {
 	n := circuit.MustC17()
 	p := logic.Exhaustive(5)
@@ -189,10 +191,11 @@ func TestSelfSignatureJaccardIsOne(t *testing.T) {
 			continue
 		}
 		obs, _ := Observe(n, p, d.Faults[fi], 0, rng.Float64)
+		examples := d.TrainingSet([]int{fi}, 0, nil)
 		var fv []float64
-		for _, c := range d.Diagnose(obs, nil) {
+		for j, c := range d.Diagnose(obs, nil) {
 			if c.Index == fi {
-				fv = c.Features
+				fv = examples[j].Features
 			}
 		}
 		if fv == nil {
@@ -341,20 +344,27 @@ func evaluateRef(t *testing.T, d *Diagnoser, p *logic.PatternSet, cases []int, n
 	return acc
 }
 
-// trainingSetRef is the Observe-based reference for TrainingSet.
+// trainingSetRef is the reference for TrainingSet: each log comes from
+// Observe, and each candidate's features from featureVector.
 func trainingSetRef(t *testing.T, d *Diagnoser, p *logic.PatternSet, sample []int, noise float64, rnd func() float64) []TrainingExample {
+	c, err := d.Net.Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	scoap := circuit.ComputeSCOAPCompiled(c)
 	var out []TrainingExample
 	for _, fi := range sample {
 		obs, err := Observe(d.Net, p, d.Faults[fi], noise, rnd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, c := range d.Diagnose(obs, nil) {
+		for _, cand := range d.Diagnose(obs, nil) {
 			label := 0.0
-			if c.Index == fi || sameSignature(d.Dict[c.Index], d.Dict[fi]) {
+			if cand.Index == fi || sameSignature(d.Dict[cand.Index], d.Dict[fi]) {
 				label = 1
 			}
-			out = append(out, TrainingExample{Features: c.Features, Label: label})
+			fv := featureVector(c, scoap, d.Dict[cand.Index], obs, cand.Fault)
+			out = append(out, TrainingExample{Features: fv, Label: label})
 		}
 	}
 	return out
@@ -408,8 +418,8 @@ func TestDiagnoseAllZeroObservation(t *testing.T) {
 	}
 }
 
-// featureVector is the reference for the features Diagnose computes (see
-// Candidate.Features): it reads every word of every PO of the signature.
+// featureVector is the reference for the features Diagnose computes and
+// TrainingSet returns: it reads every word of every PO of the signature.
 func featureVector(c *circuit.Compiled, scoap *circuit.SCOAP, sig *fault.Signature, obs *Observation, f fault.Fault) []float64 {
 	var inter, onlyDict, onlyObs int
 	dictPOs, obsPOs, bothPOs := 0, 0, 0
@@ -452,7 +462,8 @@ func featureVector(c *circuit.Compiled, scoap *circuit.SCOAP, sig *fault.Signatu
 }
 
 // diagnoseRef is the reference ranking: featureVector for every fault, the
-// prune on no shared failure, then a stable sort by score and index.
+// prune on no shared failure, then a stable sort by score descending under
+// cmp.Compare (so NaN last and −0 equal to +0) and then index.
 func diagnoseRef(d *Diagnoser, obs *Observation, scorer Scorer) []Candidate {
 	if scorer == nil {
 		scorer = JaccardScorer{}
@@ -468,15 +479,23 @@ func diagnoseRef(d *Diagnoser, obs *Observation, scorer Scorer) []Candidate {
 		if fv[0] == 0 {
 			continue
 		}
-		cands = append(cands, Candidate{Index: i, Fault: f, Score: scorer.Score(fv), Features: fv})
+		cands = append(cands, Candidate{Index: i, Fault: f, Score: scorer.Score(fv)})
 	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		if cands[a].Score != cands[b].Score {
-			return cands[a].Score > cands[b].Score
+	slices.SortStableFunc(cands, func(a, b Candidate) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return cands[a].Index < cands[b].Index
+		return cmp.Compare(a.Index, b.Index)
 	})
 	return cands
+}
+
+// sameCandidates reports whether two rankings list the same faults with
+// bit-identical scores, so NaN scores compare equal to themselves.
+func sameCandidates(a, b []Candidate) bool {
+	return slices.EqualFunc(a, b, func(x, y Candidate) bool {
+		return x.Index == y.Index && x.Fault == y.Fault && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+	})
 }
 
 // tieScorer scores by quartile of Jaccard similarity, so most candidates
@@ -485,9 +504,22 @@ type tieScorer struct{}
 
 func (tieScorer) Score(f []float64) float64 { return math.Floor(f[3] * 4) }
 
+// oddScorer returns the scores an order must get right beyond finite
+// values: NaN, ±0, ±Inf and subnormals, each shared by many candidates,
+// chosen by the matched failure count.
+type oddScorer struct{}
+
+var oddScores = []float64{
+	math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, 1, -1,
+}
+
+func (oddScorer) Score(f []float64) float64 { return oddScores[int(f[0])%len(oddScores)] }
+
 // TestDiagnoseMatchesReference compares Diagnose with diagnoseRef on
 // noiseless and noisy logs and an all-zero log, over dictionaries built at
-// one and eight pattern words, with the Jaccard scorer and a tie-heavy one.
+// one and eight pattern words, with the Jaccard scorer, a tie-heavy one and
+// one of NaN, signed-zero, infinite and subnormal scores.
 func TestDiagnoseMatchesReference(t *testing.T) {
 	mul8 := circuit.ArrayMultiplier(8)
 	rca := loadBench(t, "rca16")
@@ -518,10 +550,10 @@ func TestDiagnoseMatchesReference(t *testing.T) {
 					logs = append(logs, d.observe(fi, noise, rng.Float64))
 				}
 			}
-			for _, scorer := range []Scorer{JaccardScorer{}, tieScorer{}} {
+			for _, scorer := range []Scorer{JaccardScorer{}, tieScorer{}, oddScorer{}} {
 				for k, obs := range logs {
 					got, want := d.Diagnose(obs, scorer), diagnoseRef(d, obs, scorer)
-					if !reflect.DeepEqual(got, want) {
+					if !sameCandidates(got, want) {
 						t.Errorf("%s words %d %T log %d: %d candidates differ from the reference's %d",
 							c.n.Name, words, scorer, k, len(got), len(want))
 					}
@@ -531,22 +563,38 @@ func TestDiagnoseMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDiagnoseCandidateFeaturesCapped: the candidates' features share one
-// block, so an append to one candidate's features must not write into the
-// next candidate's.
-func TestDiagnoseCandidateFeaturesCapped(t *testing.T) {
+// TestScoreKeyOrder checks scoreKey against cmp.Compare on every pair of
+// the adversarial scores and a few ordinary ones.
+func TestScoreKeyOrder(t *testing.T) {
+	xs := append([]float64{0.5, -0.5, 1e300, -1e300, math.MaxFloat64, -math.MaxFloat64, math.Float64frombits(0x7ff8000000000001)}, oddScores...)
+	for _, a := range xs {
+		for _, b := range xs {
+			want := cmp.Compare(b, a) // descending
+			ka, kb := scoreKey(a), scoreKey(b)
+			if got := cmp.Compare(ka, kb); got != want {
+				t.Errorf("scores %v, %v: key order %d, cmp.Compare order %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestTrainingSetFeaturesCapped: each log's examples share one feature
+// block, so an append to one example's features must not write into the
+// next example's.
+func TestTrainingSetFeaturesCapped(t *testing.T) {
 	n := circuit.MustC17()
-	d, err := New(n, logic.Exhaustive(5), fault.Options{})
+	p := logic.Exhaustive(5)
+	d, err := New(n, p, fault.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := d.observe(detectable(d, 1)[0], 0, nil)
-	cands, want := d.Diagnose(obs, nil), diagnoseRef(d, obs, nil)
-	for i := range cands {
-		_ = append(cands[i].Features, -1)
+	sample := detectable(d, 1)
+	examples, want := d.TrainingSet(sample, 0, nil), trainingSetRef(t, d, p, sample, 0, nil)
+	for i := range examples {
+		_ = append(examples[i].Features, -1)
 	}
-	if !reflect.DeepEqual(cands, want) {
-		t.Error("appending to a candidate's features changed another candidate")
+	if !reflect.DeepEqual(examples, want) {
+		t.Error("appending to an example's features changed another example")
 	}
 }
 

@@ -44,7 +44,7 @@ func RunT10(cfg Config) (*T10Result, error) {
 	fmt.Fprintf(tw, "temp[K]\tmedian cell delay[ps]\tlib leakage[W]\t%s fmax[MHz]\t%s leakage[W]\n", ref.Name, ref.Name)
 	for _, temp := range temps {
 		lib, err := liberty.Characterize(fmt.Sprintf("corner%g", temp),
-			liberty.AllCells(), spice.Default(temp), liberty.CoarseGrid(), 0)
+			liberty.AllCells(), spice.Default(temp), liberty.CoarseGrid(), cfg.Workers)
 		if err != nil {
 			return nil, err
 		}

@@ -56,9 +56,10 @@ func shardFaults(workers, nFaults int, run func(lo, hi int) int) int {
 // DictionaryConcurrent builds the same full-response signatures as
 // Simulator.Dictionary, sharding o.Lanes()-word pattern blocks across
 // o.Workers workers. The netlist is compiled exactly once up
-// front; each worker owns a cheap Simulator over the shared IR (created
-// lazily on first claim) and fills whole signature-column blocks from one
-// cone walk per fault. Distinct blocks write disjoint storage, so the
+// front, and the faults are grouped by fanout-free region once; each
+// worker owns a cheap Simulator over the shared IR (created lazily on first
+// claim) and fills whole signature-column blocks from one stem walk per
+// region. Distinct blocks write disjoint storage, so the
 // merged dictionary is bit-identical to the serial one for any worker count
 // and any lane width.
 func DictionaryConcurrent(n *circuit.Netlist, p *logic.PatternSet, faults []Fault, o Options) ([]*Signature, error) {
@@ -79,13 +80,14 @@ func DictionaryConcurrent(n *circuit.Netlist, p *logic.PatternSet, faults []Faul
 		perPO []logic.Word
 	}
 	scratches := make([]scratch, workers)
+	order := stemOrder(c, faults)
 	err = parallel.ForWorker(workers, blocks, func(worker, b int) error {
 		sc := &scratches[worker]
 		if sc.fsim == nil {
 			sc.fsim = newSimulator(c, W)
 			sc.perPO = make([]logic.Word, len(n.POs)*W)
 		}
-		sc.fsim.dictionaryBlock(p, faults, b*W, sigs, sc.perPO)
+		sc.fsim.dictionaryBlock(p, faults, order, b*W, sigs, sc.perPO)
 		return nil
 	})
 	if err != nil {

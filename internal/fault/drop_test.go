@@ -70,6 +70,33 @@ func runIntoRef(s *Simulator, p *logic.PatternSet, faults []Fault, detBy []int) 
 	return detected
 }
 
+// dictionaryRef is the reference for the fanout-free-region dictionary:
+// the same blocks and good simulations, but one event-driven walk per
+// fault from its site, each writing its own per-PO differences.
+func dictionaryRef(s *Simulator, p *logic.PatternSet, faults []Fault) []*Signature {
+	s.stagedAct, s.goodAct = 0, 0
+	W := s.w
+	words := p.Words()
+	sigs := NewSignatures(len(faults), len(s.Net.POs), words)
+	perPO := make([]logic.Word, len(s.Net.POs)*W)
+	var masks, diff [MaxWords]logic.Word
+	for base := 0; base < words; base += W {
+		act := min(W, words-base)
+		s.simulateGood(p, base, 0, act, min(W, words))
+		for l := 0; l < act; l++ {
+			masks[l] = p.TailMask(base + l)
+		}
+		for fi, f := range faults {
+			for _, po := range s.detectLanes(f, 0, act, masks[:act], diff[:act], perPO) {
+				pb := int(po) * W
+				copy(sigs[fi].Bits[po][base:base+act], perPO[pb:pb+act])
+				clear(perPO[pb : pb+act])
+			}
+		}
+	}
+	return sigs
+}
+
 // dffFaninCircuit has a DFF that carries structural fanin (a non-scan
 // import keeps the D connection): PI a feeds only the DFF s, whose output
 // the walk treats as a pseudo-PI immune to a, so a's faults are
@@ -112,6 +139,18 @@ func checkDropMatchesRef(t *testing.T, c *circuit.Netlist, p *logic.PatternSet, 
 	}
 }
 
+// dropGridCircuits are the circuits of the per-fault reference grids:
+// arithmetic, parity, compare, random and gated-parity circuits and the
+// edge circuits of the full-resim oracle.
+func dropGridCircuits() []*circuit.Netlist {
+	return []*circuit.Netlist{
+		circuit.MustC17(), circuit.ArrayMultiplier(8), circuit.ArrayMultiplier(16),
+		circuit.GatedParity(8, 20, 6), circuit.Random(20, 300, 1), circuit.Random(32, 500, 1),
+		circuit.Random(64, 2000, 3), circuit.ALUSlice(8), circuit.ParityTree(16), circuit.Comparator(16),
+		repeatedFaninCircuit(), poFanoutCircuit(), scanCircuit(), wideFaninCircuit(9), dffFaninCircuit(),
+	}
+}
+
 // TestDropPassMatchesPerFaultRef pins the fanout-free-region drop pass to
 // the per-fault reference over the full uncollapsed universe (so branch
 // faults and BUF/NOT input faults are in) of arithmetic, parity, compare,
@@ -119,13 +158,7 @@ func checkDropMatchesRef(t *testing.T, c *circuit.Netlist, p *logic.PatternSet, 
 // oracle, at set sizes on both sides of every lane-group boundary and at
 // every lane width.
 func TestDropPassMatchesPerFaultRef(t *testing.T) {
-	circuits := []*circuit.Netlist{
-		circuit.MustC17(), circuit.ArrayMultiplier(8), circuit.ArrayMultiplier(16),
-		circuit.GatedParity(8, 20, 6), circuit.Random(20, 300, 1), circuit.Random(32, 500, 1),
-		circuit.Random(64, 2000, 3), circuit.ALUSlice(8), circuit.ParityTree(16), circuit.Comparator(16),
-		repeatedFaninCircuit(), poFanoutCircuit(), scanCircuit(), wideFaninCircuit(9), dffFaninCircuit(),
-	}
-	for _, c := range circuits {
+	for _, c := range dropGridCircuits() {
 		faults := AllFaults(c)
 		for _, n := range []int{1, 63, 64, 100, 200, 512, 700} {
 			rng := rand.New(rand.NewSource(int64(n)))
@@ -135,6 +168,101 @@ func TestDropPassMatchesPerFaultRef(t *testing.T) {
 				checkDropMatchesRef(t, c, p, faults, w)
 			}
 		}
+	}
+}
+
+// checkDictionaryMatchesRef requires Dictionary to equal dictionaryRef on
+// the given set, for the faults in order and then shuffled (grouping by
+// region must not depend on fault order), all three on one W-word
+// simulator, so each call also starts from the scratch the last one left.
+func checkDictionaryMatchesRef(t *testing.T, c *circuit.Netlist, p *logic.PatternSet, faults []Fault, w int, rng *rand.Rand) {
+	t.Helper()
+	s, err := New(c, Options{Words: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dictionaryRef(s, p, faults)
+	perm := rng.Perm(len(faults))
+	shuffled := make([]Fault, len(faults))
+	for i, k := range perm {
+		shuffled[i] = faults[k]
+	}
+	for _, order := range []struct {
+		name   string
+		faults []Fault
+		ref    func(i int) int
+	}{
+		{"in order", faults, func(i int) int { return i }},
+		{"shuffled", shuffled, func(i int) int { return perm[i] }},
+	} {
+		got := s.Dictionary(p, order.faults)
+		for i, f := range order.faults {
+			for po, row := range got[i].Bits {
+				for wd, x := range row {
+					if y := want[order.ref(i)].Bits[po][wd]; x != y {
+						t.Fatalf("%s N=%d W=%d %s, %d faults: fault %s PO %d word %d: Dictionary %#x, per-fault reference %#x",
+							c.Name, p.N, w, order.name, len(faults), f.Name(c), po, wd, x, y)
+					}
+				}
+			}
+		}
+	}
+}
+
+// regionFaults returns the faults of faults whose site lies in the
+// fanout-free region with the most faults, in fault order.
+func regionFaults(t *testing.T, c *circuit.Netlist, faults []Fault) []Fault {
+	cc, err := c.Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[int32]int{}
+	best := int32(-1)
+	for _, f := range faults {
+		st := cc.FFRStem[cc.Tpos[f.Gate]]
+		count[st]++
+		if best < 0 || count[st] > count[best] {
+			best = st
+		}
+	}
+	var out []Fault
+	for _, f := range faults {
+		if cc.FFRStem[cc.Tpos[f.Gate]] == best {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// TestDictionaryMatchesPerFaultRef pins the fanout-free-region dictionary
+// to the per-fault reference over the circuits of
+// TestDropPassMatchesPerFaultRef: the full uncollapsed universe in order
+// and shuffled (its prefix where the signature matrix would pass 16 MB),
+// the faults of the region holding the most, and one-fault lists (the
+// shape of diagnosis.Observe), at set sizes on both sides of a lane-group
+// boundary and at every lane width.
+func TestDictionaryMatchesPerFaultRef(t *testing.T) {
+	for _, c := range dropGridCircuits() {
+		t.Run(c.Name, func(t *testing.T) {
+			faults := AllFaults(c)
+			lists := [][]Fault{faults, regionFaults(t, c, faults)}
+			for k := 0; k < 4; k++ {
+				lists = append(lists, faults[k*len(faults)/4:k*len(faults)/4+1])
+			}
+			for _, n := range []int{1, 64, 100, 700} {
+				rng := rand.New(rand.NewSource(int64(n)))
+				p := logic.NewPatternSet(len(c.PIs), n)
+				p.RandFill(rng.Uint64)
+				for _, w := range []int{1, 2, 4, 8} {
+					for _, list := range lists {
+						// A prefix of at most 16 MB of signature matrix per
+						// dictionary keeps the 2k-gate circuit's memory small.
+						list = list[:min(len(list), (1<<21)/(len(c.POs)*p.Words()))]
+						checkDictionaryMatchesRef(t, c, p, list, w, rng)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -201,8 +329,8 @@ func dropFuzzNetlist(data []byte) (*circuit.Netlist, *logic.PatternSet) {
 	return c, p
 }
 
-// FuzzDropPass checks RunInto against the per-fault reference on decoded
-// small netlists at one and eight lanes.
+// FuzzDropPass checks RunInto and Dictionary against their per-fault
+// references on decoded small netlists at one and eight lanes.
 func FuzzDropPass(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{8, 20, 1, 0, 3, 4, 1, 5, 2, 4, 9, 2, 3, 6, 4, 7, 0, 1, 2, 3, 200})
@@ -213,6 +341,7 @@ func FuzzDropPass(f *testing.F) {
 		faults := AllFaults(c)
 		for _, w := range []int{1, 8} {
 			checkDropMatchesRef(t, c, p, faults, w)
+			checkDictionaryMatchesRef(t, c, p, faults, w, rand.New(rand.NewSource(int64(len(data)))))
 		}
 	})
 }

@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -50,9 +51,9 @@ func (o Options) Lanes() int {
 // soon as the effect dies (every faulty lane equals its good lane and
 // nothing downstream can differ). A fault is detected when any primary
 // output differs from the good value in any pattern bit. Drop mode (Run,
-// RunInto) walks once per fanout-free-region stem for all of the region's
-// live faults (see dropStage); Probe, the dictionary, transitions and
-// RunSerial walk once per fault (serial-fault PPSFP).
+// RunInto) and the dictionary walk once per fanout-free-region stem for
+// all of the region's faults (see dropStage and dictionaryBlock); Probe,
+// transitions and RunSerial walk once per fault (serial-fault PPSFP).
 //
 // The engine packs W = Words() 64-bit pattern words per gate (lanes), so a
 // single cone walk amortizes over up to W*64 patterns, and the live-effect
@@ -120,6 +121,9 @@ type Simulator struct {
 	ffrDirty bool
 	ffrUsed  []uint64
 	chain    []int32
+	// reachBuf holds the reach of each fault of the region a dictionary
+	// block is filling, act lanes per fault.
+	reachBuf []logic.Word
 	// sensSteps counts the gates whose side inputs the backward pass read;
 	// tests pin it next to gateEvals.
 	sensSteps int
@@ -580,14 +584,7 @@ func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, li
 func (s *Simulator) dropStage(faults []Fault, live []int, base, lo, act int, masks []logic.Word, detBy []int) ([]int, int) {
 	S := s.good.W
 	vals := s.good.Values()
-	if s.ffrDirty {
-		clear(s.ffr)
-		clear(s.ffrUsed)
-	}
-	if n := s.c.NumGates() * act; len(s.ffr) < n {
-		s.ffr = make([]logic.Word, n)
-	}
-	s.ffrDirty = true
+	s.ffrBegin(act)
 	ffr, used, stem := s.ffr, s.ffrUsed, s.c.FFRStem
 	var r [MaxWords]logic.Word
 	for _, fi := range live {
@@ -650,15 +647,35 @@ func (s *Simulator) dropStage(faults []Fault, live []int, base, lo, act int, mas
 			kept = append(kept, fi)
 		}
 	}
-	for w, bm := range used {
+	s.ffrEnd(act)
+	return kept, detected
+}
+
+// ffrBegin readies the per-position windows (ffr, ffrUsed) for a pass over
+// act lanes: it clears what a pass that panicked left behind and grows ffr
+// to one act-lane window per position.
+func (s *Simulator) ffrBegin(act int) {
+	if s.ffrDirty {
+		clear(s.ffr)
+		clear(s.ffrUsed)
+	}
+	if n := s.c.NumGates() * act; len(s.ffr) < n {
+		s.ffr = make([]logic.Word, n)
+	}
+	s.ffrDirty = true
+}
+
+// ffrEnd zeroes the windows the pass over act lanes marked in ffrUsed, and
+// the marks, so the next pass starts from all-zero scratch.
+func (s *Simulator) ffrEnd(act int) {
+	for w, bm := range s.ffrUsed {
 		for ; bm != 0; bm &= bm - 1 {
 			x := w<<6 | bits.TrailingZeros64(bm)
-			clear(ffr[x*act : x*act+act])
+			clear(s.ffr[x*act : x*act+act])
 		}
-		used[w] = 0
+		s.ffrUsed[w] = 0
 	}
 	s.ffrDirty = false
-	return kept, detected
 }
 
 // reach writes into r the lanes of the window [lo, lo+act) in which fault f
@@ -944,48 +961,125 @@ func NewSignatures(nFaults, nPOs, words int) []*Signature {
 	return sigs
 }
 
+// stemOrder returns the fault indices grouped by the stem of their site's
+// fanout-free region, as keys stem<<32 | index in ascending order: one run
+// of keys per stem, its faults in fault order. It depends only on the fault
+// list, so a dictionary build computes it once for all of its blocks.
+func stemOrder(c *circuit.Compiled, faults []Fault) []uint64 {
+	keys := make([]uint64, len(faults))
+	for i, f := range faults {
+		keys[i] = uint64(c.FFRStem[c.Tpos[f.Gate]])<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
 // dictionaryBlock fills signature columns base..base+act-1 (act = up to
-// Words() lanes): it simulates the good circuit for the block's pattern
-// words and injects every fault once, writing all act columns from a single
-// cone walk. Signatures must have been allocated (zeroed) for the full word
-// range; distinct blocks touch disjoint storage, which is what makes
+// Words() lanes) by fanout-free region, like dropStage: for the faults of
+// one region (order, from stemOrder) it computes each fault's reach, walks
+// the stem once injecting the union of their reach with per-PO differences
+// on, and writes each fault's row at PO o as reach & the stem's difference
+// at o. Lanes are independent, so a fault's PO differences are exactly the
+// stem's in the lanes the fault flips it. A region holding one fault is
+// walked from the fault site instead, which needs no sensitization memo:
+// a one-fault dictionary (diagnosis.Observe) never allocates it.
+//
+// Signatures must have been allocated (zeroed) for the full word range;
+// distinct blocks touch disjoint storage, which is what makes
 // DictionaryConcurrent's block-sharded merge bit-identical to the serial
-// run. perPO is caller scratch of len(POs)*W; it must be zero on entry and is left zero on return (only the touched PO
-// lanes are written and cleared, so sparse signatures never pay a full
-// clear).
-func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, base int, sigs []*Signature, perPO []logic.Word) {
+// run. perPO is caller scratch of len(POs)*W; it must be zero on entry and
+// is left zero on return (only the touched PO lanes are written and
+// cleared, so sparse signatures never pay a full clear).
+func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, order []uint64, base int, sigs []*Signature, perPO []logic.Word) {
 	s.stagedAct, s.goodAct = 0, 0
 	W := s.w
 	words := p.Words()
-	act := W
-	if rem := words - base; rem < act {
-		act = rem
-	}
+	act := min(W, words-base)
 	s.simulateGood(p, base, 0, act, min(W, words))
-	var masks, diff [MaxWords]logic.Word
+	S := s.good.W
+	vals := s.good.Values()
+	// diff takes the walks' OR of PO differences, which no row reads: the
+	// rows come from perPO.
+	var masks, diff, ones, u, v [MaxWords]logic.Word
 	for l := 0; l < act; l++ {
 		masks[l] = p.TailMask(base + l)
+		ones[l] = ^logic.Word(0)
 	}
-	for fi := range faults {
-		dirty := s.detectLanes(faults[fi], 0, act, masks[:act], diff[:act], perPO)
-		for _, po := range dirty {
-			pb := int(po) * W
-			row := sigs[fi].Bits[po]
+	memo := false // whether this block has readied the sensitization memo
+	for k := 0; k < len(order); {
+		st := int(order[k] >> 32)
+		n := 1
+		for k+n < len(order) && int(order[k+n]>>32) == st {
+			n++
+		}
+		group := order[k : k+n]
+		k += n
+		var dirty []int32
+		if n == 1 {
+			fi := int(uint32(group[0]))
+			dirty = s.detectLanes(faults[fi], 0, act, masks[:act], diff[:act], perPO)
+			fillRows(sigs[fi], dirty, base, W, ones[:act], perPO)
+		} else {
+			if !memo {
+				s.ffrBegin(act)
+				memo = true
+			}
+			if cap(s.reachBuf) < n*act {
+				s.reachBuf = make([]logic.Word, n*act)
+			}
+			rs := s.reachBuf[:n*act]
+			clear(u[:act])
+			for j, key := range group {
+				r := rs[j*act : j*act+act]
+				if s.reach(faults[uint32(key)], 0, act, masks[:act], r) < 0 {
+					clear(r)
+					continue
+				}
+				for l, x := range r {
+					u[l] |= x
+				}
+			}
+			var any logic.Word
+			b := st * S
 			for l := 0; l < act; l++ {
-				row[base+l] = perPO[pb+l]
-				perPO[pb+l] = 0
+				v[l] = vals[b+l] ^ u[l]
+				any |= u[l]
+			}
+			if any == 0 {
+				continue
+			}
+			// The tail masks enter through reach, as in dropStage.
+			dirty = s.walk(st, v[:act], 0, act, ones[:act], diff[:act], perPO)
+			for j, key := range group {
+				fillRows(sigs[uint32(key)], dirty, base, W, rs[j*act:j*act+act], perPO)
 			}
 		}
-		for l := 0; l < act; l++ {
-			diff[l] = 0
+		for _, po := range dirty {
+			clear(perPO[int(po)*W : int(po)*W+act])
+		}
+	}
+	if memo {
+		s.ffrEnd(act)
+	}
+}
+
+// fillRows writes r & the PO differences of the last walk into sig's
+// columns base..base+len(r)-1 at the POs the walk touched (dirty). perPO
+// has stride W.
+func fillRows(sig *Signature, dirty []int32, base, W int, r, perPO []logic.Word) {
+	for _, po := range dirty {
+		row := sig.Bits[po][base : base+len(r)]
+		d := perPO[int(po)*W:]
+		for l, m := range r {
+			row[l] = m & d[l]
 		}
 	}
 }
 
 // Dictionary fault-simulates without dropping and returns every fault's
 // full failure signature — the input to fault diagnosis. Pattern words are
-// filled Words() columns per cone walk; the signatures are bit-identical
-// for every lane width.
+// filled Words() columns per stem walk (see dictionaryBlock); the
+// signatures are bit-identical for every lane width and fault order.
 func (s *Simulator) Dictionary(p *logic.PatternSet, faults []Fault) []*Signature {
 	sigs := NewSignatures(len(faults), len(s.Net.POs), p.Words())
 	s.DictionaryRange(p, faults, 0, p.Words(), sigs)
@@ -1007,7 +1101,8 @@ func (s *Simulator) DictionaryRange(p *logic.PatternSet, faults []Fault, lo, hi 
 		panic(fmt.Sprintf("fault: DictionaryRange [%d,%d) not W=%d block-aligned within %d words", lo, hi, W, words))
 	}
 	perPO := make([]logic.Word, len(s.Net.POs)*W)
+	order := stemOrder(s.c, faults)
 	for base := lo; base < hi; base += W {
-		s.dictionaryBlock(p, faults, base, sigs, perPO)
+		s.dictionaryBlock(p, faults, order, base, sigs, perPO)
 	}
 }

@@ -12,40 +12,46 @@ import (
 // walkEvalsWant pins the exact number of gates the walk evaluates on
 // Random(64,2000,3)'s collapsed universe, keyed "op/patterns/W". The
 // answers of the walk are pinned elsewhere; these counts pin its work, so a
-// change of the walk's data layout must leave them equal. Run drops by
-// fanout-free region (one stem walk per region); Probe and Dictionary walk
-// once per fault.
+// change of the walk's data layout must leave them equal. Run and
+// Dictionary walk once per fanout-free region stem (Dictionary walks a
+// one-fault region from the fault site); Probe walks once per fault.
 var walkEvalsWant = map[string]int{
 	"Run/128/1":        193825,
 	"Probe/128/1":      483559,
-	"Dictionary/128/1": 950193,
+	"Dictionary/128/1": 371151,
 	"Run/128/2":        193825,
 	"Probe/128/2":      620879,
-	"Dictionary/128/2": 575609,
+	"Dictionary/128/2": 214347,
 	"Run/128/8":        193825,
 	"Probe/128/8":      620879,
-	"Dictionary/128/8": 575609,
+	"Dictionary/128/8": 214347,
 	"Run/200/1":        210564,
 	"Probe/200/1":      474942,
-	"Dictionary/200/1": 1705454,
+	"Dictionary/200/1": 672613,
 	"Run/200/2":        210564,
 	"Probe/200/2":      606488,
-	"Dictionary/200/2": 1117943,
+	"Dictionary/200/2": 418255,
 	"Run/200/8":        210689,
 	"Probe/200/8":      667162,
-	"Dictionary/200/8": 679305,
+	"Dictionary/200/8": 241845,
 }
 
-// sensStepsWant pins the gates whose side inputs Run's backward
-// sensitization pass read, keyed like walkEvalsWant; Probe and Dictionary
-// read none.
+// sensStepsWant pins the gates whose side inputs the backward
+// sensitization pass of Run and Dictionary read, keyed like walkEvalsWant;
+// Probe reads none.
 var sensStepsWant = map[string]int{
-	"Run/128/1": 9908,
-	"Run/128/2": 9908,
-	"Run/128/8": 9908,
-	"Run/200/1": 13236,
-	"Run/200/2": 13236,
-	"Run/200/8": 10338,
+	"Run/128/1":        9908,
+	"Dictionary/128/1": 8433,
+	"Run/128/2":        9908,
+	"Dictionary/128/2": 4288,
+	"Run/128/8":        9908,
+	"Dictionary/128/8": 4288,
+	"Run/200/1":        13236,
+	"Dictionary/200/1": 16563,
+	"Run/200/2":        13236,
+	"Dictionary/200/2": 8638,
+	"Run/200/8":        10338,
+	"Dictionary/200/8": 4424,
 }
 
 // TestWalkGateEvalsPinned runs Run, Probe after Stage and Dictionary at
