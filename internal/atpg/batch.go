@@ -90,9 +90,8 @@ func (f *flow) deterministicBatched() {
 			// Reseeding draws the stream of a fresh
 			// rand.New(rand.NewSource(f.fillSeed(fi))) without allocating.
 			f.fillRng.Seed(f.fillSeed(fi))
-			bits := fillCubeInto(f.patBuf, cube, f.fillRng)
+			appendCube(pending, cube, f.fillRng)
 			lap(&f.res.GenTime)
-			pending.Append(bits)
 			f.detected[fi] = true
 			f.res.DetPhase++
 			staged = false

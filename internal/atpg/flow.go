@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"fmt"
 	"math/rand"
 	"time"
 
@@ -51,7 +52,7 @@ type Result struct {
 	Efficiency  float64 // (detected + proven redundant) / total
 	Backtracks  int64
 	Runtime     time.Duration
-	GenTime     time.Duration   // deterministic phase: PODEM generation + fill
+	GenTime     time.Duration   // deterministic phase: PODEM generation, fill and commit to the pending block
 	DropTime    time.Duration   // deterministic phase: block fault dropping and probes
 	CoverageAt  []CoveragePoint // coverage after each pattern (for figure F2)
 }
@@ -83,7 +84,6 @@ type flow struct {
 	liveIdx []int         // live position -> global fault index
 	detBy   []int         // first-detection slots, parallel to live
 	dropBuf []int         // fsim.RunInto internal worklist
-	patBuf  []bool        // one-pattern bit buffer
 	fillRng *rand.Rand    // don't-care fill, reseeded per fault
 }
 
@@ -157,7 +157,6 @@ func newFlow(n *circuit.Netlist, cfg Config) (*flow, error) {
 		detected: make([]bool, len(faults)),
 		res:      &Result{Circuit: n.Name, TotalFaults: len(faults)},
 		patterns: logic.NewPatternSet(len(n.PIs), 0),
-		patBuf:   make([]bool, len(n.PIs)),
 		fillRng:  rand.New(rand.NewSource(0)),
 		live:     make([]fault.Fault, 0, len(faults)),
 		liveIdx:  make([]int, 0, len(faults)),
@@ -223,25 +222,56 @@ func (f *flow) fillSeed(fi int) int64 {
 	return parallel.SplitSeed(f.cfg.Seed, int64(fi))
 }
 
-// fillCube turns a test cube into a new pattern, filling its X bits from rng.
-func fillCube(cube []logic.V, rng *rand.Rand) []bool {
-	return fillCubeInto(make([]bool, len(cube)), cube, rng)
+// fillBit draws one don't-care fill bit from rng: the draw rng.Intn(2)
+// makes (its power-of-two branch, Int31n, masks Int31 = Int63>>32), without
+// the call chain. The fill stream is part of the output contract (see
+// fillSeed), so this must keep equal to rng.Intn(2).
+func fillBit(rng *rand.Rand) logic.Word {
+	return logic.Word(rng.Int63()>>32) & 1
 }
 
-// fillCubeInto is fillCube writing into dst, which must have the cube's
-// length.
-func fillCubeInto(dst []bool, cube []logic.V, rng *rand.Rand) []bool {
+// fillCube turns a test cube into a new pattern, filling its X bits from rng.
+func fillCube(cube []logic.V, rng *rand.Rand) []bool {
+	dst := make([]bool, len(cube))
 	for i, v := range cube {
 		switch v {
 		case logic.V1:
 			dst[i] = true
 		case logic.V0:
-			dst[i] = false
 		default:
-			dst[i] = rng.Intn(2) == 1
+			dst[i] = fillBit(rng) == 1
 		}
 	}
 	return dst
+}
+
+// appendCube appends the pattern fillCube(cube, rng) would return to p in
+// one pass over the inputs, writing each bit straight into the new
+// pattern's word. Each row gains a zero word when the pattern opens one,
+// as Append does.
+func appendCube(p *logic.PatternSet, cube []logic.V, rng *rand.Rand) {
+	if len(cube) != p.Inputs {
+		panic(fmt.Sprintf("atpg: cube width %d != inputs %d", len(cube), p.Inputs))
+	}
+	w, b := p.N/logic.WordBits, uint(p.N%logic.WordBits)
+	fresh := b == 0
+	for i, v := range cube {
+		row := p.Bits[i]
+		if fresh {
+			row = append(row, 0)
+			p.Bits[i] = row
+		}
+		var x logic.Word
+		switch v {
+		case logic.V1:
+			x = 1
+		case logic.V0:
+		default:
+			x = fillBit(rng)
+		}
+		row[w] = row[w]&^(1<<b) | x<<b
+	}
+	p.N++
 }
 
 // compact keeps patterns, sweeping in reverse order, that detect at least

@@ -823,8 +823,14 @@ func (s *Simulator) simulateGood(p *logic.PatternSet, base, lo, hi, stride int) 
 		s.good.Restride(stride)
 	}
 	vals := s.good.Values()
-	for i, row := range p.Bits {
-		copy(vals[i*stride+lo:i*stride+hi], row[base+lo:base+hi])
+	if hi-lo == 1 {
+		for i, row := range p.Bits {
+			vals[i*stride+lo] = row[base+lo]
+		}
+	} else {
+		for i, row := range p.Bits {
+			copy(vals[i*stride+lo:i*stride+hi], row[base+lo:base+hi])
+		}
 	}
 	s.good.Propagate(lo, hi)
 	s.goodSims++

@@ -410,3 +410,64 @@ func TestStageProbeMatchesRunIntoOracle(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A W=8 simulator whose staged set grows by one Append at a time across
+// three lane words re-stages one lane per append, at lo > 0 once the set
+// passes a word, on the stride-8 buffer: the one-lane good-value path the
+// ATPG flow's commits take. The staged good values must equal a full
+// simulation of the set, every Probe must answer like RunInto on the same
+// set and fault, and every Stage after an append must cost exactly one
+// good simulation. Each lane word draws its patterns at another density,
+// so later words detect faults the first one misses.
+func TestStageOneAppendAtATime(t *testing.T) {
+	c := circuit.Random(8, 90, 3)
+	faults := Universe(c)
+	s, err := New(c, Options{Words: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := New(c, Options{Words: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := New(c, Options{Words: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	density := []int{2, 5, 8} // tenths of 1s, per lane word
+	rng := rand.New(rand.NewSource(3))
+	p := logic.NewPatternSet(len(c.PIs), 8*logic.WordBits)
+	p.RandFill(rng.Uint64)
+	p.Reset() // the flow's pending block: reused, dirty backing
+	bits := make([]bool, len(c.PIs))
+	var db [1]int
+	var one [1]Fault
+	for p.N < 3*logic.WordBits {
+		for i := range bits {
+			bits[i] = rng.Intn(10) < density[p.N/logic.WordBits]
+		}
+		p.Append(bits)
+		before := s.goodSims
+		s.Stage(p)
+		if got := s.goodSims - before; got != 1 {
+			t.Fatalf("N=%d: Stage ran %d good simulations, want 1", p.N, got)
+		}
+		words := p.Words()
+		full.simulateGood(p, 0, 0, words, 8)
+		got, want := s.good.Values(), full.good.Values()
+		for q := 0; q < c.NumGates(); q++ {
+			for l := 0; l < words; l++ {
+				if got[q*8+l] != want[q*8+l] {
+					t.Fatalf("N=%d: staged position %d lane %d = %#x, full simulation %#x", p.N, q, l, got[q*8+l], want[q*8+l])
+				}
+			}
+		}
+		for _, fl := range faults {
+			one[0] = fl
+			want := oracle.RunInto(p, one[:], db[:], nil) > 0
+			if got := s.Probe(fl); got != want {
+				t.Fatalf("N=%d fault %+v: Probe %v, RunInto %v", p.N, fl, got, want)
+			}
+		}
+	}
+}

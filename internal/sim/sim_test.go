@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -331,4 +332,32 @@ func BenchmarkParallelSim(b *testing.B) {
 		response(s, p)
 	}
 	b.ReportMetric(float64(1024), "patterns/op")
+}
+
+// BenchmarkWidePropagate times one Propagate on a stride-8 buffer over one
+// lane (the fused scalar path that staging a freshly committed ATPG pattern
+// takes) and over all eight (the gather-and-EvalLanes path), on the two
+// circuits of the testgen workload.
+func BenchmarkWidePropagate(b *testing.B) {
+	for _, n := range []*circuit.Netlist{circuit.GatedParity(32, 60, 12), circuit.ArrayMultiplier(16)} {
+		c, err := n.Compiled()
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := NewWideCompiled(c, MaxLanes)
+		rng := rand.New(rand.NewSource(1))
+		vals := s.Values()
+		for i := 0; i < c.NumPIs()*MaxLanes; i++ {
+			vals[i] = logic.Word(rng.Uint64())
+		}
+		for _, lanes := range []int{1, MaxLanes} {
+			b.Run(fmt.Sprintf("%s/lanes=%d", n.Name, lanes), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					s.Propagate(0, lanes)
+				}
+				gates := float64(c.NumGates() - c.NumPIs())
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*gates*float64(lanes)), "ns/gate-lane")
+			})
+		}
+	}
 }

@@ -145,16 +145,32 @@ func (s *Wide) BlockRange(piWords []logic.Word, lo, hi int) []logic.Word {
 // lanes already stored at positions [0, NumPIs) of the value buffer: the
 // form of BlockRange for a caller that writes its PI words straight into
 // Values(). It returns the value buffer.
+//
+// A one-lane range takes a scalar path with each gate's evaluation fused
+// into its fanin loads; wider ranges gather the fanin lanes and call
+// EvalLanes. Both compute the same words.
 func (s *Wide) Propagate(lo, hi int) []logic.Word {
+	if lo < 0 || lo >= hi || hi > s.W {
+		panic(fmt.Sprintf("sim: lane range [%d,%d) out of range [0,%d)", lo, hi, s.W))
+	}
+	if hi-lo == 1 {
+		s.propagateLane(lo)
+	} else {
+		s.propagateLanes(lo, hi)
+	}
+	return s.values
+}
+
+// propagateLanes is Propagate over lanes [lo, hi): per gate, it gathers the
+// fanin lanes into s.in and evaluates them with EvalLanes.
+func (s *Wide) propagateLanes(lo, hi int) {
 	c := s.C
 	W := s.W
-	if lo < 0 || lo >= hi || hi > W {
-		panic(fmt.Sprintf("sim: lane range [%d,%d) out of range [0,%d)", lo, hi, W))
-	}
 	n := hi - lo
 	vals := s.values
-	for p := c.NumPIs(); p < c.NumGates(); p++ {
-		fanin := c.PosFanin[c.Pos[p].In:c.Pos[p+1].In]
+	pos, faninAll := c.Pos, c.PosFanin
+	for p, end := c.NumPIs(), c.NumGates(); p < end; p++ {
+		fanin := faninAll[pos[p].In:pos[p+1].In]
 		in := s.in[:len(fanin)*n]
 		for pin, f := range fanin {
 			fb := int(f)*W + lo
@@ -165,7 +181,51 @@ func (s *Wide) Propagate(lo, hi int) []logic.Word {
 		}
 		EvalLanes(c.PosKind[p], in, len(fanin), n, vals[p*W+lo:p*W+hi])
 	}
-	return vals
+}
+
+// propagateLane is Propagate over the single lane l: each gate folds its
+// fanin words straight from the value buffer, the form of the fault walk's
+// scalar path, with no gather and no per-gate EvalLanes call.
+func (s *Wide) propagateLane(l int) {
+	c := s.C
+	W := s.W
+	vals := s.values
+	pos, kind, faninAll := c.Pos, c.PosKind, c.PosFanin
+	for p, end := c.NumPIs(), c.NumGates(); p < end; p++ {
+		fanin := faninAll[pos[p].In:pos[p+1].In]
+		var v logic.Word
+		switch t := kind[p]; t {
+		case circuit.And, circuit.Nand:
+			v = vals[int(fanin[0])*W+l]
+			for _, f := range fanin[1:] {
+				v &= vals[int(f)*W+l]
+			}
+			if t == circuit.Nand {
+				v = ^v
+			}
+		case circuit.Or, circuit.Nor:
+			v = vals[int(fanin[0])*W+l]
+			for _, f := range fanin[1:] {
+				v |= vals[int(f)*W+l]
+			}
+			if t == circuit.Nor {
+				v = ^v
+			}
+		case circuit.Xor, circuit.Xnor:
+			v = vals[int(fanin[0])*W+l]
+			for _, f := range fanin[1:] {
+				v ^= vals[int(f)*W+l]
+			}
+			if t == circuit.Xnor {
+				v = ^v
+			}
+		case circuit.Not:
+			v = ^vals[int(fanin[0])*W+l]
+		case circuit.Buf, circuit.DFF:
+			v = vals[int(fanin[0])*W+l]
+		}
+		vals[p*W+l] = v
+	}
 }
 
 // Values returns the strided lane buffer, indexed by position, from the

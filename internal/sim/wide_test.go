@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -146,6 +147,105 @@ func TestWideRestride(t *testing.T) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("stride %d: value %d = %x, want %x", w, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// mixedCircuit builds a random netlist with every gate type, gates of fanin
+// 9 to 33 next to narrow ones, repeated fanin nets, and scan DFFs whose
+// outputs are pseudo-PIs and whose D sources are pseudo-POs.
+func mixedCircuit(seed int64) *circuit.Netlist {
+	rng := rand.New(rand.NewSource(seed))
+	n := circuit.New(fmt.Sprintf("mixed%d", seed))
+	var sigs []string
+	for i := 0; i < 4+rng.Intn(6); i++ {
+		sigs = append(sigs, fmt.Sprintf("i%d", i))
+		n.MustAddGate(sigs[len(sigs)-1], circuit.Input)
+	}
+	var dffs []string
+	for i := 0; i < 2+rng.Intn(3); i++ {
+		dffs = append(dffs, fmt.Sprintf("q%d", i))
+		n.MustAddGate(dffs[i], circuit.DFF)
+	}
+	sigs = append(sigs, dffs...)
+	types := []circuit.GateType{circuit.Buf, circuit.Not, circuit.And, circuit.Nand,
+		circuit.Or, circuit.Nor, circuit.Xor, circuit.Xnor}
+	for g := 0; g < 60+rng.Intn(60); g++ {
+		t := types[g%len(types)]
+		k := t.MaxFanin()
+		if k < 0 {
+			k = 2 + rng.Intn(3)
+			if g < 2*len(types) || rng.Intn(6) == 0 {
+				k = 9 + rng.Intn(25)
+			}
+		}
+		fanin := make([]string, k)
+		for pin := range fanin {
+			fanin[pin] = sigs[rng.Intn(len(sigs))]
+		}
+		sigs = append(sigs, fmt.Sprintf("g%d", g))
+		n.MustAddGate(sigs[len(sigs)-1], t, fanin...)
+	}
+	for _, q := range dffs {
+		if err := n.ConnectScanD(q, sigs[len(sigs)-1-rng.Intn(20)]); err != nil {
+			panic(err)
+		}
+	}
+	for _, po := range sigs[len(sigs)-3:] {
+		if err := n.MarkOutput(po); err != nil {
+			panic(err)
+		}
+	}
+	return n
+}
+
+// Property: the one-lane Propagate(lo, lo+1) computes, at every position,
+// the word the multi-lane pass computes for lane lo, for every lane of
+// W in {1, 2, 8}, and writes no other lane.
+func TestPropagateOneLaneMatchesMultiLane(t *testing.T) {
+	const poison = 0xdeadbeefdeadbeef
+	for seed := int64(1); seed <= 12; seed++ {
+		n := mixedCircuit(seed)
+		c, err := circuit.Compile(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.MaxFanin <= 8 {
+			t.Fatalf("seed %d: MaxFanin %d, want a gate wider than 8", seed, c.MaxFanin)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		ref := NewWideCompiled(c, MaxLanes)
+		rv := ref.Values()
+		for i := 0; i < c.NumPIs()*MaxLanes; i++ {
+			rv[i] = logic.Word(rng.Uint64())
+		}
+		ref.Propagate(0, MaxLanes) // the multi-lane pass
+		for _, w := range []int{1, 2, MaxLanes} {
+			s := NewWideCompiled(c, w)
+			for lo := 0; lo < w; lo++ {
+				vals := s.Values()
+				for p := 0; p < c.NumGates(); p++ {
+					for l := 0; l < w; l++ {
+						vals[p*w+l] = poison
+						if p < c.NumPIs() {
+							vals[p*w+l] = rv[p*MaxLanes+l]
+						}
+					}
+				}
+				s.Propagate(lo, lo+1)
+				for p := c.NumPIs(); p < c.NumGates(); p++ {
+					for l := 0; l < w; l++ {
+						want := logic.Word(poison)
+						if l == lo {
+							want = rv[p*MaxLanes+l]
+						}
+						if got := vals[p*w+l]; got != want {
+							t.Fatalf("seed %d W=%d lo=%d: position %d (%v) lane %d = %#x, want %#x",
+								seed, w, lo, p, c.PosKind[p], l, got, want)
+						}
+					}
+				}
 			}
 		}
 	}
