@@ -258,7 +258,7 @@ var testOnlyAllowed = map[string]string{
 	"repro/internal/logic.Exhaustive":             "exhaustive pattern set the sim, fault, diagnosis and logic oracles use",
 	"repro/internal/logic.ParseBits":              "bit-string parser the logic and root tests write patterns with",
 	"repro/internal/logic.PatternSet.PatternInto": "per-pattern unpacking the atpg and fault tests use as an oracle",
-	"repro/internal/sim.Eval":                     "scalar reference for EvalLanes, used by the sim and fault tests",
+	"repro/internal/sim.Eval":                     "one-word reference for FoldLanes and Propagate, used by the sim and fault tests",
 	"repro/internal/ml.ClassifyAll":               "batch classify the ml and wafer tests score models with",
 }
 

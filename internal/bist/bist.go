@@ -163,17 +163,16 @@ func Run(n *circuit.Netlist, lfsrLen, misrLen int, seed uint64, nPatterns int) (
 		return nil, err
 	}
 	// Good PO responses, bit-sliced like the dictionary: goodPO[o][w].
-	gsim := sim.NewWideCompiled(comp, 1)
 	goodPO := make([][]logic.Word, len(n.POs))
 	for o := range goodPO {
 		goodPO[o] = make([]logic.Word, patterns.Words())
 	}
-	pi := make([]logic.Word, len(n.PIs))
+	vals := make([]logic.Word, comp.NumGates()) // one lane; PI i is position i
 	for w := range patterns.Words() {
-		for i := range pi {
-			pi[i] = patterns.Bits[i][w]
+		for i, row := range patterns.Bits {
+			vals[i] = row[w]
 		}
-		vals := gsim.BlockRange(pi, 0, 1)
+		sim.Propagate(comp, vals, 1, 0, 1)
 		for o, po := range n.POs {
 			goodPO[o][w] = vals[comp.Tpos[po]]
 		}

@@ -53,10 +53,6 @@ type Compiled struct {
 	// p's region, p itself at a stem; FFRNext derives p's consumer inside
 	// the region.
 	FFRStem []int32
-
-	// MaxFanin is the largest fanin count of any gate: the size of the
-	// per-gate gather scratch an evaluator needs.
-	MaxFanin int
 }
 
 // PosNode is one topological position's packed record in Compiled.Pos: the
@@ -122,7 +118,6 @@ func Compile(n *Netlist) (*Compiled, error) {
 		g := n.Gates[id]
 		c.Pos[p] = PosNode{In: int32(len(c.PosFanin)), Out: int32(len(c.PosFanout)), PO: -1}
 		c.PosKind[p] = g.Type
-		c.MaxFanin = max(c.MaxFanin, len(g.Fanin))
 		for _, f := range g.Fanin {
 			c.PosFanin = append(c.PosFanin, c.Tpos[f])
 		}

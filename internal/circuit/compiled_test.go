@@ -6,7 +6,7 @@ import (
 )
 
 // TestCompiledMatchesNetlist cross-checks every table of the compiled IR
-// (Order, Tpos, the Pos* graph, MaxFanin and the FFR stems) against the
+// (Order, Tpos, the Pos* graph and the FFR stems) against the
 // per-gate slices of the netlist it was built from, and the PI-prefix
 // invariant: position i is PI i. It covers a generated netlist, the same
 // netlist decoded by UnmarshalNetlist, the s27 .bench netlist (three scan
@@ -87,10 +87,8 @@ func checkCompiled(t *testing.T, n *Netlist) {
 	if len(c.Pos) != len(n.Gates)+1 || len(c.PosKind) != len(n.Gates) {
 		t.Fatalf("%s position tables: %d records, %d kinds for %d gates", n.Name, len(c.Pos), len(c.PosKind), len(n.Gates))
 	}
-	maxFanin := 0
 	for p, id := range c.Order {
 		g := n.Gates[id]
-		maxFanin = max(maxFanin, len(g.Fanin))
 		po, ok := poIdx[g.ID]
 		if !ok {
 			po = -1
@@ -119,9 +117,6 @@ func checkCompiled(t *testing.T, n *Netlist) {
 	}
 	if last := c.Pos[len(n.Gates)]; int(last.In) != len(c.PosFanin) || int(last.Out) != len(c.PosFanout) {
 		t.Errorf("%s: sentinel record %+v, want In %d Out %d", n.Name, last, len(c.PosFanin), len(c.PosFanout))
-	}
-	if c.MaxFanin != maxFanin {
-		t.Errorf("%s: MaxFanin %d, want %d", n.Name, c.MaxFanin, maxFanin)
 	}
 	checkFFRs(t, n, c, poIdx)
 }

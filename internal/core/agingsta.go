@@ -66,7 +66,6 @@ func WorkloadProfile(n *circuit.Netlist, patterns, seed int64) (probHigh, activi
 	if err != nil {
 		return nil, nil, err
 	}
-	ps := sim.NewWideCompiled(c, 1)
 	rng := rand.New(rand.NewSource(seed))
 	p := logic.NewPatternSet(len(n.PIs), int(patterns))
 	p.RandFill(rng.Uint64)
@@ -75,16 +74,17 @@ func WorkloadProfile(n *circuit.Netlist, patterns, seed int64) (probHigh, activi
 	// the current word's first one, starting from the all-zero input.
 	ones := make([]int, len(n.Gates))
 	toggles := make([]int, len(n.Gates))
-	pi := make([]logic.Word, len(n.PIs))
+	vals := make([]logic.Word, c.NumGates()) // one lane; PI i is position i
 	carry := make([]logic.Word, len(n.Gates))
-	for p, v := range ps.BlockRange(pi, 0, 1) {
+	sim.Propagate(c, vals, 1, 0, 1)
+	for p, v := range vals {
 		carry[p] = v & 1
 	}
 	for w := 0; w < p.Words(); w++ {
-		for i := range pi {
-			pi[i] = p.Bits[i][w]
+		for i, row := range p.Bits {
+			vals[i] = row[w]
 		}
-		vals := ps.BlockRange(pi, 0, 1)
+		sim.Propagate(c, vals, 1, 0, 1)
 		mask := p.TailMask(w)
 		for q, v := range vals {
 			ones[q] += logic.PopCount(v & mask)

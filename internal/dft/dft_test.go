@@ -46,7 +46,7 @@ func TestApplyPreservesFunction(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", orig.Name, err)
 		}
-		sOrig, sTP := newWide(t, orig), newWide(t, tp)
+		sOrig, sTP := compiled(t, orig), compiled(t, tp)
 		neutral := nonControllingInputs(tp, plan)
 		idxTP := tp.InputIndex()
 		rng := rand.New(rand.NewSource(4))
@@ -77,28 +77,29 @@ func TestApplyPreservesFunction(t *testing.T) {
 	}
 }
 
-// newWide compiles n and returns a one-lane good-value simulator over it.
-func newWide(t *testing.T, n *circuit.Netlist) *sim.Wide {
+// compiled compiles n for evalPattern.
+func compiled(t *testing.T, n *circuit.Netlist) *circuit.Compiled {
 	t.Helper()
 	c, err := n.Compiled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sim.NewWideCompiled(c, 1)
+	return c
 }
 
-// evalPattern simulates one pattern and returns every gate's value.
-func evalPattern(s *sim.Wide, bits []bool) []bool {
-	pi := make([]logic.Word, len(bits))
+// evalPattern simulates one pattern through a one-lane sim.Propagate and
+// returns every gate's value.
+func evalPattern(c *circuit.Compiled, bits []bool) []bool {
+	vals := make([]logic.Word, c.NumGates())
 	for i, v := range bits {
 		if v {
-			pi[i] = 1
+			vals[i] = 1
 		}
 	}
-	vals := s.BlockRange(pi, 0, 1)
+	sim.Propagate(c, vals, 1, 0, 1)
 	out := make([]bool, len(vals))
 	for g := range out {
-		out[g] = vals[s.C.Tpos[g]]&1 == 1
+		out[g] = vals[c.Tpos[g]]&1 == 1
 	}
 	return out
 }
@@ -110,7 +111,7 @@ func TestControlForcing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newWide(t, tp)
+	s := compiled(t, tp)
 	idx := tp.InputIndex()
 	rng := rand.New(rand.NewSource(9))
 	for i, cp := range plan.Control {

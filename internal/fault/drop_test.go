@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
+	"repro/internal/sim"
 )
 
 // runIntoRef is the reference for RunInto's fanout-free-region drop pass:
@@ -330,7 +331,10 @@ func dropFuzzNetlist(data []byte) (*circuit.Netlist, *logic.PatternSet) {
 }
 
 // FuzzDropPass checks RunInto and Dictionary against their per-fault
-// references on decoded small netlists at one and eight lanes.
+// references on decoded small netlists at one and eight lanes. Those
+// references share the walk kernel and the good simulation with the code
+// they check, so it also checks sim.Propagate at two and eight lanes
+// against fullResim, which evaluates gate by gate with sim.Eval.
 func FuzzDropPass(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{8, 20, 1, 0, 3, 4, 1, 5, 2, 4, 9, 2, 3, 6, 4, 7, 0, 1, 2, 3, 200})
@@ -343,7 +347,53 @@ func FuzzDropPass(f *testing.F) {
 			checkDropMatchesRef(t, c, p, faults, w)
 			checkDictionaryMatchesRef(t, c, p, faults, w, rand.New(rand.NewSource(int64(len(data)))))
 		}
+		for _, w := range []int{2, 8} {
+			checkPropagateMatchesRef(t, c, w, rand.New(rand.NewSource(int64(len(data)))))
+		}
 	})
+}
+
+// checkPropagateMatchesRef requires sim.Propagate over every lane window
+// [lo, hi) of a W-lane buffer holding random words to write, in each lane
+// of the window, the values fullResim computes from that lane's PI words,
+// and to leave every other lane as it was.
+func checkPropagateMatchesRef(t *testing.T, n *circuit.Netlist, W int, rng *rand.Rand) {
+	t.Helper()
+	c, err := n.Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := make([]logic.Word, c.NumGates()*W)
+	for i := range init {
+		init[i] = logic.Word(rng.Uint64())
+	}
+	want := make([][]logic.Word, W) // want[l][gate ID]
+	pi := make([]logic.Word, c.NumPIs())
+	for l := range want {
+		for i := range pi {
+			pi[i] = init[i*W+l]
+		}
+		want[l] = fullResim(n, nil, pi)
+	}
+	vals := make([]logic.Word, len(init))
+	for lo := 0; lo < W; lo++ {
+		for hi := lo + 1; hi <= W; hi++ {
+			copy(vals, init)
+			sim.Propagate(c, vals, W, lo, hi)
+			for g := range n.Gates {
+				b := int(c.Tpos[g]) * W
+				for l := 0; l < W; l++ {
+					w := init[b+l]
+					if l >= lo && l < hi {
+						w = want[l][g]
+					}
+					if vals[b+l] != w {
+						t.Fatalf("W=%d [%d,%d): gate %s lane %d = %#x, want %#x", W, lo, hi, n.Gates[g].Name, l, vals[b+l], w)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestDropPassRecoversFromPanic pins the drop pass's scratch across a

@@ -162,17 +162,17 @@ func fullResim(c *circuit.Netlist, f *Fault, pi []logic.Word) []logic.Word {
 	return vals
 }
 
-// goodValues simulates every pattern word of p through a one-lane sim.Wide
-// and returns each word's gate values by gate ID: vals[word][gate].
+// goodValues simulates every pattern word of p through a one-lane
+// sim.Propagate and returns each word's gate values by gate ID:
+// vals[word][gate].
 func goodValues(c *circuit.Compiled, p *logic.PatternSet) [][]logic.Word {
-	gsim := sim.NewWideCompiled(c, 1)
-	pi := make([]logic.Word, c.NumPIs())
+	byPos := make([]logic.Word, c.NumGates())
 	vals := make([][]logic.Word, p.Words())
 	for w := range vals {
-		for i := range pi {
-			pi[i] = p.Bits[i][w]
+		for i, row := range p.Bits {
+			byPos[i] = row[w]
 		}
-		byPos := gsim.BlockRange(pi, 0, 1)
+		sim.Propagate(c, byPos, 1, 0, 1)
 		vals[w] = make([]logic.Word, c.NumGates())
 		for g := range vals[w] {
 			vals[w][g] = byPos[c.Tpos[g]]

@@ -57,13 +57,13 @@ func (o Options) Lanes() int {
 //
 // The engine packs W = Words() 64-bit pattern words per gate (lanes), so a
 // single cone walk amortizes over up to W*64 patterns, and the live-effect
-// early exit triggers only when every lane has died. The good circuit is
-// simulated by a sim.Wide, whose value buffer — indexed by topological
-// position — is the buffer the walk reads and patches: there is no copy.
-// Its stride is the lanes the pattern set needs, min(W, words), so a 2-word
-// set on a W=8 simulator walks a buffer a quarter the size. The lanes of
-// one position stay contiguous, so the multi-lane walk gathers each fanin
-// with one copy.
+// early exit triggers only when every lane has died. The simulator owns one
+// value buffer, indexed by topological position: sim.Propagate writes the
+// good values into it, and the walk reads and patches the same buffer, so
+// there is no copy. Its stride is the lanes the pattern set needs,
+// min(W, words), so a 2-word set on a W=8 simulator walks a buffer a
+// quarter the size. The lanes of one position stay contiguous, and every
+// gate evaluation folds its fanin lanes where they live (sim.FoldLanes).
 //
 // All graph structure (the position-indexed tables the walk reads) lives in
 // the shared immutable circuit.Compiled IR; a Simulator owns only its
@@ -75,12 +75,13 @@ type Simulator struct {
 	Net *circuit.Netlist
 	c   *circuit.Compiled
 	w   int // lanes (pattern words) per pass
-	// good is the good-value simulator, built on first use. Its value
-	// buffer holds the good values the walk reads, indexed by topological
-	// position: lane l of position p at Values()[p*good.W+l], so positions
-	// [0, NumPIs) hold the PI words. simulateGood fills it; a walk patches
-	// it in place and restores it before returning.
-	good *sim.Wide
+	// vals holds the good values the walk reads, indexed by topological
+	// position: lane l of position p at vals[p*stride+l], so positions
+	// [0, NumPIs) hold the PI words. simulateGood sets stride and fills
+	// vals; a walk patches it in place and restores it before returning.
+	// Both are zero until the first simulateGood.
+	vals   []logic.Word
+	stride int
 	// front is the frontier bitmap over topological positions; it is
 	// self-clearing, so walks never pay a bulk reset.
 	front []uint64
@@ -104,9 +105,6 @@ type Simulator struct {
 	// frontier gates); tests pin it, so a change of data layout is shown
 	// not to change the walk's work.
 	gateEvals int
-	// faninBuf is the gather scratch of the hot loop: one window of the
-	// widest gate's fanin lanes, c.MaxFanin*w words.
-	faninBuf []logic.Word
 
 	// Drop-pass scratch (dropStage). Within a stage over act lanes, ffr
 	// holds one act-lane window per position: at a position inside a
@@ -166,12 +164,11 @@ func New(n *circuit.Netlist, o Options) (*Simulator, error) {
 // cheaply build one per shard.
 func newSimulator(c *circuit.Compiled, w int) *Simulator {
 	return &Simulator{
-		Net:      c.Net,
-		c:        c,
-		w:        w,
-		front:    make([]uint64, (c.NumGates()+63)/64),
-		faninBuf: make([]logic.Word, c.MaxFanin*w),
-		ffrUsed:  make([]uint64, (c.NumGates()+63)/64),
+		Net:     c.Net,
+		c:       c,
+		w:       w,
+		front:   make([]uint64, (c.NumGates()+63)/64),
+		ffrUsed: make([]uint64, (c.NumGates()+63)/64),
 	}
 }
 
@@ -182,11 +179,11 @@ func (s *Simulator) Compiled() *circuit.Compiled { return s.c }
 func (s *Simulator) Words() int { return s.w }
 
 // detectWord simulates fault f against lane 0 of the good values currently
-// held in the good simulator's buffer and returns the word of pattern bits
-// where any faulty primary output differs. When perPO is non-nil the
-// difference word of each PO index is OR-accumulated into it at stride
-// Words(). It is the single-word view of detectLanes, kept for the serial
-// baseline and the oracle tests.
+// held in the value buffer and returns the word of pattern bits where any
+// faulty primary output differs. When perPO is non-nil the difference word
+// of each PO index is OR-accumulated into it at stride Words(). It is the
+// single-word view of detectLanes, kept for the serial baseline and the
+// oracle tests.
 func (s *Simulator) detectWord(f Fault, mask logic.Word, perPO []logic.Word) logic.Word {
 	var masks, diff [1]logic.Word
 	masks[0] = mask
@@ -195,11 +192,11 @@ func (s *Simulator) detectWord(f Fault, mask logic.Word, perPO []logic.Word) log
 }
 
 // detectLanes simulates fault f against the lane window [lo, lo+act) of the
-// good values currently held in the good simulator's buffer (from the last
-// simulateGood call). masks and diff are window-relative (length act): for
-// every window lane l it OR-accumulates the masked PO difference word into
-// diff[l]. When perPO is non-nil, per-PO difference lanes are accumulated
-// at perPO[po*W+lo+l] and the indices of the touched POs are returned (the
+// good values currently held in the value buffer (from the last simulateGood
+// call). masks and diff are window-relative (length act): for every window
+// lane l it OR-accumulates the masked PO difference word into diff[l]. When
+// perPO is non-nil, per-PO difference lanes are accumulated at
+// perPO[po*W+lo+l] and the indices of the touched POs are returned (the
 // caller owns clearing them — detectLanes never zeroes perPO). It is the
 // per-fault form of the engine: the fault site's faulty lanes (siteLanes)
 // fed to the walk kernel (walk).
@@ -214,11 +211,12 @@ func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, 
 // window [lo, lo+act) into v and returns the site's position: the stuck
 // value for a stem fault, the gate re-evaluated with the stuck value on its
 // pin for a branch fault, and the good value for a branch fault on a
-// pseudo-PI (Input/DFF), which no fanin reaches.
+// pseudo-PI (Input/DFF), which no fanin reaches. A branch fault's gate is
+// evaluated lane by lane: the stuck value seeds the fold, the other pins'
+// good lanes fold into it, and NOT, NAND, NOR and XNOR invert the result.
 func (s *Simulator) siteLanes(f Fault, lo, act int, v []logic.Word) int {
 	c := s.c
-	S := s.good.W
-	vals := s.good.Values()
+	S, vals := s.stride, s.vals
 	site := int(c.Tpos[f.Gate])
 	var force logic.Word
 	if f.SA == 1 {
@@ -233,20 +231,41 @@ func (s *Simulator) siteLanes(f Fault, lo, act int, v []logic.Word) int {
 	case t == circuit.Input || t == circuit.DFF:
 		copy(v, vals[sbase:sbase+act])
 	default:
+		for l := range v {
+			v[l] = force
+		}
 		fanin := c.PosFanin[c.Pos[site].In:c.Pos[site+1].In]
-		in := s.faninBuf[:len(fanin)*act]
-		for pin, fp := range fanin {
-			ib := pin * act
-			if pin == f.Pin {
-				for l := 0; l < act; l++ {
-					in[ib+l] = force
+		switch t {
+		case circuit.And, circuit.Nand:
+			for pin, fp := range fanin {
+				if pin != f.Pin {
+					for l, w := range vals[int(fp)*S+lo:][:act] {
+						v[l] &= w
+					}
 				}
-			} else {
-				fb := int(fp)*S + lo
-				copy(in[ib:ib+act], vals[fb:fb+act])
+			}
+		case circuit.Or, circuit.Nor:
+			for pin, fp := range fanin {
+				if pin != f.Pin {
+					for l, w := range vals[int(fp)*S+lo:][:act] {
+						v[l] |= w
+					}
+				}
+			}
+		case circuit.Xor, circuit.Xnor:
+			for pin, fp := range fanin {
+				if pin != f.Pin {
+					for l, w := range vals[int(fp)*S+lo:][:act] {
+						v[l] ^= w
+					}
+				}
 			}
 		}
-		sim.EvalLanes(t, in, len(fanin), act, v)
+		if t == circuit.Not || t == circuit.Nand || t == circuit.Nor || t == circuit.Xnor {
+			for l := range v {
+				v[l] = ^v[l]
+			}
+		}
 	}
 	return site
 }
@@ -281,12 +300,13 @@ func (s *Simulator) siteLanes(f Fault, lo, act int, v []logic.Word) int {
 // act == 1 takes a specialized scalar path with the gate evaluation fused
 // into the fanin loads: the drop-mode Run stages lane 0 of every block
 // through it as a cheap filter before the remaining lanes are walked
-// packed.
+// packed. The packed path folds each gate's fanin lanes straight out of
+// the buffer with sim.FoldLanes. The two stay apart because one loop for
+// both ran the 32k-gate drop benchmark (BenchmarkFaultSim) 40 % slower.
 func (s *Simulator) walk(site int, v []logic.Word, lo, act int, masks, diff []logic.Word, perPO []logic.Word) []int32 {
 	c := s.c
 	W := s.w
-	S := s.good.W
-	vals := s.good.Values()
+	S, vals := s.stride, s.vals
 	pos, kind := c.Pos, c.PosKind
 	bm := s.front
 	dirty := s.dirty[:0]
@@ -393,8 +413,8 @@ func (s *Simulator) walk(site int, v []logic.Word, lo, act int, masks, diff []lo
 	}
 
 	// Multi-lane path: lanes of a position are contiguous in the strided
-	// buffer, so gathers and undo snapshots are plain copies.
-	faninBuf := s.faninBuf
+	// buffer, so FoldLanes reads each fanin's lanes in place and undo
+	// snapshots are plain copies.
 	var vbuf, dbuf [MaxWords]logic.Word
 	commit := func(p, base int, v []logic.Word) {
 		var any logic.Word
@@ -447,14 +467,8 @@ func (s *Simulator) walk(site int, v []logic.Word, lo, act int, masks, diff []lo
 			if t == circuit.Input || t == circuit.DFF {
 				continue
 			}
-			fanin := c.PosFanin[pos[p].In:pos[p+1].In]
-			in := faninBuf[:len(fanin)*act]
-			for pin, fp := range fanin {
-				fb := int(fp)*S + lo
-				copy(in[pin*act:pin*act+act], vals[fb:fb+act])
-			}
 			v := vbuf[:act]
-			sim.EvalLanes(t, in, len(fanin), act, v)
+			sim.FoldLanes(t, vals, c.PosFanin[pos[p].In:pos[p+1].In], S, lo, v)
 			evals++
 			commit(p, p*S+lo, v)
 		}
@@ -582,8 +596,7 @@ func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, li
 // are compacted in place at the front of live and returned with the number
 // detected.
 func (s *Simulator) dropStage(faults []Fault, live []int, base, lo, act int, masks []logic.Word, detBy []int) ([]int, int) {
-	S := s.good.W
-	vals := s.good.Values()
+	S, vals := s.stride, s.vals
 	s.ffrBegin(act)
 	ffr, used, stem := s.ffr, s.ffrUsed, s.c.FFRStem
 	var r [MaxWords]logic.Word
@@ -683,8 +696,7 @@ func (s *Simulator) ffrEnd(act int) {
 // position, or -1 when f cannot flip it in any lane.
 func (s *Simulator) reach(f Fault, lo, act int, masks, r []logic.Word) int {
 	c := s.c
-	S := s.good.W
-	vals := s.good.Values()
+	S, vals := s.stride, s.vals
 	site := int(c.Tpos[f.Gate])
 	src := site // where the fault is activated
 	if f.Pin >= 0 {
@@ -770,8 +782,7 @@ func (s *Simulator) sens(p, lo, act int) []logic.Word {
 // AND/NAND and 0 for OR/NOR, and XOR/XNOR/NOT/BUF pass every change.
 func (s *Simulator) sideSens(q int, skipPos int32, skipPin, lo int, r []logic.Word) logic.Word {
 	c := s.c
-	S := s.good.W
-	vals := s.good.Values()
+	S, vals := s.stride, s.vals
 	s.sensSteps++
 	if t := c.PosKind[q]; t == circuit.And || t == circuit.Nand || t == circuit.Or || t == circuit.Nor {
 		var flip logic.Word // the side inputs must read ^flip
@@ -797,7 +808,7 @@ func (s *Simulator) sideSens(q int, skipPos int32, skipPin, lo int, r []logic.Wo
 // samePIs reports whether the first act PI words of p equal the lanes the
 // value buffer was last simulated from (PI i is position i).
 func (s *Simulator) samePIs(p *logic.PatternSet, act int) bool {
-	S, vals := s.good.W, s.good.Values()
+	S, vals := s.stride, s.vals
 	for i, row := range p.Bits {
 		key := vals[i*S : i*S+act]
 		for l, w := range row[:act] {
@@ -811,18 +822,15 @@ func (s *Simulator) samePIs(p *logic.PatternSet, act int) bool {
 
 // simulateGood runs the good circuit over lanes [lo, hi), lane l carrying
 // pattern word base+l of p, at the given stride (hi <= stride <= Words()):
-// it writes the PI words straight into the PI positions of the good
-// simulator's buffer and propagates them. A change of stride reuses the
-// buffer's backing array; lanes outside [lo, hi) keep their values only
-// while the stride is unchanged, which is what incremental staging relies
-// on.
+// it writes the PI words straight into the PI positions of the value
+// buffer and propagates them. A change of stride reuses the buffer's
+// backing array when it holds NumGates()*stride words; lanes outside
+// [lo, hi) keep their values only while the stride is unchanged, which is
+// what incremental staging relies on.
 func (s *Simulator) simulateGood(p *logic.PatternSet, base, lo, hi, stride int) {
-	if s.good == nil {
-		s.good = sim.NewWideCompiled(s.c, stride)
-	} else {
-		s.good.Restride(stride)
-	}
-	vals := s.good.Values()
+	n := s.c.NumGates() * stride
+	s.vals, s.stride = slices.Grow(s.vals[:0], n)[:n], stride
+	vals := s.vals
 	if hi-lo == 1 {
 		for i, row := range p.Bits {
 			vals[i*stride+lo] = row[base+lo]
@@ -832,7 +840,7 @@ func (s *Simulator) simulateGood(p *logic.PatternSet, base, lo, hi, stride int) 
 			copy(vals[i*stride+lo:i*stride+hi], row[base+lo:base+hi])
 		}
 	}
-	s.good.Propagate(lo, hi)
+	sim.Propagate(s.c, vals, stride, lo, hi)
 	s.goodSims++
 }
 
@@ -893,10 +901,11 @@ func (s *Simulator) Probe(f Fault) bool {
 	return false
 }
 
-// RunSerial is the baseline used by experiment T7: identical algorithm but
-// patterns are applied one at a time (one valid bit per word, one lane),
-// forgoing both the 64-way and the multi-word parallelism. Fault dropping
-// is still applied.
+// RunSerial is the baseline used by experiment T7: patterns are applied
+// one at a time (one valid bit per word, one lane), forgoing both the
+// 64-way and the multi-word parallelism, and each live fault is walked on
+// its own from its site, where Run walks once per fanout-free-region stem.
+// Fault dropping is still applied, and the detection results equal Run's.
 func (s *Simulator) RunSerial(p *logic.PatternSet, faults []Fault) *Result {
 	s.stagedAct, s.goodAct = 0, 0
 	res := &Result{Total: len(faults), DetectedBy: make([]int, len(faults))}
@@ -1002,8 +1011,7 @@ func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, order [
 	words := p.Words()
 	act := min(W, words-base)
 	s.simulateGood(p, base, 0, act, min(W, words))
-	S := s.good.W
-	vals := s.good.Values()
+	S, vals := s.stride, s.vals
 	// diff takes the walks' OR of PO differences, which no row reads: the
 	// rows come from perPO.
 	var masks, diff, ones, u, v [MaxWords]logic.Word

@@ -107,7 +107,7 @@ func (s *Simulator) transitions(p *logic.PatternSet, faults []TransitionFault, d
 	for base := 0; base < words && len(live) > 0; base += W {
 		act := min(W, words-base)
 		s.simulateGood(p, base, 0, act, min(W, words))
-		S, vals := s.good.W, s.good.Values()
+		S, vals := s.stride, s.vals
 		kept := live[:0]
 		for _, fi := range live {
 			// The slow line keeps its pre-transition value: 0 for STR, 1 for STF.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -263,13 +264,13 @@ func TestWalkRestoresGoodValues(t *testing.T) {
 	p := logic.NewPatternSet(len(c.PIs), 2*logic.WordBits)
 	p.RandFill(rng.Uint64)
 	fsim.simulateGood(p, 0, 0, W, W)
-	snapshot := append([]logic.Word(nil), fsim.good.Values()...)
+	snapshot := append([]logic.Word(nil), fsim.vals...)
 	masks := []logic.Word{p.TailMask(0), p.TailMask(1)}
 	diff := make([]logic.Word, W)
 	for _, fl := range faults {
 		diff[0], diff[1] = 0, 0
 		fsim.detectLanes(fl, 0, W, masks, diff, nil)
-		for i, v := range fsim.good.Values() {
+		for i, v := range fsim.vals {
 			if v != snapshot[i] {
 				t.Fatalf("fault %v: good value %d not restored: %x != %x", fl, i, v, snapshot[i])
 			}
@@ -454,7 +455,7 @@ func TestStageOneAppendAtATime(t *testing.T) {
 		}
 		words := p.Words()
 		full.simulateGood(p, 0, 0, words, 8)
-		got, want := s.good.Values(), full.good.Values()
+		got, want := s.vals, full.vals
 		for q := 0; q < c.NumGates(); q++ {
 			for l := 0; l < words; l++ {
 				if got[q*8+l] != want[q*8+l] {
@@ -468,6 +469,34 @@ func TestStageOneAppendAtATime(t *testing.T) {
 			if got := s.Probe(fl); got != want {
 				t.Fatalf("N=%d fault %+v: Probe %v, RunInto %v", p.N, fl, got, want)
 			}
+		}
+	}
+}
+
+// TestStrideChangeReusesValueBuffer drives one W=8 simulator through a
+// sequence of good-value strides, as a run that alternates staging, lane
+// groups and narrow sets does. A stride whose buffer fits the backing array
+// of the widest must not reallocate it, and the good values at every stride
+// must equal a fresh simulator's.
+func TestStrideChangeReusesValueBuffer(t *testing.T) {
+	c, err := circuit.Random(12, 300, 5).Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	s := newSimulator(c, MaxWords)
+	s.simulateGood(randSet(rng, c.NumPIs(), MaxWords*logic.WordBits), 0, 0, MaxWords, MaxWords)
+	backing := &s.vals[0]
+	for _, w := range []int{1, 2, MaxWords, 4, 1, 2} {
+		p := randSet(rng, c.NumPIs(), w*logic.WordBits)
+		s.simulateGood(p, 0, 0, w, w)
+		if &s.vals[0] != backing {
+			t.Fatalf("stride %d reallocated the value buffer", w)
+		}
+		fresh := newSimulator(c, w)
+		fresh.simulateGood(p, 0, 0, w, w)
+		if !slices.Equal(s.vals, fresh.vals) {
+			t.Fatalf("stride %d: good values differ from a fresh simulator's", w)
 		}
 	}
 }

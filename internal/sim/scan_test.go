@@ -33,7 +33,7 @@ func TestDFFIsPseudoPI(t *testing.T) {
 	if len(n.PIs) != 3 {
 		t.Fatalf("PIs = %d, want 3 (a, b and scan cell q)", len(n.PIs))
 	}
-	s := newWide(t, n)
+	s := newLane1(t, n)
 	idx := n.InputIndex()
 	pin := func(name string) int {
 		g, ok := n.GateByName(name)
@@ -67,7 +67,7 @@ func TestDFFIsPseudoPI(t *testing.T) {
 // within the cycle. Every gate value must match the reference evaluator.
 func TestScanCellHeldAgainstFanin(t *testing.T) {
 	n := scanCircuit(t)
-	s := newWide(t, n)
+	s := newLane1(t, n)
 	idx := n.InputIndex()
 	q, _ := n.GateByName("q")
 	a, _ := n.GateByName("a")
@@ -83,13 +83,13 @@ func TestScanCellHeldAgainstFanin(t *testing.T) {
 				pi[i] = 1
 			}
 		}
-		vals := s.BlockRange(pi, 0, 1)
+		vals := s.run(pi)
 		for g, want := range refValues(n, bits) {
-			if got := vals[g]&1 == 1; got != want {
+			if got := vals[s.C.Tpos[g]]&1 == 1; got != want {
 				t.Fatalf("a=%v gate %s: got %v, want %v", av, n.Gates[g].Name, got, want)
 			}
 		}
-		if vals[q.ID]&1 != 1 {
+		if vals[s.C.Tpos[q.ID]]&1 != 1 {
 			t.Fatal("DFF output overwritten by fanin propagation")
 		}
 	}

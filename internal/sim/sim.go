@@ -1,12 +1,13 @@
 // Package sim provides gate-level good-value logic simulation over circuit
-// netlists. It has one simulator, Wide: a compiled, levelized
-// parallel-pattern engine that packs one to MaxLanes 64-bit pattern words
-// per gate (its W=1 form is the single-word simulator). It is the good-value
-// engine of fault simulation, BIST, transition-fault analysis and workload
-// profiling. Eval and EvalLanes are its gate evaluators over one word and
-// over a group of lanes. Every Wide consumes the shared immutable
-// circuit.Compiled IR, so many instances (one per worker goroutine, one per
-// request) share a single compiled graph.
+// netlists. Propagate is its one simulator: a levelized parallel-pattern pass
+// over a value buffer the caller owns, packing one to MaxLanes 64-bit
+// pattern words per position (its one-lane form is the single-word
+// simulator). It is the good-value engine of fault simulation, BIST,
+// transition-fault analysis and workload profiling. Eval and FoldLanes are
+// its gate evaluators: Eval over one word of gathered fanin, FoldLanes over
+// a group of lanes read where they live in the value buffer. Every caller
+// reads the shared immutable circuit.Compiled IR, so many buffers (one per
+// worker goroutine, one per request) share a single compiled graph.
 package sim
 
 import (

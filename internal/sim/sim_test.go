@@ -34,14 +34,30 @@ func TestEvalWords(t *testing.T) {
 	}
 }
 
-// newWide compiles n and returns a one-lane Wide over it.
-func newWide(t testing.TB, n *circuit.Netlist) *Wide {
+// lane1 is a one-lane value buffer over a compiled netlist, the form every
+// single-word caller drives Propagate through.
+type lane1 struct {
+	Net  *circuit.Netlist
+	C    *circuit.Compiled
+	vals []logic.Word
+}
+
+// newLane1 compiles n and returns a one-lane value buffer over it.
+func newLane1(t testing.TB, n *circuit.Netlist) *lane1 {
 	t.Helper()
 	c, err := n.Compiled()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewWideCompiled(c, 1)
+	return &lane1{Net: n, C: c, vals: make([]logic.Word, c.NumGates())}
+}
+
+// run writes the PI words into the PI positions, propagates them and
+// returns the value buffer, indexed by position.
+func (s *lane1) run(pi []logic.Word) []logic.Word {
+	copy(s.vals[:s.C.NumPIs()], pi)
+	Propagate(s.C, s.vals, 1, 0, 1)
+	return s.vals
 }
 
 // refGate evaluates one gate over plain booleans: the reference the
@@ -97,7 +113,7 @@ func refValues(n *circuit.Netlist, bits []bool) []bool {
 
 // response simulates every pattern of p word by word and returns the PO
 // values bit-sliced like logic.PatternSet: r[po][word].
-func response(s *Wide, p *logic.PatternSet) [][]logic.Word {
+func response(s *lane1, p *logic.PatternSet) [][]logic.Word {
 	r := make([][]logic.Word, len(s.Net.POs))
 	for o := range r {
 		r[o] = make([]logic.Word, p.Words())
@@ -107,7 +123,7 @@ func response(s *Wide, p *logic.PatternSet) [][]logic.Word {
 		for i := range pi {
 			pi[i] = p.Bits[i][w]
 		}
-		vals := s.BlockRange(pi, 0, 1)
+		vals := s.run(pi)
 		for o, po := range s.Net.POs {
 			r[o][w] = vals[s.C.Tpos[po]]
 		}
@@ -121,14 +137,14 @@ func bit(r [][]logic.Word, k, o int) bool {
 }
 
 // runPattern simulates one pattern given as bools and returns the PO values.
-func runPattern(s *Wide, bits []bool) []bool {
+func runPattern(s *lane1, bits []bool) []bool {
 	pi := make([]logic.Word, len(s.Net.PIs))
 	for i, v := range bits {
 		if v {
 			pi[i] = 1
 		}
 	}
-	vals := s.BlockRange(pi, 0, 1)
+	vals := s.run(pi)
 	out := make([]bool, len(s.Net.POs))
 	for i, po := range s.Net.POs {
 		out[i] = vals[s.C.Tpos[po]]&1 == 1
@@ -140,7 +156,7 @@ func runPattern(s *Wide, bits []bool) []bool {
 // G22 = NAND(G10,G16), etc., computed independently.
 func TestC17Truth(t *testing.T) {
 	n := circuit.MustC17()
-	s := newWide(t, n)
+	s := newLane1(t, n)
 	ref := func(in []bool) (bool, bool) {
 		g1, g2, g3, g6, g7 := in[0], in[1], in[2], in[3], in[4]
 		nand := func(a, b bool) bool { return !(a && b) }
@@ -166,7 +182,7 @@ func TestC17Truth(t *testing.T) {
 func TestAdderArithmetic(t *testing.T) {
 	const w = 8
 	n := circuit.RippleAdder(w)
-	s := newWide(t, n)
+	s := newLane1(t, n)
 	rng := rand.New(rand.NewSource(3))
 	p := logic.NewPatternSet(len(n.PIs), 200)
 	type opnd struct{ a, b, cin int }
@@ -221,7 +237,7 @@ func itoa(i int) string {
 func TestMultiplierArithmetic(t *testing.T) {
 	const w = 4
 	n := circuit.ArrayMultiplier(w)
-	s := newWide(t, n)
+	s := newLane1(t, n)
 	idx := n.InputIndex()
 	pin := func(name string) int {
 		g, _ := n.GateByName(name)
@@ -252,10 +268,10 @@ func TestMultiplierArithmetic(t *testing.T) {
 	}
 }
 
-// TestWideMatchesReferenceOnPOs checks every primary output of 256 random
-// patterns, simulated word by word, against the per-pattern reference on
-// fixed benchmark and random circuits.
-func TestWideMatchesReferenceOnPOs(t *testing.T) {
+// TestPropagateMatchesReferenceOnPOs checks every primary output of 256
+// random patterns, simulated word by word, against the per-pattern
+// reference on fixed benchmark and random circuits.
+func TestPropagateMatchesReferenceOnPOs(t *testing.T) {
 	for _, c := range []*circuit.Netlist{
 		circuit.MustC17(),
 		circuit.ALUSlice(4),
@@ -265,12 +281,12 @@ func TestWideMatchesReferenceOnPOs(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		p := logic.NewPatternSet(len(c.PIs), 256)
 		p.RandFill(rng.Uint64)
-		r := response(newWide(t, c), p)
+		r := response(newLane1(t, c), p)
 		for k := 0; k < p.N; k++ {
 			vals := refValues(c, p.Pattern(k))
 			for o, po := range c.POs {
 				if bit(r, k, o) != vals[po] {
-					t.Fatalf("%s pattern %d output %d: wide %v, reference %v",
+					t.Fatalf("%s pattern %d output %d: simulator %v, reference %v",
 						c.Name, k, o, bit(r, k, o), vals[po])
 				}
 			}
@@ -278,12 +294,12 @@ func TestWideMatchesReferenceOnPOs(t *testing.T) {
 	}
 }
 
-// Property: a Wide simulator keeps no state between calls. After any
-// random walk of earlier patterns, a probe pattern gives the same outputs
-// as on a fresh simulator and as the reference.
-func TestWideStateless(t *testing.T) {
+// Property: Propagate reads nothing of a reused buffer but its PI words.
+// After any random walk of earlier patterns, a probe pattern gives the same
+// outputs as on a fresh buffer and as the reference.
+func TestPropagateStateless(t *testing.T) {
 	c := circuit.Random(10, 100, 13)
-	s := newWide(t, c)
+	s := newLane1(t, c)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		row := make([]bool, len(c.PIs))
@@ -297,7 +313,7 @@ func TestWideStateless(t *testing.T) {
 			row[j] = rng.Intn(2) == 1
 		}
 		got := runPattern(s, row)
-		fresh := runPattern(newWide(t, c), row)
+		fresh := runPattern(newLane1(t, c), row)
 		ref := refValues(c, row)
 		for o, po := range c.POs {
 			if got[o] != fresh[o] || got[o] != ref[po] {
@@ -311,19 +327,39 @@ func TestWideStateless(t *testing.T) {
 	}
 }
 
-func TestRunPanicsOnWidthMismatch(t *testing.T) {
-	s := newWide(t, circuit.MustC17())
-	defer func() {
-		if recover() == nil {
-			t.Error("width mismatch must panic")
-		}
-	}()
-	s.BlockRange(make([]logic.Word, 3), 0, 1)
+// TestPropagatePanicsOnBadBuffer pins Propagate's argument checks: a
+// buffer that is not NumGates()*S words long and a lane range outside
+// [0, S) must each panic.
+func TestPropagatePanicsOnBadBuffer(t *testing.T) {
+	c, err := circuit.MustC17().Compiled()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := c.NumGates()
+	for _, tc := range []struct {
+		name           string
+		len, S, lo, hi int
+	}{
+		{"short buffer", n - 1, 1, 0, 1},
+		{"buffer of another stride", 2 * n, 1, 0, 1},
+		{"empty range", 2 * n, 2, 1, 1},
+		{"range past the stride", 2 * n, 2, 1, 3},
+		{"negative lo", 2 * n, 2, -1, 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Propagate did not panic", tc.name)
+				}
+			}()
+			Propagate(c, make([]logic.Word, tc.len), tc.S, tc.lo, tc.hi)
+		}()
+	}
 }
 
 func BenchmarkParallelSim(b *testing.B) {
 	c := circuit.Random(32, 1200, 2)
-	s := newWide(b, c)
+	s := newLane1(b, c)
 	rng := rand.New(rand.NewSource(1))
 	p := logic.NewPatternSet(len(c.PIs), 1024)
 	p.RandFill(rng.Uint64)
@@ -334,26 +370,25 @@ func BenchmarkParallelSim(b *testing.B) {
 	b.ReportMetric(float64(1024), "patterns/op")
 }
 
-// BenchmarkWidePropagate times one Propagate on a stride-8 buffer over one
-// lane (the fused scalar path that staging a freshly committed ATPG pattern
-// takes) and over all eight (the gather-and-EvalLanes path), on the two
-// circuits of the testgen workload.
-func BenchmarkWidePropagate(b *testing.B) {
+// BenchmarkPropagate times one Propagate on a stride-8 buffer over one lane
+// (the fused scalar loop that staging a freshly committed ATPG pattern
+// takes) and over all eight (FoldLanes in place), on the two circuits of the
+// testgen workload.
+func BenchmarkPropagate(b *testing.B) {
 	for _, n := range []*circuit.Netlist{circuit.GatedParity(32, 60, 12), circuit.ArrayMultiplier(16)} {
 		c, err := n.Compiled()
 		if err != nil {
 			b.Fatal(err)
 		}
-		s := NewWideCompiled(c, MaxLanes)
+		vals := make([]logic.Word, c.NumGates()*MaxLanes)
 		rng := rand.New(rand.NewSource(1))
-		vals := s.Values()
 		for i := 0; i < c.NumPIs()*MaxLanes; i++ {
 			vals[i] = logic.Word(rng.Uint64())
 		}
 		for _, lanes := range []int{1, MaxLanes} {
 			b.Run(fmt.Sprintf("%s/lanes=%d", n.Name, lanes), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					s.Propagate(0, lanes)
+					Propagate(c, vals, MaxLanes, 0, lanes)
 				}
 				gates := float64(c.NumGates() - c.NumPIs())
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*gates*float64(lanes)), "ns/gate-lane")

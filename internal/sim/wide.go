@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/circuit"
 	"repro/internal/logic"
@@ -13,224 +12,108 @@ import (
 // full-width pass carries MaxLanes*logic.WordBits = 512 patterns.
 const MaxLanes = 8
 
-// EvalLanes computes one gate's output lanes from its fanin lanes. in holds
-// n fanin operands of act lanes each, flattened as in[pin*act+lane]; out
-// receives act lanes. Like Eval, gate types are validated at circuit.Compile
-// time; an out-of-range type evaluates to all-zero lanes.
-func EvalLanes(t circuit.GateType, in []logic.Word, n, act int, out []logic.Word) {
+// FoldLanes computes one gate's output over the lanes [lo, lo+len(out)),
+// folding each fanin's lanes straight out of vals, a value buffer of S words
+// per position (lane l of position p at vals[p*S+l]). fanin lists the
+// positions of the gate's pins, in pin order; a position may repeat. out may
+// alias the gate's own lanes in vals, which no fanin reads. Like Eval, gate
+// types are validated at circuit.Compile time; an out-of-range type
+// evaluates to all-zero lanes.
+func FoldLanes(t circuit.GateType, vals []logic.Word, fanin []int32, S, lo int, out []logic.Word) {
+	n := len(out)
+	for l, w := range vals[int(fanin[0])*S+lo:][:n] {
+		out[l] = w
+	}
 	switch t {
-	case circuit.Buf, circuit.DFF:
-		for l := 0; l < act; l++ {
-			out[l] = in[l]
-		}
-	case circuit.Not:
-		for l := 0; l < act; l++ {
-			out[l] = ^in[l]
-		}
+	case circuit.Buf, circuit.DFF, circuit.Not:
 	case circuit.And, circuit.Nand:
-		for l := 0; l < act; l++ {
-			out[l] = in[l]
-		}
-		for p := 1; p < n; p++ {
-			b := p * act
-			for l := 0; l < act; l++ {
-				out[l] &= in[b+l]
-			}
-		}
-		if t == circuit.Nand {
-			for l := 0; l < act; l++ {
-				out[l] = ^out[l]
+		for _, f := range fanin[1:] {
+			for l, w := range vals[int(f)*S+lo:][:n] {
+				out[l] &= w
 			}
 		}
 	case circuit.Or, circuit.Nor:
-		for l := 0; l < act; l++ {
-			out[l] = in[l]
-		}
-		for p := 1; p < n; p++ {
-			b := p * act
-			for l := 0; l < act; l++ {
-				out[l] |= in[b+l]
-			}
-		}
-		if t == circuit.Nor {
-			for l := 0; l < act; l++ {
-				out[l] = ^out[l]
+		for _, f := range fanin[1:] {
+			for l, w := range vals[int(f)*S+lo:][:n] {
+				out[l] |= w
 			}
 		}
 	case circuit.Xor, circuit.Xnor:
-		for l := 0; l < act; l++ {
-			out[l] = in[l]
-		}
-		for p := 1; p < n; p++ {
-			b := p * act
-			for l := 0; l < act; l++ {
-				out[l] ^= in[b+l]
-			}
-		}
-		if t == circuit.Xnor {
-			for l := 0; l < act; l++ {
-				out[l] = ^out[l]
+		for _, f := range fanin[1:] {
+			for l, w := range vals[int(f)*S+lo:][:n] {
+				out[l] ^= w
 			}
 		}
 	default:
-		for l := 0; l < act; l++ {
-			out[l] = 0
+		clear(out)
+		return
+	}
+	switch t {
+	case circuit.Not, circuit.Nand, circuit.Nor, circuit.Xnor:
+		for l := range out {
+			out[l] = ^out[l]
 		}
 	}
 }
 
-// Wide is the levelized parallel-pattern good-value simulator: it evaluates
-// W pattern words (up to MaxLanes, i.e. W*64 patterns) per gate in a single
-// levelized pass, so the per-gate dispatch and fanin gathering amortize over
-// all lanes. Values are stored by topological position and strided — all
-// lanes of position p are contiguous at values[p*W : p*W+W] — which is the
-// layout the multi-word fault engine walks in place; with W=1 the buffer is
-// simply one word per position. Positions [0, NumPIs) are the PIs in
-// Net.PIs order, so lane l of PI i sits at values[i*W+l], the layout of
-// BlockRange's piWords. Callers that index by gate ID translate through
-// C.Tpos. A Wide owns only its value buffer and its fanin gather scratch
-// (sized from the widest gate of the circuit); the compiled IR is shared and
-// read-only.
-type Wide struct {
-	Net *circuit.Netlist
-	// C is the shared compiled IR; read-only.
-	C *circuit.Compiled
-	// W is the lane stride, set by NewWideCompiled and Restride.
-	W      int
-	values []logic.Word // strided lanes by position: values[p*W+l]
-	in     []logic.Word // fanin gather scratch: C.MaxFanin*W words
-}
-
-// NewWideCompiled builds a W-lane simulator over an already-compiled IR.
-// 1 <= w <= MaxLanes.
-func NewWideCompiled(c *circuit.Compiled, w int) *Wide {
-	s := &Wide{Net: c.Net, C: c}
-	s.Restride(w)
-	return s
-}
-
-// Restride sets the lane stride to w (1 <= w <= MaxLanes), reusing the
-// value buffer's backing array when it already holds NumGates()*w words. At
-// an unchanged stride every stored lane keeps its value; after a change
-// every lane is stale.
-func (s *Wide) Restride(w int) {
-	if w < 1 || w > MaxLanes {
-		panic(fmt.Sprintf("sim: lane count %d out of range [1,%d]", w, MaxLanes))
-	}
-	s.W = w
-	s.values = slices.Grow(s.values[:0], s.C.NumGates()*w)[:s.C.NumGates()*w]
-	s.in = slices.Grow(s.in[:0], s.C.MaxFanin*w)[:s.C.MaxFanin*w]
-}
-
-// BlockRange simulates lanes [lo, hi) of the pattern block in one pass,
-// leaving every other lane's stored values untouched. piWords is strided
-// like the value buffer: lane l of Net.PIs[i] at piWords[i*W+l]. A whole
-// block of act pattern words is BlockRange(piWords, 0, act); lanes at index
-// >= act are then stale and callers must not read them. A caller that has
-// already simulated the first lo lanes, and whose new patterns only
-// extended the block, re-simulates just the tail lanes. The returned slice
-// aliases internal storage valid until the next call.
-func (s *Wide) BlockRange(piWords []logic.Word, lo, hi int) []logic.Word {
-	W := s.W
-	if len(piWords) != s.C.NumPIs()*W {
-		panic(fmt.Sprintf("sim: got %d PI lane words, want %d", len(piWords), s.C.NumPIs()*W))
-	}
-	for b := 0; b < len(piWords); b += W { // PI i is position i
-		copy(s.values[b+lo:b+hi], piWords[b+lo:b+hi])
-	}
-	return s.Propagate(lo, hi)
-}
-
-// Propagate simulates lanes [lo, hi) of every gate past the PIs from the PI
-// lanes already stored at positions [0, NumPIs) of the value buffer: the
-// form of BlockRange for a caller that writes its PI words straight into
-// Values(). It returns the value buffer.
+// Propagate simulates lanes [lo, hi) of every gate past the PIs of c over
+// vals, a value buffer the caller owns: S lanes per topological position,
+// lane l of position p at vals[p*S+l], so len(vals) must be NumGates()*S.
+// Positions [0, NumPIs) are the PIs in Net.PIs order, which the caller
+// writes before the call; callers that index by gate ID translate through
+// c.Tpos. Lanes outside [lo, hi) are left untouched, so a caller whose new
+// patterns only extended a block re-simulates just the tail lanes.
 //
-// A one-lane range takes a scalar path with each gate's evaluation fused
-// into its fanin loads; wider ranges gather the fanin lanes and call
-// EvalLanes. Both compute the same words.
-func (s *Wide) Propagate(lo, hi int) []logic.Word {
-	if lo < 0 || lo >= hi || hi > s.W {
-		panic(fmt.Sprintf("sim: lane range [%d,%d) out of range [0,%d)", lo, hi, s.W))
+// A one-lane range takes a scalar loop with each gate's evaluation fused
+// into its fanin loads; wider ranges fold every gate's lanes with
+// FoldLanes in place. Both compute the same words.
+func Propagate(c *circuit.Compiled, vals []logic.Word, S, lo, hi int) {
+	if lo < 0 || lo >= hi || hi > S {
+		panic(fmt.Sprintf("sim: lane range [%d,%d) out of range [0,%d)", lo, hi, S))
 	}
-	if hi-lo == 1 {
-		s.propagateLane(lo)
-	} else {
-		s.propagateLanes(lo, hi)
+	if len(vals) != c.NumGates()*S {
+		panic(fmt.Sprintf("sim: got %d value words, want %d gates x %d lanes", len(vals), c.NumGates(), S))
 	}
-	return s.values
-}
-
-// propagateLanes is Propagate over lanes [lo, hi): per gate, it gathers the
-// fanin lanes into s.in and evaluates them with EvalLanes.
-func (s *Wide) propagateLanes(lo, hi int) {
-	c := s.C
-	W := s.W
-	n := hi - lo
-	vals := s.values
-	pos, faninAll := c.Pos, c.PosFanin
-	for p, end := c.NumPIs(), c.NumGates(); p < end; p++ {
-		fanin := faninAll[pos[p].In:pos[p+1].In]
-		in := s.in[:len(fanin)*n]
-		for pin, f := range fanin {
-			fb := int(f)*W + lo
-			ib := pin * n
-			for l := 0; l < n; l++ {
-				in[ib+l] = vals[fb+l]
-			}
-		}
-		EvalLanes(c.PosKind[p], in, len(fanin), n, vals[p*W+lo:p*W+hi])
-	}
-}
-
-// propagateLane is Propagate over the single lane l: each gate folds its
-// fanin words straight from the value buffer, the form of the fault walk's
-// scalar path, with no gather and no per-gate EvalLanes call.
-func (s *Wide) propagateLane(l int) {
-	c := s.C
-	W := s.W
-	vals := s.values
 	pos, kind, faninAll := c.Pos, c.PosKind, c.PosFanin
+	if hi-lo > 1 {
+		for p, end := c.NumPIs(), c.NumGates(); p < end; p++ {
+			FoldLanes(kind[p], vals, faninAll[pos[p].In:pos[p+1].In], S, lo, vals[p*S+lo:p*S+hi])
+		}
+		return
+	}
 	for p, end := c.NumPIs(), c.NumGates(); p < end; p++ {
 		fanin := faninAll[pos[p].In:pos[p+1].In]
 		var v logic.Word
 		switch t := kind[p]; t {
 		case circuit.And, circuit.Nand:
-			v = vals[int(fanin[0])*W+l]
+			v = vals[int(fanin[0])*S+lo]
 			for _, f := range fanin[1:] {
-				v &= vals[int(f)*W+l]
+				v &= vals[int(f)*S+lo]
 			}
 			if t == circuit.Nand {
 				v = ^v
 			}
 		case circuit.Or, circuit.Nor:
-			v = vals[int(fanin[0])*W+l]
+			v = vals[int(fanin[0])*S+lo]
 			for _, f := range fanin[1:] {
-				v |= vals[int(f)*W+l]
+				v |= vals[int(f)*S+lo]
 			}
 			if t == circuit.Nor {
 				v = ^v
 			}
 		case circuit.Xor, circuit.Xnor:
-			v = vals[int(fanin[0])*W+l]
+			v = vals[int(fanin[0])*S+lo]
 			for _, f := range fanin[1:] {
-				v ^= vals[int(f)*W+l]
+				v ^= vals[int(f)*S+lo]
 			}
 			if t == circuit.Xnor {
 				v = ^v
 			}
 		case circuit.Not:
-			v = ^vals[int(fanin[0])*W+l]
+			v = ^vals[int(fanin[0])*S+lo]
 		case circuit.Buf, circuit.DFF:
-			v = vals[int(fanin[0])*W+l]
+			v = vals[int(fanin[0])*S+lo]
 		}
-		vals[p*W+l] = v
+		vals[p*S+lo] = v
 	}
 }
-
-// Values returns the strided lane buffer, indexed by position, from the
-// most recent BlockRange or Propagate call. The slice aliases internal
-// storage; lanes the last call did not cover are stale. Only a caller that
-// restores what it writes (the fault walk) or that loads PI lanes for
-// Propagate may write to it.
-func (s *Wide) Values() []logic.Word { return s.values }

@@ -10,12 +10,12 @@ import (
 	"repro/internal/logic"
 )
 
-// Property: every lane of a Wide block equals, bit for bit, the per-pattern
-// reference evaluator (refValues) run on each of that lane's 64 patterns,
-// for every width and active-lane count — the strided layout cannot swap,
-// shift or corrupt lanes. Also pins the staleness contract:
+// Property: every lane Propagate writes equals, bit for bit, the
+// per-pattern reference evaluator (refValues) run on each of that lane's 64
+// patterns, for every stride and active-lane count — the strided layout
+// cannot swap, shift or corrupt lanes. Also pins the staleness contract:
 // lanes at index >= act keep their previous contents untouched.
-func TestWideMatchesSingleWord(t *testing.T) {
+func TestPropagateMatchesSingleWord(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := circuit.Random(4+rng.Intn(8), 30+rng.Intn(120), seed)
@@ -25,7 +25,7 @@ func TestWideMatchesSingleWord(t *testing.T) {
 		}
 		bits := make([]bool, len(n.PIs))
 		for _, w := range []int{1, 2, 4, MaxLanes} {
-			ws := NewWideCompiled(c, w)
+			vals := make([]logic.Word, c.NumGates()*w)
 			pi := make([]logic.Word, len(n.PIs)*w)
 			for i := range pi {
 				pi[i] = logic.Word(rng.Uint64())
@@ -48,23 +48,23 @@ func TestWideMatchesSingleWord(t *testing.T) {
 			}
 			for act := 1; act <= w; act++ {
 				// Poison the stale lanes so the contract is observable.
-				vals := ws.Values()
+				copy(vals, pi)
 				for g := 0; g < c.NumGates(); g++ {
 					for l := act; l < w; l++ {
 						vals[g*w+l] = 0xdeadbeefdeadbeef
 					}
 				}
-				got := ws.BlockRange(pi, 0, act)
+				Propagate(c, vals, w, 0, act)
 				for l := 0; l < act; l++ {
 					for g := 0; g < c.NumGates(); g++ {
-						if got[int(c.Tpos[g])*w+l] != want[l][g] {
+						if vals[int(c.Tpos[g])*w+l] != want[l][g] {
 							return false
 						}
 					}
 				}
 				for g := 0; g < c.NumGates(); g++ {
 					for l := act; l < w; l++ {
-						if got[g*w+l] != 0xdeadbeefdeadbeef {
+						if vals[g*w+l] != 0xdeadbeefdeadbeef {
 							return false // stale lane was written
 						}
 					}
@@ -78,75 +78,54 @@ func TestWideMatchesSingleWord(t *testing.T) {
 	}
 }
 
-// Property: EvalLanes agrees with Eval lane by lane for every gate type and
-// fanin count the compiler admits.
-func TestEvalLanesMatchesEval(t *testing.T) {
+// Property: FoldLanes agrees with Eval lane by lane for every gate type
+// (and an out-of-range one), every fanin count from 1 to 33 with repeated
+// fanin positions, strides 1, 2 and 8 and every lane window [lo, hi), with
+// out aliasing the gate's own lanes in the buffer; it writes no word of the
+// buffer outside that window.
+func TestFoldLanesMatchesEval(t *testing.T) {
+	const gate = 12 // the gate's position; fanins read positions [0, gate)
 	rng := rand.New(rand.NewSource(9))
 	types := []circuit.GateType{
-		circuit.Buf, circuit.Not, circuit.And, circuit.Nand,
-		circuit.Or, circuit.Nor, circuit.Xor, circuit.Xnor,
+		circuit.Buf, circuit.DFF, circuit.Not, circuit.And, circuit.Nand,
+		circuit.Or, circuit.Nor, circuit.Xor, circuit.Xnor, circuit.GateType(200),
 	}
 	for _, gt := range types {
-		maxN := 4
-		if gt == circuit.Buf || gt == circuit.Not {
+		maxN := 33
+		if gt.MaxFanin() >= 0 { // Buf, Not and DFF read one pin
 			maxN = 1
-		} else if gt == circuit.Xor || gt == circuit.Xnor {
-			maxN = 2
 		}
 		for n := 1; n <= maxN; n++ {
-			if (gt == circuit.Xor || gt == circuit.Xnor) && n < 2 {
-				continue
+			fanin := make([]int32, n)
+			for pin := range fanin {
+				fanin[pin] = int32(rng.Intn(gate))
 			}
-			for act := 1; act <= MaxLanes; act++ {
-				in := make([]logic.Word, n*act)
-				for i := range in {
-					in[i] = logic.Word(rng.Uint64())
+			fanin[n-1] = fanin[0] // one repeat at least, when n > 1
+			for _, S := range []int{1, 2, MaxLanes} {
+				init := make([]logic.Word, (gate+1)*S)
+				for i := range init {
+					init[i] = logic.Word(rng.Uint64())
 				}
-				out := make([]logic.Word, act)
-				EvalLanes(gt, in, n, act, out)
-				lane := make([]logic.Word, n)
-				for l := 0; l < act; l++ {
-					for p := 0; p < n; p++ {
-						lane[p] = in[p*act+l]
-					}
-					if want := Eval(gt, lane); out[l] != want {
-						t.Fatalf("%v n=%d act=%d lane %d: %x != %x", gt, n, act, l, out[l], want)
+				vals := make([]logic.Word, len(init))
+				in := make([]logic.Word, n)
+				for lo := 0; lo < S; lo++ {
+					for hi := lo + 1; hi <= S; hi++ {
+						copy(vals, init)
+						FoldLanes(gt, vals, fanin, S, lo, vals[gate*S+lo:gate*S+hi])
+						for i, w := range vals {
+							if l := i - gate*S; l >= lo && l < hi {
+								for pin, f := range fanin {
+									in[pin] = init[int(f)*S+l]
+								}
+								if want := Eval(gt, in); w != want {
+									t.Fatalf("%v n=%d S=%d [%d,%d) lane %d: %#x, want %#x", gt, n, S, lo, hi, l, w, want)
+								}
+							} else if w != init[i] {
+								t.Fatalf("%v n=%d S=%d [%d,%d): word %d outside the window changed", gt, n, S, lo, hi, i)
+							}
+						}
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestWideRestride drives one Wide through a sequence of strides, as the
-// fault simulator does when a run alternates staging and lane groups. After
-// each Restride a whole-block BlockRange must equal a fresh simulator of
-// that width, and a stride that fits the buffer must not reallocate it.
-func TestWideRestride(t *testing.T) {
-	c, err := circuit.Random(12, 300, 5).Compiled()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	ws := NewWideCompiled(c, MaxLanes)
-	backing := &ws.Values()[0]
-	for _, w := range []int{1, 2, MaxLanes, 4, 1, 2} {
-		ws.Restride(w)
-		if &ws.Values()[0] != backing {
-			t.Fatalf("Restride(%d) reallocated the value buffer", w)
-		}
-		pi := make([]logic.Word, c.NumPIs()*w)
-		for i := range pi {
-			pi[i] = logic.Word(rng.Uint64())
-		}
-		got := ws.BlockRange(pi, 0, w)
-		want := NewWideCompiled(c, w).BlockRange(pi, 0, w)
-		if len(got) != len(want) {
-			t.Fatalf("stride %d: %d values, want %d", w, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("stride %d: value %d = %x, want %x", w, i, got[i], want[i])
 			}
 		}
 	}
@@ -211,20 +190,22 @@ func TestPropagateOneLaneMatchesMultiLane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.MaxFanin <= 8 {
-			t.Fatalf("seed %d: MaxFanin %d, want a gate wider than 8", seed, c.MaxFanin)
+		widest := 0
+		for _, g := range n.Gates {
+			widest = max(widest, len(g.Fanin))
+		}
+		if widest <= 8 {
+			t.Fatalf("seed %d: widest fanin %d, want a gate wider than 8", seed, widest)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		ref := NewWideCompiled(c, MaxLanes)
-		rv := ref.Values()
+		rv := make([]logic.Word, c.NumGates()*MaxLanes)
 		for i := 0; i < c.NumPIs()*MaxLanes; i++ {
 			rv[i] = logic.Word(rng.Uint64())
 		}
-		ref.Propagate(0, MaxLanes) // the multi-lane pass
+		Propagate(c, rv, MaxLanes, 0, MaxLanes) // the multi-lane pass
 		for _, w := range []int{1, 2, MaxLanes} {
-			s := NewWideCompiled(c, w)
+			vals := make([]logic.Word, c.NumGates()*w)
 			for lo := 0; lo < w; lo++ {
-				vals := s.Values()
 				for p := 0; p < c.NumGates(); p++ {
 					for l := 0; l < w; l++ {
 						vals[p*w+l] = poison
@@ -233,7 +214,7 @@ func TestPropagateOneLaneMatchesMultiLane(t *testing.T) {
 						}
 					}
 				}
-				s.Propagate(lo, lo+1)
+				Propagate(c, vals, w, lo, lo+1)
 				for p := c.NumPIs(); p < c.NumGates(); p++ {
 					for l := 0; l < w; l++ {
 						want := logic.Word(poison)
