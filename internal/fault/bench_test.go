@@ -41,17 +41,23 @@ func BenchmarkFaultSim(b *testing.B) {
 }
 
 // benchRun times Simulator.Run over the collapsed universe of benchSetup's
-// circuit.
+// circuit. Ops alternate between benchSetup's set and a second set of the
+// same size, so no op finds its PI words in RunInto's good-value memo:
+// every op times the good simulation as well as the drop pass.
 func benchRun(b *testing.B, gates, words, patterns int) {
 	c, faults, p := benchSetup(b, gates, patterns)
+	q := logic.NewPatternSet(len(c.PIs), patterns)
+	q.RandFill(rand.New(rand.NewSource(2)).Uint64)
+	sets := [2]*logic.PatternSet{p, q}
 	fsim, err := New(c, Options{Words: words})
 	if err != nil {
 		b.Fatal(err)
 	}
 	fsim.Run(p, faults) // warm the simulator scratch before timing
+	fsim.Run(q, faults)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fsim.Run(p, faults)
+		fsim.Run(sets[i%2], faults)
 	}
 	b.ReportMetric(float64(len(faults)), "faults/op")
 }

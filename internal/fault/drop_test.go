@@ -117,9 +117,39 @@ func dffFaninCircuit() *circuit.Netlist {
 	return n
 }
 
+// firstDetections returns each fault's first detecting pattern of p (-1 if
+// none), read from Dictionary rows. A dictionary walk never halts on a
+// need, so this oracle shares no halting rule with RunInto or runIntoRef.
+// Faults go through in chunks whose signature matrix stays under 16 MB.
+func firstDetections(t *testing.T, c *circuit.Netlist, p *logic.PatternSet, faults []Fault) []int {
+	t.Helper()
+	s, err := New(c, Options{Words: MaxWords})
+	if err != nil {
+		t.Fatal(err)
+	}
+	det := make([]int, len(faults))
+	chunk := max(1, (1<<21)/(len(c.POs)*p.Words()))
+	for lo := 0; lo < len(faults); lo += chunk {
+		for i, sig := range s.Dictionary(p, faults[lo:min(lo+chunk, len(faults))]) {
+			det[lo+i] = -1
+			for w := 0; w < p.Words() && det[lo+i] < 0; w++ {
+				var any logic.Word
+				for _, row := range sig.Bits {
+					any |= row[w]
+				}
+				if any != 0 {
+					det[lo+i] = w*logic.WordBits + bits.TrailingZeros64(any)
+				}
+			}
+		}
+	}
+	return det
+}
+
 // checkDropMatchesRef requires RunInto on a fresh W-word simulator to equal
-// runIntoRef — every detBy entry and the count — on the given set.
-func checkDropMatchesRef(t *testing.T, c *circuit.Netlist, p *logic.PatternSet, faults []Fault, w int) {
+// runIntoRef — every detBy entry and the count — on the given set, and,
+// when first is non-nil, every detBy entry to equal first (firstDetections).
+func checkDropMatchesRef(t *testing.T, c *circuit.Netlist, p *logic.PatternSet, faults []Fault, w int, first []int) {
 	t.Helper()
 	s, err := New(c, Options{Words: w})
 	if err != nil {
@@ -133,6 +163,10 @@ func checkDropMatchesRef(t *testing.T, c *circuit.Netlist, p *logic.PatternSet, 
 		if got[fi] != want[fi] {
 			t.Fatalf("%s N=%d W=%d fault %s: RunInto %d, per-fault reference %d",
 				c.Name, p.N, w, faults[fi].Name(c), got[fi], want[fi])
+		}
+		if first != nil && got[fi] != first[fi] {
+			t.Fatalf("%s N=%d W=%d fault %s: RunInto %d, dictionary rows %d",
+				c.Name, p.N, w, faults[fi].Name(c), got[fi], first[fi])
 		}
 	}
 	if gotN != wantN {
@@ -157,16 +191,22 @@ func dropGridCircuits() []*circuit.Netlist {
 // faults and BUF/NOT input faults are in) of arithmetic, parity, compare,
 // random and gated-parity circuits and the edge circuits of the full-resim
 // oracle, at set sizes on both sides of every lane-group boundary and at
-// every lane width.
+// every lane width. Both halt their walks on the same need rule, so at 1,
+// 64, 128 and 700 patterns RunInto must also equal the first detections of
+// Dictionary rows, whose walks never halt.
 func TestDropPassMatchesPerFaultRef(t *testing.T) {
 	for _, c := range dropGridCircuits() {
 		faults := AllFaults(c)
-		for _, n := range []int{1, 63, 64, 100, 200, 512, 700} {
+		for _, n := range []int{1, 63, 64, 100, 128, 200, 512, 700} {
 			rng := rand.New(rand.NewSource(int64(n)))
 			p := logic.NewPatternSet(len(c.PIs), n)
 			p.RandFill(rng.Uint64)
+			var first []int
+			if n == 1 || n == 64 || n == 128 || n == 700 {
+				first = firstDetections(t, c, p, faults)
+			}
 			for _, w := range []int{1, 2, 4, 8} {
-				checkDropMatchesRef(t, c, p, faults, w)
+				checkDropMatchesRef(t, c, p, faults, w, first)
 			}
 		}
 	}
@@ -332,9 +372,11 @@ func dropFuzzNetlist(data []byte) (*circuit.Netlist, *logic.PatternSet) {
 
 // FuzzDropPass checks RunInto and Dictionary against their per-fault
 // references on decoded small netlists at one and eight lanes. Those
-// references share the walk kernel and the good simulation with the code
-// they check, so it also checks sim.Propagate at two and eight lanes
-// against fullResim, which evaluates gate by gate with sim.Eval.
+// references share the walk kernel, its halting rule and the good
+// simulation with the code they check, so it also checks Run (RunInto),
+// RunSerial, Probe and Dictionary against full re-simulation
+// (checkFullResim), and sim.Propagate at two and eight lanes against
+// fullResim, which evaluates gate by gate with sim.Eval.
 func FuzzDropPass(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{8, 20, 1, 0, 3, 4, 1, 5, 2, 4, 9, 2, 3, 6, 4, 7, 0, 1, 2, 3, 200})
@@ -344,9 +386,10 @@ func FuzzDropPass(f *testing.F) {
 		c, p := dropFuzzNetlist(data)
 		faults := AllFaults(c)
 		for _, w := range []int{1, 8} {
-			checkDropMatchesRef(t, c, p, faults, w)
+			checkDropMatchesRef(t, c, p, faults, w, nil)
 			checkDictionaryMatchesRef(t, c, p, faults, w, rand.New(rand.NewSource(int64(len(data)))))
 		}
+		checkFullResim(t, c, p, faults, []int{1, 8})
 		for _, w := range []int{2, 8} {
 			checkPropagateMatchesRef(t, c, w, rand.New(rand.NewSource(int64(len(data)))))
 		}

@@ -49,21 +49,25 @@ func (o Options) Lanes() int {
 // injected and their structural fanout cones re-evaluated event-driven —
 // only gates reached by a live effect are touched, and a walk terminates as
 // soon as the effect dies (every faulty lane equals its good lane and
-// nothing downstream can differ). A fault is detected when any primary
-// output differs from the good value in any pattern bit. Drop mode (Run,
-// RunInto) and the dictionary walk once per fanout-free-region stem for
-// all of the region's faults (see dropStage and dictionaryBlock); Probe,
-// transitions and RunSerial walk once per fault (serial-fault PPSFP).
+// nothing downstream can differ) or, in every path but the dictionary, as
+// soon as the first detections it serves are observed (its need; see walk).
+// A fault is detected when any primary output differs from the good value
+// in any pattern bit. Drop mode (Run, RunInto) and the dictionary walk once
+// per fanout-free-region stem for all of the region's faults (see dropStage
+// and dictionaryBlock); Probe, transitions and RunSerial walk once per fault
+// (serial-fault PPSFP).
 //
 // The engine packs W = Words() 64-bit pattern words per gate (lanes), so a
-// single cone walk amortizes over up to W*64 patterns, and the live-effect
-// early exit triggers only when every lane has died. The simulator owns one
-// value buffer, indexed by topological position: sim.Propagate writes the
-// good values into it, and the walk reads and patches the same buffer, so
-// there is no copy. Its stride is the lanes the pattern set needs,
-// min(W, words), so a 2-word set on a W=8 simulator walks a buffer a
-// quarter the size. The lanes of one position stay contiguous, and every
-// gate evaluation folds its fanin lanes where they live (sim.FoldLanes).
+// single cone walk amortizes over up to W*64 patterns. The dead-effect
+// early exit triggers only when every lane has died, the need exit as soon
+// as the observed PO difference covers the need in every lane. The
+// simulator owns one value buffer, indexed by topological position:
+// sim.Propagate writes the good values into it, and the walk reads and
+// patches the same buffer, so there is no copy. Its stride is the lanes the
+// pattern set needs, min(W, words), so a 2-word set on a W=8 simulator
+// walks a buffer a quarter the size. The lanes of one position stay
+// contiguous, and every gate evaluation folds its fanin lanes where they
+// live (sim.FoldLanes).
 //
 // All graph structure (the position-indexed tables the walk reads) lives in
 // the shared immutable circuit.Compiled IR; a Simulator owns only its
@@ -110,12 +114,14 @@ type Simulator struct {
 	// holds one act-lane window per position: at a position inside a
 	// fanout-free region the memoized sensitization of its path to the
 	// region's stem, at a stem the union of its faults' reach and, after the
-	// stem walk, the lanes where that union is observed. ffrUsed marks the
-	// windows the stage wrote — memoized positions and stems to walk — so
-	// the stage can leave ffr and ffrUsed all zero; ffrDirty is set while a
-	// stage runs, so one that panicked is cleared by the next. chain is the
-	// backward pass's path stack.
+	// stem walk, the lanes where that union is observed. ffrNeed holds, at a
+	// stem, the stem walk's need: the lowest bit of each fault's reach.
+	// ffrUsed marks the windows the stage wrote — memoized positions and
+	// stems to walk — so the stage can leave ffr, ffrNeed and ffrUsed all
+	// zero; ffrDirty is set while a stage runs, so one that panicked is
+	// cleared by the next. chain is the backward pass's path stack.
 	ffr      []logic.Word
+	ffrNeed  []logic.Word
 	ffrDirty bool
 	ffrUsed  []uint64
 	chain    []int32
@@ -180,10 +186,11 @@ func (s *Simulator) Words() int { return s.w }
 
 // detectWord simulates fault f against lane 0 of the good values currently
 // held in the value buffer and returns the word of pattern bits where any
-// faulty primary output differs. When perPO is non-nil the difference word
-// of each PO index is OR-accumulated into it at stride Words(). It is the
-// single-word view of detectLanes, kept for the serial baseline and the
-// oracle tests.
+// faulty primary output differs: every such bit when perPO is non-nil (the
+// difference word of each PO index is then OR-accumulated into it at stride
+// Words()), else a subset of them that holds the lowest (see
+// detectLanes). It is the single-word view of detectLanes, kept for the
+// serial baseline and the oracle tests.
 func (s *Simulator) detectWord(f Fault, mask logic.Word, perPO []logic.Word) logic.Word {
 	var masks, diff [1]logic.Word
 	masks[0] = mask
@@ -200,11 +207,28 @@ func (s *Simulator) detectWord(f Fault, mask logic.Word, perPO []logic.Word) log
 // caller owns clearing them — detectLanes never zeroes perPO). It is the
 // per-fault form of the engine: the fault site's faulty lanes (siteLanes)
 // fed to the walk kernel (walk).
+//
+// Without perPO the walk's need is the fault's earliest possible detection:
+// the lowest bit of the first lane where the site flips under the mask (a
+// PO can differ only in a bit where the site does). So diff then holds the
+// fault's first detection, when there is one, but not every detecting bit.
+// With perPO the walk runs to the end and diff is complete.
 func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, perPO []logic.Word) []int32 {
 	var v [MaxWords]logic.Word
 	site := s.siteLanes(f, lo, act, v[:act])
 	s.gateEvals++ // the fault site
-	return s.walk(site, v[:act], lo, act, masks, diff, perPO)
+	if perPO != nil {
+		return s.walk(site, v[:act], lo, act, masks, diff, nil, perPO)
+	}
+	var need [MaxWords]logic.Word
+	b := site*s.stride + lo
+	for l := 0; l < act; l++ {
+		if d := (v[l] ^ s.vals[b+l]) & masks[l]; d != 0 {
+			need[l] = d & -d
+			break
+		}
+	}
+	return s.walk(site, v[:act], lo, act, masks, diff, need[:act], nil)
 }
 
 // siteLanes writes the faulty value of fault f's site gate over the lane
@@ -277,6 +301,19 @@ func (s *Simulator) siteLanes(f Fault, lo, act int, v []logic.Word) int {
 // site's faulty lanes; the drop pass passes a stem with its faults' reach
 // flipped.
 //
+// need (window-relative, or nil) is the set of pattern bits whose
+// observation settles what the caller asks: the walk halts as soon as the
+// masked PO differences it has observed cover need in every lane, clears
+// the frontier bits still set and restores the good values as usual. Its
+// diff then holds every need bit and a subset of the rest. A caller that
+// wants first detections passes, per fault served, the lowest bit where
+// the injected flip can show, so an observed need bit is a first
+// detection: lanes and bits are independent, and a gate is evaluated once,
+// after all of its faulty fanins, so an observed PO difference is final
+// and the observed set only grows. A need bit never observed lets the walk
+// run to its end, as with a nil need; an empty need halts it before the
+// site. Callers that read perPO (the dictionary) pass nil.
+//
 // The walk runs in topological-position space: it reads only the
 // position-indexed tables of the compiled IR (Pos, PosFanin, PosFanout,
 // PosKind) and the position-indexed good values, so an event costs no
@@ -287,10 +324,11 @@ func (s *Simulator) siteLanes(f Fault, lo, act int, v []logic.Word) int {
 // position (fanouts always sit at strictly higher positions, so each gate
 // is evaluated at most once, after all of its faulty fanins). Only gates
 // actually fed by a live effect are ever visited, and the walk terminates
-// exactly when the effect has died in every lane — an empty frontier is the
-// all-lanes-dead early exit. The bitmap is self-clearing (each consumed bit
-// is cleared before its gate is processed), so the scratch never needs a
-// bulk reset between walks.
+// when the effect has died in every lane — an empty frontier is the
+// all-lanes-dead early exit — or when need is covered. The bitmap is
+// self-clearing (each consumed bit is cleared before its gate is processed,
+// and a halting walk clears the rest), so the scratch never needs a bulk
+// reset between walks.
 //
 // Faulty lanes are patched directly into the good-value buffer and logged
 // in the undo list; the walk epilogue replays the log to restore the good
@@ -303,7 +341,7 @@ func (s *Simulator) siteLanes(f Fault, lo, act int, v []logic.Word) int {
 // packed. The packed path folds each gate's fanin lanes straight out of
 // the buffer with sim.FoldLanes. The two stay apart because one loop for
 // both ran the 32k-gate drop benchmark (BenchmarkFaultSim) 40 % slower.
-func (s *Simulator) walk(site int, v []logic.Word, lo, act int, masks, diff []logic.Word, perPO []logic.Word) []int32 {
+func (s *Simulator) walk(site int, v []logic.Word, lo, act int, masks, diff, need []logic.Word, perPO []logic.Word) []int32 {
 	c := s.c
 	W := s.w
 	S, vals := s.stride, s.vals
@@ -314,11 +352,26 @@ func (s *Simulator) walk(site int, v []logic.Word, lo, act int, masks, diff []lo
 	undoVal := s.undoVal[:0]
 	maxW := -1
 	evals := 0
+	// left holds the need bits not yet observed. An empty need is settled
+	// before the site is written.
+	var left [MaxWords]logic.Word
+	if need != nil {
+		var rest logic.Word
+		for l := 0; l < act; l++ {
+			left[l] = need[l]
+			rest |= need[l]
+		}
+		if rest == 0 {
+			s.dirty = dirty
+			return dirty
+		}
+	}
 
 	if act == 1 {
 		// Scalar fast path: one lane, evaluation fused into the loads.
 		mask := masks[0]
 		var d0 logic.Word
+		left0 := left[0]
 		sbase := site*S + lo
 		if d := v[0] ^ vals[sbase]; d != 0 {
 			undoIdx = append(undoIdx, int32(sbase))
@@ -334,6 +387,10 @@ func (s *Simulator) walk(site int, v []logic.Word, lo, act int, masks, diff []lo
 					if perPO != nil {
 						perPO[int(po)*W+lo] |= dm
 						dirty = append(dirty, po)
+					}
+					if left0 &^= dm; need != nil && left0 == 0 {
+						clear(bm[site>>6 : max(maxW+1, site>>6)])
+						maxW = -1
 					}
 				}
 			}
@@ -398,6 +455,10 @@ func (s *Simulator) walk(site int, v []logic.Word, lo, act int, masks, diff []lo
 							perPO[int(rec.PO)*W+lo] |= dm
 							dirty = append(dirty, rec.PO)
 						}
+						if left0 &^= dm; need != nil && left0 == 0 {
+							clear(bm[w : maxW+1]) // halt: drop the pending frontier
+							maxW = -1
+						}
 					}
 				}
 			}
@@ -454,6 +515,17 @@ func (s *Simulator) walk(site int, v []logic.Word, lo, act int, masks, diff []lo
 					perPO[pb+l] |= d[l]
 				}
 				dirty = append(dirty, po)
+			}
+			if need != nil {
+				var rest logic.Word
+				for l := 0; l < act; l++ {
+					left[l] &^= d[l]
+					rest |= left[l]
+				}
+				if rest == 0 { // halt: drop the pending frontier
+					clear(bm[p>>6 : max(maxW+1, p>>6)])
+					maxW = -1
+				}
 			}
 		}
 	}
@@ -592,13 +664,20 @@ func (s *Simulator) RunInto(p *logic.PatternSet, faults []Fault, detBy []int, li
 // depend on which other lanes are flipped. Injecting only the union keeps a
 // stem walk as short as its faults' own effects.
 //
+// The stem walk's need is the OR, over the stem's live faults, of the
+// lowest bit of each fault's reach (in the first lane where reach is
+// non-zero): the walk halts once each of those bits is observed. A fault's
+// first detection can be no earlier than its lowest reach bit, so once that
+// bit is observed it is the answer, whatever the rest of the walk would
+// add; if any need bit stays unobserved the walk runs to its end.
+//
 // Each detected fault's first detecting pattern goes to detBy; the survivors
 // are compacted in place at the front of live and returned with the number
 // detected.
 func (s *Simulator) dropStage(faults []Fault, live []int, base, lo, act int, masks []logic.Word, detBy []int) ([]int, int) {
 	S, vals := s.stride, s.vals
 	s.ffrBegin(act)
-	ffr, used, stem := s.ffr, s.ffrUsed, s.c.FFRStem
+	ffr, need, used, stem := s.ffr, s.ffrNeed, s.ffrUsed, s.c.FFRStem
 	var r [MaxWords]logic.Word
 	for _, fi := range live {
 		st := s.reach(faults[fi], lo, act, masks, r[:act])
@@ -608,6 +687,12 @@ func (s *Simulator) dropStage(faults []Fault, live []int, base, lo, act int, mas
 		u := ffr[st*act : st*act+act]
 		for l := range u {
 			u[l] |= r[l]
+		}
+		for l, x := range r[:act] {
+			if x != 0 { // the fault's earliest possible detection
+				need[st*act+l] |= x & -x
+				break
+			}
 		}
 		used[st>>6] |= 1 << uint(st&63)
 	}
@@ -629,7 +714,7 @@ func (s *Simulator) dropStage(faults []Fault, live []int, base, lo, act int, mas
 				v[l] = vals[b+l] ^ u[l]
 				u[l] = 0
 			}
-			s.walk(st, v[:act], lo, act, ones[:act], u, nil) // u becomes the observed lanes
+			s.walk(st, v[:act], lo, act, ones[:act], u, need[st*act:st*act+act], nil) // u becomes the observed lanes
 		}
 	}
 	detected := 0
@@ -670,10 +755,12 @@ func (s *Simulator) dropStage(faults []Fault, live []int, base, lo, act int, mas
 func (s *Simulator) ffrBegin(act int) {
 	if s.ffrDirty {
 		clear(s.ffr)
+		clear(s.ffrNeed)
 		clear(s.ffrUsed)
 	}
 	if n := s.c.NumGates() * act; len(s.ffr) < n {
 		s.ffr = make([]logic.Word, n)
+		s.ffrNeed = make([]logic.Word, n)
 	}
 	s.ffrDirty = true
 }
@@ -685,6 +772,7 @@ func (s *Simulator) ffrEnd(act int) {
 		for ; bm != 0; bm &= bm - 1 {
 			x := w<<6 | bits.TrailingZeros64(bm)
 			clear(s.ffr[x*act : x*act+act])
+			clear(s.ffrNeed[x*act : x*act+act])
 		}
 		s.ffrUsed[w] = 0
 	}
@@ -885,7 +973,8 @@ func (s *Simulator) Stage(p *logic.PatternSet) {
 
 // Probe reports whether fault f is detected by any pattern of the staged
 // set (see Stage). Results are identical to a RunInto call over the same
-// set and the single fault.
+// set and the single fault. Its walk halts once the fault's earliest
+// possible detection is observed (see detectLanes).
 func (s *Simulator) Probe(f Fault) bool {
 	act := s.stagedAct
 	if act == 0 {
@@ -1063,7 +1152,7 @@ func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, order [
 				continue
 			}
 			// The tail masks enter through reach, as in dropStage.
-			dirty = s.walk(st, v[:act], 0, act, ones[:act], diff[:act], perPO)
+			dirty = s.walk(st, v[:act], 0, act, ones[:act], diff[:act], nil, perPO)
 			for j, key := range group {
 				fillRows(sigs[uint32(key)], dirty, base, W, rs[j*act:j*act+act], perPO)
 			}

@@ -124,7 +124,9 @@ func TestMultiWordDictionaryBitIdentical(t *testing.T) {
 // Property: every lane of a multi-lane walk equals the full-resimulation
 // oracle for its pattern word — the same independent check the single-word
 // engine is pinned by, applied per lane so strided indexing and lane
-// windows cannot silently swap or corrupt words.
+// windows cannot silently swap or corrupt words. The complete lanes come
+// from a walk with per-PO differences on; a walk without them halts on the
+// fault's earliest possible detection and must hold the oracle's first.
 func TestMultiWordMatchesFullResimOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -151,20 +153,21 @@ func TestMultiWordMatchesFullResimOracle(t *testing.T) {
 			// One wide block holding all W lanes.
 			fsim.simulateGood(p, 0, 0, W, W)
 			masks := make([]logic.Word, W)
-			diff := make([]logic.Word, W)
+			diff, first, want := make([]logic.Word, W), make([]logic.Word, W), make([]logic.Word, W)
+			perPO := make([]logic.Word, len(c.POs)*W) // written, never read
 			for l := 0; l < W; l++ {
 				masks[l] = p.TailMask(l)
 			}
 			for _, fl := range faults {
-				for l := range diff {
-					diff[l] = 0
-				}
-				fsim.detectLanes(fl, 0, W, masks, diff, nil)
+				clear(diff)
+				clear(first)
+				fsim.detectLanes(fl, 0, W, masks, diff, perPO)
+				fsim.detectLanes(fl, 0, W, masks, first, nil)
 				for l := 0; l < W; l++ {
-					want := fullResimDiff(c, fl, piByWord[l], goodByWord[l])
-					if diff[l] != want&masks[l] {
-						return false
-					}
+					want[l] = fullResimDiff(c, fl, piByWord[l], goodByWord[l]) & masks[l]
+				}
+				if !slices.Equal(diff, want) || !holdsFirst(first, want) {
+					return false
 				}
 			}
 		}
@@ -177,7 +180,8 @@ func TestMultiWordMatchesFullResimOracle(t *testing.T) {
 
 // Property: lane windows compose — walking lanes [0,1) then [1,act) gives
 // the same per-lane diffs as one [0,act) walk. This is the identity Run's
-// staged filter relies on.
+// staged filter relies on. Per-PO differences are on, so every walk runs
+// to the end and the diffs are complete.
 func TestLaneWindowComposition(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -197,13 +201,14 @@ func TestLaneWindowComposition(t *testing.T) {
 		}
 		whole := make([]logic.Word, W)
 		staged := make([]logic.Word, W)
+		perPO := make([]logic.Word, len(c.POs)*W) // written, never read
 		for _, fl := range faults {
 			for l := 0; l < W; l++ {
 				whole[l], staged[l] = 0, 0
 			}
-			fsim.detectLanes(fl, 0, W, masks, whole, nil)
-			fsim.detectLanes(fl, 0, 1, masks[:1], staged[:1], nil)
-			fsim.detectLanes(fl, 1, W-1, masks[1:], staged[1:], nil)
+			fsim.detectLanes(fl, 0, W, masks, whole, perPO)
+			fsim.detectLanes(fl, 0, 1, masks[:1], staged[:1], perPO)
+			fsim.detectLanes(fl, 1, W-1, masks[1:], staged[1:], perPO)
 			for l := 0; l < W; l++ {
 				if whole[l] != staged[l] {
 					return false
