@@ -95,3 +95,30 @@ func BenchmarkDictionary(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkStageProbe measures the ATPG flow's probe shape: every fault of
+// gparity32x60's collapsed universe probed against 300 staged random
+// patterns on a W=8 simulator, one op per pass over the fault list.
+func BenchmarkStageProbe(b *testing.B) {
+	c := circuit.GatedParity(32, 60, 12)
+	faults := Universe(c)
+	p := logic.NewPatternSet(len(c.PIs), 300)
+	p.RandFill(rand.New(rand.NewSource(1)).Uint64)
+	fsim, err := New(c, Options{Words: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fsim.Stage(p)
+	hits := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hits = 0
+		for _, f := range faults {
+			if fsim.Probe(f) {
+				hits++
+			}
+		}
+	}
+	b.ReportMetric(float64(hits), "hits/op")
+	b.ReportMetric(float64(len(faults)), "faults/op")
+}

@@ -375,7 +375,9 @@ func dropFuzzNetlist(data []byte) (*circuit.Netlist, *logic.PatternSet) {
 // references share the walk kernel, its halting rule and the good
 // simulation with the code they check, so it also checks Run (RunInto),
 // RunSerial, Probe and Dictionary against full re-simulation
-// (checkFullResim), and sim.Propagate at two and eight lanes against
+// (checkFullResim), SimulateTransitions over the first 64 patterns at one
+// and eight lanes against first-principles pair simulation
+// (explicitFirstPairs), and sim.Propagate at two and eight lanes against
 // fullResim, which evaluates gate by gate with sim.Eval.
 func FuzzDropPass(f *testing.F) {
 	f.Add([]byte{})
@@ -390,6 +392,12 @@ func FuzzDropPass(f *testing.F) {
 			checkDictionaryMatchesRef(t, c, p, faults, w, rand.New(rand.NewSource(int64(len(data)))))
 		}
 		checkFullResim(t, c, p, faults, []int{1, 8})
+		pairs := logic.NewPatternSet(p.Inputs, 0)
+		for k := 0; k < min(p.N, 64); k++ {
+			pairs.Append(p.Pattern(k))
+		}
+		tfaults := TransitionUniverse(c)
+		checkTransitions(t, c, pairs, tfaults, explicitFirstPairs(c, pairs, tfaults), []int{1, 8}, []int{1})
 		for _, w := range []int{2, 8} {
 			checkPropagateMatchesRef(t, c, w, rand.New(rand.NewSource(int64(len(data)))))
 		}

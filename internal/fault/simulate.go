@@ -52,10 +52,12 @@ func (o Options) Lanes() int {
 // nothing downstream can differ) or, in every path but the dictionary, as
 // soon as the first detections it serves are observed (its need; see walk).
 // A fault is detected when any primary output differs from the good value
-// in any pattern bit. Drop mode (Run, RunInto) and the dictionary walk once
-// per fanout-free-region stem for all of the region's faults (see dropStage
-// and dictionaryBlock); Probe, transitions and RunSerial walk once per fault
-// (serial-fault PPSFP).
+// in any pattern bit. A fault enters the walk one way only: through the
+// stem of its fanout-free region, flipped in the lanes of its reach (see
+// reach). Drop mode (Run, RunInto) and the dictionary walk each stem once
+// for all of its region's faults (see dropStage and dictionaryBlock);
+// Probe, transitions and RunSerial walk the stem once per fault (dropOne,
+// serial-fault PPSFP).
 //
 // The engine packs W = Words() 64-bit pattern words per gate (lanes), so a
 // single cone walk amortizes over up to W*64 patterns. The dead-effect
@@ -95,7 +97,7 @@ type Simulator struct {
 	// faulty-or-good selection in the hot loop.
 	undoIdx []int32
 	undoVal []logic.Word
-	dirty   []int32 // scratch: PO indices touched by the last detectLanes
+	dirty   []int32 // scratch: PO indices touched by the last walk
 	// goodAct is the good-value memo of RunInto: when > 0, the value lanes
 	// [0, goodAct) hold the good response to the PI words stored in their PI
 	// positions, so a RunInto over a one-group set with equal PI words skips
@@ -105,9 +107,8 @@ type Simulator struct {
 	// goodSims counts good-circuit simulations (Propagate passes); tests
 	// pin it.
 	goodSims int
-	// gateEvals counts the gates detectLanes evaluated (fault sites and
-	// frontier gates); tests pin it, so a change of data layout is shown
-	// not to change the walk's work.
+	// gateEvals counts the frontier gates the walk evaluated; tests pin it,
+	// so a change of data layout is shown not to change the walk's work.
 	gateEvals int
 
 	// Drop-pass scratch (dropStage). Within a stage over act lanes, ffr
@@ -184,122 +185,14 @@ func (s *Simulator) Compiled() *circuit.Compiled { return s.c }
 // Words returns the number of 64-bit pattern words packed per pass.
 func (s *Simulator) Words() int { return s.w }
 
-// detectWord simulates fault f against lane 0 of the good values currently
-// held in the value buffer and returns the word of pattern bits where any
-// faulty primary output differs: every such bit when perPO is non-nil (the
-// difference word of each PO index is then OR-accumulated into it at stride
-// Words()), else a subset of them that holds the lowest (see
-// detectLanes). It is the single-word view of detectLanes, kept for the
-// serial baseline and the oracle tests.
-func (s *Simulator) detectWord(f Fault, mask logic.Word, perPO []logic.Word) logic.Word {
-	var masks, diff [1]logic.Word
-	masks[0] = mask
-	s.detectLanes(f, 0, 1, masks[:], diff[:], perPO)
-	return diff[0]
-}
-
-// detectLanes simulates fault f against the lane window [lo, lo+act) of the
-// good values currently held in the value buffer (from the last simulateGood
-// call). masks and diff are window-relative (length act): for every window
-// lane l it OR-accumulates the masked PO difference word into diff[l]. When
-// perPO is non-nil, per-PO difference lanes are accumulated at
-// perPO[po*W+lo+l] and the indices of the touched POs are returned (the
-// caller owns clearing them — detectLanes never zeroes perPO). It is the
-// per-fault form of the engine: the fault site's faulty lanes (siteLanes)
-// fed to the walk kernel (walk).
-//
-// Without perPO the walk's need is the fault's earliest possible detection:
-// the lowest bit of the first lane where the site flips under the mask (a
-// PO can differ only in a bit where the site does). So diff then holds the
-// fault's first detection, when there is one, but not every detecting bit.
-// With perPO the walk runs to the end and diff is complete.
-func (s *Simulator) detectLanes(f Fault, lo, act int, masks, diff []logic.Word, perPO []logic.Word) []int32 {
-	var v [MaxWords]logic.Word
-	site := s.siteLanes(f, lo, act, v[:act])
-	s.gateEvals++ // the fault site
-	if perPO != nil {
-		return s.walk(site, v[:act], lo, act, masks, diff, nil, perPO)
-	}
-	var need [MaxWords]logic.Word
-	b := site*s.stride + lo
-	for l := 0; l < act; l++ {
-		if d := (v[l] ^ s.vals[b+l]) & masks[l]; d != 0 {
-			need[l] = d & -d
-			break
-		}
-	}
-	return s.walk(site, v[:act], lo, act, masks, diff, need[:act], nil)
-}
-
-// siteLanes writes the faulty value of fault f's site gate over the lane
-// window [lo, lo+act) into v and returns the site's position: the stuck
-// value for a stem fault, the gate re-evaluated with the stuck value on its
-// pin for a branch fault, and the good value for a branch fault on a
-// pseudo-PI (Input/DFF), which no fanin reaches. A branch fault's gate is
-// evaluated lane by lane: the stuck value seeds the fold, the other pins'
-// good lanes fold into it, and NOT, NAND, NOR and XNOR invert the result.
-func (s *Simulator) siteLanes(f Fault, lo, act int, v []logic.Word) int {
-	c := s.c
-	S, vals := s.stride, s.vals
-	site := int(c.Tpos[f.Gate])
-	var force logic.Word
-	if f.SA == 1 {
-		force = ^logic.Word(0)
-	}
-	sbase := site*S + lo
-	switch t := c.PosKind[site]; {
-	case f.Pin < 0:
-		for l := range v {
-			v[l] = force
-		}
-	case t == circuit.Input || t == circuit.DFF:
-		copy(v, vals[sbase:sbase+act])
-	default:
-		for l := range v {
-			v[l] = force
-		}
-		fanin := c.PosFanin[c.Pos[site].In:c.Pos[site+1].In]
-		switch t {
-		case circuit.And, circuit.Nand:
-			for pin, fp := range fanin {
-				if pin != f.Pin {
-					for l, w := range vals[int(fp)*S+lo:][:act] {
-						v[l] &= w
-					}
-				}
-			}
-		case circuit.Or, circuit.Nor:
-			for pin, fp := range fanin {
-				if pin != f.Pin {
-					for l, w := range vals[int(fp)*S+lo:][:act] {
-						v[l] |= w
-					}
-				}
-			}
-		case circuit.Xor, circuit.Xnor:
-			for pin, fp := range fanin {
-				if pin != f.Pin {
-					for l, w := range vals[int(fp)*S+lo:][:act] {
-						v[l] ^= w
-					}
-				}
-			}
-		}
-		if t == circuit.Not || t == circuit.Nand || t == circuit.Nor || t == circuit.Xnor {
-			for l := range v {
-				v[l] = ^v[l]
-			}
-		}
-	}
-	return site
-}
-
-// walk is the event-driven kernel shared by every fault path: it sets
-// position site to the lanes v over the window [lo, lo+act) and propagates
-// the change, OR-accumulating the masked PO differences into diff (and
-// perPO, as detectLanes describes). A per-fault caller passes the fault
-// site's faulty lanes; the drop pass passes a stem with its faults' reach
-// flipped.
+// walk is the event-driven kernel of every fault path: it sets position
+// site to the lanes v over the window [lo, lo+act) and propagates the
+// change, OR-accumulating the masked PO differences into diff (window-
+// relative) and, when perPO is non-nil, the PO difference lanes at
+// perPO[po*W+lo+l], returning the indices of the touched POs (the caller
+// owns clearing them). Every caller passes a fanout-free-region stem with
+// the reach of the faults it serves flipped (dropStage, dropOne,
+// dictionaryBlock).
 //
 // need (window-relative, or nil) is the set of pattern bits whose
 // observation settles what the caller asks: the walk halts as soon as the
@@ -312,7 +205,7 @@ func (s *Simulator) siteLanes(f Fault, lo, act int, v []logic.Word) int {
 // after all of its faulty fanins, so an observed PO difference is final
 // and the observed set only grows. A need bit never observed lets the walk
 // run to its end, as with a nil need; an empty need halts it before the
-// site. Callers that read perPO (the dictionary) pass nil.
+// site. The dictionary, which reads perPO, passes nil.
 //
 // The walk runs in topological-position space: it reads only the
 // position-indexed tables of the compiled IR (Pos, PosFanin, PosFanout,
@@ -680,7 +573,7 @@ func (s *Simulator) dropStage(faults []Fault, live []int, base, lo, act int, mas
 	ffr, need, used, stem := s.ffr, s.ffrNeed, s.ffrUsed, s.c.FFRStem
 	var r [MaxWords]logic.Word
 	for _, fi := range live {
-		st := s.reach(faults[fi], lo, act, masks, r[:act])
+		st := s.reach(faults[fi], lo, act, masks, r[:act], true)
 		if st < 0 {
 			continue
 		}
@@ -729,7 +622,7 @@ func (s *Simulator) dropStage(faults []Fault, live []int, base, lo, act int, mas
 		}
 		det := -1
 		if seen != 0 {
-			s.reach(f, lo, act, masks, r[:act])
+			s.reach(f, lo, act, masks, r[:act], true)
 			for l, o := range obs {
 				if d := r[l] & o; d != 0 {
 					// First detection = lowest set bit of the first detecting lane.
@@ -747,6 +640,39 @@ func (s *Simulator) dropStage(faults []Fault, live []int, base, lo, act int, mas
 	}
 	s.ffrEnd(act)
 	return kept, detected
+}
+
+// dropOne drops the single fault f over the lane window [lo, lo+act) the
+// way dropStage drops a region: it flips f's stem in the lanes of f's reach
+// and walks it once with need the lowest reach bit, and writes into d
+// (window-relative) the lanes where f is detected, reach & the observed
+// lanes — the observed lanes themselves, as the walk flips only reach. d
+// then holds f's first detection, when there is one, and a subset of its
+// other detecting bits; dropOne reports whether d is non-zero. Its reach
+// reads no memo (see reach).
+func (s *Simulator) dropOne(f Fault, lo, act int, masks, d []logic.Word) bool {
+	clear(d)
+	var r, v, need [MaxWords]logic.Word
+	st := s.reach(f, lo, act, masks, r[:act], false)
+	if st < 0 {
+		return false
+	}
+	b := st*s.stride + lo
+	for l := 0; l < act; l++ {
+		v[l] = s.vals[b+l] ^ r[l]
+	}
+	for l, x := range r[:act] {
+		if x != 0 {
+			need[l] = x & -x
+			break
+		}
+	}
+	s.walk(st, v[:act], lo, act, masks, d, need[:act], nil)
+	var seen logic.Word
+	for _, x := range d {
+		seen |= x
+	}
+	return seen != 0
 }
 
 // ffrBegin readies the per-position windows (ffr, ffrUsed) for a pass over
@@ -781,8 +707,13 @@ func (s *Simulator) ffrEnd(act int) {
 
 // reach writes into r the lanes of the window [lo, lo+act) in which fault f
 // flips the stem of its fanout-free region, and returns that stem's
-// position, or -1 when f cannot flip it in any lane.
-func (s *Simulator) reach(f Fault, lo, act int, masks, r []logic.Word) int {
+// position, or -1 when f cannot flip it in any lane. With memo the path's
+// sensitization comes from the stage memo (sens), which the caller has
+// readied with ffrBegin; without it reach ANDs each gate's side-input
+// sensitization along the path straight into r and stops once r is zero,
+// so a one-fault caller neither allocates nor clears the per-position
+// windows.
+func (s *Simulator) reach(f Fault, lo, act int, masks, r []logic.Word, memo bool) int {
 	c := s.c
 	S, vals := s.stride, s.vals
 	site := int(c.Tpos[f.Gate])
@@ -811,16 +742,20 @@ func (s *Simulator) reach(f Fault, lo, act int, masks, r []logic.Word) int {
 			return -1
 		}
 	}
-	if int(c.FFRStem[site]) != site {
+	if !memo {
+		for q := site; any != 0 && int(c.FFRStem[q]) != q; q = c.FFRNext(q) {
+			any = s.sideSens(c.FFRNext(q), int32(q), -1, lo, r)
+		}
+	} else if int(c.FFRStem[site]) != site {
 		sens := s.sens(site, lo, act)
 		any = 0
 		for l := range r {
 			r[l] &= sens[l]
 			any |= r[l]
 		}
-		if any == 0 {
-			return -1
-		}
+	}
+	if any == 0 {
+		return -1
 	}
 	return int(c.FFRStem[site])
 }
@@ -973,28 +908,23 @@ func (s *Simulator) Stage(p *logic.PatternSet) {
 
 // Probe reports whether fault f is detected by any pattern of the staged
 // set (see Stage). Results are identical to a RunInto call over the same
-// set and the single fault. Its walk halts once the fault's earliest
-// possible detection is observed (see detectLanes).
+// set and the single fault. It is one stem walk (dropOne), halting once the
+// fault's earliest possible detection is observed.
 func (s *Simulator) Probe(f Fault) bool {
 	act := s.stagedAct
 	if act == 0 {
 		panic("fault: Probe without Stage")
 	}
-	var diff [MaxWords]logic.Word
-	s.detectLanes(f, 0, act, s.stagedMasks[:act], diff[:act], nil)
-	for l := 0; l < act; l++ {
-		if diff[l] != 0 {
-			return true
-		}
-	}
-	return false
+	var d [MaxWords]logic.Word
+	return s.dropOne(f, 0, act, s.stagedMasks[:act], d[:act])
 }
 
 // RunSerial is the baseline used by experiment T7: patterns are applied
 // one at a time (one valid bit per word, one lane), forgoing both the
-// 64-way and the multi-word parallelism, and each live fault is walked on
-// its own from its site, where Run walks once per fanout-free-region stem.
-// Fault dropping is still applied, and the detection results equal Run's.
+// 64-way and the multi-word parallelism, and each live fault gets a stem
+// walk of its own (dropOne), where Run walks each fanout-free-region stem
+// once for all of its faults. Fault dropping is still applied, and the
+// detection results equal Run's.
 func (s *Simulator) RunSerial(p *logic.PatternSet, faults []Fault) *Result {
 	s.stagedAct, s.goodAct = 0, 0
 	res := &Result{Total: len(faults), DetectedBy: make([]int, len(faults))}
@@ -1006,6 +936,7 @@ func (s *Simulator) RunSerial(p *logic.PatternSet, faults []Fault) *Result {
 		live[i] = i
 	}
 	one := logic.NewPatternSet(len(s.Net.PIs), 1) // pattern k in bit 0
+	mask, d := [1]logic.Word{1}, [1]logic.Word{}
 	for k := 0; k < p.N && len(live) > 0; k++ {
 		for i, row := range one.Bits {
 			row[0] = 0
@@ -1016,7 +947,7 @@ func (s *Simulator) RunSerial(p *logic.PatternSet, faults []Fault) *Result {
 		s.simulateGood(one, 0, 0, 1, 1)
 		kept := live[:0]
 		for _, fi := range live {
-			if s.detectWord(faults[fi], 1, nil) != 0 {
+			if s.dropOne(faults[fi], 0, 1, mask[:], d[:]) {
 				res.DetectedBy[fi] = k
 				res.Detected++
 			} else {
@@ -1084,9 +1015,10 @@ func stemOrder(c *circuit.Compiled, faults []Fault) []uint64 {
 // the stem once injecting the union of their reach with per-PO differences
 // on, and writes each fault's row at PO o as reach & the stem's difference
 // at o. Lanes are independent, so a fault's PO differences are exactly the
-// stem's in the lanes the fault flips it. A region holding one fault is
-// walked from the fault site instead, which needs no sensitization memo:
-// a one-fault dictionary (diagnosis.Observe) never allocates it.
+// stem's in the lanes the fault flips it. Only a region of two or more
+// faults reads reach through the sensitization memo, and a one-fault
+// region keeps its reach on the stack: a one-fault dictionary
+// (diagnosis.Observe) allocates neither.
 //
 // Signatures must have been allocated (zeroed) for the full word range;
 // distinct blocks touch disjoint storage, which is what makes
@@ -1103,12 +1035,12 @@ func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, order [
 	S, vals := s.stride, s.vals
 	// diff takes the walks' OR of PO differences, which no row reads: the
 	// rows come from perPO.
-	var masks, diff, ones, u, v [MaxWords]logic.Word
+	var masks, diff, ones, u, v, one [MaxWords]logic.Word
 	for l := 0; l < act; l++ {
 		masks[l] = p.TailMask(base + l)
 		ones[l] = ^logic.Word(0)
 	}
-	memo := false // whether this block has readied the sensitization memo
+	ready := false // whether this block has readied the sensitization memo
 	for k := 0; k < len(order); {
 		st := int(order[k] >> 32)
 		n := 1
@@ -1117,51 +1049,47 @@ func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, order [
 		}
 		group := order[k : k+n]
 		k += n
-		var dirty []int32
-		if n == 1 {
-			fi := int(uint32(group[0]))
-			dirty = s.detectLanes(faults[fi], 0, act, masks[:act], diff[:act], perPO)
-			fillRows(sigs[fi], dirty, base, W, ones[:act], perPO)
-		} else {
-			if !memo {
+		rs, memo := one[:act], n > 1
+		if memo {
+			if !ready {
 				s.ffrBegin(act)
-				memo = true
+				ready = true
 			}
 			if cap(s.reachBuf) < n*act {
 				s.reachBuf = make([]logic.Word, n*act)
 			}
-			rs := s.reachBuf[:n*act]
-			clear(u[:act])
-			for j, key := range group {
-				r := rs[j*act : j*act+act]
-				if s.reach(faults[uint32(key)], 0, act, masks[:act], r) < 0 {
-					clear(r)
-					continue
-				}
-				for l, x := range r {
-					u[l] |= x
-				}
-			}
-			var any logic.Word
-			b := st * S
-			for l := 0; l < act; l++ {
-				v[l] = vals[b+l] ^ u[l]
-				any |= u[l]
-			}
-			if any == 0 {
+			rs = s.reachBuf[:n*act]
+		}
+		clear(u[:act])
+		for j, key := range group {
+			r := rs[j*act : j*act+act]
+			if s.reach(faults[uint32(key)], 0, act, masks[:act], r, memo) < 0 {
+				clear(r)
 				continue
 			}
-			// The tail masks enter through reach, as in dropStage.
-			dirty = s.walk(st, v[:act], 0, act, ones[:act], diff[:act], nil, perPO)
-			for j, key := range group {
-				fillRows(sigs[uint32(key)], dirty, base, W, rs[j*act:j*act+act], perPO)
+			for l, x := range r {
+				u[l] |= x
 			}
+		}
+		var any logic.Word
+		b := st * S
+		for l := 0; l < act; l++ {
+			v[l] = vals[b+l] ^ u[l]
+			any |= u[l]
+		}
+		if any == 0 {
+			continue
+		}
+		// The tail masks enter through reach, as in dropStage.
+		dirty := s.walk(st, v[:act], 0, act, ones[:act], diff[:act], nil, perPO)
+		for j, key := range group {
+			fillRows(sigs[uint32(key)], dirty, base, W, rs[j*act:j*act+act], perPO)
 		}
 		for _, po := range dirty {
 			clear(perPO[int(po)*W : int(po)*W+act])
 		}
 	}
-	if memo {
+	if ready {
 		s.ffrEnd(act)
 	}
 }

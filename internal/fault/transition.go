@@ -66,12 +66,12 @@ type TransitionResult struct {
 // SimulateTransitions runs two-pattern transition-fault simulation over
 // all consecutive pattern pairs of the set on the stuck-at engine. Faults
 // shard over o.Workers as in RunConcurrent; each shard walks o.Lanes()-word
-// pattern blocks. Per block it simulates the good circuit once and walks each
-// live fault's slow-value stuck-at fault at its site, with dropping. Pair
-// (k, k+1) detects when that walk reaches an output at pattern k+1 and the
-// good site value at pattern k is the pre-transition value, so the result
-// matches the two-pattern definition above and is bit-identical for any
-// worker count and width.
+// pattern blocks. Per block it simulates the good circuit once and drops
+// each live fault's slow-value stuck-at fault with one stem walk, as Probe
+// does. Pair (k, k+1) detects when that walk reaches an output at pattern
+// k+1 and the good site value at pattern k is the pre-transition value, so
+// the result matches the two-pattern definition above and is bit-identical
+// for any worker count and width.
 func SimulateTransitions(n *circuit.Netlist, p *logic.PatternSet, faults []TransitionFault, o Options) (*TransitionResult, error) {
 	c, err := n.Compiled()
 	if err != nil {
@@ -93,7 +93,8 @@ func SimulateTransitions(n *circuit.Netlist, p *logic.PatternSet, faults []Trans
 // pattern k+1 masked by the site's initialization at pattern k: the site's
 // good lanes (inverted for STR) shifted up one bit, with the top bit of the
 // previous lane carried across lane and block edges. The mask goes into
-// the walk, so its difference word holds only initialized captures.
+// the fault's reach, so the stem walk flips, and detects, only initialized
+// captures.
 func (s *Simulator) transitions(p *logic.PatternSet, faults []TransitionFault, detBy []int) int {
 	s.stagedAct, s.goodAct = 0, 0
 	W, words := s.w, p.Words()
@@ -103,7 +104,7 @@ func (s *Simulator) transitions(p *logic.PatternSet, faults []TransitionFault, d
 		live[i], detBy[i] = i, -1
 	}
 	detected := 0
-	var masks, diff [MaxWords]logic.Word
+	var masks, d [MaxWords]logic.Word
 	for base := 0; base < words && len(live) > 0; base += W {
 		act := min(W, words-base)
 		s.simulateGood(p, base, 0, act, min(W, words))
@@ -117,23 +118,16 @@ func (s *Simulator) transitions(p *logic.PatternSet, faults []TransitionFault, d
 				f.SA, flip = 0, ^logic.Word(0)
 			}
 			site := int(s.c.Tpos[f.Gate]) * S
-			var capture logic.Word
 			for l := 0; l < act; l++ {
 				start := vals[site+l] ^ flip // patterns that hold the pre-transition value
 				masks[l] = p.TailMask(base+l) & (start<<1 | carry[fi]>>63)
-				capture |= masks[l]
 				carry[fi] = start
-				diff[l] = 0
 			}
-			if capture == 0 { // no initialized pair ends in this block
-				kept = append(kept, fi)
-				continue
-			}
-			s.detectLanes(f, 0, act, masks[:act], diff[:act], nil)
+			s.dropOne(f, 0, act, masks[:act], d[:act])
 			det := -1
 			for l := 0; l < act && det < 0; l++ {
-				if diff[l] != 0 {
-					det = (base+l)*logic.WordBits + bits.TrailingZeros64(diff[l]) - 1
+				if d[l] != 0 {
+					det = (base+l)*logic.WordBits + bits.TrailingZeros64(d[l]) - 1
 				}
 			}
 			if det >= 0 {

@@ -9,11 +9,11 @@ import (
 )
 
 // explicitTransitionDetect checks pair (v1, v2) against fault tf by
-// first-principles simulation: v1 must set the site to the pre-transition
+// first-principles simulation, given the good values goodV1 and goodV2 of
+// the pair (simulateGood): v1 must set the site to the pre-transition
 // value, and under v2 the faulty circuit (site stuck at the old value)
 // must differ from the good circuit at some output.
-func explicitTransitionDetect(n *circuit.Netlist, tf TransitionFault, v1, v2 []bool) bool {
-	goodV1 := simulateGood(n, v1)
+func explicitTransitionDetect(n *circuit.Netlist, tf TransitionFault, goodV1, goodV2, v2 []bool) bool {
 	init := false // required value of site under v1: 0 for STR, 1 for STF
 	if !tf.SlowToRise {
 		init = true
@@ -21,7 +21,6 @@ func explicitTransitionDetect(n *circuit.Netlist, tf TransitionFault, v1, v2 []b
 	if goodV1[tf.Gate] != init {
 		return false
 	}
-	goodV2 := simulateGood(n, v2)
 	sa := uint8(1)
 	if tf.SlowToRise {
 		sa = 0
@@ -66,15 +65,26 @@ func TestTransitionUniverse(t *testing.T) {
 
 // TestTransitionSimAgainstExplicit is the correctness anchor: the
 // simulator must agree with first-principles pair simulation on every fault
-// and every pair, at every lane width and worker count. The random set
-// spans five pattern words. Each edge set repeats one pattern except for
-// its complement at pattern e, so only the pairs (e-1, e) and (e, e+1) can
-// detect: the first crosses a word edge and, at e = 64·W, a W-block edge.
+// and every pair, at every lane width and worker count. Besides c17, an
+// adder and a random netlist, the circuits are the branch and
+// region-boundary circuits of the drop grid (repeated fanin, POs that drive
+// logic, scan cells, wide fanin, a DFF with fanin, gated parity), since a
+// transition fault enters the walk through its region's stem. The random
+// set spans five pattern words. Each edge set repeats one pattern except
+// for its complement at pattern e, so only the pairs (e-1, e) and (e, e+1)
+// can detect: the first crosses a word edge and, at e = 64·W, a W-block
+// edge.
 func TestTransitionSimAgainstExplicit(t *testing.T) {
 	for _, c := range []*circuit.Netlist{
 		circuit.MustC17(),
 		circuit.RippleAdder(3),
 		circuit.Random(7, 50, 31),
+		repeatedFaninCircuit(),
+		poFanoutCircuit(),
+		scanCircuit(),
+		wideFaninCircuit(9),
+		dffFaninCircuit(),
+		circuit.GatedParity(8, 20, 6),
 	} {
 		rng := rand.New(rand.NewSource(5))
 		random := logic.NewPatternSet(len(c.PIs), 320)
@@ -96,39 +106,83 @@ func TestTransitionSimAgainstExplicit(t *testing.T) {
 		}
 		faults := TransitionUniverse(c)
 		for si, p := range sets {
-			want := make([]int, len(faults))
-			detected, crossing := 0, 0
-			for fi, tf := range faults {
-				want[fi] = -1
-				for k := 0; k+1 < p.N && want[fi] < 0; k++ {
-					if explicitTransitionDetect(c, tf, p.Pattern(k), p.Pattern(k+1)) {
-						want[fi] = k
-						detected++
-					}
-				}
-				if e := edges[si]; e > 0 && want[fi] == e-1 {
+			want := explicitFirstPairs(c, p, faults)
+			crossing := 0
+			for _, k := range want {
+				if e := edges[si]; e > 0 && k == e-1 {
 					crossing++
 				}
 			}
 			if edges[si] > 0 && crossing == 0 {
 				t.Fatalf("%s N=%d: no fault first detected by the edge pair", c.Name, p.N)
 			}
-			for _, words := range laneWidths {
-				for _, workers := range []int{1, 3} {
-					res, err := SimulateTransitions(c, p, faults, Options{Workers: workers, Words: words})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if res.Detected != detected {
-						t.Fatalf("%s N=%d W=%d workers=%d: detected %d, explicit %d",
-							c.Name, p.N, words, workers, res.Detected, detected)
-					}
-					for fi, tf := range faults {
-						if res.DetectedBy[fi] != want[fi] {
-							t.Fatalf("%s N=%d W=%d workers=%d fault %s: simulator pair %d, explicit %d",
-								c.Name, p.N, words, workers, tf.Name(c), res.DetectedBy[fi], want[fi])
-						}
-					}
+			checkTransitions(t, c, p, faults, want, laneWidths, []int{1, 3})
+		}
+	}
+}
+
+// explicitFirstPairs returns each fault's first pair (k, k+1) of p that
+// explicitTransitionDetect says detects it, -1 if none. The good circuit
+// is simulated once per pattern, and pairs with equal patterns have equal
+// answers, so each distinct pair is checked once per fault: an edge set of
+// one repeated pattern costs three checks.
+func explicitFirstPairs(c *circuit.Netlist, p *logic.PatternSet, faults []TransitionFault) []int {
+	good, keys := make([][]bool, p.N), make([]string, p.N)
+	for k := range good {
+		v := p.Pattern(k)
+		good[k] = simulateGood(c, v)
+		b := make([]byte, len(v))
+		for i, x := range v {
+			if x {
+				b[i] = 1
+			}
+		}
+		keys[k] = string(b)
+	}
+	want := make([]int, len(faults))
+	for fi, tf := range faults {
+		want[fi] = -1
+		seen := map[string]bool{}
+		for k := 0; k+1 < p.N && want[fi] < 0; k++ {
+			pair := keys[k] + "|" + keys[k+1]
+			det, ok := seen[pair]
+			if !ok {
+				det = explicitTransitionDetect(c, tf, good[k], good[k+1], p.Pattern(k+1))
+				seen[pair] = det
+			}
+			if det {
+				want[fi] = k
+			}
+		}
+	}
+	return want
+}
+
+// checkTransitions requires SimulateTransitions at every given lane width
+// and worker count to report want: every fault's first detecting pair and
+// the count detected.
+func checkTransitions(t *testing.T, c *circuit.Netlist, p *logic.PatternSet, faults []TransitionFault, want []int, widths, workers []int) {
+	t.Helper()
+	detected := 0
+	for _, k := range want {
+		if k >= 0 {
+			detected++
+		}
+	}
+	for _, words := range widths {
+		for _, nw := range workers {
+			res, err := SimulateTransitions(c, p, faults, Options{Workers: nw, Words: words})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Detected != detected {
+				t.Fatalf("%s N=%d W=%d workers=%d: detected %d, explicit %d",
+					c.Name, p.N, words, nw, res.Detected, detected)
+			}
+			for fi, tf := range faults {
+				if res.DetectedBy[fi] != want[fi] {
+					t.Fatalf("%s N=%d W=%d workers=%d fault %s: simulator pair %d, explicit %d",
+						c.Name, p.N, words, nw, tf.Name(c), res.DetectedBy[fi], want[fi])
 				}
 			}
 		}

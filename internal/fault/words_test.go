@@ -273,8 +273,7 @@ func TestWalkRestoresGoodValues(t *testing.T) {
 	masks := []logic.Word{p.TailMask(0), p.TailMask(1)}
 	diff := make([]logic.Word, W)
 	for _, fl := range faults {
-		diff[0], diff[1] = 0, 0
-		fsim.detectLanes(fl, 0, W, masks, diff, nil)
+		fsim.dropOne(fl, 0, W, masks, diff)
 		for i, v := range fsim.vals {
 			if v != snapshot[i] {
 				t.Fatalf("fault %v: good value %d not restored: %x != %x", fl, i, v, snapshot[i])
