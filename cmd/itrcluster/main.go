@@ -211,8 +211,8 @@ func runCoordinator(args []string) {
 		os.Exit(2)
 	}
 	st := coord.Stats()
-	fmt.Printf("workers joined %d lost %d; shards dispatched %d redispatched %d duplicate %d\n",
-		st.WorkersJoined, st.WorkersLost, st.ShardsDispatched, st.Redispatches, st.Duplicates)
+	fmt.Printf("workers joined %d lost %d; shards dispatched %d redispatched %d duplicate %d; netlists sent %d\n",
+		st.WorkersJoined, st.WorkersLost, st.ShardsDispatched, st.Redispatches, st.Duplicates, st.NetlistsSent)
 }
 
 func runWorker(args []string) {

@@ -75,7 +75,7 @@ func TestItrclusterLoopbackVerify(t *testing.T) {
 		out := runTool(t, "./cmd/itrcluster", "coordinator",
 			"-workers", "2", "-gen", "rand8.150.3", "-job", job,
 			"-patterns", "192", "-shard-faults", "16", "-verify", "-quiet")
-		for _, needle := range []string{job + ":", "result hash:", "verify: OK (bit-identical to serial)", "shards dispatched"} {
+		for _, needle := range []string{job + ":", "result hash:", "verify: OK (bit-identical to serial)", "shards dispatched", "netlists sent"} {
 			if !strings.Contains(out, needle) {
 				t.Errorf("itrcluster %s output missing %q:\n%s", job, needle, out)
 			}

@@ -104,11 +104,13 @@ type Netlist struct {
 	order  []int // topological order, built by Levelize
 	levels int
 
-	// compiled caches the immutable IR built by Compiled(); compileMu
-	// serializes concurrent first compilations. Construction-time mutators
-	// (AddGate, MarkOutput) invalidate the cache.
+	// compiled caches the immutable IR built by Compiled() and hash the
+	// digest built by ContentHash(); compileMu serializes concurrent first
+	// builds of either. Construction-time mutators (AddGate, MarkOutput,
+	// ConnectScanD) invalidate both.
 	compileMu sync.Mutex
 	compiled  *Compiled
+	hash      *[32]byte
 }
 
 // New returns an empty netlist with the given name.
@@ -145,7 +147,7 @@ func (n *Netlist) AddGate(name string, t GateType, fanin ...string) (int, error)
 		n.PIs = append(n.PIs, g.ID)
 	}
 	n.order = nil
-	n.compiled = nil
+	n.invalidate()
 	return g.ID, nil
 }
 
@@ -173,6 +175,9 @@ func (n *Netlist) ConnectScanD(dff, dSource string) error {
 		n.ScanD = make(map[int]int)
 	}
 	n.ScanD[fid] = did
+	// The scan edge is part of the encoding, and MarkOutput leaves the
+	// caches alone when dSource is already an output.
+	n.invalidate()
 	return n.MarkOutput(dSource)
 }
 
@@ -188,8 +193,14 @@ func (n *Netlist) MarkOutput(name string) error {
 		}
 	}
 	n.POs = append(n.POs, id)
-	n.compiled = nil
+	n.invalidate()
 	return nil
+}
+
+// invalidate drops the compiled IR and the content hash after a mutation.
+func (n *Netlist) invalidate() {
+	n.compiled = nil
+	n.hash = nil
 }
 
 // GateByName returns the gate with the given name.

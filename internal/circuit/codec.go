@@ -84,13 +84,23 @@ func (n *Netlist) MarshalBinary() ([]byte, error) {
 
 // ContentHash returns the sha256 of the canonical binary encoding — the
 // content identity used to pin distributed jobs and artifacts to one exact
-// circuit.
+// circuit. Like Compiled, it is computed on first use and cached on the
+// netlist until a mutator (AddGate, MarkOutput, ConnectScanD) changes it,
+// so a caller that names the same circuit job after job encodes it once.
+// MarshalBinary itself is not cached.
 func (n *Netlist) ContentHash() ([32]byte, error) {
+	n.compileMu.Lock()
+	defer n.compileMu.Unlock()
+	if n.hash != nil {
+		return *n.hash, nil
+	}
 	data, err := n.MarshalBinary()
 	if err != nil {
 		return [32]byte{}, err
 	}
-	return sha256.Sum256(data), nil
+	h := sha256.Sum256(data)
+	n.hash = &h
+	return h, nil
 }
 
 // UnmarshalNetlist decodes a canonical binary netlist in one pass, building

@@ -2,9 +2,11 @@ package circuit
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/wire"
@@ -119,6 +121,81 @@ func TestNetlistCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: content hash changed across round trip", n.Name)
 		}
 	}
+}
+
+// TestContentHashCached pins the hash-once contract: ContentHash equals
+// sha256(MarshalBinary()) before and after each construction-time mutator,
+// so every mutator drops the cached value — ConnectScanD too when its
+// D-source is already an output, which leaves MarkOutput nothing to do.
+// Concurrent ContentHash and Compiled calls share compileMu and agree (run
+// under -race).
+func TestContentHashCached(t *testing.T) {
+	n := New("mut")
+	n.MustAddGate("a", Input)
+	n.MustAddGate("b", Input)
+	n.MustAddGate("q", DFF)
+	n.MustAddGate("x", And, "a", "b")
+	if err := n.MarkOutput("x"); err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string) {
+		t.Helper()
+		data, err := n.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := n.ContentHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != sha256.Sum256(data) {
+			t.Fatalf("%s: ContentHash is not sha256(MarshalBinary())", step)
+		}
+		if again, _ := n.ContentHash(); again != got {
+			t.Fatalf("%s: second ContentHash differs", step)
+		}
+	}
+	check("built")
+	for _, m := range []struct {
+		name string
+		do   func() error
+	}{
+		{"AddGate", func() error { _, err := n.AddGate("y", Or, "x", "q"); return err }},
+		{"MarkOutput", func() error { return n.MarkOutput("y") }},
+		{"ConnectScanD to an output", func() error { return n.ConnectScanD("q", "x") }},
+	} {
+		before, _ := n.ContentHash()
+		if err := m.do(); err != nil {
+			t.Fatal(err)
+		}
+		if after, _ := n.ContentHash(); after == before {
+			t.Fatalf("%s: ContentHash unchanged", m.name)
+		}
+		check(m.name)
+	}
+
+	big := Random(16, 400, 9)
+	want, err := big.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				if _, err := big.Compiled(); err != nil {
+					t.Error(err)
+				}
+				return
+			}
+			if h, err := big.ContentHash(); err != nil || h != sha256.Sum256(want) {
+				t.Errorf("concurrent ContentHash: %x, %v", h, err)
+			}
+		}(i)
+	}
+	wg.Wait()
 }
 
 // TestNetlistCodecRejectsCorruption flips/truncates encoded bytes and

@@ -98,6 +98,16 @@ func compareSigs(t *testing.T, got, want []*fault.Signature) {
 	}
 }
 
+// mustSetup encodes the setup payload of a job over netlist n.
+func mustSetup(t testing.TB, job uint64, kind JobKind, words int, n *circuit.Netlist, p *logic.PatternSet, faults []fault.Fault) []byte {
+	t.Helper()
+	h, err := n.ContentHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeSetup(job, kind, words, h, p, faults)
+}
+
 func testCtx(t *testing.T) context.Context {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	t.Cleanup(cancel)
@@ -328,6 +338,21 @@ func (r *rawConn) read() (FrameType, []byte) {
 	return ft, payload
 }
 
+// expectSetup reads one setup frame and decodes it, failing the test on
+// any other frame.
+func (r *rawConn) expectSetup() *setupMsg {
+	r.t.Helper()
+	ft, payload := r.read()
+	if ft != FrameSetup {
+		r.t.Fatalf("got %v, want setup", ft)
+	}
+	m, err := decodeSetup(payload)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return m
+}
+
 // TestClusterStragglerRedispatchAndDuplicateDiscard drives the first-result-
 // wins path end to end: a hand-rolled worker takes the job's only shard and
 // stalls; the deadline re-dispatches it to a real worker, whose result
@@ -356,9 +381,8 @@ func TestClusterStragglerRedispatchAndDuplicateDiscard(t *testing.T) {
 		out <- detectOut{res, err}
 	}()
 
-	if ft, _ := stall.read(); ft != FrameSetup {
-		t.Fatalf("straggler got %v, want setup", ft)
-	}
+	m := stall.expectSetup()
+	stall.write(FrameSetupReply, (&setupReplyMsg{JobID: m.JobID, Status: setupReady}).encode())
 	ft, payload := stall.read()
 	if ft != FrameShard {
 		t.Fatalf("straggler got %v, want shard", ft)
@@ -422,22 +446,52 @@ func TestClusterSetupRejectionFailsJob(t *testing.T) {
 		_, err := c.Detect(testCtx(t), n, p, faults, 1)
 		out <- err
 	}()
-	ft, payload := raw.read()
-	if ft != FrameSetup {
-		t.Fatalf("got %v, want setup", ft)
-	}
-	m, err := decodeSetup(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Consume the shard request first: the protocol alternates strictly, so
-	// the rejection rides the response slot (see worker.session).
-	if ft, _ := raw.read(); ft != FrameShard {
-		t.Fatalf("got %v, want shard", ft)
-	}
-	raw.write(FrameError, (&errorMsg{JobID: m.JobID, Shard: errorShardSetup, Msg: "synthetic rejection"}).encode())
+	m := raw.expectSetup()
+	raw.write(FrameSetupReply, (&setupReplyMsg{JobID: m.JobID, Status: setupRefused, Msg: "synthetic rejection"}).encode())
 	if err := <-out; !errors.Is(err, ErrWorkerFailed) {
 		t.Fatalf("Detect err = %v, want ErrWorkerFailed", err)
+	}
+}
+
+// TestClusterNetlistAskedTwiceDropsWorker pins that a worker which asks
+// for the netlist again after receiving it is dropped as confused, and the
+// job completes on a well-behaved worker.
+func TestClusterNetlistAskedTwiceDropsWorker(t *testing.T) {
+	n := circuit.RippleAdder(2)
+	faults := fault.Universe(n)
+	p := testPatterns(n, 70, 43)
+	want := serialDetect(t, n, p, faults)
+
+	c, lb := startCoordinator(t, Config{})
+	raw := dialRaw(t, lb, "forgetful")
+	type detectOut struct {
+		res *fault.Result
+		err error
+	}
+	out := make(chan detectOut, 1)
+	go func() {
+		res, err := c.Detect(testCtx(t), n, p, faults, 1)
+		out <- detectOut{res, err}
+	}()
+	m := raw.expectSetup()
+	need := (&setupReplyMsg{JobID: m.JobID, Status: setupNeedNet}).encode()
+	raw.write(FrameSetupReply, need)
+	if ft, _ := raw.read(); ft != FrameNetlist {
+		t.Fatalf("got %v, want netlist", ft)
+	}
+	raw.write(FrameSetupReply, need)
+	raw.c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if ft, _, err := ReadFrame(raw.c, 0); err == nil {
+		t.Fatalf("coordinator answered %v to a second netlist request, want the session closed", ft)
+	}
+	startWorker(t, lb, "w")
+	got := <-out
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	compareDetect(t, got.res, want)
+	if st := c.Stats(); st.WorkersLost != 1 || st.NetlistsSent != 2 {
+		t.Errorf("stats %+v: want 1 worker lost and 2 netlists sent", st)
 	}
 }
 

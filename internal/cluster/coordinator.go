@@ -71,6 +71,7 @@ type Stats struct {
 	Redispatches     int64 // straggler deadline re-dispatches
 	Duplicates       int64 // results for already-completed shards, discarded
 	ShardFailures    int64 // worker-reported shard errors (re-dispatched)
+	NetlistsSent     int64 // netlist frames sent to workers that did not hold the job's circuit
 }
 
 // Coordinator partitions fault-simulation jobs into shards and drives them
@@ -116,6 +117,13 @@ type job struct {
 	kind  JobKind
 	words int
 	setup []byte // encoded setup payload, shared by every session
+
+	// The netlist frame, encoded on the first worker's request (most jobs
+	// find every worker already holding the circuit and never encode it).
+	net      *circuit.Netlist
+	netOnce  sync.Once
+	netFrame []byte
+	netErr   error
 
 	journal *Journal
 	netHash [32]byte // circuit content hash (== setup NetHash)
@@ -308,17 +316,19 @@ func (c *Coordinator) newJob(kind JobKind, words int, n *circuit.Netlist, p *log
 	c.jobSeq++
 	id := c.jobSeq
 	c.mu.Unlock()
-	setup, netHash, err := encodeSetup(id, kind, words, n, p, faults)
+	netHash, err := n.ContentHash()
 	if err != nil {
 		return nil, err
 	}
+	setup := encodeSetup(id, kind, words, netHash, p, faults)
 	return &job{
 		id:       id,
 		kind:     kind,
 		words:    words,
 		setup:    setup,
+		net:      n,
 		netHash:  netHash,
-		inHash:   hashJobInputs(p, faults),
+		inHash:   inputsHash(setup),
 		inputs:   p.Inputs,
 		npat:     p.N,
 		inflight: make(map[int]time.Time),
@@ -327,6 +337,18 @@ func (c *Coordinator) newJob(kind JobKind, words int, n *circuit.Netlist, p *log
 		nPOs:     len(n.POs),
 		pwords:   p.Words(),
 	}, nil
+}
+
+// netlistFrame returns the job's netlist frame payload, encoding it on
+// first use.
+func (j *job) netlistFrame() ([]byte, error) {
+	j.netOnce.Do(func() {
+		var b []byte
+		if b, j.netErr = j.net.MarshalBinary(); j.netErr == nil {
+			j.netFrame = (&netlistMsg{JobID: j.id, NetBytes: b}).encode()
+		}
+	})
+	return j.netFrame, j.netErr
 }
 
 // header describes the job for the write-ahead journal.
@@ -718,14 +740,74 @@ func (c *Coordinator) handle(conn net.Conn) {
 	}
 }
 
+// setupWorker hands one worker the job: it sends the setup and reads the
+// worker's reply, sending the netlist frame once if the worker asks for it.
+// It returns nil once the worker is ready for shards. A refusal fails the
+// whole job: the worker checked the job definition against the circuit,
+// which is deterministic, so retrying elsewhere cannot help.
+func (c *Coordinator) setupWorker(j *job, conn net.Conn, workerID string) error {
+	conn.SetWriteDeadline(time.Now().Add(c.cfg.SessionTimeout))
+	if err := WriteFrame(conn, FrameSetup, j.setup); err != nil {
+		return fmt.Errorf("setup write: %w", err)
+	}
+	sentNet := false
+	for {
+		conn.SetReadDeadline(time.Now().Add(c.cfg.SessionTimeout))
+		ft, payload, err := ReadFrame(conn, wire.DefaultMaxFrame)
+		if err != nil {
+			return fmt.Errorf("setup reply: %w", err)
+		}
+		if ft != FrameSetupReply {
+			return fmt.Errorf("setup reply: %w: %v", ErrProtocol, ft)
+		}
+		m, err := decodeSetupReply(payload)
+		if err != nil {
+			return fmt.Errorf("setup reply: %w", err)
+		}
+		if m.JobID != j.id {
+			return fmt.Errorf("setup reply: %w: got job %d", ErrJobMismatch, m.JobID)
+		}
+		switch m.Status {
+		case setupReady:
+			return nil
+		case setupNeedNet:
+			if sentNet {
+				return fmt.Errorf("setup reply: %w: netlist asked for twice", ErrProtocol)
+			}
+			frame, err := j.netlistFrame()
+			if err != nil {
+				c.mu.Lock()
+				c.failJobLocked(j, err)
+				c.mu.Unlock()
+				return err
+			}
+			// Counted before the write, so the count is complete by the
+			// time the worker can answer ready.
+			c.mu.Lock()
+			c.stats.NetlistsSent++
+			c.mu.Unlock()
+			sentNet = true
+			conn.SetWriteDeadline(time.Now().Add(c.cfg.SessionTimeout))
+			if err := WriteFrame(conn, FrameNetlist, frame); err != nil {
+				return fmt.Errorf("netlist write: %w", err)
+			}
+		default: // setupRefused
+			werr := fmt.Errorf("%w: worker %q refused the setup: %s", ErrWorkerFailed, workerID, m.Msg)
+			c.mu.Lock()
+			c.failJobLocked(j, werr)
+			c.mu.Unlock()
+			return werr
+		}
+	}
+}
+
 // serveJob drives one worker through one job: setup, then a
 // dispatch/collect loop until the job completes or the worker fails. Any
 // error re-queues the outstanding shard before returning, so a lost or
 // misbehaving worker never strands work.
 func (c *Coordinator) serveJob(j *job, conn net.Conn, workerID string) error {
-	conn.SetWriteDeadline(time.Now().Add(c.cfg.SessionTimeout))
-	if err := WriteFrame(conn, FrameSetup, j.setup); err != nil {
-		return fmt.Errorf("setup write: %w", err)
+	if err := c.setupWorker(j, conn, workerID); err != nil {
+		return err
 	}
 	for {
 		idx, ok := c.takeShard(j)
@@ -774,14 +856,6 @@ func (c *Coordinator) serveJob(j *job, conn net.Conn, workerID string) error {
 				return derr
 			}
 			werr := fmt.Errorf("%w: worker %q: %s", ErrWorkerFailed, workerID, em.Msg)
-			if em.Shard == errorShardSetup {
-				// The worker rejected the job definition itself — that is
-				// deterministic, so retrying elsewhere cannot help.
-				c.mu.Lock()
-				c.failJobLocked(j, werr)
-				c.mu.Unlock()
-				return werr
-			}
 			c.shardFailed(j, idx, werr)
 			return werr
 		default:

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -67,6 +68,11 @@ func flakyJob(t *testing.T) (*circuit.Netlist, []fault.Fault, *fault.Result, fun
 // never a hang (testCtx bounds the run) and never a corrupt merge
 // (compareDetect against the serial oracle).
 
+// A fresh worker's first connection writes hello, the setup reply that
+// asks for the netlist, the setup reply that reports ready, then results;
+// the coordinator's first connection writes setup, netlist, then shards.
+// The plans below index those writes.
+
 // TestFlakyDroppedResultRecovers: the worker's first result frame vanishes
 // silently. The coordinator's session timeout reclaims the shard, the
 // worker reconnects clean, and the job still matches the oracle.
@@ -79,8 +85,9 @@ func TestFlakyDroppedResultRecovers(t *testing.T) {
 		SessionTimeout: 300 * time.Millisecond,
 		Logf:           rec.logf,
 	})
-	// Connection 1: hello passes, the result frame is swallowed.
-	d := chaos.NewDialer(lb.Dial, chaos.Plan(chaos.Pass, chaos.Drop))
+	// Connection 1: hello and both setup replies pass, the result frame is
+	// swallowed.
+	d := chaos.NewDialer(lb.Dial, chaos.Plan(chaos.Pass, chaos.Pass, chaos.Pass, chaos.Drop))
 	startWorkerDial(t, d.Dial, "droppy")
 	compareDetect(t, run(c), want)
 	if st := c.Stats(); st.WorkersLost < 1 {
@@ -99,7 +106,7 @@ func TestFlakyCorruptedResultRecovers(t *testing.T) {
 		Deadline:    200 * time.Millisecond,
 		Logf:        rec.logf,
 	})
-	d := chaos.NewDialer(lb.Dial, chaos.Plan(chaos.Pass, chaos.Corrupt))
+	d := chaos.NewDialer(lb.Dial, chaos.Plan(chaos.Pass, chaos.Pass, chaos.Pass, chaos.Corrupt))
 	startWorkerDial(t, d.Dial, "bitrot")
 	compareDetect(t, run(c), want)
 	if !rec.contains("payload hash") {
@@ -120,7 +127,7 @@ func TestFlakyTruncatedResultRecovers(t *testing.T) {
 		Deadline:    200 * time.Millisecond,
 		Logf:        rec.logf,
 	})
-	d := chaos.NewDialer(lb.Dial, chaos.Plan(chaos.Pass, chaos.Truncate))
+	d := chaos.NewDialer(lb.Dial, chaos.Plan(chaos.Pass, chaos.Pass, chaos.Pass, chaos.Truncate))
 	startWorkerDial(t, d.Dial, "chopper")
 	compareDetect(t, run(c), want)
 	if !rec.contains("truncated") {
@@ -138,9 +145,9 @@ func TestFlakyTruncatedResultRecovers(t *testing.T) {
 func TestFlakyCoordinatorWritesRecover(t *testing.T) {
 	_, faults, want, run := flakyJob(t)
 	lb := NewLoopback()
-	// Accepted connection 1: setup passes, the first shard frame is
-	// corrupted. Later connections are clean.
-	fl := chaos.WrapListener(lb, chaos.Plan(chaos.Pass, chaos.Corrupt))
+	// Accepted connection 1: setup and netlist pass, the first shard frame
+	// is corrupted. Later connections are clean.
+	fl := chaos.WrapListener(lb, chaos.Plan(chaos.Pass, chaos.Pass, chaos.Corrupt))
 	c := startCoordinatorOn(t, Config{
 		ShardFaults: len(faults),
 		Deadline:    200 * time.Millisecond,
@@ -149,6 +156,50 @@ func TestFlakyCoordinatorWritesRecover(t *testing.T) {
 	compareDetect(t, run(c), want)
 	if st := c.Stats(); st.WorkersLost < 1 {
 		t.Errorf("WorkersLost = %d, want >= 1", st.WorkersLost)
+	}
+}
+
+// TestFlakySetupFramesRecover drops, corrupts and truncates each frame of
+// a cache-miss setup exchange on its first crossing: the worker's reply
+// asking for the netlist, the netlist frame, and the worker's ready reply
+// after it. Each failure drops the session; the worker reconnects, gets
+// the setup again and the job still matches the oracle.
+func TestFlakySetupFramesRecover(t *testing.T) {
+	_, faults, want, run := flakyJob(t)
+	frames := []struct {
+		name   string
+		worker bool // a worker write (else a coordinator write)
+		index  int  // the write's index on the first connection
+	}{
+		{"need reply", true, 1},
+		{"netlist", false, 1},
+		{"ready reply", true, 2},
+	}
+	for _, f := range frames {
+		for _, op := range []chaos.Op{chaos.Drop, chaos.Corrupt, chaos.Truncate} {
+			t.Run(fmt.Sprintf("%s/%v", f.name, op), func(t *testing.T) {
+				plan := make([]chaos.Op, f.index+1)
+				plan[f.index] = op
+				lb := NewLoopback()
+				var l net.Listener = lb
+				dial := lb.Dial
+				if f.worker {
+					dial = chaos.NewDialer(lb.Dial, chaos.Plan(plan...)).Dial
+				} else {
+					l = chaos.WrapListener(lb, chaos.Plan(plan...))
+				}
+				c := startCoordinatorOn(t, Config{
+					ShardFaults:    len(faults),
+					Deadline:       100 * time.Millisecond,
+					SessionTimeout: 300 * time.Millisecond,
+				}, l)
+				startWorkerDial(t, dial, "setup-flaky")
+				compareDetect(t, run(c), want)
+				if st := c.Stats(); st.WorkersLost < 1 || st.NetlistsSent < 1 {
+					t.Errorf("stats %+v: want a lost session and a netlist sent", st)
+				}
+			})
+		}
 	}
 }
 

@@ -2,11 +2,8 @@ package cluster
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"math"
 
-	"repro/internal/circuit"
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/wire"
@@ -37,20 +34,54 @@ type helloMsg struct {
 	ID    string
 }
 
-// setupMsg carries the whole job definition: the canonical netlist bytes
-// (plus their content hash, which pins every later shard of the job to one
-// exact circuit), the pattern set and the explicit fault list. Workers are
-// stateless between jobs: everything a shard needs arrives in one frame.
+// setupMsg carries the job definition: the content hash of the canonical
+// netlist (which pins every later shard of the job to one exact circuit),
+// the pattern set and the explicit fault list. The netlist itself does not
+// ride along: a worker whose cache holds the circuit of NetHash answers
+// ready at once, and one that does not asks for it (setupReplyMsg), so the
+// bytes cross the wire only on a cache miss (netlistMsg).
 type setupMsg struct {
+	JobID   uint64
+	Kind    JobKind
+	Words   uint8
+	NetHash [32]byte
+	Inputs  int
+	NPat    int
+	PatBits [][]logic.Word // [input][word], exactly as logic.PatternSet stores them
+	Faults  []fault.Fault
+}
+
+// setupHeaderSize is the length of a setup payload's header (JobID, Kind,
+// Words, NetHash). The rest of the payload — Inputs, NPat, pattern words,
+// fault list — is the job's inputs, and its sha256 is the journal header's
+// InputsHash.
+const setupHeaderSize = 8 + 1 + 1 + sha256.Size
+
+// setupStatus is a worker's answer to a setup or a netlist frame.
+type setupStatus uint8
+
+// Setup reply statuses.
+const (
+	setupReady   setupStatus = 1 // the job is installed: send shards
+	setupNeedNet setupStatus = 2 // the circuit of NetHash is not cached: send a netlist frame
+	setupRefused setupStatus = 3 // the job definition is unrunnable here; Msg says why
+)
+
+// setupReplyMsg is the worker's reply to a setup frame, and to the netlist
+// frame that a setupNeedNet reply asks for. A refusal is deterministic, so
+// the coordinator fails the job instead of retrying it elsewhere.
+type setupReplyMsg struct {
+	JobID  uint64
+	Status setupStatus
+	Msg    string // setupRefused: the reason
+}
+
+// netlistMsg carries the canonical netlist bytes (circuit.MarshalBinary)
+// of a job, sent only when the worker asked for them. The worker checks
+// their sha256 against the setup's NetHash before it decodes them.
+type netlistMsg struct {
 	JobID    uint64
-	Kind     JobKind
-	Words    uint8
 	NetBytes []byte
-	NetHash  [32]byte
-	Inputs   int
-	NPat     int
-	PatBits  [][]logic.Word // [input][word], exactly as logic.PatternSet stores them
-	Faults   []fault.Fault
 }
 
 // shardMsg is one work unit. For KindDetect, [Lo,Hi) is a fault-index
@@ -83,15 +114,12 @@ type sigEntry struct {
 	Words []logic.Word
 }
 
-// errorMsg reports a typed worker-side failure for a shard (or the whole
-// setup when Shard is math.MaxUint32).
+// errorMsg reports a typed worker-side failure for a shard.
 type errorMsg struct {
 	JobID uint64
 	Shard uint32
 	Msg   string
 }
-
-const errorShardSetup = math.MaxUint32
 
 // doneMsg tells the worker the job completed; it returns to awaiting the
 // next setup on the same connection. The worker acts on the frame type
@@ -126,16 +154,15 @@ func decodeHello(payload []byte) (*helloMsg, error) {
 }
 
 func (m *setupMsg) encode() []byte {
-	// Sized exactly: the embedded netlist makes a setup large, and growing
-	// it by appends would allocate several times its size.
-	size := 8 + 1 + 1 + 4 + len(m.NetBytes) + len(m.NetHash) + 4 + 4 + 4 + 9*len(m.Faults)
+	// Sized exactly: a large pattern set or fault list makes a setup
+	// large, and growing it by appends would allocate several times its size.
+	size := setupHeaderSize + 4 + 4 + 4 + 9*len(m.Faults)
 	for _, row := range m.PatBits {
 		size += 8 * len(row)
 	}
 	b := wire.AppendU64(make([]byte, 0, size), m.JobID)
 	b = wire.AppendU8(b, uint8(m.Kind))
 	b = wire.AppendU8(b, m.Words)
-	b = wire.AppendBytes(b, m.NetBytes)
 	b = append(b, m.NetHash[:]...)
 	b = wire.AppendU32(b, uint32(m.Inputs))
 	b = wire.AppendU32(b, uint32(m.NPat))
@@ -160,7 +187,6 @@ func decodeSetup(payload []byte) (*setupMsg, error) {
 		Kind:  JobKind(d.U8()),
 		Words: d.U8(),
 	}
-	m.NetBytes = d.Bytes()
 	copy(m.NetHash[:], d.Raw(sha256.Size))
 	m.Inputs = int(d.U32())
 	m.NPat = int(d.U32())
@@ -195,6 +221,35 @@ func decodeSetup(payload []byte) (*setupMsg, error) {
 	for i := range m.Faults {
 		m.Faults[i] = fault.Fault{Gate: int(d.U32()), Pin: int(int32(d.U32())), SA: d.U8()}
 	}
+	return m, malformed(d.Close())
+}
+
+func (m *setupReplyMsg) encode() []byte {
+	b := wire.AppendU64(nil, m.JobID)
+	b = wire.AppendU8(b, uint8(m.Status))
+	return wire.AppendString(b, m.Msg)
+}
+
+func decodeSetupReply(payload []byte) (*setupReplyMsg, error) {
+	d := wire.NewDec(payload)
+	m := &setupReplyMsg{JobID: d.U64(), Status: setupStatus(d.U8()), Msg: d.String()}
+	if err := d.Close(); err != nil {
+		return nil, malformed(err)
+	}
+	if m.Status < setupReady || m.Status > setupRefused {
+		return nil, fmt.Errorf("%w: unknown setup status %d", ErrMalformed, m.Status)
+	}
+	return m, nil
+}
+
+func (m *netlistMsg) encode() []byte {
+	b := wire.AppendU64(make([]byte, 0, 8+4+len(m.NetBytes)), m.JobID)
+	return wire.AppendBytes(b, m.NetBytes)
+}
+
+func decodeNetlist(payload []byte) (*netlistMsg, error) {
+	d := wire.NewDec(payload)
+	m := &netlistMsg{JobID: d.U64(), NetBytes: d.Bytes()}
 	return m, malformed(d.Close())
 }
 
@@ -305,56 +360,27 @@ func (m *doneMsg) encode() []byte {
 	return wire.AppendU64(nil, m.JobID)
 }
 
-// encodeSetup builds the setup payload for a job over the given netlist,
-// patterns and faults. The netlist travels in its canonical binary encoding
-// (circuit.MarshalBinary), whose round trip preserves gate IDs and PI/PO
-// order exactly — the property that lets coordinator and workers index one
-// another's fault lists and signature rows without any mapping.
-func encodeSetup(jobID uint64, kind JobKind, words int, n *circuit.Netlist, p *logic.PatternSet, faults []fault.Fault) ([]byte, [32]byte, error) {
-	netBytes, err := n.MarshalBinary()
-	if err != nil {
-		return nil, [32]byte{}, err
-	}
-	netHash := sha256.Sum256(netBytes)
+// encodeSetup builds the setup payload for a job over the circuit whose
+// content hash is netHash (circuit.Netlist.ContentHash), with the given
+// patterns and faults.
+func encodeSetup(jobID uint64, kind JobKind, words int, netHash [32]byte, p *logic.PatternSet, faults []fault.Fault) []byte {
 	m := &setupMsg{
-		JobID:    jobID,
-		Kind:     kind,
-		Words:    uint8(words),
-		NetBytes: netBytes,
-		NetHash:  netHash,
-		Inputs:   p.Inputs,
-		NPat:     p.N,
-		PatBits:  p.Bits,
-		Faults:   faults,
+		JobID:   jobID,
+		Kind:    kind,
+		Words:   uint8(words),
+		NetHash: netHash,
+		Inputs:  p.Inputs,
+		NPat:    p.N,
+		PatBits: p.Bits,
+		Faults:  faults,
 	}
-	return m.encode(), netHash, nil
+	return m.encode()
 }
 
-// hashJobInputs digests the job inputs the circuit hash does not cover —
-// the pattern bits and the explicit fault list — so a journal header can
-// pin a job to its exact inputs, not just its circuit.
-func hashJobInputs(p *logic.PatternSet, faults []fault.Fault) [32]byte {
-	h := sha256.New()
-	var b [8]byte
-	put32 := func(v uint32) {
-		binary.BigEndian.PutUint32(b[:4], v)
-		h.Write(b[:4])
-	}
-	put32(uint32(p.Inputs))
-	put32(uint32(p.N))
-	for _, row := range p.Bits {
-		for _, w := range row {
-			binary.BigEndian.PutUint64(b[:], uint64(w))
-			h.Write(b[:])
-		}
-	}
-	put32(uint32(len(faults)))
-	for _, f := range faults {
-		put32(uint32(f.Gate))
-		put32(uint32(int32(f.Pin)))
-		h.Write([]byte{f.SA})
-	}
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+// inputsHash digests the job inputs the circuit hash does not cover — the
+// pattern bits and the explicit fault list — so a journal header can pin a
+// job to its exact inputs, not just its circuit. Those inputs are the tail
+// of the encoded setup, so one sha256 over it is the digest.
+func inputsHash(setup []byte) [32]byte {
+	return sha256.Sum256(setup[setupHeaderSize:])
 }

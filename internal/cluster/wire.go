@@ -1,9 +1,12 @@
 // Package cluster distributes PPSFP fault simulation and fault-dictionary
-// construction across worker nodes. A coordinator compiles the circuit
-// once, partitions the job into shards — contiguous fault ranges for
-// detection runs, disjoint pattern-word column ranges for dictionary
-// builds — and dispatches them to workers over a length-prefixed binary
-// wire protocol with a content hash per frame. Workers run the existing
+// construction across worker nodes. A coordinator partitions the job into
+// shards — contiguous fault ranges for detection runs, disjoint
+// pattern-word column ranges for dictionary builds — and dispatches them
+// to workers over a length-prefixed binary wire protocol with a content
+// hash per frame. A job's setup names its circuit by content hash: each
+// worker keeps the last circuit it decoded and asks for the netlist bytes
+// only when it holds another one, so an unchanged circuit crosses the wire
+// once per worker, not once per job. Workers run the existing
 // single-process engines (fault.Simulator) on their shard and stream
 // partial results back; the coordinator merge writes disjoint output
 // regions, so the assembled result is bit-identical to the serial engine
@@ -33,7 +36,7 @@ import (
 // cluster's own message-level errors.
 const (
 	wireMagic   = "ITRC"
-	WireVersion = 1
+	WireVersion = 2
 )
 
 // proto is the cluster job-dispatch protocol instance.
@@ -42,15 +45,17 @@ var proto = wire.Proto{Magic: wireMagic, Version: WireVersion}
 // FrameType discriminates the protocol's message kinds.
 type FrameType uint8
 
-// Protocol frame types. The coordinator sends Setup, Shard and Done; the
-// worker sends Hello, Result and Error.
+// Protocol frame types. The coordinator sends Setup, Netlist, Shard and
+// Done; the worker sends Hello, SetupReply, Result and Error.
 const (
-	FrameHello  FrameType = 1 // worker → coordinator: join handshake
-	FrameSetup  FrameType = 2 // coordinator → worker: job definition (circuit, patterns, faults)
-	FrameShard  FrameType = 3 // coordinator → worker: one work unit
-	FrameResult FrameType = 4 // worker → coordinator: one shard's partial result
-	FrameDone   FrameType = 5 // coordinator → worker: job complete, await next Setup
-	FrameError  FrameType = 6 // worker → coordinator: typed shard/setup failure
+	FrameHello      FrameType = 1 // worker → coordinator: join handshake
+	FrameSetup      FrameType = 2 // coordinator → worker: job definition (circuit hash, patterns, faults)
+	FrameShard      FrameType = 3 // coordinator → worker: one work unit
+	FrameResult     FrameType = 4 // worker → coordinator: one shard's partial result
+	FrameDone       FrameType = 5 // coordinator → worker: job complete, await next Setup
+	FrameError      FrameType = 6 // worker → coordinator: typed shard failure
+	FrameSetupReply FrameType = 7 // worker → coordinator: ready, need the netlist, or refused
+	FrameNetlist    FrameType = 8 // coordinator → worker: the job's netlist bytes, on request
 )
 
 func (t FrameType) String() string {
@@ -67,6 +72,10 @@ func (t FrameType) String() string {
 		return "done"
 	case FrameError:
 		return "error"
+	case FrameSetupReply:
+		return "setup-reply"
+	case FrameNetlist:
+		return "netlist"
 	}
 	return fmt.Sprintf("frame(%d)", uint8(t))
 }

@@ -20,8 +20,8 @@ import (
 // delimited, and a clean close at a frame boundary reads as bare io.EOF.
 func TestFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	types := []FrameType{FrameHello, FrameSetup, FrameShard, FrameResult, FrameDone, FrameError}
-	sizes := []int{0, 1, 41, 42, 4096}
+	types := []FrameType{FrameHello, FrameSetup, FrameShard, FrameResult, FrameDone, FrameError, FrameSetupReply, FrameNetlist}
+	sizes := []int{0, 1, 41, 42, 4096, 7, 100, 65536}
 	var buf bytes.Buffer
 	var want [][]byte
 	for i, sz := range sizes {
@@ -97,8 +97,8 @@ func TestFrameCorruptionTyped(t *testing.T) {
 	}
 }
 
-// TestMessageRoundTrips pins every message codec, including the setup frame
-// built from a real netlist/pattern/fault triple.
+// TestMessageRoundTrips pins every message codec, including the setup and
+// netlist frames built from a real netlist/pattern/fault triple.
 func TestMessageRoundTrips(t *testing.T) {
 	h := &helloMsg{Proto: WireVersion, ID: "worker-7"}
 	if got, err := decodeHello(h.encode()); err != nil || *got != *h {
@@ -108,9 +108,21 @@ func TestMessageRoundTrips(t *testing.T) {
 	if got, err := decodeShard(s.encode()); err != nil || *got != *s {
 		t.Errorf("shard: got %+v err %v", got, err)
 	}
-	e := &errorMsg{JobID: 9, Shard: errorShardSetup, Msg: "refused"}
+	e := &errorMsg{JobID: 9, Shard: 3, Msg: "worker engine panic"}
 	if got, err := decodeError(e.encode()); err != nil || *got != *e {
 		t.Errorf("error: got %+v err %v", got, err)
+	}
+	for _, r := range []setupReplyMsg{
+		{JobID: 9, Status: setupReady},
+		{JobID: 9, Status: setupNeedNet},
+		{JobID: 9, Status: setupRefused, Msg: "refused"},
+	} {
+		if got, err := decodeSetupReply(r.encode()); err != nil || *got != r {
+			t.Errorf("setup reply: got %+v err %v, want %+v", got, err, r)
+		}
+	}
+	if _, err := decodeSetupReply((&setupReplyMsg{JobID: 9, Status: setupRefused + 1}).encode()); !errors.Is(err, ErrMalformed) {
+		t.Errorf("setup reply with unknown status: err = %v, want ErrMalformed", err)
 	}
 
 	det := &resultMsg{JobID: 1, Shard: 0, Kind: KindDetect, Lo: 10, Hi: 13, DetBy: []int32{-1, 7, 0}}
@@ -139,23 +151,23 @@ func TestMessageRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p.RandFill(rng.Uint64)
 	faults := fault.Universe(n)
-	payload, _, err := encodeSetup(11, KindDictionary, 4, n, p, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := decodeSetup(payload)
+	m, err := decodeSetup(mustSetup(t, 11, KindDictionary, 4, n, p, faults))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.JobID != 11 || m.Kind != KindDictionary || m.Words != 4 || m.Inputs != p.Inputs || m.NPat != p.N {
 		t.Errorf("setup header: %+v", m)
 	}
+	if h, _ := n.ContentHash(); m.NetHash != h {
+		t.Error("setup: netlist hash mismatch")
+	}
 	nb, err := n.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(m.NetBytes, nb) {
-		t.Error("setup: netlist bytes mismatch")
+	nm, err := decodeNetlist((&netlistMsg{JobID: 11, NetBytes: nb}).encode())
+	if err != nil || nm.JobID != 11 || !bytes.Equal(nm.NetBytes, nb) {
+		t.Errorf("netlist: job %d, %d bytes, err %v", nm.JobID, len(nm.NetBytes), err)
 	}
 	if len(m.Faults) != len(faults) || m.Faults[3] != faults[3] {
 		t.Error("setup: fault list mismatch")
@@ -234,14 +246,24 @@ func TestDecodeAllocationBounded(t *testing.T) {
 	setup.u64(1)
 	setup.u8(uint8(KindDetect))
 	setup.u8(1)
-	setup.bytes(nil)
 	setup.buf.Write(make([]byte, 32)) // NetHash
 	setup.u32(1 << 24)                // Inputs, with no patterns to back them
 	setup.u32(0)                      // NPat
 	setup.u32(0)                      // fault count
+	var reply encoder
+	reply.u64(1)
+	reply.u8(uint8(setupRefused))
+	reply.u32(1 << 26) // Msg length
+	reply.buf.WriteString("x")
+	var netlist encoder
+	netlist.u64(1)
+	netlist.u32(1 << 26) // netlist length
+	netlist.buf.WriteString("ITRN")
 	for name, decode := range map[string]func() error{
-		"hello ID length": func() error { _, err := decodeHello(hello.buf.Bytes()); return err },
-		"setup inputs":    func() error { _, err := decodeSetup(setup.buf.Bytes()); return err },
+		"hello ID length":    func() error { _, err := decodeHello(hello.buf.Bytes()); return err },
+		"setup inputs":       func() error { _, err := decodeSetup(setup.buf.Bytes()); return err },
+		"setup reply length": func() error { _, err := decodeSetupReply(reply.buf.Bytes()); return err },
+		"netlist length":     func() error { _, err := decodeNetlist(netlist.buf.Bytes()); return err },
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -263,7 +285,8 @@ func FuzzClusterMessages(f *testing.F) {
 	n := circuit.RippleAdder(2)
 	p := logic.NewPatternSet(len(n.PIs), 70)
 	p.RandFill(rand.New(rand.NewSource(2)).Uint64)
-	setup, _, err := encodeSetup(11, KindDetect, 2, n, p, fault.Universe(n))
+	setup := mustSetup(f, 11, KindDetect, 2, n, p, fault.Universe(n))
+	nb, err := n.MarshalBinary()
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -275,8 +298,11 @@ func FuzzClusterMessages(f *testing.F) {
 		(&resultMsg{JobID: 2, Shard: 1, Kind: KindDictionary, Lo: 8, Hi: 10, Rows: []sigEntry{
 			{Fi: 4, Po: 0, Words: []logic.Word{0xdead, 0xbeef}},
 		}}).encode(),
-		(&errorMsg{JobID: 9, Shard: errorShardSetup, Msg: "refused"}).encode(),
+		(&errorMsg{JobID: 9, Shard: 3, Msg: "refused"}).encode(),
 		(&doneMsg{JobID: 5}).encode(),
+		(&setupReplyMsg{JobID: 11, Status: setupNeedNet}).encode(),
+		(&setupReplyMsg{JobID: 11, Status: setupRefused, Msg: "netlist content hash mismatch"}).encode(),
+		(&netlistMsg{JobID: 11, NetBytes: nb}).encode(),
 		overflowResult,
 	} {
 		f.Add(seed)
@@ -301,6 +327,12 @@ func FuzzClusterMessages(f *testing.F) {
 		}
 		if m, err := decodeError(data); err == nil {
 			roundTrip("error", m.encode)
+		}
+		if m, err := decodeSetupReply(data); err == nil {
+			roundTrip("setup reply", m.encode)
+		}
+		if m, err := decodeNetlist(data); err == nil {
+			roundTrip("netlist", m.encode)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -114,8 +113,11 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // session runs one connection: hello handshake, then a setup/shard loop.
 // Semantic failures (bad job definition, bad shard range, engine panic) are
-// reported to the coordinator as FrameError and the session continues;
-// wire-level failures end the session so Run can reconnect.
+// reported to the coordinator — a refused setup in its setup reply, a
+// failed shard as FrameError — and the session continues; wire-level
+// failures end the session so Run can reconnect. Every coordinator frame
+// gets exactly one reply except Done, so the exchange alternates strictly
+// (an unsolicited write can deadlock an unbuffered pipe).
 func (w *Worker) session(ctx context.Context, conn net.Conn, cache *netCache) error {
 	defer conn.Close()
 	// Watchdog: cancelling ctx closes the connection, which unblocks any
@@ -135,8 +137,7 @@ func (w *Worker) session(ctx context.Context, conn net.Conn, cache *netCache) er
 		return err
 	}
 	var j *workerJob
-	var setupErr error     // deterministic setup rejection, reported on the
-	var setupErrJob uint64 // next shard request to keep strict alternation
+	var pending *setupMsg // a setup waiting for the netlist it asked for
 	for {
 		ft, payload, err := ReadFrame(conn, wire.DefaultMaxFrame)
 		if err != nil {
@@ -147,41 +148,45 @@ func (w *Worker) session(ctx context.Context, conn net.Conn, cache *netCache) er
 		}
 		switch ft {
 		case FrameSetup:
+			m, derr := decodeSetup(payload)
+			if derr != nil {
+				return derr
+			}
+			j, pending = nil, nil
+			if !cache.holds(m.NetHash) {
+				pending = m
+				reply := &setupReplyMsg{JobID: m.JobID, Status: setupNeedNet}
+				if err := WriteFrame(conn, FrameSetupReply, reply.encode()); err != nil {
+					return err
+				}
+				continue
+			}
 			var werr error
-			var reused bool
-			j, reused, werr = newWorkerJob(payload, cache)
-			setupErr = nil
+			j, werr = newWorkerJob(m, cache.net, cache)
+			if err := w.replySetup(conn, m.JobID, j, werr, "reused"); err != nil {
+				return err
+			}
+		case FrameNetlist:
+			nm, derr := decodeNetlist(payload)
+			if derr != nil {
+				return derr
+			}
+			if pending == nil || nm.JobID != pending.JobID {
+				return fmt.Errorf("%w: netlist for job %d not asked for", ErrProtocol, nm.JobID)
+			}
+			m := pending
+			pending = nil
+			n, werr := verifyNetlist(nm.NetBytes, m.NetHash)
 			if werr == nil {
-				how := "decoded"
-				if reused {
-					how = "reused"
-				}
-				w.logf("worker %s: job %d: circuit %s (%d gates)", w.ID, j.id, how, len(j.sim.Net.Gates))
-			} else {
-				w.logf("worker %s: setup refused: %v", w.ID, werr)
-				// A rejected setup is deterministic: the coordinator must
-				// fail the job instead of re-dispatching forever. The reply
-				// waits for the next shard request — the coordinator is
-				// reading then, so the exchange stays strictly alternating
-				// (an unsolicited write can deadlock an unbuffered pipe).
-				j, setupErr = nil, werr
-				if m, err := decodeSetup(payload); err == nil {
-					setupErrJob = m.JobID
-				} else {
-					setupErrJob = 0
-				}
+				j, werr = newWorkerJob(m, n, cache)
+			}
+			if err := w.replySetup(conn, m.JobID, j, werr, "decoded"); err != nil {
+				return err
 			}
 		case FrameShard:
 			sm, derr := decodeShard(payload)
 			if derr != nil {
 				return derr
-			}
-			if j == nil && setupErr != nil && sm.JobID == setupErrJob {
-				em := &errorMsg{JobID: sm.JobID, Shard: errorShardSetup, Msg: setupErr.Error()}
-				if err := WriteFrame(conn, FrameError, em.encode()); err != nil {
-					return err
-				}
-				continue
 			}
 			if j == nil || sm.JobID != j.id {
 				em := &errorMsg{JobID: sm.JobID, Shard: sm.Shard, Msg: ErrJobMismatch.Error()}
@@ -202,26 +207,45 @@ func (w *Worker) session(ctx context.Context, conn net.Conn, cache *netCache) er
 				return err
 			}
 		case FrameDone:
-			j = nil // job over; await the next setup on this connection
+			j, pending = nil, nil // job over; await the next setup on this connection
 		default:
 			return fmt.Errorf("%w: %v from coordinator", ErrProtocol, ft)
 		}
 	}
 }
 
+// replySetup logs the outcome of a setup and writes its reply: ready if
+// job j was installed, refused with werr's text otherwise.
+func (w *Worker) replySetup(conn net.Conn, jobID uint64, j *workerJob, werr error, how string) error {
+	reply := &setupReplyMsg{JobID: jobID, Status: setupReady}
+	if werr != nil {
+		w.logf("worker %s: setup refused: %v", w.ID, werr)
+		reply.Status, reply.Msg = setupRefused, werr.Error()
+	} else {
+		w.logf("worker %s: job %d: circuit %s (%d gates)", w.ID, j.id, how, len(j.sim.Net.Gates))
+	}
+	return WriteFrame(conn, FrameSetupReply, reply.encode())
+}
+
 // netCache is a worker's one-entry circuit cache: the content hash of the
 // last accepted setup's netlist, the decoded netlist (which caches its
 // compiled IR) and the fault simulator over it. A setup with the same hash
-// reuses all three, so a worker decodes and compiles once per netlist, not
-// once per job, and RunInto's good-value memo holds across jobs on equal
-// patterns. The entry is only a shortcut past the decode: every setup, hit
-// or miss, still has its bytes checked against its hash and its patterns
-// and faults checked against the circuit. Jobs run one at a time, so the
-// simulator is never shared by two of them at once.
+// reuses all three, so a worker receives, decodes and compiles a netlist
+// once, not once per job, and RunInto's good-value memo holds across jobs
+// on equal patterns. Only the bytes are skipped on a hit: a setup's
+// patterns and faults are checked against the circuit on a hit as on a
+// miss, and netlist bytes are checked against their hash whenever they
+// arrive. Jobs run one at a time, so the simulator is never shared by two
+// of them at once.
 type netCache struct {
 	hash [32]byte
 	net  *circuit.Netlist
 	sim  *fault.Simulator
+}
+
+// holds reports whether the cache holds the circuit with content hash h.
+func (c *netCache) holds(h [32]byte) bool {
+	return c.net != nil && c.hash == h
 }
 
 // workerJob is one job's local state: the reconstructed circuit, pattern
@@ -239,45 +263,41 @@ type workerJob struct {
 	cache  *netCache          // holds sim; emptied if the engine panics
 }
 
-// newWorkerJob validates a setup payload and builds the local job state,
-// reporting whether the circuit came from cache. The netlist arrives in
-// its canonical binary encoding, whose round trip preserves gate IDs and
+// verifyNetlist checks netlist bytes against the setup's content hash and
+// only then decodes them. The encoding's round trip preserves gate IDs and
 // PI/PO order exactly, so fault indices and signature rows mean the same
-// thing on both ends; the embedded content hash is re-verified as the
-// job's circuit identity before the cache is consulted. A refused setup
-// leaves the cache as it was.
-func newWorkerJob(payload []byte, cache *netCache) (*workerJob, bool, error) {
-	m, err := decodeSetup(payload)
-	if err != nil {
-		return nil, false, err
+// thing on both ends.
+func verifyNetlist(b []byte, want [32]byte) (*circuit.Netlist, error) {
+	if sha256.Sum256(b) != want {
+		return nil, fmt.Errorf("%w: netlist content hash mismatch", ErrMalformed)
 	}
-	if sum := sha256.Sum256(m.NetBytes); !bytes.Equal(sum[:], m.NetHash[:]) {
-		return nil, false, fmt.Errorf("%w: netlist content hash mismatch", ErrMalformed)
-	}
+	return circuit.UnmarshalNetlist(b)
+}
+
+// newWorkerJob checks setup m against circuit n — the cached one on a hit,
+// the freshly decoded one on a miss — and builds the local job state. Only
+// an accepted setup installs n (and its simulator) in the cache: a refused
+// one leaves the cache as it was.
+func newWorkerJob(m *setupMsg, n *circuit.Netlist, cache *netCache) (*workerJob, error) {
 	words := int(m.Words)
 	if (fault.Options{Words: words}).Lanes() != words {
-		return nil, false, fmt.Errorf("%w: invalid lane width %d", ErrMalformed, words)
-	}
-	n := cache.net
-	reused := n != nil && cache.hash == m.NetHash
-	if !reused {
-		if n, err = circuit.UnmarshalNetlist(m.NetBytes); err != nil {
-			return nil, false, err
-		}
+		return nil, fmt.Errorf("%w: invalid lane width %d", ErrMalformed, words)
 	}
 	if m.Inputs != len(n.PIs) {
-		return nil, false, fmt.Errorf("%w: pattern width %d != PIs %d", ErrMalformed, m.Inputs, len(n.PIs))
+		return nil, fmt.Errorf("%w: pattern width %d != PIs %d", ErrMalformed, m.Inputs, len(n.PIs))
 	}
 	p := &logic.PatternSet{Inputs: m.Inputs, N: m.NPat, Bits: m.PatBits}
 	if err := validateJob(n, p, m.Faults); err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	sim := cache.sim
-	if !reused || sim.Words() != words {
-		// A miss compiles here. A hit at another lane width reuses the
-		// IR cached on the netlist and builds only the simulator's scratch.
+	if n != cache.net || sim.Words() != words {
+		// A new circuit compiles here. A cached one at another lane width
+		// reuses the IR cached on the netlist and builds only the
+		// simulator's scratch.
+		var err error
 		if sim, err = fault.New(n, fault.Options{Words: words}); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
 	*cache = netCache{hash: m.NetHash, net: n, sim: sim}
@@ -288,7 +308,7 @@ func newWorkerJob(payload []byte, cache *netCache) (*workerJob, bool, error) {
 		p:      p,
 		faults: m.Faults,
 		cache:  cache,
-	}, reused, nil
+	}, nil
 }
 
 // exec runs one shard through the local engine. Engine panics (which the
@@ -296,7 +316,7 @@ func newWorkerJob(payload []byte, cache *netCache) (*workerJob, bool, error) {
 // poisoned shard reports FrameError instead of killing the worker. A panic
 // may leave the simulator's scratch mid-walk (frontier bits set, value
 // lanes patched), so it also empties the circuit cache: the next setup
-// decodes afresh.
+// asks for the netlist and decodes it afresh.
 func (j *workerJob) exec(sm *shardMsg) (res *resultMsg, err error) {
 	defer func() {
 		if r := recover(); r != nil {

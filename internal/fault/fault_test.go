@@ -101,15 +101,16 @@ func TestDetectionAgainstExplicit(t *testing.T) {
 			p.RandFill(rng.Uint64)
 		}
 		res := fsim.Run(p, faults)
+		idx := c.InputIndex()
 		good := make([][]bool, p.N)
 		for k := range good {
-			good[k] = simulateGood(c, p.Pattern(k))
+			good[k] = simulateGood(c, idx, p.Pattern(k))
 		}
 		for fi, f := range faults {
 			// Explicit faulty simulation for every pattern.
 			firstDet := -1
 			for k := 0; k < p.N && firstDet < 0; k++ {
-				out := simulateFaulty(c, f, p.Pattern(k))
+				out := simulateFaulty(c, idx, f, p.Pattern(k))
 				for o, po := range c.POs {
 					if out[o] != good[k][po] {
 						firstDet = k
@@ -129,8 +130,8 @@ func TestDetectionAgainstExplicit(t *testing.T) {
 }
 
 // simulateFaulty evaluates the netlist with fault f injected, one pattern.
-func simulateFaulty(n *circuit.Netlist, f Fault, bits []bool) []bool {
-	idx := n.InputIndex()
+// idx is n.InputIndex(), built once per netlist by the caller.
+func simulateFaulty(n *circuit.Netlist, idx map[int]int, f Fault, bits []bool) []bool {
 	vals := make([]bool, len(n.Gates))
 	force := f.SA == 1
 	for _, id := range n.TopoOrder() {

@@ -12,8 +12,8 @@ import (
 // first-principles simulation, given the good values goodV1 and goodV2 of
 // the pair (simulateGood): v1 must set the site to the pre-transition
 // value, and under v2 the faulty circuit (site stuck at the old value)
-// must differ from the good circuit at some output.
-func explicitTransitionDetect(n *circuit.Netlist, tf TransitionFault, goodV1, goodV2, v2 []bool) bool {
+// must differ from the good circuit at some output. idx is n.InputIndex().
+func explicitTransitionDetect(n *circuit.Netlist, idx map[int]int, tf TransitionFault, goodV1, goodV2, v2 []bool) bool {
 	init := false // required value of site under v1: 0 for STR, 1 for STF
 	if !tf.SlowToRise {
 		init = true
@@ -25,7 +25,7 @@ func explicitTransitionDetect(n *circuit.Netlist, tf TransitionFault, goodV1, go
 	if tf.SlowToRise {
 		sa = 0
 	}
-	faulty := simulateFaulty(n, Fault{Gate: tf.Gate, Pin: -1, SA: sa}, v2)
+	faulty := simulateFaulty(n, idx, Fault{Gate: tf.Gate, Pin: -1, SA: sa}, v2)
 	for o, po := range n.POs {
 		if faulty[o] != goodV2[po] {
 			return true
@@ -34,8 +34,10 @@ func explicitTransitionDetect(n *circuit.Netlist, tf TransitionFault, goodV1, go
 	return false
 }
 
-func simulateGood(n *circuit.Netlist, bits []bool) []bool {
-	idx := n.InputIndex()
+// simulateGood evaluates the fault-free netlist on one pattern and returns
+// every gate's value. idx is n.InputIndex(), built once per netlist by the
+// caller.
+func simulateGood(n *circuit.Netlist, idx map[int]int, bits []bool) []bool {
 	vals := make([]bool, len(n.Gates))
 	for _, id := range n.TopoOrder() {
 		g := n.Gates[id]
@@ -127,10 +129,11 @@ func TestTransitionSimAgainstExplicit(t *testing.T) {
 // answers, so each distinct pair is checked once per fault: an edge set of
 // one repeated pattern costs three checks.
 func explicitFirstPairs(c *circuit.Netlist, p *logic.PatternSet, faults []TransitionFault) []int {
+	idx := c.InputIndex()
 	good, keys := make([][]bool, p.N), make([]string, p.N)
 	for k := range good {
 		v := p.Pattern(k)
-		good[k] = simulateGood(c, v)
+		good[k] = simulateGood(c, idx, v)
 		b := make([]byte, len(v))
 		for i, x := range v {
 			if x {
@@ -147,7 +150,7 @@ func explicitFirstPairs(c *circuit.Netlist, p *logic.PatternSet, faults []Transi
 			pair := keys[k] + "|" + keys[k+1]
 			det, ok := seen[pair]
 			if !ok {
-				det = explicitTransitionDetect(c, tf, good[k], good[k+1], p.Pattern(k+1))
+				det = explicitTransitionDetect(c, idx, tf, good[k], good[k+1], p.Pattern(k+1))
 				seen[pair] = det
 			}
 			if det {
