@@ -95,13 +95,14 @@ type Netlist struct {
 	Name  string
 	Gates []*Gate
 	PIs   []int // primary inputs (and DFF outputs under full scan)
-	POs   []int // primary outputs (and DFF D-sources under full scan)
+	POs   []int // primary outputs (and DFF D-sources under full scan); grown by MarkOutput
 	// ScanD maps each DFF gate ID to the gate driving its D input. The
 	// edge is informational only — it is not part of the combinational
 	// graph (full scan cuts it).
 	ScanD  map[int]int
 	byName map[string]int
-	order  []int // topological order, built by Levelize
+	isPO   []bool // isPO[id] reports whether gate id is in POs; may be short
+	order  []int  // topological order, built by Levelize
 	levels int
 
 	// compiled caches the immutable IR built by Compiled() and hash the
@@ -181,17 +182,19 @@ func (n *Netlist) ConnectScanD(dff, dSource string) error {
 	return n.MarkOutput(dSource)
 }
 
-// MarkOutput declares the named gate a primary output.
+// MarkOutput declares the named gate a primary output. Marking an output
+// again is a no-op.
 func (n *Netlist) MarkOutput(name string) error {
 	id, ok := n.byName[name]
 	if !ok {
 		return fmt.Errorf("circuit: unknown output %q", name)
 	}
-	for _, po := range n.POs {
-		if po == id {
-			return nil
-		}
+	if id >= len(n.isPO) {
+		n.isPO = append(n.isPO, make([]bool, len(n.Gates)-len(n.isPO))...)
+	} else if n.isPO[id] {
+		return nil
 	}
+	n.isPO[id] = true
 	n.POs = append(n.POs, id)
 	n.invalidate()
 	return nil

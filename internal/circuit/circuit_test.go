@@ -55,6 +55,47 @@ func TestAddGateErrors(t *testing.T) {
 	}
 }
 
+// TestMarkOutputRepeatIsNoop: marking an output again, on a built or a
+// decoded netlist, leaves POs and the content hash as they were, and a new
+// output is appended in call order.
+func TestMarkOutputRepeatIsNoop(t *testing.T) {
+	n := New("po")
+	n.MustAddGate("a", Input)
+	n.MustAddGate("b", Input)
+	n.MustAddGate("x", And, "a", "b")
+	for _, name := range []string{"x", "x", "a"} {
+		if err := n.MarkOutput(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.MustAddGate("y", Or, "a", "x")
+	data, err := n.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := UnmarshalNetlist(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Netlist{n, dec} {
+		h0, _ := c.ContentHash()
+		for _, name := range []string{"a", "x"} {
+			if err := c.MarkOutput(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if h, _ := c.ContentHash(); h != h0 || fmt.Sprint(c.POs) != "[2 0]" {
+			t.Errorf("repeated MarkOutput changed the netlist: POs %v", c.POs)
+		}
+		if err := c.MarkOutput("y"); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(c.POs) != "[2 0 3]" {
+			t.Errorf("POs %v after marking y, want [2 0 3]", c.POs)
+		}
+	}
+}
+
 func TestValidateRequiresIO(t *testing.T) {
 	n := New("empty")
 	if err := n.Validate(); err == nil {

@@ -208,6 +208,7 @@ func UnmarshalNetlist(data []byte) (*Netlist, error) {
 		isPO[po] = true
 		n.POs = append(n.POs, po)
 	}
+	n.isPO = isPO
 	nScan := int(d.U32())
 	for i, prev := 0, -1; i < nScan; i++ {
 		dff := int(d.U32())

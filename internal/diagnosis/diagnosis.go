@@ -6,6 +6,7 @@
 package diagnosis
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -46,12 +47,14 @@ type Candidate struct {
 
 // Diagnoser matches observations against a precomputed dictionary. Dict is
 // read-only after construction: Diagnose ranks from per-fault summaries
-// computed from it once.
+// computed from it once, and from its PO-major columns.
 type Diagnoser struct {
 	Net    *circuit.Netlist
 	Faults []fault.Fault
 	Dict   []*fault.Signature
 	sums   []faultSummary // by fault index
+	cols   [][]logic.Word // cols[po]: fault.Column(Dict, po)
+	words  int            // words of each row
 }
 
 // faultSummary holds the features of a dictionary fault that do not depend
@@ -98,7 +101,11 @@ func New(n *circuit.Netlist, patterns *logic.PatternSet, o fault.Options) (*Diag
 		co := float64(scoap.CO[c.Tpos[faults[i].Gate]])
 		sums[i].coNorm = co / (co + 10)
 	}
-	return &Diagnoser{Net: n, Faults: faults, Dict: dict, sums: sums}, nil
+	cols := make([][]logic.Word, len(n.POs))
+	for o := range cols {
+		cols[o] = fault.Column(dict, o)
+	}
+	return &Diagnoser{Net: n, Faults: faults, Dict: dict, sums: sums, cols: cols, words: patterns.Words()}, nil
 }
 
 // Observe simulates a defective device containing fault f and returns its
@@ -165,6 +172,7 @@ func (JaccardScorer) Score(f []float64) float64 {
 // Diagnose call allocates only the candidates it returns.
 type rankScratch struct {
 	obsPOs []int     // POs where the observation fails
+	tally  []tally   // per-fault counts over those POs, by fault index
 	hits   []hit     // faults sharing a failure with it, by fault index
 	fv     []float64 // the hits' feature vectors, NumFeatures each
 	scores []float64 // the hits' scores
@@ -176,6 +184,9 @@ type rankScratch struct {
 // they share, and how many of the observation's failing POs the fault's
 // signature also fails at.
 type hit struct{ fault, inter, both int32 }
+
+// tally is a fault's running count of a hit's inter and both.
+type tally struct{ inter, both int32 }
 
 // rankKey is a hit's place in the ranking: key (scoreKey of its score)
 // ascending, then hit index.
@@ -219,32 +230,28 @@ func (d *Diagnoser) rank(obs *Observation, scorer Scorer, sc *rankScratch) []Can
 			obsPOs = append(obsPOs, o)
 		}
 	}
-	hits := sc.hits[:0]
-	for i, sig := range d.Dict {
-		if d.sums[i].size == 0 {
-			continue
-		}
-		inter, both := 0, 0
-		for _, o := range obsPOs {
-			orow := obs.Bits[o]
-			drow := sig.Bits[o][:len(orow)]
-			var nz logic.Word
-			for w, dw := range drow {
-				inter += logic.PopCount(dw & orow[w])
-				nz |= dw
-			}
-			if nz != 0 {
-				both++
-			}
-		}
-		if inter > 0 {
-			hits = append(hits, hit{int32(i), int32(inter), int32(both)})
-		}
+	// One counting pass per failing PO streams its column, every fault's
+	// row in fault order.
+	nf, W := len(d.Faults), d.words
+	tl := slices.Grow(sc.tally[:0], nf)[:nf]
+	clear(tl)
+	for _, o := range obsPOs {
+		tallyColumn(tl, d.cols[o], obs.Bits[o], W)
 	}
+	// A fault sharing a failure has a nonzero signature, so the hits are
+	// the faults with inter > 0, in fault order. Every fault is written and
+	// its slot kept only for a hit: a branch on inter > 0 would be
+	// mispredicted for about half of the faults.
+	hits := slices.Grow(sc.hits[:0], nf)[:nf]
+	n := 0
+	for f, t := range tl {
+		hits[n] = hit{int32(f), t.inter, t.both}
+		n += int(uint32(-t.inter) >> 31) // 1 when inter > 0
+	}
+	hits = hits[:n]
 	// The keys are sorted, not the candidates. Hits are in fault index
 	// order and the radix sort is stable, so the hit index breaks score
 	// ties as the fault index does.
-	n := len(hits)
 	fv := slices.Grow(sc.fv[:0], n*NumFeatures)[:n*NumFeatures]
 	scores := slices.Grow(sc.scores[:0], n)[:n]
 	keys := slices.Grow(sc.keys[:0], n)[:n]
@@ -271,8 +278,43 @@ func (d *Diagnoser) rank(obs *Observation, scorer Scorer, sc *rankScratch) []Can
 		f := hits[k].fault
 		cands[j] = Candidate{Index: int(f), Fault: d.Faults[f], Score: scores[k]}
 	}
-	sc.obsPOs, sc.hits, sc.fv, sc.scores, sc.keys, sc.tmp = obsPOs, hits, fv, scores, keys, tmp
+	sc.obsPOs, sc.tally, sc.hits, sc.fv, sc.scores, sc.keys, sc.tmp = obsPOs, tl, hits, fv, scores, keys, tmp
 	return cands
+}
+
+// tallyColumn adds one failing PO to the counts tl: for each fault f,
+// popcount(row & orow) to inter and, when the row is nonzero, one to both.
+// col is the PO's column of W-word rows, and only len(orow) words of a row
+// are read. It is a function of its own so that its loops keep their
+// values in registers.
+func tallyColumn(tl []tally, col, orow []logic.Word, W int) {
+	if len(orow) > W {
+		panic(fmt.Sprintf("diagnosis: log row of %d words against dictionary rows of %d", len(orow), W))
+	}
+	if len(orow) == 1 {
+		// Up to 64 patterns: without the word loop the ranking of
+		// BenchmarkDiagnose ran about 8 % faster.
+		ow := orow[0]
+		for f := range tl {
+			dw := col[f*W]
+			t := &tl[f]
+			t.inter += int32(logic.PopCount(dw & ow))
+			t.both += int32((dw | -dw) >> 63) // 1 when the row is nonzero
+		}
+		return
+	}
+	for f := range tl {
+		row := col[f*W : f*W+len(orow)]
+		var inter int
+		var nz logic.Word
+		for w, dw := range row {
+			inter += logic.PopCount(dw & orow[w])
+			nz |= dw
+		}
+		t := &tl[f]
+		t.inter += int32(inter)
+		t.both += int32((nz | -nz) >> 63)
+	}
 }
 
 // scoreKey maps a score to a key whose unsigned order is the ranking's:
@@ -294,31 +336,39 @@ func scoreKey(x float64) uint64 {
 
 // radixSort sorts a by key with a stable least-significant-digit radix
 // sort, one pass per key byte, skipping each byte that every key shares.
-// tmp must be as long as a. It returns the sorted slice and the other
-// buffer, which may be a and tmp swapped.
+// One read of a fills the histograms of all eight bytes. tmp must be as
+// long as a. It returns the sorted slice and the other buffer, which may be
+// a and tmp swapped.
 func radixSort(a, tmp []rankKey) (sorted, other []rankKey) {
 	and, or := ^uint64(0), uint64(0)
+	var count [8][256]int32
 	for _, k := range a {
-		and &= k.key
-		or |= k.key
+		x := k.key
+		and &= x
+		or |= x
+		count[0][byte(x)]++
+		count[1][byte(x>>8)]++
+		count[2][byte(x>>16)]++
+		count[3][byte(x>>24)]++
+		count[4][byte(x>>32)]++
+		count[5][byte(x>>40)]++
+		count[6][byte(x>>48)]++
+		count[7][byte(x>>56)]++
 	}
-	var count [256]int
-	for shift := 0; shift < 64; shift += 8 {
+	for d := range count {
+		shift := 8 * d
 		if (and^or)>>shift&0xff == 0 {
 			continue
 		}
-		clear(count[:])
-		for _, k := range a {
-			count[k.key>>shift&0xff]++
-		}
-		sum := 0
-		for i, c := range count {
-			count[i], sum = sum, sum+c
+		c := &count[d]
+		var sum int32
+		for i, n := range c {
+			c[i], sum = sum, sum+n
 		}
 		for _, k := range a {
-			b := k.key >> shift & 0xff
-			tmp[count[b]] = k
-			count[b]++
+			b := byte(k.key >> shift)
+			tmp[c[b]] = k
+			c[b]++
 		}
 		a, tmp = tmp, a
 	}

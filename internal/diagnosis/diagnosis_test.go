@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/atpg"
 	"repro/internal/circuit"
@@ -287,16 +288,10 @@ func TestEquivalentFaultCountsAsHit(t *testing.T) {
 
 var benchCands []Candidate
 
-// BenchmarkDiagnose ranks 40 failure logs per op at the shape of the
-// perfbench diagnose workload: the 8-bit array multiplier, its ATPG test
-// set (seed 1), a dictionary built at fault.MaxWords, and logs of random
-// detectable faults with 10 % of their failing bits missed.
-func BenchmarkDiagnose(b *testing.B) {
-	n := circuit.ArrayMultiplier(8)
-	d, err := New(n, testPatterns(b, n), fault.Options{Workers: 1, Words: fault.MaxWords})
-	if err != nil {
-		b.Fatal(err)
-	}
+// benchLogs returns 40 failure logs of random detectable faults of d with
+// 10 % of their failing bits missed, the lot of the perfbench diagnose
+// workload.
+func benchLogs(d *Diagnoser) []*Observation {
 	rng := rand.New(rand.NewSource(1))
 	var logs []*Observation
 	for len(logs) < 40 {
@@ -305,6 +300,19 @@ func BenchmarkDiagnose(b *testing.B) {
 			logs = append(logs, obs)
 		}
 	}
+	return logs
+}
+
+// BenchmarkDiagnose ranks 40 failure logs per op at the shape of the
+// perfbench diagnose workload: the 8-bit array multiplier, its ATPG test
+// set (seed 1), a dictionary built at fault.MaxWords, and benchLogs.
+func BenchmarkDiagnose(b *testing.B) {
+	n := circuit.ArrayMultiplier(8)
+	d, err := New(n, testPatterns(b, n), fault.Options{Workers: 1, Words: fault.MaxWords})
+	if err != nil {
+		b.Fatal(err)
+	}
+	logs := benchLogs(d)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -312,6 +320,38 @@ func BenchmarkDiagnose(b *testing.B) {
 			benchCands = d.Diagnose(obs, nil)
 		}
 	}
+}
+
+// BenchmarkDiagnoseLot is the whole perfbench diagnose op: it builds the
+// dictionary of BenchmarkDiagnose with New and ranks the 40 logs against
+// it. build_us and rank_us split the op's time between the two.
+func BenchmarkDiagnoseLot(b *testing.B) {
+	n := circuit.ArrayMultiplier(8)
+	p := testPatterns(b, n)
+	o := fault.Options{Workers: 1, Words: fault.MaxWords}
+	d, err := New(n, p, o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	logs := benchLogs(d)
+	var build, rank time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		d, err := New(n, p, o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		for _, obs := range logs {
+			benchCands = d.Diagnose(obs, nil)
+		}
+		build += t1.Sub(t0)
+		rank += time.Since(t1)
+	}
+	b.ReportMetric(float64(build.Microseconds())/float64(b.N), "build_us")
+	b.ReportMetric(float64(rank.Microseconds())/float64(b.N), "rank_us")
 }
 
 // evaluateRef is the reference for Evaluate: each case's failure log comes
@@ -635,6 +675,35 @@ func TestDiagnoseConcurrentReaders(t *testing.T) {
 	for _, err := range errs {
 		if err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// TestDiagnoseAllocatesOnlyCandidates: with the pooled scratch warm, a
+// Diagnose call allocates one object, the candidate slice it returns, on a
+// one-word and a three-word dictionary.
+func TestDiagnoseAllocatesOnlyCandidates(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a -race sync.Pool drops scratch at random")
+	}
+	rca := loadBench(t, "rca16")
+	for _, c := range []struct {
+		n *circuit.Netlist
+		p *logic.PatternSet
+	}{
+		{circuit.MustC17(), logic.Exhaustive(5)},
+		{rca, randomPatterns(rca, 150, 21)},
+	} {
+		d, err := New(c.n, c.p, fault.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		obs := d.observe(detectable(d, 1)[0], 0, nil)
+		if len(d.Diagnose(obs, nil)) == 0 {
+			t.Fatalf("%s: the log has no candidates", c.n.Name)
+		}
+		if a := testing.AllocsPerRun(100, func() { benchCands = d.Diagnose(obs, nil) }); a != 1 {
+			t.Errorf("%s: Diagnose allocates %v objects, want 1", c.n.Name, a)
 		}
 	}
 }
