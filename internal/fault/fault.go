@@ -71,28 +71,59 @@ func AllFaults(n *circuit.Netlist) []Fault {
 func Collapse(n *circuit.Netlist, faults []Fault) []Fault {
 	out := faults[:0:0]
 	for _, f := range faults {
-		if f.Pin < 0 {
-			out = append(out, f)
-			continue
-		}
-		t := n.Gates[f.Gate].Type
-		equiv := false
-		switch t {
-		case circuit.And, circuit.Nand:
-			equiv = f.SA == 0
-		case circuit.Or, circuit.Nor:
-			equiv = f.SA == 1
-		case circuit.Buf, circuit.Not, circuit.DFF:
-			equiv = true
-		}
-		if !equiv {
+		if f.Pin < 0 || !stemEquivalent(n.Gates[f.Gate].Type, f.SA) {
 			out = append(out, f)
 		}
 	}
 	return out
 }
 
-// Universe builds the standard collapsed fault list for a netlist.
+// stemEquivalent reports whether an input fault stuck at sa of a gate of
+// type t is equivalent to one of the gate's output faults (see Collapse).
+func stemEquivalent(t circuit.GateType, sa uint8) bool {
+	switch t {
+	case circuit.And, circuit.Nand:
+		return sa == 0
+	case circuit.Or, circuit.Nor:
+		return sa == 1
+	case circuit.Buf, circuit.Not, circuit.DFF:
+		return true
+	}
+	return false
+}
+
+// Universe builds the standard collapsed fault list for a netlist: the
+// faults of Collapse(n, AllFaults(n)) in their order, in one slice of
+// exactly their number, without the uncollapsed list.
 func Universe(n *circuit.Netlist) []Fault {
-	return Collapse(n, AllFaults(n))
+	out := make([]Fault, collapsedFaults(n, nil))
+	collapsedFaults(n, out)
+	return out
+}
+
+// collapsedFaults writes the faults of Universe into out, when out is not
+// nil, and returns their number.
+func collapsedFaults(n *circuit.Netlist, out []Fault) int {
+	k := 0
+	emit := func(f Fault) {
+		if out != nil {
+			out[k] = f
+		}
+		k++
+	}
+	for _, g := range n.Gates {
+		emit(Fault{Gate: g.ID, Pin: -1, SA: 0})
+		emit(Fault{Gate: g.ID, Pin: -1, SA: 1})
+		for pin, f := range g.Fanin {
+			if len(n.Gates[f].Fanout) <= 1 {
+				continue
+			}
+			for sa := uint8(0); sa < 2; sa++ {
+				if !stemEquivalent(g.Type, sa) {
+					emit(Fault{Gate: g.ID, Pin: pin, SA: sa})
+				}
+			}
+		}
+	}
+	return k
 }

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -31,10 +32,16 @@ func TestAllFaultsC17(t *testing.T) {
 
 // TestUniverseOrder checks the order Collapse promises to keep: faults
 // ascend by gate, the stem (Pin -1) before its input branches, and
-// stuck-at-0 before stuck-at-1, with no duplicates.
+// stuck-at-0 before stuck-at-1, with no duplicates. Universe, which
+// enumerates the collapsed list directly, must equal Collapse(AllFaults)
+// in a slice of exactly its length.
 func TestUniverseOrder(t *testing.T) {
-	for _, n := range []*circuit.Netlist{circuit.MustC17(), circuit.Random(12, 80, 7), circuit.ArrayMultiplier(3)} {
+	for _, n := range []*circuit.Netlist{circuit.MustC17(), circuit.Random(12, 80, 7), circuit.ArrayMultiplier(3),
+		circuit.ALUSlice(4), circuit.Decoder(3), circuit.GatedParity(2, 3, 2)} {
 		fs := Universe(n)
+		if want := Collapse(n, AllFaults(n)); !slices.Equal(fs, want) || cap(fs) != len(want) {
+			t.Fatalf("%s: Universe has %d faults (cap %d), Collapse(AllFaults) %d", n.Name, len(fs), cap(fs), len(want))
+		}
 		less := func(a, b Fault) bool {
 			if a.Gate != b.Gate {
 				return a.Gate < b.Gate
