@@ -66,7 +66,7 @@ func main() {
 		return
 	}
 
-	n, err := loadCircuit(*benchPath, *gen)
+	n, err := circuit.Load(*benchPath, *gen)
 	if err != nil {
 		fatal(err)
 	}
@@ -114,23 +114,6 @@ func main() {
 			fmt.Fprintln(f, logic.FormatBits(res.Patterns.Pattern(k)))
 		}
 		fmt.Printf("wrote %d patterns to %s\n", res.Patterns.N, *patOut)
-	}
-}
-
-// loadCircuit resolves the -bench / -gen flags to a netlist.
-func loadCircuit(benchPath, gen string) (*circuit.Netlist, error) {
-	switch {
-	case benchPath != "":
-		f, err := os.Open(benchPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return circuit.ParseBench(f, benchPath)
-	case gen != "":
-		return circuit.FromSpec(gen)
-	default:
-		return nil, fmt.Errorf("need -bench <file> or -gen <name>")
 	}
 }
 

@@ -74,7 +74,6 @@ func runCoordinator(args []string) {
 		seed        = fs.Int64("seed", 1, "random seed for the pattern set")
 		words       = fs.Int("words", 8, "fault-simulation lane width on the workers, one of 1/2/4/8")
 		shardFaults = fs.Int("shard-faults", 256, "faults per shard (detect jobs)")
-		shardWords  = fs.Int("shard-words", 0, "pattern words per shard, rounded up to a lane-width block (dictionary jobs; 0: one block)")
 		deadline    = fs.Duration("deadline", 10*time.Second, "per-shard straggler deadline before re-dispatch")
 		timeout     = fs.Duration("timeout", 0, "overall job timeout (0: none)")
 		verify      = fs.Bool("verify", false, "rerun the job on the local serial engine and require bit-identity")
@@ -92,7 +91,7 @@ func runCoordinator(args []string) {
 		fatal(fmt.Errorf("no workers: need -workers N and/or -listen addr"))
 	}
 
-	n, err := loadCircuit(*benchPath, *gen)
+	n, err := circuit.Load(*benchPath, *gen)
 	if err != nil {
 		fatal(err)
 	}
@@ -110,7 +109,6 @@ func runCoordinator(args []string) {
 	}
 	cfg := cluster.Config{
 		ShardFaults: *shardFaults,
-		ShardWords:  *shardWords,
 		Deadline:    *deadline,
 		Logf:        logf,
 	}
@@ -320,22 +318,6 @@ func openJournal(path string, resume bool) (cluster.JobOptions, func(), error) {
 	opt.Resume = rep
 	opt.Journal = cluster.NewJournal(f)
 	return opt, func() { f.Close() }, nil
-}
-
-func loadCircuit(benchPath, gen string) (*circuit.Netlist, error) {
-	switch {
-	case benchPath != "":
-		f, err := os.Open(benchPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return circuit.ParseBench(f, benchPath)
-	case gen != "":
-		return circuit.FromSpec(gen)
-	default:
-		return nil, fmt.Errorf("need -bench <file> or -gen <name>")
-	}
 }
 
 // detectHash digests the full DetectedBy vector — equal hashes across runs

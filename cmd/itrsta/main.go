@@ -36,7 +36,7 @@ func main() {
 	)
 	flag.Parse()
 
-	n, err := loadCircuit(*benchPath, *gen)
+	n, err := circuit.Load(*benchPath, *gen)
 	if err != nil {
 		fatal(err)
 	}
@@ -110,32 +110,6 @@ func main() {
 		fmt.Printf("per-gate workload-aware: %.1f ps (savings %.0f%%), ML-predicted %.1f ps (estimator MAPE %.2f%%)\n",
 			rep.WorkloadAware*1e12, rep.SavingsFrac*100, rep.MLPredicted*1e12, rep.MLMAPE*100)
 	}
-}
-
-func loadCircuit(benchPath, gen string) (*circuit.Netlist, error) {
-	if benchPath != "" {
-		f, err := os.Open(benchPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return circuit.ParseBench(f, benchPath)
-	}
-	switch gen {
-	case "c17":
-		return circuit.MustC17(), nil
-	case "adder8":
-		return circuit.RippleAdder(8), nil
-	case "adder16":
-		return circuit.RippleAdder(16), nil
-	case "mul4":
-		return circuit.ArrayMultiplier(4), nil
-	case "mul8":
-		return circuit.ArrayMultiplier(8), nil
-	case "alu8":
-		return circuit.ALUSlice(8), nil
-	}
-	return nil, fmt.Errorf("unknown circuit %q", gen)
 }
 
 func fatal(err error) {

@@ -144,6 +144,20 @@ func TestItratpgGenerated(t *testing.T) {
 	}
 }
 
+// TestItrstaGenerated pins itrsta to the shared -gen vocabulary its help
+// text points to (circuit.FromSpec), not a private subset of it.
+func TestItrstaGenerated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	out := runTool(t, "./cmd/itrsta", "-gen", "cmp8", "-coarse", "-workers", "2")
+	for _, needle := range []string{"critical path delay:", "cell leakage power:"} {
+		if !strings.Contains(out, needle) {
+			t.Errorf("itrsta output missing %q:\n%s", needle, out)
+		}
+	}
+}
+
 func TestItratpgBenchFile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

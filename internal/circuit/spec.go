@@ -2,11 +2,29 @@ package circuit
 
 import (
 	"fmt"
+	"os"
 	"strings"
 )
 
+// Load resolves the -bench / -gen flags of the CLIs to a netlist: the
+// .bench file at benchPath if it is set, else the FromSpec circuit gen.
+func Load(benchPath, gen string) (*Netlist, error) {
+	switch {
+	case benchPath != "":
+		f, err := os.Open(benchPath)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return ParseBench(f, benchPath)
+	case gen != "":
+		return FromSpec(gen)
+	}
+	return nil, fmt.Errorf("need -bench <file> or -gen <name>")
+}
+
 // FromSpec resolves a generated-circuit spec string — the shared `-gen`
-// vocabulary of the CLIs (itratpg, itrcluster) — to a netlist:
+// vocabulary of the CLIs (itratpg, itrcluster, itrsta) — to a netlist:
 //
 //	c17            the ISCAS-85 c17 sample
 //	adderN         N-bit ripple-carry adder

@@ -47,7 +47,7 @@ func TestWorkerCacheReuse(t *testing.T) {
 	}
 	wantDict := sim.Dictionary(pa, fa)
 
-	c, lb := startCoordinator(t, Config{ShardFaults: 40, ShardWords: 2})
+	c, lb := startCoordinator(t, Config{ShardFaults: 40})
 	startWorker(t, lb, "w")
 	ctx := testCtx(t)
 	detect := func(n *circuit.Netlist, p *logic.PatternSet, faults []fault.Fault, words int, want *fault.Result) func() {

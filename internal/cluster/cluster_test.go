@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -50,6 +51,17 @@ func startWorkerDial(t *testing.T, dial func() (net.Conn, error), id string) con
 
 func startWorker(t *testing.T, lb *Loopback, id string) context.CancelFunc {
 	return startWorkerDial(t, lb.Dial, id)
+}
+
+// waitJoined waits until n workers have joined c.
+func waitJoined(t *testing.T, c *Coordinator, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); c.Stats().WorkersJoined < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers not joined: %+v", c.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func testPatterns(n *circuit.Netlist, npat int, seed int64) *logic.PatternSet {
@@ -164,15 +176,16 @@ func TestClusterDictionaryBitIdentical(t *testing.T) {
 		{"rand", circuit.Random(8, 80, 5)},
 		{"parity", circuit.GatedParity(3, 3, 2)},
 	}
+	// A shard is one W-block, so the lane width sets the shard count.
 	combos := []struct {
-		workers, shardWords, words int
+		workers, words int
 	}{
-		{1, 1, 1},
-		{2, 2, 1},
-		{2, 1, 2}, // rounds up to one W-block
-		{4, 2, 4},
-		{2, 1 << 20, 8}, // single shard
-		{4, 3, 2},       // rounds up to 4 words
+		{1, 1},
+		{2, 1}, // 8 shards
+		{2, 2}, // 4 shards
+		{4, 2},
+		{4, 4}, // 2 shards
+		{2, 8}, // single shard
 	}
 	for _, tc := range nets {
 		faults := fault.Universe(tc.n)
@@ -184,16 +197,61 @@ func TestClusterDictionaryBitIdentical(t *testing.T) {
 		want := sim.Dictionary(p, faults)
 		for _, cb := range combos {
 			t.Run(tc.name, func(t *testing.T) {
-				c, lb := startCoordinator(t, Config{ShardWords: cb.shardWords})
+				c, lb := startCoordinator(t, Config{})
 				for i := 0; i < cb.workers; i++ {
 					startWorker(t, lb, "w")
 				}
 				got, err := c.Dictionary(testCtx(t), tc.n, p, faults, cb.words)
 				if err != nil {
-					t.Fatalf("workers=%d shard=%d words=%d: %v", cb.workers, cb.shardWords, cb.words, err)
+					t.Fatalf("workers=%d words=%d: %v", cb.workers, cb.words, err)
 				}
 				compareSigs(t, got, want)
 			})
+		}
+	}
+}
+
+// TestWorkerDictionaryShardMemory pins the worker's dictionary memory to its
+// shard: one W = 1 shard of a 64-word set allocates far less than the dense
+// faults × POs × words matrix (an eighth of it is the bound), and still
+// returns exactly the nonzero rows of the serial dictionary in its block.
+func TestWorkerDictionaryShardMemory(t *testing.T) {
+	n := circuit.ArrayMultiplier(8)
+	faults := fault.Universe(n)
+	p := testPatterns(n, 64*logic.WordBits, 9)
+	sim, err := fault.NewSimulator(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Dictionary(p, faults)
+	j := &workerJob{id: 1, kind: KindDictionary, sim: sim, p: p, faults: faults, cache: &netCache{}}
+	dense := uint64(len(faults) * len(n.POs) * p.Words() * 8)
+	for _, lo := range []uint32{0, 37, 63} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := j.exec(&shardMsg{JobID: 1, Lo: lo, Hi: lo + 1})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= dense/8 {
+			t.Errorf("shard [%d,%d): allocated %d bytes, want < %d (1/8 of the dense matrix)", lo, lo+1, got, dense/8)
+		}
+		nonzero := 0
+		for _, sig := range want {
+			for _, row := range sig.Bits {
+				if row[lo] != 0 {
+					nonzero++
+				}
+			}
+		}
+		if len(res.Rows) != nonzero {
+			t.Fatalf("shard [%d,%d): %d rows, want the %d nonzero rows", lo, lo+1, len(res.Rows), nonzero)
+		}
+		for _, r := range res.Rows {
+			if len(r.Words) != 1 || r.Words[0] != want[r.Fi].Bits[r.Po][lo] {
+				t.Fatalf("shard [%d,%d): row (fault %d, po %d) = %#x, want %#x", lo, lo+1, r.Fi, r.Po, r.Words, want[r.Fi].Bits[r.Po][lo])
+			}
 		}
 	}
 }
@@ -204,9 +262,12 @@ func TestClusterDictionaryBitIdentical(t *testing.T) {
 func TestClusterSequentialJobs(t *testing.T) {
 	n := circuit.Random(7, 90, 17)
 	faults := fault.Universe(n)
-	c, lb := startCoordinator(t, Config{ShardFaults: 32, ShardWords: 2})
+	c, lb := startCoordinator(t, Config{ShardFaults: 32})
 	startWorker(t, lb, "a")
 	startWorker(t, lb, "b")
+	// On a loaded machine one worker can otherwise serve all three jobs
+	// before the other dials in.
+	waitJoined(t, c, 2)
 
 	p1 := testPatterns(n, 130, 1)
 	got1, err := c.Detect(testCtx(t), n, p1, faults, 2)
@@ -278,12 +339,7 @@ func TestClusterWorkerKilledMidJob(t *testing.T) {
 	// Both workers must be connected before the job starts; otherwise, on
 	// a loaded machine, the victim can finish every shard before the
 	// survivor dials in.
-	for deadline := time.Now().Add(5 * time.Second); c.Stats().WorkersJoined < 2; {
-		if time.Now().After(deadline) {
-			t.Fatalf("workers not joined: %+v", c.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitJoined(t, c, 2)
 	go func() {
 		<-gotShard
 		cancelVictim()

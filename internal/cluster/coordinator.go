@@ -18,10 +18,6 @@ import (
 type Config struct {
 	// ShardFaults is the detect-job shard size in faults (default 256).
 	ShardFaults int
-	// ShardWords is the dictionary-job shard size in pattern words; it is
-	// rounded up to a whole number of W-blocks so shards stay column-
-	// disjoint (default one W-block).
-	ShardWords int
 	// Deadline is the per-shard straggler deadline: a dispatched shard not
 	// answered within it is re-dispatched to the next free worker. The
 	// original dispatch stays outstanding — the first result wins and
@@ -236,11 +232,7 @@ func (c *Coordinator) DetectOpt(ctx context.Context, n *circuit.Netlist, p *logi
 	if err != nil {
 		return nil, err
 	}
-	j.unit = c.cfg.ShardFaults
-	for lo := 0; lo < len(faults); lo += j.unit {
-		hi := min(lo+j.unit, len(faults))
-		j.specs = append(j.specs, shardSpec{lo: uint32(lo), hi: uint32(hi)})
-	}
+	j.partition(c.cfg.ShardFaults, len(faults))
 	j.detBy = make([]int, len(faults))
 	for i := range j.detBy {
 		j.detBy[i] = -1
@@ -256,12 +248,12 @@ func (c *Coordinator) DetectOpt(ctx context.Context, n *circuit.Netlist, p *logi
 }
 
 // Dictionary distributes a full-response dictionary build (the
-// fault.DictionaryConcurrent workload): pattern-word column ranges
-// shard across workers, each filling the signature columns of its range
-// for every fault. Distinct shards write disjoint signature storage — the
-// same disjoint-column scheme that makes the in-process concurrent build
-// bit-identical — so the merged dictionary equals Simulator.Dictionary
-// word for word regardless of worker count, shard size or dispatch order.
+// fault.DictionaryConcurrent workload): each shard is one block of words
+// pattern words, the unit DictionaryConcurrent shards too, and a worker
+// returns the nonzero signature rows of its block for every fault
+// (fault.Simulator.DictionaryBlock). Distinct shards write disjoint
+// signature columns, so the merged dictionary equals Simulator.Dictionary
+// word for word regardless of worker count or dispatch order.
 func (c *Coordinator) Dictionary(ctx context.Context, n *circuit.Netlist, p *logic.PatternSet, faults []fault.Fault, words int) ([]*fault.Signature, error) {
 	return c.DictionaryOpt(ctx, n, p, faults, words, JobOptions{})
 }
@@ -276,20 +268,8 @@ func (c *Coordinator) DictionaryOpt(ctx context.Context, n *circuit.Netlist, p *
 	if err != nil {
 		return nil, err
 	}
-	unit := c.cfg.ShardWords
-	if unit <= 0 {
-		unit = w
-	}
-	if rem := unit % w; rem != 0 {
-		unit += w - rem // keep shards W-block aligned, hence column-disjoint
-	}
-	j.unit = unit
-	pwords := p.Words()
-	for lo := 0; lo < pwords; lo += unit {
-		hi := min(lo+unit, pwords)
-		j.specs = append(j.specs, shardSpec{lo: uint32(lo), hi: uint32(hi)})
-	}
-	j.sigs = fault.NewSignatures(len(faults), len(n.POs), pwords)
+	j.partition(w, p.Words())
+	j.sigs = fault.NewSignatures(len(faults), len(n.POs), p.Words())
 	if err := c.run(ctx, j, opt); err != nil {
 		return nil, err
 	}
@@ -337,6 +317,16 @@ func (c *Coordinator) newJob(kind JobKind, words int, n *circuit.Netlist, p *log
 		nPOs:     len(n.POs),
 		pwords:   p.Words(),
 	}, nil
+}
+
+// partition cuts the job's total units (faults or pattern words) into
+// shards of unit each, the last one possibly shorter: the arithmetic
+// JournalHeader.spec repeats on replay.
+func (j *job) partition(unit, total int) {
+	j.unit = unit
+	for lo := 0; lo < total; lo += unit {
+		j.specs = append(j.specs, shardSpec{lo: uint32(lo), hi: uint32(min(lo+unit, total))})
+	}
 }
 
 // netlistFrame returns the job's netlist frame payload, encoding it on

@@ -202,11 +202,13 @@ func TestJournalIOFailureFailsJob(t *testing.T) {
 
 // ---------------------------------------------------------------------------
 // The acceptance grid: for detect and dictionary jobs across
-// {crash point × workers × shard size × words}, a chaos-killed run's journal
-// resumes to output bit-identical to the serial engine.
+// {crash point × workers × shards × words}, a chaos-killed run's journal
+// resumes to output bit-identical to the serial engine. A dictionary shard
+// is one W-block, so the dictionary's shard axis is its shard count: each
+// combo runs a set of shards × W words.
 
 func TestClusterResumeBitIdentical(t *testing.T) {
-	type jobFn func(t *testing.T, c *Coordinator, ctx context.Context, words int, opt JobOptions) (any, error)
+	type jobFn func(t *testing.T, c *Coordinator, ctx context.Context, shard, words int, opt JobOptions) (any, error)
 
 	detNet := circuit.Random(8, 100, 3)
 	detFaults := fault.Universe(detNet)
@@ -215,37 +217,48 @@ func TestClusterResumeBitIdentical(t *testing.T) {
 
 	dictNet := circuit.Random(7, 60, 5)
 	dictFaults := fault.Universe(dictNet)
-	dictPat := testPatterns(dictNet, 1024, 13) // 16 words: several shards at every width
 	dictSim, err := fault.NewSimulator(dictNet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dictWant := dictSim.Dictionary(dictPat, dictFaults)
+	// Pattern sets and serial dictionaries by set size in words.
+	dictPat := map[int]*logic.PatternSet{}
+	dictWant := map[int][]*fault.Signature{}
+	for _, shards := range []int{2, 8} {
+		for _, words := range []int{1, 4, 8} {
+			if n := shards * words; dictPat[n] == nil {
+				dictPat[n] = testPatterns(dictNet, n*logic.WordBits, 13)
+				dictWant[n] = dictSim.Dictionary(dictPat[n], dictFaults)
+			}
+		}
+	}
 
 	kinds := []struct {
 		name   string
-		shards []int // ShardFaults (detect) / ShardWords (dictionary)
+		shards []int // ShardFaults (detect) / shard count (dictionary)
 		cfg    func(shard int) Config
 		run    jobFn
-		check  func(t *testing.T, got any)
+		check  func(t *testing.T, shard, words int, got any)
 	}{
 		{
 			name:   "detect",
 			shards: []int{32, 128},
 			cfg:    func(s int) Config { return Config{ShardFaults: s} },
-			run: func(t *testing.T, c *Coordinator, ctx context.Context, words int, opt JobOptions) (any, error) {
+			run: func(t *testing.T, c *Coordinator, ctx context.Context, _, words int, opt JobOptions) (any, error) {
 				return c.DetectOpt(ctx, detNet, detPat, detFaults, words, opt)
 			},
-			check: func(t *testing.T, got any) { compareDetect(t, got.(*fault.Result), detWant) },
+			check: func(t *testing.T, _, _ int, got any) { compareDetect(t, got.(*fault.Result), detWant) },
 		},
 		{
 			name:   "dictionary",
 			shards: []int{2, 8},
-			cfg:    func(s int) Config { return Config{ShardWords: s} },
-			run: func(t *testing.T, c *Coordinator, ctx context.Context, words int, opt JobOptions) (any, error) {
-				return c.DictionaryOpt(ctx, dictNet, dictPat, dictFaults, words, opt)
+			cfg:    func(int) Config { return Config{} },
+			run: func(t *testing.T, c *Coordinator, ctx context.Context, shard, words int, opt JobOptions) (any, error) {
+				return c.DictionaryOpt(ctx, dictNet, dictPat[shard*words], dictFaults, words, opt)
 			},
-			check: func(t *testing.T, got any) { compareSigs(t, got.([]*fault.Signature), dictWant) },
+			check: func(t *testing.T, shard, words int, got any) {
+				compareSigs(t, got.([]*fault.Signature), dictWant[shard*words])
+			},
 		},
 	}
 
@@ -266,7 +279,7 @@ func TestClusterResumeBitIdentical(t *testing.T) {
 							for i := 0; i < workers; i++ {
 								startWorker(t, lb1, fmt.Sprintf("w%d", i))
 							}
-							got, err := k.run(t, c1, testCtx(t), words, JobOptions{Journal: NewJournal(vf)})
+							got, err := k.run(t, c1, testCtx(t), shard, words, JobOptions{Journal: NewJournal(vf)})
 							if !plan.Fired() {
 								// Too few shards for the plan to trigger: the
 								// run completed; the combo degrades to plain
@@ -274,7 +287,7 @@ func TestClusterResumeBitIdentical(t *testing.T) {
 								if err != nil {
 									t.Fatal(err)
 								}
-								k.check(t, got)
+								k.check(t, shard, words, got)
 								return
 							}
 							if !errors.Is(err, ErrCrashed) {
@@ -295,11 +308,11 @@ func TestClusterResumeBitIdentical(t *testing.T) {
 							for i := 0; i < workers; i++ {
 								startWorker(t, lb2, fmt.Sprintf("r%d", i))
 							}
-							got, err = k.run(t, c2, testCtx(t), words, JobOptions{Journal: NewJournal(vf), Resume: rep})
+							got, err = k.run(t, c2, testCtx(t), shard, words, JobOptions{Journal: NewJournal(vf), Resume: rep})
 							if err != nil {
 								t.Fatalf("resume: %v", err)
 							}
-							k.check(t, got)
+							k.check(t, shard, words, got)
 
 							// The resumed journal must itself replay to a
 							// complete, clean record set — crash-safety is

@@ -15,7 +15,7 @@ type JobKind uint8
 // Job kinds.
 const (
 	KindDetect     JobKind = 1 // fault detection with per-shard dropping (fault.Simulator.RunInto)
-	KindDictionary JobKind = 2 // full-response dictionary columns (fault.Simulator.DictionaryRange)
+	KindDictionary JobKind = 2 // the nonzero signature rows of one W-block of pattern words (fault.Simulator.DictionaryBlock)
 )
 
 func (k JobKind) String() string {
@@ -85,8 +85,8 @@ type netlistMsg struct {
 }
 
 // shardMsg is one work unit. For KindDetect, [Lo,Hi) is a fault-index
-// range; for KindDictionary it is a pattern-word column range (W-block
-// aligned by the coordinator's partitioner).
+// range; for KindDictionary it is one W-block of pattern-word columns,
+// [lo, min(lo+W, words)) with lo a multiple of W.
 type shardMsg struct {
 	JobID  uint64
 	Shard  uint32

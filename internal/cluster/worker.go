@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"time"
 
 	"repro/internal/chaos"
@@ -249,18 +250,15 @@ func (c *netCache) holds(h [32]byte) bool {
 }
 
 // workerJob is one job's local state: the reconstructed circuit, pattern
-// set and fault list, a simulator, and lazily the full-width signature
-// matrix for dictionary jobs (its columns outside the assigned shards stay
-// untouched; only assigned column ranges are read back out).
+// set and fault list, and a simulator.
 type workerJob struct {
 	id     uint64
 	kind   JobKind
 	sim    *fault.Simulator
 	p      *logic.PatternSet
 	faults []fault.Fault
-	detBy  []int              // detect scratch, reused across shards
-	sigs   []*fault.Signature // dictionary target, allocated on first shard
-	cache  *netCache          // holds sim; emptied if the engine panics
+	detBy  []int     // detect scratch, reused across shards
+	cache  *netCache // holds sim; emptied if the engine panics
 }
 
 // verifyNetlist checks netlist bytes against the setup's content hash and
@@ -347,34 +345,15 @@ func (j *workerJob) exec(sm *shardMsg) (res *resultMsg, err error) {
 	case KindDictionary:
 		words := j.p.Words()
 		W := j.sim.Words()
-		if lo < 0 || hi < lo || hi > words || lo%W != 0 || (hi != words && (hi-lo)%W != 0) {
-			return nil, fmt.Errorf("%w: word range [%d,%d) not %d-block aligned in %d", ErrMalformed, lo, hi, W, words)
+		if lo < 0 || lo >= words || lo%W != 0 || hi != min(lo+W, words) {
+			return nil, fmt.Errorf("%w: word range [%d,%d) is not one %d-word block of %d", ErrMalformed, lo, hi, W, words)
 		}
-		if j.sigs == nil {
-			j.sigs = fault.NewSignatures(len(j.faults), len(j.sim.Net.POs), words)
-		}
-		j.sim.DictionaryRange(j.p, j.faults, lo, hi, j.sigs)
-		// Ship only nonzero rows: dictionaries are sparse (most faults fail
-		// at few POs), and zero rows are exactly the merge target's initial
-		// state.
-		span := hi - lo
-		for fi, sig := range j.sigs {
-			for po, bits := range sig.Bits {
-				seg := bits[lo:hi]
-				nz := false
-				for _, w := range seg {
-					if w != 0 {
-						nz = true
-						break
-					}
-				}
-				if nz {
-					row := sigEntry{Fi: uint32(fi), Po: uint32(po), Words: make([]logic.Word, span)}
-					copy(row.Words, seg)
-					res.Rows = append(res.Rows, row)
-				}
-			}
-		}
+		// The engine hands out only nonzero rows: dictionaries are sparse
+		// (most faults fail at few POs), and zero rows are exactly the
+		// merge target's initial state.
+		j.sim.DictionaryBlock(j.p, j.faults, lo, func(fi, po, _ int, row []logic.Word) {
+			res.Rows = append(res.Rows, sigEntry{Fi: uint32(fi), Po: uint32(po), Words: slices.Clone(row)})
+		})
 	default:
 		return nil, fmt.Errorf("%w: job kind %v", ErrMalformed, j.kind)
 	}

@@ -58,7 +58,7 @@ func shardFaults(workers, nFaults int, run func(lo, hi int) int) int {
 // o.Workers workers. The netlist is compiled exactly once up
 // front, and the faults are grouped by fanout-free region once; each
 // worker owns a cheap Simulator over the shared IR (created lazily on first
-// claim) and fills whole signature-column blocks from one stem walk per
+// claim) and copies the rows of whole blocks from one stem walk per
 // region. Distinct blocks write disjoint storage, so the
 // merged dictionary is bit-identical to the serial one for any worker count
 // and any lane width.
@@ -75,19 +75,14 @@ func DictionaryConcurrent(n *circuit.Netlist, p *logic.PatternSet, faults []Faul
 		return newSimulator(c, W).Dictionary(p, faults), nil
 	}
 	sigs := NewSignatures(len(faults), len(n.POs), nWords)
-	type scratch struct {
-		fsim  *Simulator
-		perPO []logic.Word
-	}
-	scratches := make([]scratch, workers)
+	put := fill(sigs)
+	sims := make([]*Simulator, workers)
 	order := stemOrder(c, faults)
 	err = parallel.ForWorker(workers, blocks, func(worker, b int) error {
-		sc := &scratches[worker]
-		if sc.fsim == nil {
-			sc.fsim = newSimulator(c, W)
-			sc.perPO = make([]logic.Word, len(n.POs)*W)
+		if sims[worker] == nil {
+			sims[worker] = newSimulator(c, W)
 		}
-		sc.fsim.dictionaryBlock(p, faults, order, b*W, sigs, sc.perPO)
+		sims[worker].dictionaryBlock(p, faults, order, b*W, put)
 		return nil
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -304,6 +305,68 @@ func TestDictionaryMatchesPerFaultRef(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDictionaryBlockRows pins what DictionaryBlock hands its sink: per
+// W-block, exactly the nonzero rows of Dictionary in that block, each
+// (fault, PO) once, with the block's base and width, and no zero row. The
+// 700-pattern set ends in a partial word and, at W = 2 and 8, in a partial
+// block; an empty fault list hands out nothing.
+func TestDictionaryBlockRows(t *testing.T) {
+	circuits := []*circuit.Netlist{
+		circuit.MustC17(), circuit.ArrayMultiplier(8), circuit.Random(20, 300, 1), circuit.GatedParity(8, 20, 6),
+		repeatedFaninCircuit(), poFanoutCircuit(), scanCircuit(), wideFaninCircuit(9), dffFaninCircuit(),
+	}
+	for _, c := range circuits {
+		faults := AllFaults(c)
+		rng := rand.New(rand.NewSource(7))
+		p := logic.NewPatternSet(len(c.PIs), 700)
+		p.RandFill(rng.Uint64)
+		words := p.Words()
+		for _, w := range []int{1, 2, 8} {
+			s, err := New(c, Options{Words: w})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := s.Dictionary(p, faults)
+			rows := 0
+			for base := 0; base < words; base += w {
+				act := min(w, words-base)
+				s.DictionaryBlock(p, nil, base, func(fi, po, _ int, _ []logic.Word) {
+					t.Fatalf("%s W=%d base %d: empty fault list handed out fault %d PO %d", c.Name, w, base, fi, po)
+				})
+				seen := map[[2]int]bool{}
+				s.DictionaryBlock(p, faults, base, func(fi, po, b int, row []logic.Word) {
+					at := fmt.Sprintf("%s W=%d base %d fault %s PO %d", c.Name, w, base, faults[fi].Name(c), po)
+					if b != base || len(row) != act {
+						t.Fatalf("%s: handed base %d, %d words; want %d, %d", at, b, len(row), base, act)
+					}
+					if seen[[2]int{fi, po}] {
+						t.Fatalf("%s: handed out twice", at)
+					}
+					seen[[2]int{fi, po}] = true
+					if !slices.ContainsFunc(row, func(x logic.Word) bool { return x != 0 }) {
+						t.Fatalf("%s: zero row handed out", at)
+					}
+					if ref := want[fi].Bits[po][base : base+act]; !slices.Equal(row, ref) {
+						t.Fatalf("%s: row %#x, Dictionary %#x", at, row, ref)
+					}
+				})
+				for fi, sig := range want {
+					for po, r := range sig.Bits {
+						if slices.ContainsFunc(r[base:base+act], func(x logic.Word) bool { return x != 0 }) && !seen[[2]int{fi, po}] {
+							t.Fatalf("%s W=%d base %d: nonzero row of fault %s PO %d not handed out",
+								c.Name, w, base, faults[fi].Name(c), po)
+						}
+					}
+				}
+				rows += len(seen)
+			}
+			if rows == 0 {
+				t.Fatalf("%s W=%d: no rows at all", c.Name, w)
+			}
+		}
 	}
 }
 

@@ -90,7 +90,7 @@ func TestColumnMatchesViews(t *testing.T) {
 	}
 
 	lb := cluster.NewLoopback()
-	c := cluster.New(cluster.Config{ShardWords: 2})
+	c := cluster.New(cluster.Config{})
 	go c.Serve(lb)
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

@@ -33,7 +33,7 @@ func randSet(rng *rand.Rand, inputs, n int) *logic.PatternSet {
 // set refilled in place at the same N (wholesale or one bit), a grown set
 // (including an all-zero pattern that leaves the PI words unchanged), a
 // shrunk set, an equal-content clone, a set wider than one lane group, and
-// Stage/Probe, DictionaryRange and RunSerial in between.
+// Stage/Probe, Dictionary and RunSerial in between.
 func TestRunIntoMemoMatchesFreshSimulator(t *testing.T) {
 	n := circuit.Random(12, 300, 5)
 	c, err := n.Compiled()

@@ -126,9 +126,13 @@ type Simulator struct {
 	ffrDirty bool
 	ffrUsed  []uint64
 	chain    []int32
-	// reachBuf holds the reach of each fault of the region a dictionary
-	// block is filling, act lanes per fault.
+	// Dictionary-block scratch (dictionaryBlock): reachBuf holds the reach
+	// of each fault of the region being walked, act lanes per fault; perPO
+	// the stem walk's PO difference lanes, W per PO; row the row handed to
+	// the sink.
 	reachBuf []logic.Word
+	perPO    []logic.Word
+	row      [MaxWords]logic.Word
 	// sensSteps counts the gates whose side inputs the backward pass read;
 	// tests pin it next to gateEvals.
 	sensSteps int
@@ -1011,6 +1015,14 @@ func NewSignatures(nFaults, nPOs, words int) []*Signature {
 	return sigs
 }
 
+// fill returns the dictionary sink that copies each row into its place in
+// sigs, a NewSignatures matrix.
+func fill(sigs []*Signature) func(fi, po, base int, row []logic.Word) {
+	return func(fi, po, base int, row []logic.Word) {
+		copy(sigs[fi].Bits[po][base:], row)
+	}
+}
+
 // Column returns the rows at PO po of every signature of sigs, one after
 // another: fault f's row is col[f*words : (f+1)*words]. It is the matrix's
 // own storage, not a copy. sigs must be a whole NewSignatures matrix in its
@@ -1041,30 +1053,37 @@ func stemOrder(c *circuit.Compiled, faults []Fault) []uint64 {
 	return keys
 }
 
-// dictionaryBlock fills signature columns base..base+act-1 (act = up to
-// Words() lanes) by fanout-free region, like dropStage: for the faults of
-// one region (order, from stemOrder) it computes each fault's reach, walks
-// the stem once injecting the union of their reach with per-PO differences
-// on, and writes each fault's row at PO o as reach & the stem's difference
-// at o. Lanes are independent, so a fault's PO differences are exactly the
-// stem's in the lanes the fault flips it. Only a region of two or more
-// faults reads reach through the sensitization memo, and a one-fault
-// region keeps its reach on the stack: a one-fault dictionary
-// (diagnosis.Observe) allocates neither.
+// dictionaryBlock hands put every nonzero signature row of the W-block of
+// pattern words starting at base: put(fi, po, base, row) for fault
+// faults[fi] at PO po, row holding the block's act = min(Words(),
+// p.Words()-base) words. Each (fault, PO) comes at most once, and a row
+// that is zero does not come. It works by fanout-free region, like
+// dropStage: for the faults of one region (order, from stemOrder) it
+// computes each fault's reach, walks the stem once injecting the union of
+// their reach with per-PO differences on, and forms each fault's row at PO
+// o as reach & the stem's difference at o. Lanes are independent, so a
+// fault's PO differences are exactly the stem's in the lanes the fault
+// flips it. Only a region of two or more faults reads reach through the
+// sensitization memo, and a one-fault region keeps its reach on the stack:
+// a one-fault dictionary (diagnosis.Observe) allocates neither.
 //
-// Signatures must have been allocated (zeroed) for the full word range;
-// distinct blocks touch disjoint storage, which is what makes
-// DictionaryConcurrent's block-sharded merge bit-identical to the serial
-// run. perPO is caller scratch of len(POs)*W; it must be zero on entry and
-// is left zero on return (only the touched PO lanes are written and
-// cleared, so sparse signatures never pay a full clear).
-func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, order []uint64, base int, sigs []*Signature, perPO []logic.Word) {
+// row is the simulator's scratch, valid only during the call: put copies
+// what it keeps. A stack array passed through the func value would escape:
+// the compiler cannot see what put keeps, so it moves the array to the
+// heap. perPO (len(POs)*W) is zero between calls: only the touched PO
+// lanes are written and cleared, so sparse signatures never pay a full
+// clear.
+func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, order []uint64, base int, put func(fi, po, base int, row []logic.Word)) {
 	s.stagedAct, s.goodAct = 0, 0
 	W := s.w
 	words := p.Words()
 	act := min(W, words-base)
 	s.simulateGood(p, base, 0, act, min(W, words))
 	S, vals := s.stride, s.vals
+	if s.perPO == nil {
+		s.perPO = make([]logic.Word, len(s.Net.POs)*W)
+	}
+	perPO := s.perPO
 	// diff takes the walks' OR of PO differences, which no row reads: the
 	// rows come from perPO.
 	var masks, diff, ones, u, v, one [MaxWords]logic.Word
@@ -1072,6 +1091,7 @@ func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, order [
 		masks[l] = p.TailMask(base + l)
 		ones[l] = ^logic.Word(0)
 	}
+	row := s.row[:act]
 	ready := false // whether this block has readied the sensitization memo
 	for k := 0; k < len(order); {
 		st := int(order[k] >> 32)
@@ -1115,7 +1135,18 @@ func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, order [
 		// The tail masks enter through reach, as in dropStage.
 		dirty := s.walk(st, v[:act], 0, act, ones[:act], diff[:act], nil, perPO)
 		for j, key := range group {
-			fillRows(sigs[uint32(key)], dirty, base, W, rs[j*act:j*act+act], perPO)
+			r := rs[j*act : j*act+act]
+			for _, po := range dirty {
+				d := perPO[int(po)*W:]
+				var nz logic.Word
+				for l, m := range r {
+					row[l] = m & d[l]
+					nz |= row[l]
+				}
+				if nz != 0 {
+					put(int(uint32(key)), int(po), base, row)
+				}
+			}
 		}
 		for _, po := range dirty {
 			clear(perPO[int(po)*W : int(po)*W+act])
@@ -1126,46 +1157,27 @@ func (s *Simulator) dictionaryBlock(p *logic.PatternSet, faults []Fault, order [
 	}
 }
 
-// fillRows writes r & the PO differences of the last walk into sig's
-// columns base..base+len(r)-1 at the POs the walk touched (dirty). perPO
-// has stride W.
-func fillRows(sig *Signature, dirty []int32, base, W int, r, perPO []logic.Word) {
-	for _, po := range dirty {
-		row := sig.Bits[po][base : base+len(r)]
-		d := perPO[int(po)*W:]
-		for l, m := range r {
-			row[l] = m & d[l]
-		}
-	}
-}
-
 // Dictionary fault-simulates without dropping and returns every fault's
 // full failure signature — the input to fault diagnosis. Pattern words are
 // filled Words() columns per stem walk (see dictionaryBlock); the
 // signatures are bit-identical for every lane width and fault order.
 func (s *Simulator) Dictionary(p *logic.PatternSet, faults []Fault) []*Signature {
 	sigs := NewSignatures(len(faults), len(s.Net.POs), p.Words())
-	s.DictionaryRange(p, faults, 0, p.Words(), sigs)
+	order, put := stemOrder(s.c, faults), fill(sigs)
+	for base := 0; base < p.Words(); base += s.w {
+		s.dictionaryBlock(p, faults, order, base, put)
+	}
 	return sigs
 }
 
-// DictionaryRange fills the signature columns of the pattern-word range
-// [lo, hi) for every fault: the shard-sized unit of distributed dictionary
-// construction. sigs must have been allocated (zeroed) for the full word
-// range of p (NewSignatures); distinct word ranges write disjoint storage,
-// so range shards merge bit-identically in any order. lo must be a multiple
-// of Words(), and hi must either extend to p.Words() or keep the range a
-// whole number of W-blocks — otherwise a block walk would spill columns
-// into a neighboring shard, and the call panics instead.
-func (s *Simulator) DictionaryRange(p *logic.PatternSet, faults []Fault, lo, hi int, sigs []*Signature) {
-	W := s.w
-	words := p.Words()
-	if lo < 0 || hi < lo || hi > words || lo%W != 0 || (hi != words && (hi-lo)%W != 0) {
-		panic(fmt.Sprintf("fault: DictionaryRange [%d,%d) not W=%d block-aligned within %d words", lo, hi, W, words))
+// DictionaryBlock hands put every nonzero signature row of one block of
+// pattern words, [base, min(base+Words(), p.Words())), once per (fault,
+// PO): the unit of distributed dictionary construction. base must be a
+// multiple of Words() below p.Words(), or the call panics. row is
+// simulator scratch, valid only during the call.
+func (s *Simulator) DictionaryBlock(p *logic.PatternSet, faults []Fault, base int, put func(fi, po, base int, row []logic.Word)) {
+	if base < 0 || base >= p.Words() || base%s.w != 0 {
+		panic(fmt.Sprintf("fault: DictionaryBlock base %d is not a W=%d block of %d words", base, s.w, p.Words()))
 	}
-	perPO := make([]logic.Word, len(s.Net.POs)*W)
-	order := stemOrder(s.c, faults)
-	for base := lo; base < hi; base += W {
-		s.dictionaryBlock(p, faults, order, base, sigs, perPO)
-	}
+	s.dictionaryBlock(p, faults, stemOrder(s.c, faults), base, put)
 }
